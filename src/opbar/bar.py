@@ -32,11 +32,12 @@ from .modules import (
     TensorRightModule,
     check_algebra,
     evaluate_operad_element,
+    gamma_along,
     operad_right_module,
     suspend_right_module,
 )
 from .operads import compose_morphisms, eps_to_assoc, alpha_to_com, identity_morphism, operad_morphism_check
-from .sigma import WordSpace, SigmaModule, _combo_add
+from .sigma import WordSpace, SigmaModule, _combo_add, routed_compose
 
 
 def sound_weight_bound(suspended_degrees, window):
@@ -100,6 +101,9 @@ class BarComplex:
         f = self.field
         letters = self._letters()
         lo, hi = self.window.lo - 1, self.window.hi + 1
+        # the furthest one more letter can move the degree down and up
+        down = min([d + 1 for d, _ in letters] + [0])
+        up = max([d + 1 for d, _ in letters] + [0])
         words_by_degree = {}
 
         def extend(word, deg):
@@ -108,9 +112,11 @@ class BarComplex:
                 words_by_degree.setdefault(deg, []).append(word)
             if n == self.weight_bound:
                 return
+            remaining = self.weight_bound - n - 1
             for (d, l) in letters:
                 nd = deg + d + 1
-                if self._feasible(nd, self.weight_bound - n - 1):
+                # can `remaining` more letters bring nd into [lo, hi]?
+                if nd + down * remaining <= hi and nd + up * remaining >= lo:
                     extend(word + ((d, l),), nd)
 
         extend((), 0)
@@ -130,18 +136,6 @@ class BarComplex:
                 diff[d] = m
         self.module = DgModule(f, basis, diff, check=True)
         self.weight_of = {w: len(w) for d in basis for w in basis[d]}
-
-    def _feasible(self, deg, remaining):
-        """Can `remaining` more letters bring deg into [lo-1, hi+1]?"""
-        lo, hi = self.window.lo - 1, self.window.hi + 1
-        susp = [d + 1 for d in self.algebra.module.degrees()]
-        lo_step, hi_step = min(susp), max(susp)
-        best_lo = deg + (lo_step * remaining if lo_step < 0 else 0)
-        best_hi = deg + (hi_step * remaining if hi_step > 0 else 0)
-        return best_lo <= hi and best_hi >= lo
-
-    def word_degree(self, word):
-        return sum(d + 1 for d, _ in word)
 
     def diff_word(self, word):
         """Internal differential plus bar coderivation of a basis word."""
@@ -469,32 +463,6 @@ def bar_module(operad, arity_bound, eta=None, k_operad=None):
     return BarModule(operad, eta, arity_bound)
 
 
-# distribution/collapse helpers (extension iso and Sym comparison) ----------------
-
-
-def _distribute_outer(field, outer_word_label, items_per_slot):
-    """Group per-input payloads by the factors of a routed word.
-
-    `outer_word_label` = (w, inner); input slot p of the word belongs to
-    the factor whose value block contains w(p).  Returns (groups,
-    reorder_parity) where groups[j] lists the payload indices of factor
-    j in block order and reorder_parity is the Koszul parity of moving
-    payload degrees into group order; payload degrees are supplied by
-    items_per_slot[p] = degree.
-    """
-    w, inner = outer_word_label
-    sizes = tuple(t[0] for t in inner)
-    blocks = perm.blocks_of(sizes)
-    w_inv = perm.inverse(w)
-    groups = [[w_inv[v - 1] for v in blk] for blk in blocks]
-    flat = [p for group in groups for p in group]
-    sigma = [0] * len(flat)
-    for newpos, oldpos in enumerate(flat):
-        sigma[oldpos - 1] = newpos + 1
-    kos = perm.koszul_sign_exponent(list(items_per_slot), tuple(sigma))
-    return groups, kos
-
-
 def sym_bar_comparison(bar_mod, algebra, weights, window):
     """Construct Sym_R(B_R, A) -> B(A) and verify it is a chain iso.
 
@@ -514,33 +482,15 @@ def sym_bar_comparison(bar_mod, algebra, weights, window):
     full = DegreeWindow(min(min(susp), maxw * min(susp)), max(max(susp), maxw * max(susp)))
     target = bar(algebra, full, weight_bound=maxw, check=False)
 
+    def evaluate(letter, args):
+        """A suspended operad letter, desuspended, evaluated on A."""
+        a, d, (_, label) = letter
+        return evaluate_operad_element(algebra, op, (a, d - 1, label), args)
+
     def collapse(pure_label):
         """Map a pure (bar-word; a-word) label into B(A) words."""
-        (r, dm, (n, word_label)), a_word = pure_label
-        w, inner = word_label
-        degs = [d for d, _ in a_word]
-        groups, kos = _distribute_outer(f, word_label, degs)
-        opsign = 0
-        prefix = 0
-        for j, (a_j, d_j, l_j) in enumerate(inner):
-            opsign += d_j * prefix
-            prefix += sum(degs[p - 1] for p in groups[j])
-        results = []
-        for j, (a_j, d_j, l_j) in enumerate(inner):
-            args = [a_word[p - 1] for p in groups[j]]
-            bare = (a_j, d_j - 1, l_j[1])
-            results.append(evaluate_operad_element(algebra, op, bare, args))
-        out = {}
-
-        def rec(j, acc, coeff):
-            if j == len(results):
-                _combo_add(f, out, tuple(acc), coeff)
-                return
-            for (dres, lres), c in results[j].items():
-                rec(j + 1, acc + [(dres, lres)], f.mul(coeff, c))
-
-        rec(0, [], f.sign(kos + opsign))
-        return out
+        (_, _, (_, word_label)), a_word = pure_label
+        return routed_compose(f, word_label, a_word, evaluate, lambda word: word)
 
     # relations die under the map
     blocks = {}
@@ -597,72 +547,17 @@ def bar_extension_iso(bar_mod_r, psi, arity_bound, bar_mod_s=None):
         bar_mod_s = BarModule(s_op, eta_s, arity_bound, check_eta=False)
     ext = extension(bar_mod_r.right_module, psi, arity_bound, check_morphism=False)
 
+    def evaluate(letter, args):
+        """psi of a suspended R-letter, desuspended, composed with its S-arguments."""
+        a, d, (_, label) = letter
+        return {(t[0], t[1] + 1, ("s", t[2])): c for t, c in gamma_along(psi, (a, d - 1, label), args).items()}
+
     def collapse(pure_label):
         """(bar word of R; s-word) -> bar words of S."""
-        (r0, dm, (n, word_label)), s_word = pure_label
-        w_s, s_inner = s_word
-        degs = [t[1] for t in s_inner]
-        w, inner = word_label
-        groups, kos = _distribute_outer(f, word_label, degs)
-        opsign = 0
-        prefix = 0
-        for j, (a_j, d_j, l_j) in enumerate(inner):
-            opsign += d_j * prefix
-            prefix += sum(degs[p - 1] for p in groups[j])
-        # collapse each suspended R-letter with its S-arguments
-        s_sizes = tuple(t[0] for t in s_inner)
-        s_blocks = perm.blocks_of(s_sizes)
-        w_s_inv = perm.inverse(w_s)
-        results = []
-        for j, (a_j, d_j, l_j) in enumerate(inner):
-            args = [s_inner[p - 1] for p in groups[j]]
-            bare = (a_j, d_j - 1, l_j[1])
-            acc = {}
-            for lq, cq in psi.apply_triple(bare).items():
-                for triple, c in s_op.gamma((bare[0], bare[1], lq), args).items():
-                    _combo_add(f, acc, (triple[0], triple[1] + 1, ("s", triple[2])), f.mul(cq, c))
-            results.append(acc)
-        out = {}
-
-        def rec(j, acc_triples, coeff):
-            if j == len(results):
-                input_lists = []
-                for jj in range(len(results)):
-                    lst = []
-                    for p in groups[jj]:
-                        lst.extend(w_s_inv[v - 1] for v in s_blocks[p - 1])
-                    input_lists.append(lst)
-                r_total = sum(len(l) for l in input_lists)
-                w_new = [0] * r_total
-                pos = 1
-                for lst in input_lists:
-                    for inp in lst:
-                        w_new[inp - 1] = pos
-                        pos += 1
-                new_sizes = tuple(t[0] for t in acc_triples)
-                h_parts, w_canon = perm.coset_canonicalize(tuple(w_new), new_sizes)
-                expanded = [
-                    bar_mod_s.susp_sigma.act_perm_combo(
-                        acc_triples[jj][0], h_parts[jj], acc_triples[jj][1], {acc_triples[jj][2]: f.one()}
-                    )
-                    for jj in range(len(acc_triples))
-                ]
-
-                def rec_h(jj, triples, c2):
-                    if jj == len(expanded):
-                        lab = (len(inner), (w_canon, tuple(triples)))
-                        _combo_add(f, out, lab, c2)
-                        return
-                    for l3, c3 in expanded[jj].items():
-                        rec_h(jj + 1, triples + [(acc_triples[jj][0], acc_triples[jj][1], l3)], f.mul(c2, c3))
-
-                rec_h(0, [], coeff)
-                return
-            for triple, c in results[j].items():
-                rec(j + 1, acc_triples + [triple], f.mul(coeff, c))
-
-        rec(0, [], f.sign(kos + opsign))
-        return out
+        (_, _, (n, word_label)), (w_s, s_inner) = pure_label
+        return routed_compose(
+            f, word_label, s_inner, evaluate, lambda word: (n, word), outer=(w_s, bar_mod_s.susp_sigma)
+        )
 
     iso_blocks = {}
     for r in ext.sigma.arities():

@@ -28,7 +28,7 @@ from __future__ import annotations
 from . import perm
 from .dg import DgMap, DgModule, tensor as dg_tensor
 from .errors import FieldMismatch, NotCommutative, SimplicialIdentityViolation
-from .linalg import SparseMatrix, quotient_data, rank
+from .linalg import SparseMatrix, project_combo, quotient_data, rank
 from .modules import DgAlgebra
 from .sigma import _combo_add
 
@@ -173,20 +173,12 @@ class NormalizedComplex:
 
     def project(self, n, q, combo):
         """Project a level-n internal-degree-q combo to kept labels."""
-        f = self.field
         lvl = self.simplicial.level(n)
         pres = self._presentations.get(n, {}).get(q)
         if pres is None:
             return {}
         kept, project = pres
-        vec = {}
-        for label, c in combo.items():
-            j = lvl.index(q, label)
-            for i, v in project.column(j).items():
-                cur = vec.get(i)
-                vec[i] = f.mul(v, c) if cur is None else f.add(cur, f.mul(v, c))
-        labels = lvl.labels(q)
-        return {labels[kept[i]]: v for i, v in vec.items() if not f.is_zero(v)}
+        return project_combo(self.field, lvl.labels(q), lvl._index[q], kept, project, combo)
 
 
 def normalize(simplicial):

@@ -277,11 +277,19 @@ def build_parser():
     return parser
 
 
+def _check_bounds(args):
+    """Weight bounds and iteration counts below 1 leave no bar word to compute."""
+    for flag, value in (("--weight-bound", args.weight_bound), ("--iterations", args.iterations)):
+        if value is not None and value < 1:
+            raise OpbarError("%s must be at least 1, got %d" % (flag, value))
+
+
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     handlers = {"bar": cmd_bar, "cochains": cmd_cochains, "verify": cmd_verify, "export": cmd_export}
     try:
+        _check_bounds(args)
         return handlers[args.command](args)
     except OpbarError as exc:
         print("error: %s: %s" % (type(exc).__name__, exc), file=sys.stderr)

@@ -44,12 +44,6 @@ class DegreeWindow:
     def __iter__(self):
         return iter(range(self.lo, self.hi + 1))
 
-    def intersect(self, other):
-        lo, hi = max(self.lo, other.lo), min(self.hi, other.hi)
-        if lo > hi:
-            return None
-        return DegreeWindow(lo, hi)
-
     def __repr__(self):
         return "[%d, %d]" % (self.lo, self.hi)
 
@@ -161,17 +155,6 @@ class DgModule:
                     raise ValueError("differential entry %r -> %r does not drop degree by 1" % (src, dst))
                 m.add_to(mod.index(d - 1, dst), mod.index(d, src), c)
         return DgModule(field, basis, diff, check=check)
-
-    def truncate(self, window):
-        """Brutal degree truncation; homology correct strictly inside."""
-        basis = {d: labels for d, labels in self.basis.items() if d in window}
-        diff = {d: m for d, m in self.diff.items() if d in window and (d - 1) in window}
-        return DgModule(self.field, basis, diff, check=False)
-
-    def shift_labels(self, wrap):
-        """Relabel every basis element by wrap(label); structure unchanged."""
-        basis = {d: tuple(wrap(l) for l in labels) for d, labels in self.basis.items()}
-        return DgModule(self.field, basis, dict(self.diff), check=False)
 
     def direct_sum(self, other, tag_left="L", tag_right="R"):
         if self.field != other.field:

@@ -186,10 +186,6 @@ def random_commutative_algebra(field, seed, max_generators=3, length_cap=2):
 # random Sigma-modules ----------------------------------------------------------
 
 
-def _orbit_trivial(field, name, degree):
-    return ("trivial", name, degree)
-
-
 def random_sigma_module(field, seed, arity_bound=4, allow_signs=True):
     """Seeded Sigma-module: direct sums of trivial, sign and regular orbits.
 

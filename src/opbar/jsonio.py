@@ -18,9 +18,19 @@ from __future__ import annotations
 import json
 
 from .dg import DgModule
-from .errors import OpbarError
+from .errors import AlgebraCheckFailed, OpbarError
 from .linalg import CoeffField
 from .modules import DgAlgebra
+
+
+def _coeff(field, text):
+    """A coefficient string as an element of `field`."""
+    if isinstance(text, str):
+        try:
+            return field.parse(text)
+        except (ValueError, ZeroDivisionError):
+            pass
+    raise OpbarError('coefficient %r is not an element of %r (decimal strings, rationals as "a/b")' % (text, field))
 
 
 def field_to_json(field):
@@ -77,7 +87,7 @@ def dgmodule_from_json(data, field=None):
     elements = [(e["name"], int(e["degree"])) for e in data["basis"]]
     diff = {}
     for entry in data.get("differential", ()):
-        diff.setdefault(entry["from"], {})[entry["to"]] = f.parse(entry["coeff"])
+        diff.setdefault(entry["from"], {})[entry["to"]] = _coeff(f, entry["coeff"])
     return DgModule.from_data(f, elements, diff), f
 
 
@@ -109,6 +119,7 @@ def algebra_from_json(data, field=None):
     if operad_name not in _KIND_BY_OPERAD:
         raise OpbarError("unknown operad %r (expected As, Com or K)" % (operad_name,))
     module, f = dgmodule_from_json(data["carrier"], field)
+    degree_of = {l: d for d in module.degrees() for l in module.labels(d)}
     ops = {}
     for entry in data.get("operations", ()):
         op = entry["op"]
@@ -118,7 +129,17 @@ def algebra_from_json(data, field=None):
         inputs = tuple(entry["inputs"])
         if len(inputs) != r:
             raise OpbarError("operation %r expects %d inputs, got %d" % (op, r, len(inputs)))
-        out = {o["name"]: f.parse(o["coeff"]) for o in entry["output"]}
+        out = {o["name"]: _coeff(f, o["coeff"]) for o in entry["output"]}
+        for name in inputs + tuple(out):
+            if name not in degree_of:
+                raise OpbarError("operation %s%r names %r, which is not a basis element" % (op, inputs, name))
+        expected = sum(degree_of[name] for name in inputs) + r - 2
+        for name in out:
+            if degree_of[name] != expected:
+                raise AlgebraCheckFailed(
+                    "%s%r -> %r has degree %d; mu_r has degree r - 2, so outputs need degree %d"
+                    % (op, inputs, name, degree_of[name], expected)
+                )
         ops.setdefault(r, {})[inputs] = out
     return DgAlgebra(f, _KIND_BY_OPERAD[operad_name], module, ops, name=data.get("name", "A")), f
 
@@ -226,14 +247,14 @@ def operad_from_json(data):
         n, i = a["arity"], a["transposition"]
         src = a["source"]
         actions.setdefault((n, i), {})[(degree_of[src], src)] = {
-            o["name"]: f.parse(o["coeff"]) for o in a["output"]
+            o["name"]: _coeff(f, o["coeff"]) for o in a["output"]
         }
     sigma = SigmaModule(f, comps, actions, check=False)
     table = {}
     for entry in data.get("compositions", ()):
         p, i, q = entry["p"], entry["slot"], entry["q"]
         key = (arity_of[p], p, i, arity_of[q], q)
-        table[key] = {o["name"]: f.parse(o["coeff"]) for o in entry["output"]}
+        table[key] = {o["name"]: _coeff(f, o["coeff"]) for o in entry["output"]}
     return TableOperad(f, sigma, data["unit"], table, name=data.get("name", "table"))
 
 
@@ -253,8 +274,12 @@ def bar_to_json(bar_complex):
 
 
 def load_json(path):
+    """An input file: every input format is a JSON object."""
     with open(path) as fh:
-        return json.load(fh)
+        data = json.load(fh)
+    if not isinstance(data, dict):
+        raise OpbarError("input %s must hold a JSON object, got %s" % (path, type(data).__name__))
+    return data
 
 
 def dump_json(data, path=None):

@@ -239,10 +239,6 @@ class SparseMatrix:
             rows.setdefault(i, {})[j] = v
         return rows
 
-    def dense(self):
-        z = self.field.zero()
-        return [[self.entries.get((i, j), z) for j in range(self.cols)] for i in range(self.rows)]
-
     def __repr__(self):
         return "SparseMatrix(%dx%d over %r, %d nonzero)" % (self.rows, self.cols, self.field, len(self.entries))
 
@@ -411,3 +407,17 @@ def quotient_data(field, dim, relations):
                 continue
             project.add_to(pos[j], c, f.neg(v))
     return kept, project
+
+
+def project_combo(field, labels, index, kept, project, combo):
+    """Image of a combo over `labels` in the quotient basis of quotient_data.
+
+    `index` maps a label to its position in `labels`; (kept, project)
+    come from quotient_data.  The result is keyed by the kept labels.
+    """
+    vec = {}
+    for lab, c in combo.items():
+        for i, v in project.column(index[lab]).items():
+            cur = vec.get(i)
+            vec[i] = field.mul(v, c) if cur is None else field.add(cur, field.mul(v, c))
+    return {labels[kept[i]]: v for i, v in vec.items() if not field.is_zero(v)}

@@ -19,9 +19,9 @@ from __future__ import annotations
 from . import perm, trees
 from .dg import DgModule
 from .errors import AlgebraCheckFailed, InvalidMorphism
-from .linalg import SparseMatrix, quotient_data
+from .linalg import SparseMatrix, project_combo, quotient_data
 from .operads import stasheff_sign
-from .sigma import SigmaModule, WordSpace, _combo_add, compose
+from .sigma import SigmaModule, WordSpace, _combo_add, compose, routed_compose
 
 
 def gamma_partial(field, compose_fn, head, args):
@@ -586,14 +586,7 @@ class SymPresentation:
             if any(not f.is_zero(c) for c in big_combo.values()):
                 raise ValueError("no Sym component in degree %d" % d)
             return {}
-        bigs, index, kept, project = pres
-        vec = {}
-        for lab, c in big_combo.items():
-            j = index[lab]
-            for i, v in project.column(j).items():
-                cur = vec.get(i)
-                vec[i] = f.mul(v, c) if cur is None else f.add(cur, f.mul(v, c))
-        return {bigs[kept[i]]: v for i, v in vec.items() if not f.is_zero(v)}
+        return project_combo(f, *pres, big_combo)
 
 
 def _word_swap(field, w, i):
@@ -606,6 +599,21 @@ def _word_swap(field, w, i):
 def sym_apply(sigma, algebra_module, weights):
     """The symmetric-tensor functor Sym(M, E) on explicit weights."""
     return SymPresentation(sigma.field, sigma, algebra_module, weights)
+
+
+def _d0(right_module, m_triple, word, tail):
+    """Collapse the operad layer `word` into m by the right action.
+
+    The coequalizer arrow shared by Sym_R(M, A) and M o_R S; `tail` is
+    the untouched last layer (an algebra word or an S-word).
+    """
+    f = right_module.field
+    w_r, inner = word
+    out = {}
+    for (b, dmb, lm2), c in right_module.gamma(m_triple, list(inner)).items():
+        for lm3, c3 in right_module.sigma.act_perm_combo(b, w_r, dmb, {lm2: c}).items():
+            _combo_add(f, out, ((b, dmb, lm3), tail), c3)
+    return out
 
 
 class SymOverOperad:
@@ -651,7 +659,7 @@ class SymOverOperad:
                                 for aw in a_words:
                                     rel = {}
                                     d_total = dm + dw + sum(dd for dd, _ in aw)
-                                    for lab, c in self._d0((n, dm, lm), lw, aw).items():
+                                    for lab, c in _d0(self.right_module, (n, dm, lm), lw, aw).items():
                                         _combo_add(f, rel, lab, c)
                                     for lab, c in self._d1((n, dm, lm), lw, aw).items():
                                         _combo_add(f, rel, lab, f.neg(c))
@@ -671,53 +679,15 @@ class SymOverOperad:
         self.module = rebuilt.module
         self.weight_of = rebuilt.weight_of
 
-    def _d0(self, m_triple, word_label, a_word):
-        """Collapse the operad layer into the module by the right action."""
-        f = self.field
-        w_r, inner = word_label
-        args = list(inner)
-        out = {}
-        for (b, dmb, lm2), c in self.right_module.gamma(m_triple, args).items():
-            for lm3, c3 in self.right_module.sigma.act_perm_combo(b, w_r, dmb, {lm2: c}).items():
-                _combo_add(f, out, ((b, dmb, lm3), a_word), c3)
-        return out
-
     def _d1(self, m_triple, word_label, a_word):
         """Evaluate the operad layer on the algebra arguments."""
-        f = self.field
-        w_r, inner = word_label
-        sizes = tuple(t[0] for t in inner)
-        blocks = perm.blocks_of(sizes)
-        groups = [[perm.inverse(w_r)[v - 1] for v in blk] for blk in blocks]
-        degs = [dd for dd, _ in a_word]
-        # Koszul reorder of the letters into group order
-        flat = [p for group in groups for p in group]
-        sigma = [0] * len(flat)
-        for newpos, oldpos in enumerate(flat):
-            sigma[oldpos - 1] = newpos + 1
-        kos = perm.koszul_sign_exponent(degs, tuple(sigma))
-        # operator prefix signs
-        prefix = 0
-        opsign = 0
-        for j, (a_j, d_j, l_j) in enumerate(inner):
-            opsign += d_j * prefix
-            prefix += sum(degs[p - 1] for p in groups[j])
-        coeff0 = f.sign(kos + opsign)
-        results = []
-        for j, (a_j, d_j, l_j) in enumerate(inner):
-            args = [a_word[p - 1] for p in groups[j]]
-            results.append(evaluate_operad_element(self.algebra, self.operad, (a_j, d_j, l_j), args))
-        out = {}
-
-        def rec(j, acc, coeff):
-            if j == len(results):
-                _combo_add(f, out, (m_triple, tuple(acc)), coeff)
-                return
-            for triple, c in results[j].items():
-                rec(j + 1, acc + [triple], f.mul(coeff, c))
-
-        rec(0, [], coeff0)
-        return out
+        return routed_compose(
+            self.field,
+            word_label,
+            a_word,
+            lambda q, args: evaluate_operad_element(self.algebra, self.operad, q, args),
+            lambda letters: (m_triple, letters),
+        )
 
     def project_pure(self, m_triple, a_word):
         return self.sym.project(m_triple[1] + sum(d for d, _ in a_word), {(m_triple, a_word): self.field.one()})
@@ -728,6 +698,16 @@ def sym_over_operad(right_module, algebra, operad, weights):
 
 
 # extension / restriction -------------------------------------------------------
+
+
+def gamma_along(psi, q_triple, args):
+    """gamma_S(psi(q); args) for q in R and a list of S-triples args."""
+    f = psi.target.field
+    out = {}
+    for lq, cq in psi.apply_triple(q_triple).items():
+        for triple, c in psi.target.gamma((q_triple[0], q_triple[1], lq), args).items():
+            _combo_add(f, out, triple, f.mul(cq, c))
+    return out
 
 
 class ExtendedModule:
@@ -770,7 +750,7 @@ class ExtendedModule:
                                     for ds in scomp.degrees():
                                         for ls in scomp.labels(ds):
                                             rel = {}
-                                            for lab, c in self._d0((n, dm, lm), lr, ls).items():
+                                            for lab, c in _d0(self.left, (n, dm, lm), lr, ls).items():
                                                 _combo_add(f, rel, lab, c)
                                             for lab, c in self._d1((n, dm, lm), lr, ls).items():
                                                 _combo_add(f, rel, lab, f.neg(c))
@@ -781,91 +761,17 @@ class ExtendedModule:
         # quotient the composed module by the relations
         self._quotient(relations)
 
-    def _d0(self, m_triple, r_word, s_word):
-        f = self.field
-        w_r, inner = r_word
-        out = {}
-        for (b, dmb, lm2), c in self.left.gamma(m_triple, list(inner)).items():
-            for lm3, c3 in self.left.sigma.act_perm_combo(b, w_r, dmb, {lm2: c}).items():
-                _combo_add(f, out, ((b, dmb, lm3), s_word), c3)
-        return out
-
     def _d1(self, m_triple, r_word, s_word):
-        f = self.field
-        w_r, r_inner = r_word
+        """Evaluate psi of the R-layer on the S-layer, inside S."""
         w_s, s_inner = s_word
-        r_sizes = tuple(t[0] for t in r_inner)
-        blocks = perm.blocks_of(r_sizes)
-        w_r_inv = perm.inverse(w_r)
-        groups = [[w_r_inv[v - 1] for v in blk] for blk in blocks]
-        s_degs = [t[1] for t in s_inner]
-        flat = [p for group in groups for p in group]
-        sigma = [0] * len(flat)
-        for newpos, oldpos in enumerate(flat):
-            sigma[oldpos - 1] = newpos + 1
-        kos = perm.koszul_sign_exponent(s_degs, tuple(sigma))
-        prefix = 0
-        opsign = 0
-        for j, (a_j, d_j, l_j) in enumerate(r_inner):
-            opsign += d_j * prefix
-            prefix += sum(s_degs[p - 1] for p in groups[j])
-        coeff0 = f.sign(kos + opsign)
-        # gamma_S(psi(q_j); its s-args), for each j
-        results = []
-        for j, q in enumerate(r_inner):
-            args = [s_inner[p - 1] for p in groups[j]]
-            psi_q = self.psi.apply_triple(q)
-            acc = {}
-            for lq, cq in psi_q.items():
-                for triple, c in self.s_op.gamma((q[0], q[1], lq), args).items():
-                    _combo_add(f, acc, triple, f.mul(cq, c))
-            results.append(acc)
-        # s-block structure of each new factor: consecutive per group
-        s_sizes = tuple(t[0] for t in s_inner)
-        s_blocks = perm.blocks_of(s_sizes)
-        w_s_inv = perm.inverse(w_s)
-        out = {}
-
-        def rec(j, acc_triples, coeff):
-            if j == len(results):
-                # assemble the new routing
-                input_lists = []
-                for jj in range(len(results)):
-                    lst = []
-                    for p in groups[jj]:
-                        lst.extend(w_s_inv[v - 1] for v in s_blocks[p - 1])
-                    input_lists.append(lst)
-                r_total = sum(len(l) for l in input_lists)
-                w_new = [0] * r_total
-                pos = 1
-                for lst in input_lists:
-                    for inp in lst:
-                        w_new[inp - 1] = pos
-                        pos += 1
-                new_sizes = tuple(t[0] for t in acc_triples)
-                h_parts, w_canon = perm.coset_canonicalize(tuple(w_new), new_sizes)
-                expanded = [
-                    self.s_op.sigma.act_perm_combo(
-                        acc_triples[jj][0], h_parts[jj], acc_triples[jj][1], {acc_triples[jj][2]: f.one()}
-                    )
-                    for jj in range(len(acc_triples))
-                ]
-
-                def rec_h(jj, triples, c2):
-                    if jj == len(expanded):
-                        lab = (m_triple, (w_canon, tuple(triples)))
-                        _combo_add(f, out, lab, c2)
-                        return
-                    for l3, c3 in expanded[jj].items():
-                        rec_h(jj + 1, triples + [(acc_triples[jj][0], acc_triples[jj][1], l3)], f.mul(c2, c3))
-
-                rec_h(0, [], coeff)
-                return
-            for triple, c in results[j].items():
-                rec(j + 1, acc_triples + [triple], f.mul(coeff, c))
-
-        rec(0, [], coeff0)
-        return out
+        return routed_compose(
+            self.field,
+            r_word,
+            s_inner,
+            lambda q, args: gamma_along(self.psi, q, args),
+            lambda word: (m_triple, word),
+            outer=(w_s, self.s_op.sigma),
+        )
 
     def _quotient(self, relations):
         f = self.field
@@ -922,20 +828,12 @@ class ExtendedModule:
         self.module = RightModule(f, self.sigma, self.s_op, self._action, name="%s o_R S" % self.left.name)
 
     def project_quotient(self, r, d, combo_over_compose_basis):
-        f = self.field
         pres = self.presentation.get((r, d))
         if pres is None:
             if combo_over_compose_basis:
                 raise ValueError("no component (%d,%d)" % (r, d))
             return {}
-        quot_labels, index, kept, project = pres
-        vec = {}
-        for lab, c in combo_over_compose_basis.items():
-            j = index[lab]
-            for i, v in project.column(j).items():
-                cur = vec.get(i)
-                vec[i] = f.mul(v, c) if cur is None else f.add(cur, f.mul(v, c))
-        return {quot_labels[kept[i]]: v for i, v in vec.items() if not f.is_zero(v)}
+        return project_combo(self.field, *pres, combo_over_compose_basis)
 
     def project_pure(self, r, d, pure_combo):
         """Project a combo over pure (m; s-word) labels into the quotient."""

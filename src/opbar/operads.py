@@ -98,14 +98,6 @@ class Operad:
             out[(n, d - 1, l2)] = c
         return out
 
-    def act_combo(self, n, sigma, triples):
-        f = self.field
-        out = {}
-        for (a, d, label), c in triples.items():
-            for l2, c2 in self.sigma.act_perm_combo(a, sigma, d, {label: c}).items():
-                _combo_add(f, out, (a, d, l2), c2)
-        return out
-
     def basis_triples(self, n):
         comp = self.component(n)
         for d in comp.degrees():
@@ -503,14 +495,6 @@ class OperadMorphism:
 
     def apply_triple(self, triple):
         return {k: v for k, v in self.rule(triple).items() if not self.source.field.is_zero(v)}
-
-    def apply_combo(self, combo):
-        f = self.source.field
-        out = {}
-        for triple, c in combo.items():
-            for label, c2 in self.apply_triple(triple).items():
-                _combo_add(f, out, (triple[0], triple[1], label), f.mul(c, c2))
-        return out
 
 
 def identity_morphism(op):

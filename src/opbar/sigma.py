@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from .dg import DgModule
 from .errors import FieldMismatch
-from .linalg import SparseMatrix, quotient_data
+from .linalg import SparseMatrix, project_combo, quotient_data
 from . import perm
 
 
@@ -276,23 +276,9 @@ class WordSpace:
 
     def right_act(self, r, sigma, label):
         """(x (x) w) . sigma = (x . h) (x) w' where w sigma = h w'."""
-        f = self.field
         w, inner = label
-        sizes = tuple(t[0] for t in inner)
-        h_parts, w2 = perm.coset_canonicalize(perm.compose(w, sigma), sizes)
-        expanded = [
-            self.factors[j].act_perm_combo(inner[j][0], h_parts[j], inner[j][1], {inner[j][2]: f.one()})
-            for j in range(len(inner))
-        ]
-        result = {}
-        for choice in _combo_product(expanded):
-            c_total = f.one()
-            triples = []
-            for j, (l2, c2) in enumerate(choice):
-                c_total = f.mul(c_total, c2)
-                triples.append((inner[j][0], inner[j][1], l2))
-            _combo_add(f, result, (w2, tuple(triples)), c_total)
-        return result
+        h_parts, w2 = perm.coset_canonicalize(perm.compose(w, sigma), tuple(t[0] for t in inner))
+        return _act_blockwise(self.field, self.factors, h_parts, w2, inner)
 
     def factor_swap(self, j, label):
         """Swap factors j and j+1 (1-based); Koszul sign, coset recomputed.
@@ -315,19 +301,6 @@ class WordSpace:
         w2 = perm.compose(perm.inverse(rho), w)
         new_inner = inner[: j - 1] + ((a2, d2, l2), (a1, d1, l1)) + inner[j + 1 :]
         return {(w2, new_inner): f.sign(d1 * d2)}
-
-    def factor_perm_combo(self, sigma_k, label):
-        """Permute the factors by sigma_k (left action via adjacent swaps)."""
-        f = self.field
-        word = perm.transposition_word(sigma_k)
-        cur = {label: f.one()}
-        for i in word:
-            nxt = {}
-            for lab, c in cur.items():
-                for lab2, c2 in self.factor_swap(i, lab).items():
-                    _combo_add(f, nxt, lab2, f.mul(c, c2))
-            cur = nxt
-        return cur
 
     def apply_at(self, label, i, rlen, op, op_degree):
         """Apply an operator to the contiguous factors i..i+rlen-1.
@@ -384,24 +357,9 @@ class WordSpace:
         h_parts, w_canon = perm.coset_canonicalize(w_new, new_sizes)
         out = {}
         for (d2, l2), c in action_fn(owner, local, inner[owner], (p_arity, p_degree, p_label)).items():
-            # apply h blockwise; only the owner block can be nontrivial
-            combo = {l2: f.mul(sgn, c)}
-            factor_combos = []
-            for j in range(len(inner)):
-                if j == owner:
-                    fac_combo = self.factors[j].act_perm_combo(new_sizes[j], h_parts[j], d2, combo)
-                    factor_combos.append([((d2, l3), c3) for l3, c3 in fac_combo.items()])
-                else:
-                    a_j, d_j, l_j = inner[j]
-                    fac_combo = self.factors[j].act_perm_combo(a_j, h_parts[j], d_j, {l_j: f.one()})
-                    factor_combos.append([((d_j, l3), c3) for l3, c3 in fac_combo.items()])
-            for choice in _product(factor_combos):
-                c_total = f.one()
-                triples = []
-                for j, ((dd, ll), cc) in enumerate(choice):
-                    c_total = f.mul(c_total, cc)
-                    triples.append((new_sizes[j], dd, ll))
-                _combo_add(f, out, (w_canon, tuple(triples)), c_total)
+            new_inner = inner[:owner] + ((new_sizes[owner], d2, l2),) + inner[owner + 1 :]
+            for lab, c2 in _act_blockwise(f, self.factors, h_parts, w_canon, new_inner).items():
+                _combo_add(f, out, lab, f.mul(f.mul(sgn, c), c2))
         return out
 
     def as_sigma(self):
@@ -438,6 +396,90 @@ def _combo_product(combos):
     """Cartesian product of {label: coeff} dicts, as tuples of items."""
     item_lists = [list(c.items()) for c in combos]
     return _product(item_lists)
+
+
+# ---------------------------------------------------------------------------
+# routed composition
+
+
+def _act_blockwise(field, factors, h_parts, w, inner):
+    """The word label (w, inner) with h = h_1 x ... x h_k acting on its factors.
+
+    Factor j, the triple inner[j], is acted on by h_parts[j] through the
+    Sigma-module factors[j].  Returns {(w, triples): coeff}.
+    """
+    expanded = [
+        factors[j].act_perm_combo(a, h_parts[j], d, {l: field.one()}) for j, (a, d, l) in enumerate(inner)
+    ]
+    result = {}
+    for choice in _combo_product(expanded):
+        c_total = field.one()
+        triples = []
+        for (a, d, _), (l2, c2) in zip(inner, choice):
+            c_total = field.mul(c_total, c2)
+            triples.append((a, d, l2))
+        _combo_add(field, result, (w, tuple(triples)), c_total)
+    return result
+
+
+def routed_compose(field, word, args, evaluate, label, outer=None):
+    """Evaluate the factors of a routed word on the arguments routed to them.
+
+    `word` = (w, inner) is a word-space label: argument p feeds factor j
+    when w(p) lies in value block j, and factor j takes its arguments in
+    increasing order of p.  `evaluate(inner[j], group_args)` returns the
+    value of factor j as a combo.  The product of the factors' values
+    carries the Koszul sign of moving the arguments into factor order
+    and, by (f (x) g)(x (x) y) = (-1)^{|g||x|} f(x) (x) g(y), the sign of
+    each factor's degree passing the arguments of the factors before it.
+    `label(keys)` names the term for one key per factor.
+
+    Without `outer`, the arguments are letters (degree, label).  With
+    `outer` = (w_s, sigma), they are the factor triples (arity, degree,
+    label) of the routed word (w_s, args) in the Sigma-module `sigma`,
+    and each factor's value is an element of `sigma` whose inputs are
+    those of its arguments in order.  The terms are then words over
+    `sigma`, re-canonicalised, and `label` receives their labels (w, triples).
+    """
+    w, inner = word
+    w_inv = perm.inverse(w)
+    groups = [[w_inv[v - 1] for v in blk] for blk in perm.blocks_of(tuple(t[0] for t in inner))]
+    degrees = [a[0] if outer is None else a[1] for a in args]
+    # Koszul sign of moving the arguments into factor order
+    order = [0] * len(w)
+    for newpos, p in enumerate(p for group in groups for p in group):
+        order[p - 1] = newpos + 1
+    exponent = perm.koszul_sign_exponent(degrees, tuple(order))
+    # operator sign: factor j passes the arguments of factors 1..j-1
+    prefix = 0
+    for (_, d_j, _), group in zip(inner, groups):
+        exponent += d_j * prefix
+        prefix += sum(degrees[p - 1] for p in group)
+    values = [evaluate(t, [args[p - 1] for p in group]) for t, group in zip(inner, groups)]
+    if outer is not None:
+        # the composite routing: factor j's inputs are those of its arguments
+        w_s, sigma = outer
+        w_s_inv = perm.inverse(w_s)
+        s_blocks = perm.blocks_of(tuple(a[0] for a in args))
+        inputs = [[w_s_inv[v - 1] for p in group for v in s_blocks[p - 1]] for group in groups]
+        routing = [0] * len(w_s)
+        for pos, inp in enumerate((inp for lst in inputs for inp in lst), 1):
+            routing[inp - 1] = pos
+        h_parts, w_canon = perm.coset_canonicalize(tuple(routing), tuple(len(lst) for lst in inputs))
+        factors = [sigma] * len(inner)
+    sign = field.sign(exponent)
+    out = {}
+    for choice in _combo_product(values):
+        c = sign
+        for _, c2 in choice:
+            c = field.mul(c, c2)
+        keys = tuple(k for k, _ in choice)
+        if outer is None:
+            _combo_add(field, out, label(keys), c)
+        else:
+            for lab, c3 in _act_blockwise(field, factors, h_parts, w_canon, keys).items():
+                _combo_add(field, out, label(lab), field.mul(c, c3))
+    return out
 
 
 def sigma_tensor(m, n, arity_bound):
@@ -545,21 +587,12 @@ class ComposeResult:
 
     def project(self, r, d, big_combo):
         """Project a combo over pure labels to the kept quotient basis."""
-        f = self.field
         pres = self.presentation.get((r, d))
         if pres is None:
             if big_combo:
                 raise ValueError("no component at arity %d degree %d" % (r, d))
             return {}
-        bigs, index, kept, project = pres
-        vec = {}
-        for lab, c in big_combo.items():
-            j = index[lab]
-            for i, v in project.column(j).items():
-                cur = vec.get(i)
-                nv = f.mul(v, c) if cur is None else f.add(cur, f.mul(v, c))
-                vec[i] = nv
-        return {bigs[kept[i]]: v for i, v in vec.items() if not f.is_zero(v)}
+        return project_combo(self.field, *pres, big_combo)
 
 
 def compose(m, n, arity_bound):

@@ -180,36 +180,3 @@ def enumerate_trees(n, arities):
         for sigma in permutations(range(1, n + 1)):
             out.append(relabel(shape, {k: sigma[k - 1] for k in range(1, n + 1)}))
     return out
-
-
-class TreeCombo:
-    """Formal linear combination of trees over a coefficient field."""
-
-    __slots__ = ("field", "terms")
-
-    def __init__(self, field, terms=None):
-        self.field = field
-        self.terms = {}
-        if terms:
-            for t, c in terms.items():
-                self.add(t, c)
-
-    def add(self, tree, c):
-        f = self.field
-        cur = self.terms.get(tree)
-        new = f.add(cur, c) if cur is not None else c
-        if f.is_zero(new):
-            self.terms.pop(tree, None)
-        else:
-            self.terms[tree] = new
-
-    def add_combo(self, other, scale=None):
-        f = self.field
-        for t, c in other.terms.items():
-            self.add(t, f.mul(scale, c) if scale is not None else c)
-
-    def is_zero(self):
-        return not self.terms
-
-    def __repr__(self):
-        return "TreeCombo(%d terms)" % len(self.terms)

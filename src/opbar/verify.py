@@ -48,7 +48,7 @@ from .operads import (
     stasheff_operad,
     stasheff_unique_sign_convention,
 )
-from .sigma import compose, sigma_tensor
+from .sigma import _combo_add, compose, sigma_tensor
 
 
 def _run(checks):
@@ -250,40 +250,29 @@ def _shuffle_is_derivation(b, sh, cap=40):
     picked = [(d, u) for d in mod.degrees() for u in mod.labels(d)][:cap]
     for du, u in picked:
         for dv, v in picked:
-            if True:
-                if True:
-                    if (du + dv) not in mod.basis or (du + dv - 1) not in mod.basis:
-                        continue
-                    prod = sh.op_apply(2, (u, v))
-                    lhs = {}
-                    for w, c in prod.items():
-                        for w2, c2 in b.diff_word(w).items():
-                            if w2 in b.weight_of:
-                                _acc(f, lhs, w2, f.mul(c, c2))
-                    rhs = {}
-                    for u2, c in b.diff_word(u).items():
-                        if u2 not in b.weight_of:
-                            continue
-                        for w2, c2 in sh.op_apply(2, (u2, v)).items():
-                            _acc(f, rhs, w2, f.mul(c, c2))
-                    sgn = f.sign(du)
-                    for v2, c in b.diff_word(v).items():
-                        if v2 not in b.weight_of:
-                            continue
-                        for w2, c2 in sh.op_apply(2, (u, v2)).items():
-                            _acc(f, rhs, w2, f.mul(f.mul(sgn, c), c2))
-                    if lhs != rhs:
-                        return False
+            if (du + dv) not in mod.basis or (du + dv - 1) not in mod.basis:
+                continue
+            prod = sh.op_apply(2, (u, v))
+            lhs = {}
+            for w, c in prod.items():
+                for w2, c2 in b.diff_word(w).items():
+                    if w2 in b.weight_of:
+                        _combo_add(f, lhs, w2, f.mul(c, c2))
+            rhs = {}
+            for u2, c in b.diff_word(u).items():
+                if u2 not in b.weight_of:
+                    continue
+                for w2, c2 in sh.op_apply(2, (u2, v)).items():
+                    _combo_add(f, rhs, w2, f.mul(c, c2))
+            sgn = f.sign(du)
+            for v2, c in b.diff_word(v).items():
+                if v2 not in b.weight_of:
+                    continue
+                for w2, c2 in sh.op_apply(2, (u, v2)).items():
+                    _combo_add(f, rhs, w2, f.mul(f.mul(sgn, c), c2))
+            if lhs != rhs:
+                return False
     return True
-
-
-def _acc(f, d, k, v):
-    cur = d.get(k)
-    nv = f.add(cur, v) if cur is not None else v
-    if f.is_zero(nv):
-        d.pop(k, None)
-    else:
-        d[k] = nv
 
 
 def _matches_independent_shuffle(b):
@@ -315,10 +304,10 @@ def _independent_shuffle_signed(field, u, v):
     susp_v = sum(x[0] + 1 for x in v)
     sgn = field.sign(susp_a * susp_v)
     for w, c in _independent_shuffle_signed(field, u[:-1], v).items():
-        _acc(field, out, w + (a,), field.mul(sgn, c))
+        _combo_add(field, out, w + (a,), field.mul(sgn, c))
     b_ = v[-1]
     for w, c in _independent_shuffle_signed(field, u, v[:-1]).items():
-        _acc(field, out, w + (b_,), c)
+        _combo_add(field, out, w + (b_,), c)
     return out
 
 
@@ -528,7 +517,7 @@ def run_suite(name, **kwargs):
     if name == "all":
         out = []
         for key in SUITES:
-            out.extend(run_suite(key))
+            out.extend(run_suite(key, **kwargs))
         return out
     fn = SUITES.get(name)
     if fn is None:

@@ -175,3 +175,67 @@ def test_cli_threads_env(tmp_path, monkeypatch):
     r = run_cli("bar", "--field", "F2", "--input", "data/exterior.json", "--max-degree", "6", "--output", str(out))
     assert r.returncode == 0
     assert json.loads(out.read_text())["provenance"]["threads"] == 2
+
+
+def _algebra_json(output_name, coeff):
+    return {
+        "operad": "Com",
+        "carrier": {
+            "field": "Q",
+            "basis": [{"name": "x", "degree": 1}, {"name": "y", "degree": 3}, {"name": "x2", "degree": 2}],
+            "differential": [],
+        },
+        "operations": [{"op": "mu2", "inputs": ["x", "x"], "output": [{"name": output_name, "coeff": coeff}]}],
+    }
+
+
+@pytest.mark.parametrize(
+    "argv, data, message",
+    [
+        (["bar", "--max-degree", "4"], [1, 2], "must hold a JSON object"),
+        (["cochains", "--bar", "--max-degree", "4"], [], "must hold a JSON object"),
+        (["bar", "--max-degree", "4"], _algebra_json("x2", "1/0"), "coefficient '1/0'"),
+        (["bar", "--max-degree", "4"], _algebra_json("y", "1"), "outputs need degree 2"),
+        (["bar", "--max-degree", "4", "--weight-bound", "-1"], None, "--weight-bound must be at least 1"),
+        (["bar", "--max-degree", "4", "--weight-bound", "0"], None, "--weight-bound must be at least 1"),
+        (["bar", "--max-degree", "4", "--iterations", "0"], None, "--iterations must be at least 1"),
+        (["cochains", "--bar", "--max-degree", "4", "--iterations", "0"], None, "--iterations must be at least 1"),
+    ],
+)
+def test_cli_rejects_malformed_input(tmp_path, argv, data, message):
+    if data is None:
+        path = DATA / ("s2_minimal.json" if argv[0] == "cochains" else "exterior.json")
+    else:
+        path = tmp_path / "input.json"
+        path.write_text(json.dumps(data))
+    r = run_cli(*argv, "--input", str(path))
+    assert r.returncode == 2
+    assert message in r.stderr
+    assert "Traceback" not in r.stderr
+
+
+@pytest.mark.parametrize(
+    "flags, expected",
+    [
+        ([], {"a": (3, 4), "b": 1}),
+        (["--arity-bound", "2", "--max-degree", "5", "--seed", "9"], {"a": (2, 5), "b": 9}),
+    ],
+)
+def test_cli_verify_all_forwards_flags(monkeypatch, capsys, flags, expected):
+    from opbar import verify
+    from opbar.cli import main
+
+    seen = {}
+
+    def suite_a(arity=3, max_degree=4):
+        seen["a"] = (arity, max_degree)
+        return [("a.check", True, "")]
+
+    def suite_b(seed=1):
+        seen["b"] = seed
+        return [("b.check", True, "")]
+
+    monkeypatch.setattr(verify, "SUITES", {"a": suite_a, "b": suite_b})
+    assert main(["verify", "--suite", "all", *flags]) == 0
+    assert seen == expected
+    assert "all 2 checks passed" in capsys.readouterr().out

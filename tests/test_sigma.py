@@ -10,7 +10,7 @@ from opbar.fixtures import (
     tensor_dims_formula,
 )
 from opbar.linalg import CoeffField
-from opbar.sigma import SigmaModule, WordSpace, compose, sigma_tensor, unit_sigma
+from opbar.sigma import SigmaModule, WordSpace, compose, routed_compose, sigma_tensor, unit_sigma
 
 Q = CoeffField.rationals()
 F2 = CoeffField.prime(2)
@@ -162,3 +162,59 @@ def test_sym_of_unit_module_is_identity():
     assert {d: s.module.dim(d) for d in s.module.degrees()} == {
         d: E.dim(d) for d in E.degrees()
     }
+
+
+def _stub_evaluate(q, args):
+    # factor q on its arguments: q's label then theirs, in two terms so the product is expanded
+    name = q[2] + "".join(l for _, l in args)
+    return {name: Q.one(), name + "'": Q.of_int(2)}
+
+
+@pytest.mark.parametrize(
+    "inner, w, expected_sign",
+    [
+        # prefix sign only: (f (x) g)(x (x) y) = (-1)^{|g||x|} f(x) (x) g(y), |g| = |x| = 1
+        (((1, 0, "f"), (1, 1, "g")), (1, 2), -1),
+        # reorder sign only: x feeds g and y feeds f; x (x) y -> y (x) x costs (-1)^{|x||y|}
+        (((1, 0, "f"), (1, 0, "g")), (2, 1), -1),
+        # both: (-1)^{|x||y|} from the reorder, then (-1)^{|g||y|} from the prefix
+        (((1, 0, "f"), (1, 1, "g")), (2, 1), 1),
+    ],
+)
+def test_routed_compose_signs(inner, w, expected_sign):
+    args = ((1, "x"), (1, "y"))
+    got = routed_compose(Q, (w, inner), args, _stub_evaluate, lambda keys: keys)
+    f_arg, g_arg = ("x", "y") if w == (1, 2) else ("y", "x")
+    s = Q.of_int(expected_sign)
+    assert got == {
+        ("f" + f_arg, "g" + g_arg): s,
+        ("f" + f_arg, "g" + g_arg + "'"): 2 * s,
+        ("f" + f_arg + "'", "g" + g_arg): 2 * s,
+        ("f" + f_arg + "'", "g" + g_arg + "'"): 4 * s,
+    }
+
+
+def test_routed_compose_groups_arguments_in_order():
+    # w = (1, 3, 2) sends arguments a, c to f (arity 2) and b to g: moving
+    # a (x) b (x) c to a (x) c (x) b costs (-1)^{|b||c|} = -1, and g passing
+    # a (x) c costs (-1)^{|g|(|a|+|c|)} = -1
+    inner = ((2, 0, "f"), (1, 1, "g"))
+    args = ((0, "a"), (1, "b"), (1, "c"))
+    got = routed_compose(Q, ((1, 3, 2), inner), args, _stub_evaluate, lambda keys: keys)
+    assert got == {("fac", "gb"): 1, ("fac", "gb'"): 2, ("fac'", "gb"): 2, ("fac'", "gb'"): 4}
+
+
+def test_routed_compose_recanonicalizes_outer_word():
+    # f (arity 2) takes the S-arguments p, q; w_s = (2, 1) feeds input 1 to q
+    # and input 2 to p, so f(p, q) sees its inputs as (2, 1): the routing is
+    # s_1 . id, and s_1 acts on the value by -1
+    S = sign_mod(Q)
+
+    def evaluate(q, args):
+        assert [a[2] for a in args] == ["p", "q"]
+        return {(2, 1, "x"): Q.of_int(3)}
+
+    word = ((1, 2), ((2, 1, "f"),))
+    args = ((1, 0, "p"), (1, 0, "q"))
+    got = routed_compose(Q, word, args, evaluate, lambda lab: ("out", lab), outer=((2, 1), S))
+    assert got == {("out", ((1, 2), ((2, 1, "x"),))): Q.of_int(-3)}
