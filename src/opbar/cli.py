@@ -11,21 +11,16 @@ Degree conventions in reports: algebras concentrated in non-positive
 internal degrees (cochain side) are reported in cohomological degrees
 (positive numbers); everything else is reported homologically.  Reports
 are deterministic for a fixed configuration and seed.
-
-The environment variable OPBAR_THREADS caps the number of worker
-threads used for per-degree homology.
 """
 
 from __future__ import annotations
 
 import argparse
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 
 from .bar import bar, iterated_bar
-from .dg import DegreeWindow
+from .dg import DegreeWindow, homology
 from .errors import OpbarError
 from .jsonio import (
     algebra_from_json,
@@ -36,31 +31,13 @@ from .jsonio import (
     operad_to_json,
     parse_field_flag,
 )
-from .linalg import CoeffField, homology_dimension
+from .linalg import CoeffField
 
 
-def _max_workers():
-    env = os.environ.get("OPBAR_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError:
-            raise OpbarError("OPBAR_THREADS must be an integer, got %r" % (env,))
-    return min(4, os.cpu_count() or 1)
-
-
-def parallel_homology(module, window, max_workers=None):
-    """Per-degree homology dimensions, computed in a thread pool."""
-    degrees = [d for d in window]
-    workers = max_workers or _max_workers()
-
-    def one(d):
-        return d, homology_dimension(module.diff_block(d + 1), module.diff_block(d))
-
-    if workers <= 1 or len(degrees) <= 1:
-        return dict(one(d) for d in degrees)
-    with ThreadPoolExecutor(max_workers=workers) as pool:
-        return dict(pool.map(one, degrees))
+def parallel_homology(module, window):
+    """Per-degree homology dimensions of `module` over `window`."""
+    # kept by name: perfbench/tracer.py spans cli.parallel_homology, and --trace 1 fails without it
+    return homology(module, window)
 
 
 def _render_table(degrees):
@@ -81,7 +58,6 @@ def _report(args, degrees, extra=None):
         "iterations": getattr(args, "iterations", None),
         "input": getattr(args, "input", None),
         "seed": getattr(args, "seed", None),
-        "threads": _max_workers(),
     }
     if extra:
         provenance.update(extra)

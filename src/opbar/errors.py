@@ -40,3 +40,7 @@ class NotCommutative(OpbarError):
 
 class SimplicialIdentityViolation(OpbarError):
     """Face/degeneracy data violates the simplicial identities."""
+
+
+class MalformedInput(OpbarError):
+    """An input's JSON lacks a documented field or gives it the wrong type."""

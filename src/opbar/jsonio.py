@@ -10,7 +10,9 @@ Formats:
   simplicial    {"simplices": [{"name": str, "dim": int,
                                 "faces": ["s0(pt)", "e", ...]}],
                  "basepoint": str}
-Coefficients are decimal strings, rationals as "a/b".
+Coefficients are decimal strings, rationals as "a/b".  A missing field
+or a value of the wrong JSON type raises `MalformedInput` naming its
+path in the input, e.g. `carrier.basis[0]`.
 """
 
 from __future__ import annotations
@@ -18,9 +20,43 @@ from __future__ import annotations
 import json
 
 from .dg import DgModule
-from .errors import AlgebraCheckFailed, OpbarError
+from .errors import AlgebraCheckFailed, MalformedInput, OpbarError
 from .linalg import CoeffField
 from .modules import DgAlgebra
+
+
+_REQUIRED = object()
+_JSON_TYPE = {dict: "an object", list: "a list", str: "a string", int: "an integer", float: "a number", type(None): "null"}
+
+
+def _typed(value, kind, where):
+    """`value` if it has JSON type `kind` (a boolean is not an integer)."""
+    if isinstance(value, kind) and not isinstance(value, bool):
+        return value
+    got = "a boolean" if isinstance(value, bool) else _JSON_TYPE.get(type(value), type(value).__name__)
+    raise MalformedInput("%s must be %s, got %s" % (where, _JSON_TYPE[kind], got))
+
+
+def _path(where, key):
+    return "%s.%s" % (where, key) if where else key
+
+
+def _member(obj, key, kind, where="", default=_REQUIRED):
+    """obj[key] of JSON type `kind` (any type for None); `where` is obj's path."""
+    if key not in obj:
+        if default is _REQUIRED:
+            raise MalformedInput("%s has no %r field" % (where or "the input", key))
+        return default
+    return obj[key] if kind is None else _typed(obj[key], kind, _path(where, key))
+
+
+def _objects(obj, key, where="", default=_REQUIRED):
+    """The list obj[key] of JSON objects, as (object, path) pairs."""
+    out = []
+    for k, e in enumerate(_member(obj, key, list, where, default)):
+        at = "%s[%d]" % (_path(where, key), k)
+        out.append((_typed(e, dict, at), at))
+    return out
 
 
 def _coeff(field, text):
@@ -37,11 +73,11 @@ def field_to_json(field):
     return "Q" if field.p is None else {"Fp": field.p}
 
 
-def field_from_json(data):
+def field_from_json(data, where="field"):
     if data == "Q":
         return CoeffField.rationals()
     if isinstance(data, dict) and "Fp" in data:
-        return CoeffField.prime(int(data["Fp"]))
+        return CoeffField.prime(_typed(data["Fp"], int, where + ".Fp"))
     raise OpbarError("unknown field spec %r" % (data,))
 
 
@@ -82,12 +118,17 @@ def dgmodule_to_json(module, namer=None):
     return {"field": field_to_json(f), "basis": basis, "differential": differential}
 
 
-def dgmodule_from_json(data, field=None):
-    f = field or field_from_json(data["field"])
-    elements = [(e["name"], int(e["degree"])) for e in data["basis"]]
+def dgmodule_from_json(data, field=None, where=""):
+    f = field or field_from_json(_member(data, "field", None, where), _path(where, "field"))
+    elements = [(_member(e, "name", str, at), _member(e, "degree", int, at)) for e, at in _objects(data, "basis", where)]
+    names = {name for name, _ in elements}
     diff = {}
-    for entry in data.get("differential", ()):
-        diff.setdefault(entry["from"], {})[entry["to"]] = _coeff(f, entry["coeff"])
+    for entry, at in _objects(data, "differential", where, ()):
+        src, dst = _member(entry, "from", str, at), _member(entry, "to", str, at)
+        for name in (src, dst):
+            if name not in names:
+                raise MalformedInput("%s names %r, which is not a basis element" % (at, name))
+        diff.setdefault(src, {})[dst] = _coeff(f, _member(entry, "coeff", None, at))
     return DgModule.from_data(f, elements, diff), f
 
 
@@ -115,21 +156,26 @@ def algebra_to_json(algebra):
 
 
 def algebra_from_json(data, field=None):
-    operad_name = data["operad"]
+    operad_name = _member(data, "operad", str)
     if operad_name not in _KIND_BY_OPERAD:
         raise OpbarError("unknown operad %r (expected As, Com or K)" % (operad_name,))
-    module, f = dgmodule_from_json(data["carrier"], field)
+    module, f = dgmodule_from_json(_member(data, "carrier", dict), field, "carrier")
     degree_of = {l: d for d in module.degrees() for l in module.labels(d)}
     ops = {}
-    for entry in data.get("operations", ()):
-        op = entry["op"]
-        if not op.startswith("mu"):
+    for entry, at in _objects(data, "operations", "", ()):
+        op = _member(entry, "op", str, at)
+        if not (op.startswith("mu") and op[2:].isdigit()):
             raise OpbarError("operation name %r not of the form mu<r>" % (op,))
         r = int(op[2:])
-        inputs = tuple(entry["inputs"])
+        inputs = tuple(
+            _typed(x, str, "%s.inputs[%d]" % (at, k)) for k, x in enumerate(_member(entry, "inputs", list, at))
+        )
         if len(inputs) != r:
             raise OpbarError("operation %r expects %d inputs, got %d" % (op, r, len(inputs)))
-        out = {o["name"]: _coeff(f, o["coeff"]) for o in entry["output"]}
+        out = {
+            _member(o, "name", str, oat): _coeff(f, _member(o, "coeff", None, oat))
+            for o, oat in _objects(entry, "output", at)
+        }
         for name in inputs + tuple(out):
             if name not in degree_of:
                 raise OpbarError("operation %s%r names %r, which is not a basis element" % (op, inputs, name))
@@ -141,7 +187,8 @@ def algebra_from_json(data, field=None):
                     % (op, inputs, name, degree_of[name], expected)
                 )
         ops.setdefault(r, {})[inputs] = out
-    return DgAlgebra(f, _KIND_BY_OPERAD[operad_name], module, ops, name=data.get("name", "A")), f
+    name = _member(data, "name", str, "", "A")
+    return DgAlgebra(f, _KIND_BY_OPERAD[operad_name], module, ops, name=name), f
 
 
 def simplicial_to_json(space):

@@ -243,39 +243,47 @@ class SparseMatrix:
         return "SparseMatrix(%dx%d over %r, %d nonzero)" % (self.rows, self.cols, self.field, len(self.entries))
 
 
+def _reduce_into(field, row, pivot_rows, pivots):
+    """Reduce one sparse row against an echelon state; record it if it survives.
+
+    `row` ({col: scalar}) is consumed.  It is eliminated against the
+    recorded pivots, lowest column first; if anything is left, it is
+    normalized to pivot value 1 at its lowest column and appended as a
+    new pivot row.  Returns True when a pivot was added.
+    """
+    f = field
+    while row:
+        c = min(row)
+        if c not in pivots:
+            inv = f.inv(row[c])
+            pivots[c] = len(pivot_rows)
+            pivot_rows.append({j: f.mul(inv, v) for j, v in row.items()})
+            return True
+        r = pivot_rows[pivots[c]]
+        coef = row.pop(c)
+        for j, v in r.items():
+            if j == c:
+                continue
+            cur = row.get(j, None)
+            nv = f.sub(cur, f.mul(coef, v)) if cur is not None else f.neg(f.mul(coef, v))
+            if f.is_zero(nv):
+                row.pop(j, None)
+            else:
+                row[j] = nv
+    return False
+
+
 def _row_echelon(field, row_list, ncols):
     """Reduce a list of sparse rows ({col: scalar}) to row echelon form.
 
-    Rows are processed in order; for each new row we eliminate against
-    recorded pivots and record a new pivot at its lowest remaining
-    column.  Returns (pivot_rows, pivots) where pivots maps col ->
-    index into pivot_rows, each pivot row normalized to pivot value 1.
+    Rows are fed to `_reduce_into` in order.  Returns (pivot_rows,
+    pivots) where pivots maps col -> index into pivot_rows, each pivot
+    row normalized to pivot value 1.
     """
-    f = field
     pivot_rows = []
     pivots = {}
     for row in row_list:
-        row = dict(row)
-        while row:
-            c = min(row)
-            if c in pivots:
-                r = pivot_rows[pivots[c]]
-                coef = row.pop(c)
-                for j, v in r.items():
-                    if j == c:
-                        continue
-                    cur = row.get(j, None)
-                    nv = f.sub(cur, f.mul(coef, v)) if cur is not None else f.neg(f.mul(coef, v))
-                    if f.is_zero(nv):
-                        row.pop(j, None)
-                    else:
-                        row[j] = nv
-            else:
-                inv = f.inv(row[c])
-                row = {j: f.mul(inv, v) for j, v in row.items()}
-                pivots[c] = len(pivot_rows)
-                pivot_rows.append(row)
-                break
+        _reduce_into(field, dict(row), pivot_rows, pivots)
     return pivot_rows, pivots
 
 

@@ -286,6 +286,7 @@ def check_algebra(a, max_arity=None, report=False, partial_range=None):
     mod = a.module
     diags = []
     top = max_arity or (a.max_op_arity() + 1)
+    misgraded = False
 
     for r, table in a.ops.items():
         if a.kind in ("assoc", "comm") and r != 2:
@@ -295,6 +296,7 @@ def check_algebra(a, max_arity=None, report=False, partial_range=None):
             for l2, c in out.items():
                 if a.degree_of(l2) != din + r - 2:
                     diags.append("mu_%d%r output degree wrong at %r" % (r, labels, l2))
+                    misgraded = True
 
     if a.kind == "comm":
         for (x, y), out in a.ops.get(2, {}).items():
@@ -303,6 +305,10 @@ def check_algebra(a, max_arity=None, report=False, partial_range=None):
             scaled = {k: f.mul(sgn, v) for k, v in flipped.items()}
             if {k: v for k, v in out.items() if not f.is_zero(v)} != scaled:
                 diags.append("commutativity fails at (%r,%r)" % (x, y))
+
+    if misgraded:
+        # the relations below apply the differential in the degrees mu_r should land in
+        return (False, diags) if report else False
 
     labels_all = [(d, l) for d in mod.degrees() for l in mod.labels(d)]
 
@@ -933,8 +939,6 @@ def module_hom_dimension(m, n, arity_bound=None):
     def add_relation(coeffs):
         vec = {}
         for key, c in coeffs.items():
-            if f.is_zero(c):
-                continue
             if key not in index:
                 return False  # forced term outside the unknown space: inconsistent row
             vec[index[key]] = c
@@ -952,24 +956,22 @@ def module_hom_dimension(m, n, arity_bound=None):
                     for ln in nc.labels(d):
                         coeffs = {}
                         for lm2, c in lhs.items():
-                            coeffs[(a, d, lm2, ln)] = f.add(coeffs.get((a, d, lm2, ln), f.zero()), c)
+                            _combo_add(f, coeffs, (a, d, lm2, ln), c)
                         for ln2 in nc.labels(d):
                             out = n.sigma.act_adjacent(a, i, d, ln2)
                             c = out.get(ln)
                             if c is not None:
-                                key = (a, d, lm, ln2)
-                                coeffs[key] = f.sub(coeffs.get(key, f.zero()), c)
+                                _combo_add(f, coeffs, (a, d, lm, ln2), f.neg(c))
                         add_relation(coeffs)
                 # chain map: f(dx) = d(f(x))
                 for ln in nc.labels(d - 1):
                     coeffs = {}
                     for lm2, c in mc.apply_diff(d, {lm: f.one()}).items():
-                        coeffs[(a, d - 1, lm2, ln)] = f.add(coeffs.get((a, d - 1, lm2, ln), f.zero()), c)
+                        _combo_add(f, coeffs, (a, d - 1, lm2, ln), c)
                     for ln2 in nc.labels(d):
                         c = nc.apply_diff(d, {ln2: f.one()}).get(ln)
                         if c is not None:
-                            key = (a, d, lm, ln2)
-                            coeffs[key] = f.sub(coeffs.get(key, f.zero()), c)
+                            _combo_add(f, coeffs, (a, d, lm, ln2), f.neg(c))
                     add_relation(coeffs)
                 # module action: f(x o_i q) = f(x) o_i q
                 for s in m.operad.sigma.arities():
@@ -982,14 +984,11 @@ def module_hom_dimension(m, n, arity_bound=None):
                             for ln in n.sigma.component(a2).labels(d2):
                                 coeffs = {}
                                 for lm2, c in acted.items():
-                                    coeffs[(a2, d2, lm2, ln)] = f.add(
-                                        coeffs.get((a2, d2, lm2, ln), f.zero()), c
-                                    )
+                                    _combo_add(f, coeffs, (a2, d2, lm2, ln), c)
                                 for ln2 in n.sigma.component(a).labels(d):
                                     c = n.act_partial((a, d, ln2), i, q).get(ln)
                                     if c is not None:
-                                        key = (a, d, lm, ln2)
-                                        coeffs[key] = f.sub(coeffs.get(key, f.zero()), c)
+                                        _combo_add(f, coeffs, (a, d, lm, ln2), f.neg(c))
                                 add_relation(coeffs)
     if not unknowns:
         return 0

@@ -23,7 +23,9 @@ import re
 
 from .dg import DgModule
 from .errors import SimplicialIdentityViolation
+from .jsonio import _member, _objects, _typed
 from .modules import DgAlgebra
+from .sigma import _combo_add
 
 
 class FiniteSimplicialSet:
@@ -48,6 +50,8 @@ class FiniteSimplicialSet:
                 raise ValueError("simplex %r of dim %d needs %d faces" % (name, dim, dim + 1))
             for expr in faces:
                 w, core = expr
+                if core not in self.dim_of:
+                    raise ValueError("face of %r names no simplex: %r" % (name, expr))
                 if self.dim_of[core] + len(w) != dim - 1:
                     raise ValueError("face of %r has wrong dimension: %r" % (name, expr))
         if check:
@@ -157,11 +161,15 @@ def parse_face_expression(text):
 def simplicial_set_from_json(data):
     simplices = {}
     face_data = {}
-    for entry in data["simplices"]:
-        simplices[entry["name"]] = entry["dim"]
-        if entry["dim"] > 0:
-            face_data[entry["name"]] = [parse_face_expression(t) for t in entry["faces"]]
-    return FiniteSimplicialSet(simplices, face_data, data["basepoint"])
+    for entry, at in _objects(data, "simplices"):
+        name, dim = _member(entry, "name", str, at), _member(entry, "dim", int, at)
+        simplices[name] = dim
+        if dim > 0:
+            faces = _member(entry, "faces", list, at)
+            face_data[name] = [
+                parse_face_expression(_typed(t, str, "%s.faces[%d]" % (at, k))) for k, t in enumerate(faces)
+            ]
+    return FiniteSimplicialSet(simplices, face_data, _member(data, "basepoint", str))
 
 
 # built-in models ----------------------------------------------------------------
@@ -247,13 +255,7 @@ class CochainAlgebra:
                         continue
                     if core == x.basepoint and n - 1 == 0:
                         continue
-                    targets = diff_map.setdefault(core, {})
-                    cur = targets.get(tau, f.zero())
-                    new = f.add(cur, f.sign(i))
-                    if f.is_zero(new):
-                        targets.pop(tau, None)
-                    else:
-                        targets[tau] = new
+                    _combo_add(f, diff_map.setdefault(core, {}), tau, f.sign(i))
         diff_map = {k: v for k, v in diff_map.items() if v}
         self.module = DgModule.from_data(f, elements, diff_map)
         self._cup_table = self._build_cup()
@@ -275,14 +277,7 @@ class CochainAlgebra:
                         continue
                     if (p == 0 and front == x.basepoint) or (q == 0 and back == x.basepoint):
                         continue
-                    key = (front, back)
-                    entry = table.setdefault(key, {})
-                    cur = entry.get(tau, f.zero())
-                    new = f.add(cur, f.one())
-                    if f.is_zero(new):
-                        entry.pop(tau, None)
-                    else:
-                        entry[tau] = new
+                    _combo_add(f, table.setdefault((front, back), {}), tau, f.one())
         return {k: v for k, v in table.items() if v}
 
     def algebra(self):

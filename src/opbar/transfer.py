@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from .dg import DgModule
 from .errors import AlgebraCheckFailed
-from .linalg import SparseMatrix, solve
+from .linalg import SparseMatrix, _reduce_into, kernel_basis, solve
 from .modules import DgAlgebra, check_algebra
 from .sigma import _combo_add
 
@@ -40,57 +40,22 @@ class Retract:
         self.project = {}
         self.homotopy = {}
         decomp = {}
-        from .linalg import _row_echelon
-
         for d in mod.degrees():
             dim = mod.dim(d)
-            D_out = mod.diff_block(d)
-            D_in = mod.diff_block(d + 1)
+            # one echelon state per degree, (pivot_rows, pivots): a candidate
+            # is kept iff it is independent of everything kept before it
+            echelon = ([], {})
             # image basis: independent columns of D_in, lowest column first
             cols = {}
-            for (i, j), v in D_in.entries.items():
+            for (i, j), v in mod.diff_block(d + 1).entries.items():
                 cols.setdefault(j, {})[i] = v
-            image_vectors = []
-            image_preimage_cols = []
-            seen_rows, seen_pivots = [], {}
-            for j in sorted(cols):
-                vec = dict(cols[j])
-                test_rows = seen_rows + [vec]
-                pr, pv = _row_echelon(f, test_rows, dim)
-                if len(pv) > len(seen_pivots):
-                    image_vectors.append(vec)
-                    image_preimage_cols.append(j)
-                    seen_rows = [dict(r) for r in test_rows]
-                    seen_pivots = pv
-            # kernel of D_out
-            from .linalg import kernel_basis
-
-            ker = kernel_basis(D_out)
-            # homology representatives: kernel vectors independent mod image
-            hom_vectors = []
-            base_rows = [dict(v) for v in image_vectors]
-            pr, pv = _row_echelon(f, base_rows, dim)
-            count = len(pv)
-            for vec in ker:
-                test = base_rows + [dict(vec)]
-                pr2, pv2 = _row_echelon(f, test, dim)
-                if len(pv2) > count:
-                    hom_vectors.append(vec)
-                    base_rows = test
-                    count = len(pv2)
-            # coexact part: pivot columns of D_out
-            coexact = []
-            rows_acc = base_rows
-            acc_count = count
-            for j in range(dim):
-                vec = {j: f.one()}
-                test = rows_acc + [vec]
-                pr2, pv2 = _row_echelon(f, test, dim)
-                if len(pv2) > acc_count:
-                    coexact.append(j)
-                    rows_acc = test
-                    acc_count = len(pv2)
-            if acc_count != dim:
+            image_preimage_cols = [j for j in sorted(cols) if _reduce_into(f, dict(cols[j]), *echelon)]
+            image_vectors = [cols[j] for j in image_preimage_cols]
+            # homology representatives: kernel vectors of D_out independent mod image
+            hom_vectors = [v for v in kernel_basis(mod.diff_block(d)) if _reduce_into(f, dict(v), *echelon)]
+            # coexact part: unit vectors completing the basis
+            coexact = [j for j in range(dim) if _reduce_into(f, {j: f.one()}, *echelon)]
+            if len(echelon[1]) != dim:
                 raise AssertionError("decomposition failed in degree %d" % d)
             decomp[d] = (image_vectors, image_preimage_cols, hom_vectors, coexact)
         # assemble matrices: change of basis per degree

@@ -1,8 +1,11 @@
+from pathlib import Path
+
 import pytest
 
 from opbar.dg import DegreeWindow, DgModule, homology
 from opbar.errors import AlgebraCheckFailed, NotCommutative, TruncationUnsound
 from opbar.fixtures import random_commutative_algebra, random_tensor_algebra
+from opbar.jsonio import algebra_from_json, load_json
 from opbar.linalg import CoeffField, kernel_basis
 from opbar.modules import DgAlgebra, check_algebra
 from opbar.bar import (
@@ -24,6 +27,7 @@ from opbar.operads import (
     identity_morphism,
     stasheff_operad,
 )
+from opbar.transfer import Retract
 
 Q = CoeffField.rationals()
 F2 = CoeffField.prime(2)
@@ -283,3 +287,23 @@ def test_bar_module_k_arity4_consistency():
     K = stasheff_operad(Q, 4)
     bm = bar_module(K, 4)  # construction checks (delta+partial)^2 = 0
     assert sum(sum(dd.values()) for dd in bm.dims().values()) > 0
+
+
+def _data_algebra(name, field):
+    return algebra_from_json(load_json(str(Path(__file__).resolve().parent.parent / "data" / name)), field)[0]
+
+
+@pytest.mark.parametrize("field", [F2, F3, Q], ids=repr)
+def test_retract_of_bar_complexes(field):
+    algebras = [_data_algebra("exterior.json", field)] + [random_tensor_algebra(field, seed) for seed in range(4)]
+    if field == F2:
+        algebras.append(_data_algebra("trunc.json", field))
+    with_differential = 0
+    for algebra in algebras:
+        module = bar(algebra, DegreeWindow(0, 5)).module
+        with_differential += bool(module.diff)
+        ret = Retract(module)
+        assert ret.verify()
+        hom = homology(module)
+        assert all(ret.h_basis[d] == hom[d] for d in module.degrees())
+    assert with_differential >= 4  # the tensor algebras give nonzero bar differentials

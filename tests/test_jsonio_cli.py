@@ -1,9 +1,14 @@
+import contextlib
+import io
 import json
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opbar.dg import DgModule
 from opbar.jsonio import (
@@ -26,12 +31,6 @@ F2 = CoeffField.prime(2)
 
 REPO = Path(__file__).resolve().parent.parent
 DATA = REPO / "data"
-
-
-@pytest.fixture(autouse=True)
-def _no_caller_threads(monkeypatch):
-    # run_cli children inherit os.environ; a caller's OPBAR_THREADS must not reach them.
-    monkeypatch.delenv("OPBAR_THREADS", raising=False)
 
 
 def run_cli(*argv):
@@ -168,15 +167,6 @@ def test_cli_quasi_iso_tables_match():
     assert t1 == t2
 
 
-def test_cli_threads_env(tmp_path, monkeypatch):
-    # Override only OPBAR_THREADS: the child keeps PYTHONPATH, so it runs from a plain checkout.
-    monkeypatch.setenv("OPBAR_THREADS", "2")
-    out = tmp_path / "t.json"
-    r = run_cli("bar", "--field", "F2", "--input", "data/exterior.json", "--max-degree", "6", "--output", str(out))
-    assert r.returncode == 0
-    assert json.loads(out.read_text())["provenance"]["threads"] == 2
-
-
 def _algebra_json(output_name, coeff):
     return {
         "operad": "Com",
@@ -187,6 +177,12 @@ def _algebra_json(output_name, coeff):
         },
         "operations": [{"op": "mu2", "inputs": ["x", "x"], "output": [{"name": output_name, "coeff": coeff}]}],
     }
+
+
+def _with_basis_entry(index, entry):
+    data = _algebra_json("x2", "1")
+    data["carrier"]["basis"][index] = entry
+    return data
 
 
 @pytest.mark.parametrize(
@@ -200,6 +196,19 @@ def _algebra_json(output_name, coeff):
         (["bar", "--max-degree", "4", "--weight-bound", "0"], None, "--weight-bound must be at least 1"),
         (["bar", "--max-degree", "4", "--iterations", "0"], None, "--iterations must be at least 1"),
         (["cochains", "--bar", "--max-degree", "4", "--iterations", "0"], None, "--iterations must be at least 1"),
+        (["bar", "--max-degree", "4"], {"operad": "Com", "carrier": []}, "carrier must be an object, got a list"),
+        (["bar", "--max-degree", "4"], _algebra_json("x2", "1") | {"operations": {}}, "operations must be a list"),
+        (["bar", "--max-degree", "4"], _with_basis_entry(1, {"name": "y"}), "carrier.basis[1] has no 'degree' field"),
+        (
+            ["bar", "--max-degree", "4"],
+            _with_basis_entry(0, {"name": "x", "degree": True}),
+            "carrier.basis[0].degree must be an integer, got a boolean",
+        ),
+        (
+            ["cochains", "--bar", "--max-degree", "4"],
+            {"basepoint": "pt", "simplices": [{"name": "pt", "dim": 0}, {"name": "e", "dim": 1, "faces": ["pt", 0]}]},
+            "simplices[1].faces[1] must be a string, got an integer",
+        ),
     ],
 )
 def test_cli_rejects_malformed_input(tmp_path, argv, data, message):
@@ -239,3 +248,62 @@ def test_cli_verify_all_forwards_flags(monkeypatch, capsys, flags, expected):
     assert main(["verify", "--suite", "all", *flags]) == 0
     assert seen == expected
     assert "all 2 checks passed" in capsys.readouterr().out
+
+
+def _json_paths(value, path=()):
+    yield path
+    children = value.items() if isinstance(value, dict) else enumerate(value) if isinstance(value, list) else ()
+    for key, child in children:
+        yield from _json_paths(child, path + (key,))
+
+
+_JSON_VALUES = st.recursive(
+    st.none() | st.booleans() | st.integers(-3, 3) | st.floats(-3, 3) | st.text(max_size=3),
+    lambda inner: st.lists(inner, max_size=2) | st.dictionaries(st.text(max_size=2), inner, max_size=2),
+    max_leaves=3,
+)
+
+# data file -> CLI command it feeds
+_FUZZ_ARGV = {
+    "delta1.json": ["cochains", "--bar", "--max-degree", "3"],
+    "exterior.json": ["bar", "--max-degree", "4"],
+    "lambda_x3_f2.json": ["bar", "--max-degree", "4"],
+    "nonassoc.json": ["bar", "--max-degree", "4"],
+    "s1.json": ["cochains", "--bar", "--max-degree", "3"],
+    "s2_boundary.json": ["cochains", "--bar", "--max-degree", "3"],
+    "s2_minimal.json": ["cochains", "--bar", "--max-degree", "3"],
+    "s3_minimal.json": ["cochains", "--bar", "--max-degree", "3"],
+    "trunc.json": ["bar", "--max-degree", "4"],
+}
+
+
+@st.composite
+def _mutated_data_file(draw):
+    """A data/*.json document with one key dropped or one value swapped for another JSON type."""
+    name = draw(st.sampled_from(sorted(_FUZZ_ARGV)))
+    doc = json.loads((DATA / name).read_text())
+    path = draw(st.sampled_from(list(_json_paths(doc))[1:]))
+    parent = doc
+    for key in path[:-1]:
+        parent = parent[key]
+    key = path[-1]
+    if isinstance(parent, dict) and draw(st.booleans()):
+        del parent[key]
+    else:
+        old = type(parent[key])
+        parent[key] = draw(_JSON_VALUES.filter(lambda v: type(v) is not old))
+    return name, doc
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=200)
+@given(_mutated_data_file())
+def test_cli_survives_mutated_data_files(case):
+    from opbar.cli import main
+
+    name, doc = case
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / name
+        path.write_text(json.dumps(doc))
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+            code = main(_FUZZ_ARGV[name] + ["--input", str(path)])
+    assert code in (0, 2)

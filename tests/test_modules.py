@@ -73,6 +73,14 @@ def test_check_algebra_catches_corruption():
     assert not ok and any("arity 3" in d for d in diags)
 
 
+def test_check_algebra_rejects_misgraded_product():
+    # mu_2(x, x) should land in degree 2; y sits in degree 3
+    bad = DgAlgebra(F2, "assoc", DgModule.from_data(F2, [("x", 1), ("y", 3)]), {2: {("x", "x"): {"y": F2.one()}}})
+    ok, diags = check_algebra(bad, 4, report=True)
+    assert not ok and diags == ["mu_2('x', 'x') output degree wrong at 'y'"]
+    assert not check_algebra(bad, 4)
+
+
 def test_check_algebra_kinds():
     assert check_algebra(exterior(F2), 4)
     assert check_algebra(trunc_poly(F2), 4)
