@@ -189,7 +189,7 @@ def cmd_export(args):
     from .operads import associative_operad, commutative_operad, stasheff_operad
 
     field = parse_field_flag(args.field) if args.field else CoeffField.rationals()
-    bound = args.arity_bound or 3
+    bound = args.arity_bound if args.arity_bound is not None else 3
     if args.builtin:
         builders = {"K": stasheff_operad, "As": associative_operad, "Com": commutative_operad}
         if args.builtin not in builders:
@@ -254,8 +254,12 @@ def build_parser():
 
 
 def _check_bounds(args):
-    """Weight bounds and iteration counts below 1 leave no bar word to compute."""
-    for flag, value in (("--weight-bound", args.weight_bound), ("--iterations", args.iterations)):
+    """Weight bounds, iteration counts and arity bounds below 1 leave nothing to compute."""
+    for flag, value in (
+        ("--weight-bound", args.weight_bound),
+        ("--iterations", args.iterations),
+        ("--arity-bound", args.arity_bound),
+    ):
         if value is not None and value < 1:
             raise OpbarError("%s must be at least 1, got %d" % (flag, value))
 

@@ -21,7 +21,7 @@ practice.
 from __future__ import annotations
 
 from .errors import CompositionNotZero, FieldMismatch
-from .linalg import SparseMatrix, homology_dimension
+from .linalg import SparseMatrix, homology_dimension, rank
 
 
 class DegreeWindow:
@@ -266,15 +266,13 @@ class DgMap:
 
     def is_iso(self):
         """Bijective in every degree (degree-0 maps only)."""
-        from .linalg import rank as _rank
-
         if self.degree != 0:
             return False
         degs = set(self.source.degrees()) | set(self.target.degrees())
         for d in degs:
             if self.source.dim(d) != self.target.dim(d):
                 return False
-            if _rank(self.block(d)) != self.source.dim(d):
+            if rank(self.block(d)) != self.source.dim(d):
                 return False
         return True
 
@@ -375,7 +373,11 @@ def homology(a, window=None):
     if w is None:
         return {d: 0 for d in window} if window else {}
     degrees = list(window) if window is not None else list(w)
+    ranks = {}  # each block borders two degrees; rank it once
     for d in degrees:
-        h = homology_dimension(a.diff_block(d + 1), a.diff_block(d))
-        out[d] = h
+        for k in (d, d + 1):
+            if k not in ranks:
+                block = a.diff_block(k)
+                ranks[k] = rank(block) if block.entries else 0
+        out[d] = homology_dimension(a.diff_block(d + 1), a.diff_block(d), ranks[d + 1], ranks[d])
     return out

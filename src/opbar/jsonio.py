@@ -277,32 +277,44 @@ def operad_from_json(data):
     from .operads import TableOperad
     from .sigma import SigmaModule
 
-    f = field_from_json(data["field"])
+    f = field_from_json(_member(data, "field", None), "field")
     comps = {}
     degree_of = {}
     arity_of = {}
-    for comp in data["components"]:
-        n = comp["arity"]
+    for comp, at in _objects(data, "components"):
+        n = _member(comp, "arity", int, at)
         by_degree = {}
-        for e in comp["basis"]:
-            by_degree.setdefault(e["degree"], []).append(e["name"])
-            degree_of[e["name"]] = e["degree"]
-            arity_of[e["name"]] = n
+        for e, eat in _objects(comp, "basis", at):
+            name, d = _member(e, "name", str, eat), _member(e, "degree", int, eat)
+            by_degree.setdefault(d, []).append(name)
+            degree_of[name] = d
+            arity_of[name] = n
         comps[n] = DgModule(f, {d: tuple(ls) for d, ls in by_degree.items()}, {}, check=False)
-    actions = {}
-    for a in data.get("actions", ()):
-        n, i = a["arity"], a["transposition"]
-        src = a["source"]
-        actions.setdefault((n, i), {})[(degree_of[src], src)] = {
-            o["name"]: _coeff(f, o["coeff"]) for o in a["output"]
+
+    def operation(obj, key, where):
+        name = _member(obj, key, str, where)
+        if name not in degree_of:
+            raise MalformedInput("%s names %r, which is not in any component" % (_path(where, key), name))
+        return name
+
+    def output(entry, where):
+        return {
+            operation(o, "name", oat): _coeff(f, _member(o, "coeff", None, oat))
+            for o, oat in _objects(entry, "output", where)
         }
+
+    actions = {}
+    for a, at in _objects(data, "actions", "", ()):
+        n, i = _member(a, "arity", int, at), _member(a, "transposition", int, at)
+        src = operation(a, "source", at)
+        actions.setdefault((n, i), {})[(degree_of[src], src)] = output(a, at)
     sigma = SigmaModule(f, comps, actions, check=False)
     table = {}
-    for entry in data.get("compositions", ()):
-        p, i, q = entry["p"], entry["slot"], entry["q"]
-        key = (arity_of[p], p, i, arity_of[q], q)
-        table[key] = {o["name"]: _coeff(f, o["coeff"]) for o in entry["output"]}
-    return TableOperad(f, sigma, data["unit"], table, name=data.get("name", "table"))
+    for entry, at in _objects(data, "compositions", "", ()):
+        p, i, q = operation(entry, "p", at), _member(entry, "slot", int, at), operation(entry, "q", at)
+        table[(arity_of[p], p, i, arity_of[q], q)] = output(entry, at)
+    unit = operation(data, "unit", "")
+    return TableOperad(f, sigma, unit, table, name=_member(data, "name", str, "", "table"))
 
 
 def bar_to_json(bar_complex):

@@ -6,12 +6,23 @@ so no floating point can sneak in anywhere.
 
 Elimination uses a fixed pivot order (lowest remaining row, then lowest
 column) so ranks, kernels and quotient bases are reproducible
-bit-for-bit across runs.
+bit-for-bit across runs.  Every elimination (`rank`, `rref`,
+`kernel_basis`, `solve`, `quotient_data` and the homotopy retract) runs
+through one `Echelon`, whose row representation depends on the field:
+
+  F_2   a Python int bitset per row, reduced by XOR;
+  F_p   {col: int} rows with inline `% p` arithmetic;
+  Q     {col: int} rows, scaled once by the lcm of the row's denominators
+        and eliminated fraction-free with gcd content removal.
+
+Scalars leave an `Echelon` as field scalars again (`Fraction` over Q)
+only when `rref()` hands out the reduced rows.
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
+from math import gcd, lcm
 
 from .errors import CompositionNotZero
 
@@ -243,90 +254,232 @@ class SparseMatrix:
         return "SparseMatrix(%dx%d over %r, %d nonzero)" % (self.rows, self.cols, self.field, len(self.entries))
 
 
-def _reduce_into(field, row, pivot_rows, pivots):
-    """Reduce one sparse row against an echelon state; record it if it survives.
+def _bits(r):
+    """The set bit positions of a nonnegative int, lowest first."""
+    return [j for j, ch in enumerate(bin(r)[:1:-1]) if ch == "1"]
 
-    `row` ({col: scalar}) is consumed.  It is eliminated against the
-    recorded pivots, lowest column first; if anything is left, it is
-    normalized to pivot value 1 at its lowest column and appended as a
-    new pivot row.  Returns True when a pivot was added.
+
+class Echelon:
+    """An echelon form over one field, grown one row at a time.
+
+    `add(row)` reduces a sparse row ({col: scalar}, left untouched)
+    against the pivot rows kept so far, lowest column first; if anything
+    is left it becomes a new pivot row at its lowest column, and `add`
+    returns True.  `len()` is the number of pivots; `pivots` maps pivot
+    column -> row index, in the order the pivots were found.  `rref()`
+    reduces the kept rows fully and hands them out in field scalars.
+    Build one with `echelon(field)`; the subclass owns the field's row
+    representation.
     """
-    f = field
-    while row:
-        c = min(row)
-        if c not in pivots:
-            inv = f.inv(row[c])
-            pivots[c] = len(pivot_rows)
-            pivot_rows.append({j: f.mul(inv, v) for j, v in row.items()})
-            return True
-        r = pivot_rows[pivots[c]]
-        coef = row.pop(c)
-        for j, v in r.items():
-            if j == c:
-                continue
-            cur = row.get(j, None)
-            nv = f.sub(cur, f.mul(coef, v)) if cur is not None else f.neg(f.mul(coef, v))
-            if f.is_zero(nv):
-                row.pop(j, None)
-            else:
-                row[j] = nv
-    return False
+
+    def __init__(self):
+        self.rows = []
+        self.pivots = {}
+
+    def __len__(self):
+        return len(self.pivots)
 
 
-def _row_echelon(field, row_list, ncols):
-    """Reduce a list of sparse rows ({col: scalar}) to row echelon form.
+class _F2Echelon(Echelon):
+    """Rows are Python int bitsets (bit j = column j), reduced by XOR."""
 
-    Rows are fed to `_reduce_into` in order.  Returns (pivot_rows,
-    pivots) where pivots maps col -> index into pivot_rows, each pivot
-    row normalized to pivot value 1.
+    def add(self, row):
+        r = 0
+        for j, v in row.items():
+            if v % 2:
+                r |= 1 << j
+        pivots = self.pivots
+        rows = self.rows
+        while r:
+            c = (r & -r).bit_length() - 1
+            i = pivots.get(c)
+            if i is None:
+                pivots[c] = len(rows)
+                rows.append(r)
+                return True
+            r ^= rows[i]
+        return False
+
+    def rref(self):
+        rows, pivots = self.rows, self.pivots
+        mask = 0
+        for c in pivots:
+            mask |= 1 << c
+        # highest pivot first: every row it is reduced against is already reduced,
+        # so clearing one pivot column never sets another
+        for c in sorted(pivots, reverse=True):
+            i = pivots[c]
+            r = rows[i]
+            hits = (r & mask) ^ (1 << c)
+            while hits:
+                low = hits & -hits
+                r ^= rows[pivots[low.bit_length() - 1]]
+                hits ^= low
+            rows[i] = r
+        return [dict.fromkeys(_bits(r), 1) for r in rows], pivots
+
+
+class _FpEchelon(Echelon):
+    """Rows are {col: int in [1, p)} tails right of a pivot of value 1."""
+
+    def __init__(self, p):
+        super().__init__()
+        self.p = p
+
+    def add(self, row):
+        p = self.p
+        r = {}
+        for j, v in row.items():
+            v %= p
+            if v:
+                r[j] = v
+        pivots = self.pivots
+        rows = self.rows
+        while r:
+            c = min(r)
+            i = pivots.get(c)
+            if i is None:
+                inv = pow(r.pop(c), -1, p)
+                pivots[c] = len(rows)
+                rows.append({j: v * inv % p for j, v in r.items()})  # fresh: r keeps the table size its deletions left
+                return True
+            _sub_mod(r, r.pop(c), rows[i], p)
+        return False
+
+    def rref(self):
+        p, rows, pivots = self.p, self.rows, self.pivots
+        for c in sorted(pivots, reverse=True):
+            r = rows[pivots[c]]
+            for c2 in sorted(j for j in r if j in pivots):
+                _sub_mod(r, r.pop(c2), rows[pivots[c2]], p)
+        return [{c: 1, **dict(sorted(rows[i].items()))} for c, i in pivots.items()], pivots
+
+
+def _sub_mod(r, coef, s, p):
+    """r -= coef * s over F_p, in place, dropping the entries that vanish."""
+    get = r.get
+    for j, v in s.items():
+        nv = (get(j, 0) - coef * v) % p
+        if nv:
+            r[j] = nv
+        else:
+            del r[j]
+
+
+class _QEchelon(Echelon):
+    """Rows are primitive integer tails {col: int} right of an integer pivot.
+
+    A row is scaled once by the lcm of its denominators and then
+    eliminated fraction-free: r := (a/g) r - (b/g) s for pivot value a of
+    s and entry b of r, g = gcd(a, b), followed by removal of the row's
+    content.  `lead[i]` is the pivot value of row i.
     """
-    pivot_rows = []
-    pivots = {}
-    for row in row_list:
-        _reduce_into(field, dict(row), pivot_rows, pivots)
-    return pivot_rows, pivots
+
+    def __init__(self):
+        super().__init__()
+        self.lead = []
+
+    def add(self, row):
+        items = [(j, v) for j, v in row.items() if v]
+        if not items:
+            return False
+        den = lcm(*(v.denominator for _, v in items))
+        r = {j: v.numerator * (den // v.denominator) for j, v in items}
+        pivots, rows, lead = self.pivots, self.rows, self.lead
+        while r:
+            c = min(r)
+            i = pivots.get(c)
+            b = r.pop(c)
+            if i is None:
+                g = gcd(b, *r.values())
+                if b < 0:
+                    g = -g
+                pivots[c] = len(rows)
+                rows.append({j: v // g for j, v in r.items()})  # fresh: r keeps the table size its deletions left
+                lead.append(b // g)
+                return True
+            r, scale = _eliminate(r, b, lead[i], rows[i])
+            if scale != 1 and r:
+                g = gcd(*r.values())
+                if g != 1:
+                    r = {j: v // g for j, v in r.items()}
+        return False
+
+    def rref(self):
+        rows, pivots, lead = self.rows, self.pivots, self.lead
+        for c in sorted(pivots, reverse=True):
+            i = pivots[c]
+            r, a = rows[i], lead[i]
+            for c2 in sorted(j for j in r if j in pivots):
+                i2 = pivots[c2]
+                r, scale = _eliminate(r, r.pop(c2), lead[i2], rows[i2])
+                a *= scale
+            g = gcd(a, *r.values())
+            rows[i] = {j: v // g for j, v in r.items()} if g != 1 else r
+            lead[i] = a // g
+        out = []
+        for c, i in pivots.items():
+            a = lead[i]
+            out.append({c: Fraction(1), **{j: Fraction(v, a) for j, v in sorted(rows[i].items())}})
+        return out, pivots
 
 
-def _back_substitute(field, pivot_rows, pivots):
-    """Turn an echelon set of rows into fully reduced form (RREF)."""
-    f = field
-    for c in sorted(pivots, reverse=True):
-        i = pivots[c]
-        row = pivot_rows[i]
-        for c2 in sorted(pivots):
-            if c2 <= c:
-                continue
-            coef = row.get(c2)
-            if coef is None:
-                continue
-            other = pivot_rows[pivots[c2]]
-            for j, v in other.items():
-                cur = row.get(j)
-                nv = f.sub(cur, f.mul(coef, v)) if cur is not None else f.neg(f.mul(coef, v))
-                if f.is_zero(nv):
-                    row.pop(j, None)
-                else:
-                    row[j] = nv
-    return pivot_rows, pivots
+def _eliminate(r, b, a, s):
+    """Clear one entry of an integer row, fraction-free.
+
+    `r` is a row whose entry b (at the pivot column of `s`) was just
+    popped, `s` the tail of a pivot row of pivot value a.  Returns
+    ((a/g) r - (b/g) s, a/g) with g = gcd(a, b); the caller scales
+    whatever else belongs to r (its own pivot value) by a/g.
+    """
+    g = gcd(a, b)
+    a //= g
+    b //= g
+    if a != 1:
+        r = {j: a * v for j, v in r.items()}
+    get = r.get
+    for j, v in s.items():
+        nv = get(j, 0) - b * v
+        if nv:
+            r[j] = nv
+        else:
+            del r[j]
+    return r, a
+
+
+def echelon(field):
+    """An empty `Echelon` over `field` in the field's row representation."""
+    if field.p is None:
+        return _QEchelon()
+    if field.p == 2:
+        return _F2Echelon()
+    return _FpEchelon(field.p)
+
+
+def _matrix_echelon(m, target=None):
+    """Echelon of the nonzero rows of a SparseMatrix, fed in row order;
+    with `target` ({row: scalar}), of the augmented matrix [m | target]."""
+    rows = m.to_rows()
+    for i, t in (target or {}).items():
+        rows.setdefault(i, {})[m.cols] = t
+    e = echelon(m.field)
+    for i in sorted(rows):
+        e.add(rows.pop(i))  # drop each input row once fed: they and the echelon never peak together
+    return e
 
 
 def rref(m):
     """Reduced row echelon form data of a SparseMatrix.
 
-    Returns (pivot_rows, pivots): pivots maps pivot column -> row index.
+    Returns (pivot_rows, pivots): pivots maps pivot column -> row index,
+    and each pivot row is {col: scalar} with pivot value 1.
     """
-    rows_dict = m.to_rows()
-    row_list = [rows_dict[i] for i in range(m.rows) if i in rows_dict]
-    pivot_rows, pivots = _row_echelon(m.field, row_list, m.cols)
-    return _back_substitute(m.field, pivot_rows, pivots)
+    return _matrix_echelon(m).rref()
 
 
 def rank(m):
     """Rank over the field, by deterministic Gaussian elimination."""
-    rows_dict = m.to_rows()
-    row_list = [rows_dict[i] for i in range(m.rows) if i in rows_dict]
-    _, pivots = _row_echelon(m.field, row_list, m.cols)
-    return len(pivots)
+    return len(_matrix_echelon(m))
 
 
 def kernel_basis(m):
@@ -337,31 +490,31 @@ def kernel_basis(m):
     """
     f = m.field
     pivot_rows, pivots = rref(m)
-    free_cols = [j for j in range(m.cols) if j not in pivots]
-    basis = []
-    one = f.one()
-    for j in free_cols:
-        v = {j: one}
-        for c, i in pivots.items():
-            coef = pivot_rows[i].get(j)
-            if coef is not None:
-                v[c] = f.neg(coef)
-        basis.append(v)
-    return basis
+    basis = {j: {j: f.one()} for j in range(m.cols) if j not in pivots}
+    for c, i in pivots.items():
+        for j, v in pivot_rows[i].items():
+            if j != c:
+                basis[j][c] = f.neg(v)
+    return list(basis.values())
 
 
-def homology_dimension(d_in, d_out):
+def homology_dimension(d_in, d_out, rank_in=None, rank_out=None):
     """dim ker(d_out) - rank(d_in) for consecutive differentials.
 
     `d_in` maps into the middle space, `d_out` maps out of it; the
     composite d_out @ d_in must vanish (checked), otherwise the sign
-    conventions upstream are broken.
+    conventions upstream are broken.  A caller that already knows the
+    rank of either block passes it as `rank_in` / `rank_out`.
     """
     if d_in.rows != d_out.cols:
         raise ValueError("d_in lands in a %d-space but d_out starts from a %d-space" % (d_in.rows, d_out.cols))
     if not d_out.matmul(d_in).is_zero():
         raise CompositionNotZero("d_out . d_in != 0")
-    return (d_out.cols - rank(d_out)) - rank(d_in)
+    if rank_out is None:
+        rank_out = rank(d_out)
+    if rank_in is None:
+        rank_in = rank(d_in)
+    return (d_out.cols - rank_out) - rank_in
 
 
 def solve(m, target):
@@ -369,18 +522,8 @@ def solve(m, target):
 
     Deterministic: free coordinates are set to zero.
     """
-    f = m.field
-    rows_dict = m.to_rows()
-    aug = []
     AUG = m.cols  # augmented column index
-    for i in range(m.rows):
-        row = dict(rows_dict.get(i, {}))
-        t = target.get(i)
-        if t is not None and not f.is_zero(t):
-            row[AUG] = t
-        if row:
-            aug.append(row)
-    pivot_rows, pivots = _back_substitute(f, *_row_echelon(f, aug, m.cols + 1))
+    pivot_rows, pivots = _matrix_echelon(m, target).rref()
     if AUG in pivots:
         return None
     v = {}
@@ -401,7 +544,10 @@ def quotient_data(field, dim, relations):
     projection in that basis.
     """
     f = field
-    pivot_rows, pivots = _back_substitute(f, *_row_echelon(f, list(relations), dim))
+    e = echelon(f)
+    for row in relations:
+        e.add(row)
+    pivot_rows, pivots = e.rref()
     kept = [j for j in range(dim) if j not in pivots]
     pos = {j: a for a, j in enumerate(kept)}
     project = SparseMatrix(f, len(kept), dim)

@@ -19,7 +19,7 @@ from __future__ import annotations
 
 from .dg import DgModule
 from .errors import AlgebraCheckFailed
-from .linalg import SparseMatrix, _reduce_into, kernel_basis, solve
+from .linalg import SparseMatrix, echelon, kernel_basis, solve
 from .modules import DgAlgebra, check_algebra
 from .sigma import _combo_add
 
@@ -42,20 +42,20 @@ class Retract:
         decomp = {}
         for d in mod.degrees():
             dim = mod.dim(d)
-            # one echelon state per degree, (pivot_rows, pivots): a candidate
-            # is kept iff it is independent of everything kept before it
-            echelon = ([], {})
+            # one echelon per degree: a candidate is kept iff it is independent
+            # of everything kept before it
+            e = echelon(f)
             # image basis: independent columns of D_in, lowest column first
             cols = {}
             for (i, j), v in mod.diff_block(d + 1).entries.items():
                 cols.setdefault(j, {})[i] = v
-            image_preimage_cols = [j for j in sorted(cols) if _reduce_into(f, dict(cols[j]), *echelon)]
+            image_preimage_cols = [j for j in sorted(cols) if e.add(cols[j])]
             image_vectors = [cols[j] for j in image_preimage_cols]
             # homology representatives: kernel vectors of D_out independent mod image
-            hom_vectors = [v for v in kernel_basis(mod.diff_block(d)) if _reduce_into(f, dict(v), *echelon)]
+            hom_vectors = [v for v in kernel_basis(mod.diff_block(d)) if e.add(v)]
             # coexact part: unit vectors completing the basis
-            coexact = [j for j in range(dim) if _reduce_into(f, {j: f.one()}, *echelon)]
-            if len(echelon[1]) != dim:
+            coexact = [j for j in range(dim) if e.add({j: f.one()})]
+            if len(e) != dim:
                 raise AssertionError("decomposition failed in degree %d" % d)
             decomp[d] = (image_vectors, image_preimage_cols, hom_vectors, coexact)
         # assemble matrices: change of basis per degree

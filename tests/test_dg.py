@@ -127,3 +127,37 @@ def test_direct_sum():
     s = m.direct_sum(m)
     assert s.dim(0) == 2 and s.dim(1) == 2
     assert homology(s) == {0: 0, 1: 0}
+
+
+def test_homology_rechecks_d_squared_on_unchecked_modules():
+    m = DgModule.from_data(
+        Q,
+        [("a", 2), ("b", 1), ("c", 0)],
+        {"a": {"b": Q.one()}, "b": {"c": Q.one()}},
+        check=False,
+    )
+    with pytest.raises(CompositionNotZero):
+        homology(m)
+
+
+def test_homology_ranks_each_nonzero_block_once(monkeypatch):
+    import opbar.dg
+    import opbar.linalg
+
+    # d x_k = y_{k-1}: nonzero blocks in degrees 1, 2, 3
+    m = DgModule.from_data(
+        Q,
+        [("y0", 0), ("x1", 1), ("y1", 1), ("x2", 2), ("y2", 2), ("x3", 3)],
+        {"x1": {"y0": Q.one()}, "x2": {"y1": Q.one()}, "x3": {"y2": Q.one()}},
+    )
+    ranked = []
+    real_rank = opbar.linalg.rank
+
+    def counting_rank(block):
+        ranked.append(block)
+        return real_rank(block)
+
+    monkeypatch.setattr(opbar.linalg, "rank", counting_rank)
+    monkeypatch.setattr(opbar.dg, "rank", counting_rank)
+    assert homology(m) == {0: 0, 1: 0, 2: 0, 3: 0}
+    assert sorted(id(b) for b in ranked) == sorted(id(m.diff_block(d)) for d in (1, 2, 3))

@@ -11,6 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opbar.dg import DgModule
+from opbar.errors import MalformedInput
 from opbar.jsonio import (
     algebra_from_json,
     algebra_to_json,
@@ -80,6 +81,22 @@ def test_operad_round_trip():
         assert {n: back.component(n).total_dim() for n in back.sigma.arities()} == {
             n: op.component(n).total_dim() for n in op.sigma.arities()
         }
+
+
+@pytest.mark.parametrize(
+    "mutate, message",
+    [
+        (lambda d: d["components"][0].pop("arity"), "components[0] has no 'arity' field"),
+        (lambda d: d.update(components={}), "components must be a list, got an object"),
+    ],
+    ids=["component-without-arity", "components-object"],
+)
+def test_operad_from_json_rejects_bad_shapes(mutate, message):
+    data = operad_to_json(commutative_operad(Q, 2), 2)
+    mutate(data)
+    with pytest.raises(MalformedInput) as exc:
+        operad_from_json(data)
+    assert message in str(exc.value)
 
 
 def test_cli_bar_exterior():
@@ -209,6 +226,9 @@ def _with_basis_entry(index, entry):
             {"basepoint": "pt", "simplices": [{"name": "pt", "dim": 0}, {"name": "e", "dim": 1, "faces": ["pt", 0]}]},
             "simplices[1].faces[1] must be a string, got an integer",
         ),
+        (["export", "--builtin", "K", "--arity-bound", "0"], None, "--arity-bound must be at least 1"),
+        (["export", "--builtin", "As", "--arity-bound", "-2"], None, "--arity-bound must be at least 1"),
+        (["verify", "--suite", "stasheff", "--arity-bound", "0"], None, "--arity-bound must be at least 1"),
     ],
 )
 def test_cli_rejects_malformed_input(tmp_path, argv, data, message):

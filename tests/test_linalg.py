@@ -1,4 +1,5 @@
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -143,3 +144,142 @@ def test_fp_scalar_parse_format():
     assert f5.parse("7") == 2
     assert f5.parse("1/2") == 3
     assert Q.parse("-3/6") == Q.parse("-1/2")
+
+
+# --- dense oracle ------------------------------------------------------------
+#
+# Textbook Gauss-Jordan elimination on dense lists, written here so that it
+# shares no code with opbar.linalg.  Over F_p it works on ints mod p, over Q
+# on Fractions.  RREF is unique, so every kernel vector, solution and
+# quotient projection it derives must equal opbar's exactly.
+
+
+def _dense_rref(p, rows, ncols):
+    """(pivot columns, reduced nonzero rows) of a dense list of rows."""
+    norm = (lambda a: a % p) if p else Fraction
+    m = [[norm(a) for a in row] for row in rows]
+    pivcols = []
+    top = 0
+    for col in range(ncols):
+        hit = next((r for r in range(top, len(m)) if m[r][col] != 0), None)
+        if hit is None:
+            continue
+        m[top], m[hit] = m[hit], m[top]
+        inv = pow(m[top][col], -1, p) if p else 1 / m[top][col]
+        m[top] = [norm(a * inv) for a in m[top]]
+        for r in range(len(m)):
+            if r != top and m[r][col] != 0:
+                c = m[r][col]
+                m[r] = [norm(a - c * b) for a, b in zip(m[r], m[top])]
+        pivcols.append(col)
+        top += 1
+    return pivcols, m[:top]
+
+
+def _dense(m):
+    out = [[0] * m.cols for _ in range(m.rows)]
+    for (i, j), v in m.entries.items():
+        out[i][j] = v
+    return out
+
+
+def _oracle_kernel(p, rows, ncols):
+    pivcols, red = _dense_rref(p, rows, ncols)
+    one = 1 if p else Fraction(1)
+    basis = []
+    for j in range(ncols):
+        if j in pivcols:
+            continue
+        v = {j: one}
+        for c, row in zip(pivcols, red):
+            if row[j] != 0:
+                v[c] = (-row[j]) % p if p else -row[j]
+        basis.append(v)
+    return basis
+
+
+def _oracle_solve(p, rows, ncols, target):
+    aug = [row + [target.get(i, 0)] for i, row in enumerate(rows)]
+    pivcols, red = _dense_rref(p, aug, ncols + 1)
+    if ncols in pivcols:
+        return None
+    return {c: row[ncols] for c, row in zip(pivcols, red) if row[ncols] != 0}
+
+
+def _oracle_quotient(p, rows, dim):
+    pivcols, red = _dense_rref(p, rows, dim)
+    kept = [j for j in range(dim) if j not in pivcols]
+    pos = {j: a for a, j in enumerate(kept)}
+    project = {(pos[j], j): 1 if p else Fraction(1) for j in kept}
+    for c, row in zip(pivcols, red):
+        for j in kept:
+            if row[j] != 0:
+                project[(pos[j], c)] = (-row[j]) % p if p else -row[j]
+    return kept, project
+
+
+def _random_matrix(field, rng, rows, cols):
+    """Seeded sparse matrix of low rank: each row is a combination of a few
+    sparse base rows, some rows and columns left zero."""
+    p = field.p
+
+    def scalar():
+        if p:
+            return rng.randrange(1, p)
+        return Fraction(rng.choice((-3, -2, -1, 1, 2, 5)), rng.choice((1, 1, 2, 3, 7)))
+
+    live_cols = [j for j in range(cols) if rng.random() < 0.8]
+    base = []
+    for _ in range(rng.randint(1, max(1, rows // 2))):
+        base.append({j: scalar() for j in rng.sample(live_cols, min(len(live_cols), rng.randint(1, 6)))})
+    m = SparseMatrix(field, rows, cols)
+    for i in range(rows):
+        if rng.random() < 0.15:
+            continue  # a zero row
+        for b in rng.sample(base, min(len(base), rng.randint(1, 3))):
+            c = scalar()
+            for j, v in b.items():
+                m.add_to(i, j, field.mul(c, v))
+    return m
+
+
+_ORACLE_FIELDS = [F2, CoeffField.prime(3), CoeffField.prime(5), Q]
+_SHAPES = [(1, 1), (3, 7), (8, 5), (12, 12), (20, 40), (15, 150), (40, 133)]
+
+
+@pytest.mark.parametrize("field", _ORACLE_FIELDS, ids=repr)
+def test_kernel_matches_dense_oracle(field):
+    rng = random.Random("oracle-%r" % field)
+    p = field.p
+    scalar_type = int if p else Fraction
+    for rows, cols in _SHAPES * 3:
+        m = _random_matrix(field, rng, rows, cols)
+        dense = _dense(m)
+        pivcols, _ = _dense_rref(p, dense, cols)
+        assert rank(m) == len(pivcols)
+
+        ker = kernel_basis(m)
+        assert ker == _oracle_kernel(p, dense, cols)
+        assert all(type(v) is scalar_type for vec in ker for v in vec.values())
+
+        x = {j: field.of_int(rng.randint(-4, 4)) for j in range(cols) if rng.random() < 0.5}
+        consistent = m.apply(x)
+        got = solve(m, consistent)
+        assert got == _oracle_solve(p, dense, cols, consistent)
+        assert m.apply(got) == consistent
+        assert all(type(v) is scalar_type for v in got.values())
+        if len(pivcols) < rows:
+            # a target outside the column space: some unit vector is one
+            for i in range(rows):
+                if _oracle_solve(p, dense, cols, {i: field.one()}) is None:
+                    assert solve(m, {i: field.one()}) is None
+                    break
+            else:
+                raise AssertionError("rank-deficient matrix with every unit target consistent")
+
+        relations = [row for _, row in sorted(m.to_rows().items())]
+        kept, project = quotient_data(field, cols, relations)
+        want_kept, want_project = _oracle_quotient(p, dense, cols)
+        assert kept == want_kept
+        assert project.entries == want_project
+        assert all(type(v) is scalar_type for v in project.entries.values())
