@@ -121,20 +121,8 @@ class BarComplex:
 
         extend((), 0)
         basis = {d: tuple(ws) for d, ws in sorted(words_by_degree.items())}
-        mod = DgModule(f, basis, {}, check=False)
-        diff = {}
-        for d in sorted(basis):
-            m = SparseMatrix.zero(f, mod.dim(d - 1), mod.dim(d))
-            for word in basis[d]:
-                for word2, c in self.diff_word(word).items():
-                    if mod.dim(d - 1) and word2 in mod._index.get(d - 1, {}):
-                        m.add_to(mod.index(d - 1, word2), mod.index(d, word), c)
-                    elif lo <= d - 1 <= hi:
-                        # inside the window every target word was enumerated
-                        raise AssertionError("differential left the enumerated basis at %r" % (word,))
-            if not m.is_zero():
-                diff[d] = m
-        self.module = DgModule(f, basis, diff, check=True)
+        # inside the window every target word was enumerated; below it none is kept
+        self.module = DgModule.from_rule(f, basis, lambda d, word: self.diff_word(word) if d > lo else {})
         self.weight_of = {w: len(w) for d in basis for w in basis[d]}
 
     def diff_word(self, word):
@@ -172,24 +160,16 @@ class BarComplex:
 
     def filtration_layer(self, n):
         """The subcomplex of words of weight <= n."""
-        f = self.field
-        basis = {
-            d: tuple(w for w in self.module.labels(d) if len(w) <= n) for d in self.module.degrees()
-        }
-        basis = {d: ws for d, ws in basis.items() if ws}
-        mod = DgModule(f, basis, {}, check=False)
-        diff = {}
-        for d in sorted(basis):
-            m = SparseMatrix.zero(f, mod.dim(d - 1), mod.dim(d))
-            for word in basis[d]:
-                for word2, c in self.diff_word(word).items():
-                    if len(word2) > n:
-                        raise AssertionError("filtration not closed under the differential")
-                    if word2 in mod._index.get(d - 1, {}):
-                        m.add_to(mod.index(d - 1, word2), mod.index(d, word), c)
-            if not m.is_zero():
-                diff[d] = m
-        return DgModule(f, basis, diff, check=True)
+        lo = self.window.lo - 1
+
+        def rule(d, word):
+            out = self.diff_word(word)
+            if any(len(word2) > n for word2 in out):
+                raise AssertionError("filtration not closed under the differential")
+            return out if d > lo else {}
+
+        basis = {d: tuple(w for w in self.module.labels(d) if len(w) <= n) for d in self.module.degrees()}
+        return DgModule.from_rule(self.field, basis, rule)
 
     def layer_quotient_matches_tensor_power(self, n):
         """B_{<=n}/B_{<=n-1} carries the internal differential only."""
@@ -352,7 +332,6 @@ class BarModule:
     def _build(self):
         f = self.field
         components = {}
-        actions = {}
         for r in range(1, self.arity_bound + 1):
             by_degree = {}
             for n in range(1, r + 1):
@@ -363,31 +342,15 @@ class BarModule:
             if not by_degree:
                 continue
             basis = {d: tuple(ls) for d, ls in sorted(by_degree.items())}
-            mod = DgModule(f, basis, {}, check=False)
-            diff = {}
-            for d in sorted(basis):
-                m = SparseMatrix.zero(f, mod.dim(d - 1), mod.dim(d))
-                for label in basis[d]:
-                    for lab2, c in self.diff_label(r, d, label).items():
-                        m.add_to(mod.index(d - 1, lab2), mod.index(d, label), c)
-                if not m.is_zero():
-                    diff[d] = m
-            components[r] = DgModule(f, basis, diff, check=True)
-            for i in range(1, r):
-                sigma_perm = perm.apply_adjacent(perm.identity(r), i)
-                table = {}
-                for d in sorted(basis):
-                    for (n, label) in basis[d]:
-                        acted = self.word_spaces[n].right_act(r, sigma_perm, label)
-                        combo = {(n, lab): c for lab, c in acted.items()}
-                        if combo != {(n, label): f.one()}:
-                            table[(d, (n, label))] = combo
-                if table:
-                    actions[(r, i)] = table
-        self.sigma = SigmaModule(f, components, actions, check=False)
+            components[r] = DgModule.from_rule(f, basis, lambda d, label: self.diff_label(r, d, label))
+        self.sigma = SigmaModule.from_rule(f, components, self._act_adjacent)
         from .modules import RightModule
 
         self.right_module = RightModule(f, self.sigma, self.operad, self._act_partial, name="B_%s" % self.operad.name)
+
+    def _act_adjacent(self, r, s_i, d, label):
+        n, word = label
+        return {(n, lab): c for lab, c in self.word_spaces[n].right_act(r, s_i, word).items()}
 
     # differential ---------------------------------------------------------------
 
@@ -495,16 +458,16 @@ def sym_bar_comparison(bar_mod, algebra, weights, window):
     # relations die under the map
     blocks = {}
     t_index = {d: {wd: i for i, wd in enumerate(target.module.labels(d))} for d in target.module.degrees()}
-    for d, (bigs, index, kept, project) in sym.sym.presentation.items():
-        mat = SparseMatrix.zero(f, target.module.dim(d), len(kept))
-        for a, bi in enumerate(kept):
-            for wd, c in collapse(bigs[bi]).items():
+    for d, quotient in sym.sym.quotients.items():
+        mat = SparseMatrix.zero(f, target.module.dim(d), len(quotient.kept))
+        for a, kept_label in enumerate(quotient.kept):
+            for wd, c in collapse(kept_label).items():
                 if wd not in t_index.get(d, {}):
                     raise AssertionError("image word %r missing from target at degree %d" % (wd, d))
                 mat.add_to(t_index[d][wd], a, c)
         blocks[d] = mat
         # relation check: non-kept pure labels must map consistently
-        for lab in bigs:
+        for lab in quotient.labels:
             image = collapse(lab)
             back = sym.sym.project(d, {lab: f.one()})
             image2 = {}

@@ -28,7 +28,7 @@ from __future__ import annotations
 from . import perm
 from .dg import DgMap, DgModule, tensor as dg_tensor
 from .errors import FieldMismatch, NotCommutative, SimplicialIdentityViolation
-from .linalg import SparseMatrix, project_combo, quotient_data, rank
+from .linalg import Quotient, SparseMatrix, rank
 from .modules import DgAlgebra
 from .sigma import _combo_add
 
@@ -101,84 +101,53 @@ class NormalizedComplex:
     """N_*(C): quotient of each level by the degeneracy images.
 
     `module` is the total dg-module with labels (n, level_label) and
-    degree n + internal degree; `project(n, combo)` maps level elements
-    into the kept basis, `embed` includes back.
+    degree n + internal degree; `quotients[(n, q)]` presents level n in
+    internal degree q, and `project(n, q, combo)` maps level elements
+    into the kept basis.
     """
 
     def __init__(self, simplicial):
         self.simplicial = simplicial
         self.field = simplicial.field
-        self._presentations = {}
+        self.quotients = {}
         self._build()
 
     def _build(self):
         f = self.field
         sx = self.simplicial
-        kept_per_level = {}
+        basis = {}
         for n in range(sx.dimension_bound + 1):
             lvl = sx.level(n)
-            pres = {}
             for q in lvl.degrees():
-                dim = lvl.dim(q)
                 relations = []
                 if n >= 1:
                     prev = sx.level(n - 1)
                     for j in range(n):
                         s_map = sx.degeneracy(n - 1, j)
-                        for col in range(prev.dim(q)):
-                            vec = s_map.block(q).column(col)
-                            if vec:
-                                relations.append(vec)
-                kept, project = quotient_data(f, dim, relations)
-                pres[q] = (kept, project)
-            self._presentations[n] = pres
-            kept_per_level[n] = pres
-        basis = {}
-        for n in range(sx.dimension_bound + 1):
-            lvl = sx.level(n)
-            for q in lvl.degrees():
-                kept, _ = self._presentations[n][q]
-                labels = lvl.labels(q)
-                for i in kept:
-                    basis.setdefault(n + q, []).append((n, labels[i]))
-        basis = {d: tuple(ls) for d, ls in sorted(basis.items())}
-        mod = DgModule(f, basis, {}, check=False)
-        diff = {}
-        for d in sorted(basis):
-            m = SparseMatrix.zero(f, mod.dim(d - 1), mod.dim(d))
-            for (n, label) in basis[d]:
-                q = d - n
-                lvl = sx.level(n)
-                # internal differential
-                for l2, c in lvl.apply_diff(q, {label: f.one()}).items():
-                    for lab3, c3 in self.project(n, q - 1, {l2: c}).items():
-                        m.add_to(mod.index(d - 1, (n, lab3)), mod.index(d, (n, label)), c3)
-                # simplicial boundary with the bicomplex sign
-                if n >= 1:
-                    sgn_q = f.sign(q)
-                    for i in range(n + 1):
-                        face = sx.face(n, i)
-                        out = face.apply(q, {label: f.one()})
-                        coeff = f.mul(sgn_q, f.sign(i))
-                        for l2, c in out.items():
-                            for lab3, c3 in self.project(n - 1, q, {l2: c}).items():
-                                m.add_to(
-                                    mod.index(d - 1, (n - 1, lab3)),
-                                    mod.index(d, (n, label)),
-                                    f.mul(coeff, c3),
-                                )
-            if not m.is_zero():
-                diff[d] = m
-        self.module = DgModule(f, basis, diff, check=True)
+                        relations.extend(s_map.apply(q, {label: f.one()}) for label in prev.labels(q))
+                self.quotients[(n, q)] = Quotient(f, lvl.labels(q), relations)
+                basis.setdefault(n + q, []).extend((n, label) for label in self.quotients[(n, q)].kept)
+
+        def rule(d, label):
+            n, lab = label
+            q = d - n
+            out = {}
+            # internal differential
+            for lab2, c in self.project(n, q - 1, sx.level(n).apply_diff(q, {lab: f.one()})).items():
+                _combo_add(f, out, (n, lab2), c)
+            # simplicial boundary with the bicomplex sign
+            if n >= 1:
+                for i in range(n + 1):
+                    coeff = f.mul(f.sign(q), f.sign(i))
+                    for lab2, c in self.project(n - 1, q, sx.face(n, i).apply(q, {lab: f.one()})).items():
+                        _combo_add(f, out, (n - 1, lab2), f.mul(coeff, c))
+            return out
+
+        self.module = DgModule.from_rule(f, dict(sorted(basis.items())), rule)
 
     def project(self, n, q, combo):
         """Project a level-n internal-degree-q combo to kept labels."""
-        lvl = self.simplicial.level(n)
-        pres = self._presentations.get(n, {}).get(q)
-        if pres is None:
-            return {}
-        kept, project = pres
-        return project_combo(self.field, lvl.labels(q), lvl._index[q], kept, project, combo)
+        return Quotient.project_in(self.field, self.quotients, (n, q), combo)
 
 
 def normalize(simplicial):
@@ -226,12 +195,6 @@ def coproduct_algebra(algebras):
             label = (S, w)
             deg = sum(d for d, _ in w)
             elements.append((label, deg))
-    mod_nodiff = DgModule(
-        field,
-        _group_by_degree(elements),
-        {},
-        check=False,
-    )
     diff = {}
     for (S, w), deg in elements:
         targets = {}
@@ -254,13 +217,6 @@ def coproduct_algebra(algebras):
     alg = DgAlgebra(field, "comm", module, {2: table}, name="v".join(a.name for a in algebras))
     injections = [lambda lab, d, i=i: ((i,), (((d, lab)),)) for i in range(1, n + 1)]
     return alg, injections
-
-
-def _group_by_degree(elements):
-    basis = {}
-    for label, d in elements:
-        basis.setdefault(d, []).append(label)
-    return basis
 
 
 def _coproduct_product(field, algebras, left, right):

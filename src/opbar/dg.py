@@ -14,8 +14,10 @@ Sign conventions, fixed once:
   * operator evaluation      (f (x) g)(x (x) y) = (-1)^{|g||x|} f(x) (x) g(y)
   * suspension               d(s x) = -s(d x)
   * symmetry                 x (x) y -> (-1)^{|x||y|} y (x) x
-Every constructor re-checks d^2 = 0, which pins the conventions in
-practice.
+`DgModule.from_rule`, `from_data` and the constructor check d^2 = 0 by
+default, which pins the conventions in practice; `tensor`,
+`suspension`, `direct_sum` and the word spaces of `sigma.py` build
+with check=False, and `homology` re-checks every block it ranks.
 """
 
 from __future__ import annotations
@@ -136,6 +138,29 @@ class DgModule:
         return DgModule(field, {degree: (label,)}, {})
 
     @staticmethod
+    def from_rule(field, basis, rule, check=True):
+        """Build from a basis {degree: labels} and rule(d, label) -> {label in degree d-1: coeff}.
+
+        A rule that names a label outside the basis of degree d-1 raises
+        ValueError naming it.
+        """
+        mod = DgModule(field, basis, {}, check=False)
+        for d in mod.degrees():
+            below = mod._index.get(d - 1, {})
+            m = SparseMatrix.zero(field, len(below), mod.dim(d))
+            for j, label in enumerate(mod.basis[d]):
+                for lab2, c in rule(d, label).items():
+                    i = below.get(lab2)
+                    if i is None:
+                        raise ValueError("d(%r) names %r, not a basis label in degree %d" % (label, lab2, d - 1))
+                    m.add_to(i, j, c)
+            if not m.is_zero():
+                mod.diff[d] = m
+        if check:
+            mod.check_differential()
+        return mod
+
+    @staticmethod
     def from_data(field, elements, diff_map=None, check=True):
         """Build from [(label, degree)] and {label: {label2: coeff}}."""
         basis = {}
@@ -145,16 +170,16 @@ class DgModule:
             if label in degree_of:
                 raise ValueError("duplicate label %r" % (label,))
             degree_of[label] = d
-        mod = DgModule(field, basis, {}, check=False)
-        diff = {}
-        for src, targets in (diff_map or {}).items():
-            d = degree_of[src]
-            m = diff.setdefault(d, SparseMatrix.zero(field, mod.dim(d - 1), mod.dim(d)))
-            for dst, c in targets.items():
-                if degree_of[dst] != d - 1:
+        diff_map = diff_map or {}
+        for src, targets in diff_map.items():
+            if src not in degree_of:
+                raise ValueError("differential given for unknown label %r" % (src,))
+            for dst in targets:
+                if dst not in degree_of:
+                    raise ValueError("differential of %r names unknown label %r" % (src, dst))
+                if degree_of[dst] != degree_of[src] - 1:
                     raise ValueError("differential entry %r -> %r does not drop degree by 1" % (src, dst))
-                m.add_to(mod.index(d - 1, dst), mod.index(d, src), c)
-        return DgModule(field, basis, diff, check=check)
+        return DgModule.from_rule(field, basis, lambda d, label: diff_map.get(label, {}), check)
 
     def direct_sum(self, other, tag_left="L", tag_right="R"):
         if self.field != other.field:
@@ -164,10 +189,9 @@ class DgModule:
             basis[d] = tuple((tag_left, l) for l in self.labels(d)) + tuple(
                 (tag_right, l) for l in other.labels(d)
             )
-        mod = DgModule(self.field, basis, {}, check=False)
         diff = {}
         for d in sorted(set(self.diff) | set(other.diff)):
-            m = SparseMatrix.zero(self.field, mod.dim(d - 1), mod.dim(d))
+            m = SparseMatrix.zero(self.field, self.dim(d - 1) + other.dim(d - 1), self.dim(d) + other.dim(d))
             for (i, j), v in self.diff_block(d).entries.items():
                 m.add_to(i, j, v)
             off_r, off_c = self.dim(d - 1), self.dim(d)
@@ -289,7 +313,10 @@ class DgMap:
 
 
 def tensor(a, b, window=None):
-    """Tensor product with the Koszul differential; labels are pairs."""
+    """Tensor product with the Koszul differential; labels are pairs.
+
+    A label of `a` or `b` names one basis element in one degree.
+    """
     if a.field != b.field:
         raise FieldMismatch("tensor over different fields")
     field = a.field
@@ -302,34 +329,25 @@ def tensor(a, b, window=None):
                 continue
             degree_pairs.setdefault(d, []).append((da, db))
     for d in sorted(degree_pairs):
-        labels = []
-        for da, db in degree_pairs[d]:
-            for x in a.labels(da):
-                for y in b.labels(db):
-                    labels.append((x, y))
-        basis[d] = tuple(labels)
-    mod = DgModule(field, basis, {}, check=False)
-    diff = {}
-    for d in sorted(basis):
-        m = SparseMatrix.zero(field, mod.dim(d - 1), mod.dim(d))
-        for da, db in degree_pairs[d]:
-            da_block = a.diff_block(da)
-            db_block = b.diff_block(db)
-            sgn = field.sign(da)
-            for x in a.labels(da):
-                for y in b.labels(db):
-                    j = mod.index(d, (x, y))
-                    for i, v in da_block.column(a.index(da, x)).items():
-                        lab = (a.labels(da - 1)[i], y)
-                        if mod.dim(d - 1) and lab in mod._index.get(d - 1, {}):
-                            m.add_to(mod.index(d - 1, lab), j, v)
-                    for i, v in db_block.column(b.index(db, y)).items():
-                        lab = (x, b.labels(db - 1)[i])
-                        if mod.dim(d - 1) and lab in mod._index.get(d - 1, {}):
-                            m.add_to(mod.index(d - 1, lab), j, field.mul(sgn, v))
-        if not m.is_zero():
-            diff[d] = m
-    return DgModule(field, basis, diff, check=False)
+        basis[d] = tuple((x, y) for da, db in degree_pairs[d] for x in a.labels(da) for y in b.labels(db))
+    one = field.one()
+    d_a = {x: (da, a.apply_diff(da, {x: one})) for da in a.degrees() for x in a.labels(da)}
+    d_b = {y: b.apply_diff(db, {y: one}) for db in b.degrees() for y in b.labels(db)}
+    if len(d_a) != a.total_dim() or len(d_b) != b.total_dim():
+        raise ValueError("tensor factors must not repeat a label in two degrees")
+
+    def rule(d, label):
+        if window is not None and d - 1 not in window:
+            return {}
+        x, y = label
+        da, dx = d_a[x]
+        sgn = field.sign(da)
+        out = {(x2, y): v for x2, v in dx.items()}
+        for y2, v in d_b[y].items():
+            out[(x, y2)] = field.mul(sgn, v)
+        return out
+
+    return DgModule.from_rule(field, basis, rule, check=False)
 
 
 def dg_tensor_swap(a, b, ab=None, ba=None):

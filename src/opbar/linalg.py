@@ -563,15 +563,47 @@ def quotient_data(field, dim, relations):
     return kept, project
 
 
-def project_combo(field, labels, index, kept, project, combo):
-    """Image of a combo over `labels` in the quotient basis of quotient_data.
+class Quotient:
+    """k^labels modulo the span of `relations`, in the basis quotient_data keeps.
 
-    `index` maps a label to its position in `labels`; (kept, project)
-    come from quotient_data.  The result is keyed by the kept labels.
+    `relations` is an iterable of combos {label: scalar} over `labels`,
+    consumed once.  `kept` lists the labels whose classes form the
+    deterministic complement basis; `project(combo)` maps a combo over
+    `labels` to one over `kept`.
     """
-    vec = {}
-    for lab, c in combo.items():
-        for i, v in project.column(index[lab]).items():
-            cur = vec.get(i)
-            vec[i] = field.mul(v, c) if cur is None else field.add(cur, field.mul(v, c))
-    return {labels[kept[i]]: v for i, v in vec.items() if not field.is_zero(v)}
+
+    def __init__(self, field, labels, relations):
+        self.field = field
+        self.labels = tuple(labels)
+        index = {lab: i for i, lab in enumerate(self.labels)}
+        vectors = ({index[lab]: c for lab, c in rel.items()} for rel in relations)
+        kept, matrix = quotient_data(field, len(self.labels), vectors)
+        self.kept = tuple(self.labels[i] for i in kept)
+        # the image of each label, read once off the projection matrix
+        images = {}
+        for (i, j), v in matrix.entries.items():
+            images.setdefault(j, []).append((self.kept[i], v))
+        self._images = {lab: tuple(images.get(j, ())) for j, lab in enumerate(self.labels)}
+
+    def project(self, combo):
+        f = self.field
+        out = {}
+        for lab, c in combo.items():
+            for k, v in self._images[lab]:
+                cur = out.get(k)
+                out[k] = f.mul(v, c) if cur is None else f.add(cur, f.mul(v, c))
+        return {k: v for k, v in out.items() if not f.is_zero(v)}
+
+    @staticmethod
+    def project_in(field, quotients, key, combo):
+        """quotients[key].project(combo).
+
+        Where `quotients` has no `key`, a zero combo projects to {} and a
+        nonzero one raises ValueError naming the key.
+        """
+        q = quotients.get(key)
+        if q is not None:
+            return q.project(combo)
+        if any(not field.is_zero(c) for c in combo.values()):
+            raise ValueError("no quotient at %r to project a nonzero combo into" % (key,))
+        return {}

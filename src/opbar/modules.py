@@ -16,10 +16,12 @@ never averages, so prime characteristic is handled correctly.
 
 from __future__ import annotations
 
+from itertools import product
+
 from . import perm, trees
 from .dg import DgModule
 from .errors import AlgebraCheckFailed, InvalidMorphism
-from .linalg import SparseMatrix, project_combo, quotient_data
+from .linalg import Quotient
 from .operads import stasheff_sign
 from .sigma import SigmaModule, WordSpace, _combo_add, compose, routed_compose
 
@@ -312,21 +314,10 @@ def check_algebra(a, max_arity=None, report=False, partial_range=None):
 
     labels_all = [(d, l) for d in mod.degrees() for l in mod.labels(d)]
 
-    def words(r):
-        def rec(k):
-            if k == 0:
-                yield ()
-                return
-            for rest in rec(k - 1):
-                for dl in labels_all:
-                    yield rest + (dl,)
-
-        return rec(r)
-
     for r in range(2, top + 1):
         if r not in a.ops and not any(s + t - 1 == r and s in a.ops and t in a.ops for s in a.ops for t in a.ops):
             continue
-        for word in words(r):
+        for word in product(labels_all, repeat=r):
             degs = [d for d, _ in word]
             labs = [l for _, l in word]
             if partial_range is not None:
@@ -504,8 +495,10 @@ class SymPresentation:
     """Sym(M, A) = (+)_n (M(n) (x) A^{(x)n})_{Sigma_n} presented on words.
 
     Pure labels are (m_triple, a_labels) with a_labels a tuple of
-    (degree, label) pairs; `module` is the quotient dg-module; `weight`
-    maps kept labels to their word length.
+    (degree, label) pairs; `quotients[d]` presents degree d; `module` is
+    the quotient dg-module; `weight_of` maps kept labels to their word
+    length.  `extra_relations` maps a degree to further relations,
+    combos over the pure labels.
     """
 
     def __init__(self, field, sigma, algebra_module, weights, extra_relations=None):
@@ -513,16 +506,14 @@ class SymPresentation:
         self.sigma = sigma
         self.algebra_module = algebra_module
         self.weights = list(weights)
-        self.presentation = {}
+        self.quotients = {}
         self.weight_of = {}
-        self._build(extra_relations or (lambda d, bigs, index: []))
+        self._build(extra_relations or {})
 
     def _pure_labels(self, n):
         comp = self.sigma.component(n)
         amod = self.algebra_module
-        a_words = [()]
-        for _ in range(n):
-            a_words = [w + ((d, l),) for w in a_words for d in amod.degrees() for l in amod.labels(d)]
+        a_words = list(product([(d, l) for d in amod.degrees() for l in amod.labels(d)], repeat=n))
         for dm in comp.degrees():
             for lm in comp.labels(dm):
                 for w in a_words:
@@ -536,12 +527,9 @@ class SymPresentation:
                 (nn, dm, lm), w = label
                 d = dm + sum(dd for dd, _ in w)
                 by_degree.setdefault(d, []).append(label)
-        kept_basis = {}
         for d in sorted(by_degree):
-            bigs = by_degree[d]
-            index = {lab: i for i, lab in enumerate(bigs)}
             relations = []
-            for label in bigs:
+            for label in by_degree[d]:
                 (n, dm, lm), w = label
                 for i in range(1, n):
                     rel = {}
@@ -552,23 +540,13 @@ class SymPresentation:
                         _combo_add(f, rel, ((n, dm, lm2), aw), f.mul(cm, sgn))
                     _combo_add(f, rel, label, f.neg(f.one()))
                     if rel:
-                        relations.append({index[lab]: c for lab, c in rel.items()})
-            relations.extend(extra_relations(d, bigs, index))
-            kept, project = quotient_data(f, len(bigs), relations)
-            self.presentation[d] = (bigs, index, kept, project)
-            kept_basis[d] = tuple(bigs[i] for i in kept)
-            for lab in kept_basis[d]:
+                        relations.append(rel)
+            relations.extend(extra_relations.get(d, ()))
+            self.quotients[d] = Quotient(f, by_degree[d], relations)
+            for lab in self.quotients[d].kept:
                 self.weight_of[lab] = len(lab[1])
-        mod = DgModule(f, kept_basis, {}, check=False)
-        diff = {}
-        for d in sorted(kept_basis):
-            m = SparseMatrix.zero(f, mod.dim(d - 1), mod.dim(d))
-            for label in kept_basis[d]:
-                for lab2, c in self.project(d - 1, self.diff_big(label)).items():
-                    m.add_to(mod.index(d - 1, lab2), mod.index(d, label), c)
-            if not m.is_zero():
-                diff[d] = m
-        self.module = DgModule(f, kept_basis, diff, check=True)
+        basis = {d: q.kept for d, q in self.quotients.items()}
+        self.module = DgModule.from_rule(f, basis, lambda d, label: self.project(d - 1, self.diff_big(label)))
 
     def diff_big(self, label):
         f = self.field
@@ -586,13 +564,7 @@ class SymPresentation:
         return out
 
     def project(self, d, big_combo):
-        f = self.field
-        pres = self.presentation.get(d)
-        if pres is None:
-            if any(not f.is_zero(c) for c in big_combo.values()):
-                raise ValueError("no Sym component in degree %d" % d)
-            return {}
-        return project_combo(f, *pres, big_combo)
+        return Quotient.project_in(self.field, self.quotients, d, big_combo)
 
 
 def _word_swap(field, w, i):
@@ -655,9 +627,7 @@ class SymOverOperad:
                 if wcomp.is_zero():
                     continue
                 amod = self.algebra.module
-                a_words = [()]
-                for _ in range(b):
-                    a_words = [w + ((d, l),) for w in a_words for d in amod.degrees() for l in amod.labels(d)]
+                a_words = list(product([(d, l) for d in amod.degrees() for l in amod.labels(d)], repeat=b))
                 for dm in mcomp.degrees():
                     for lm in mcomp.labels(dm):
                         for dw in wcomp.degrees():
@@ -672,15 +642,7 @@ class SymOverOperad:
                                     if rel:
                                         extra.setdefault(d_total, []).append(rel)
         # rebuild the quotient over Sym(M, A) with the extra relations
-        def extra_relations(d, bigs, index):
-            out = []
-            for rel in extra.get(d, ()):
-                out.append({index[lab]: c for lab, c in rel.items()})
-            return out
-
-        rebuilt = SymPresentation(
-            f, self.right_module.sigma, self.algebra.module, self.free.weights, extra_relations
-        )
+        rebuilt = SymPresentation(f, self.right_module.sigma, self.algebra.module, self.free.weights, extra)
         self.sym = rebuilt
         self.module = rebuilt.module
         self.weight_of = rebuilt.weight_of
@@ -783,63 +745,26 @@ class ExtendedModule:
         f = self.field
         base = self.compose_ms
         components = {}
-        self.presentation = {}
+        self.quotients = {}
         for r in base.sigma.arities():
             comp = base.sigma.component(r)
-            kept_basis = {}
             for d in comp.degrees():
-                quot_labels = comp.labels(d)
-                index = {lab: i for i, lab in enumerate(quot_labels)}
-                rels = []
-                for rel in relations.get((r, d), ()):  # rel over pure labels of M o S
-                    vec = {}
-                    projected = base.project(r, d, rel)
-                    for lab, c in projected.items():
-                        vec[index[lab]] = c
-                    if vec:
-                        rels.append(vec)
-                kept, project = quotient_data(f, len(quot_labels), rels)
-                self.presentation[(r, d)] = (quot_labels, index, kept, project)
-                if kept:
-                    kept_basis[d] = tuple(quot_labels[i] for i in kept)
-            if not kept_basis:
-                continue
-            mod = DgModule(f, kept_basis, {}, check=False)
-            diff = {}
-            for d in sorted(kept_basis):
-                m = SparseMatrix.zero(f, mod.dim(d - 1), mod.dim(d))
-                for label in kept_basis[d]:
-                    big_diff = base.diff_big(label)
-                    projected = base.project(r, d - 1, big_diff)
-                    for lab2, c in self.project_quotient(r, d - 1, projected).items():
-                        m.add_to(mod.index(d - 1, lab2), mod.index(d, label), c)
-                if not m.is_zero():
-                    diff[d] = m
-            components[r] = DgModule(f, kept_basis, diff, check=True)
-        actions = {}
-        for r in components:
-            comp = components[r]
-            for i in range(1, r):
-                sigma_perm = perm.apply_adjacent(perm.identity(r), i)
-                table = {}
-                for d in comp.degrees():
-                    for label in comp.labels(d):
-                        acted = base.sigma.act_perm_combo(r, sigma_perm, d, {label: f.one()})
-                        outc = self.project_quotient(r, d, acted)
-                        if outc != {label: f.one()}:
-                            table[(d, label)] = outc
-                if table:
-                    actions[(r, i)] = table
-        self.sigma = SigmaModule(f, components, actions, check=False)
+                # relations over pure labels of M o S, projected into M o S
+                rels = [base.project(r, d, rel) for rel in relations.get((r, d), ())]
+                self.quotients[(r, d)] = Quotient(f, comp.labels(d), rels)
+            basis = {d: self.quotients[(r, d)].kept for d in comp.degrees()}
+            components[r] = DgModule.from_rule(
+                f, basis, lambda d, label: self.project_quotient(r, d - 1, base.project(r, d - 1, base.diff_big(label)))
+            )
+        self.sigma = SigmaModule.from_rule(f, components, self._act_adjacent)
         self.module = RightModule(f, self.sigma, self.s_op, self._action, name="%s o_R S" % self.left.name)
 
+    def _act_adjacent(self, r, s_i, d, label):
+        acted = self.compose_ms.sigma.act_perm_combo(r, s_i, d, {label: self.field.one()})
+        return self.project_quotient(r, d, acted)
+
     def project_quotient(self, r, d, combo_over_compose_basis):
-        pres = self.presentation.get((r, d))
-        if pres is None:
-            if combo_over_compose_basis:
-                raise ValueError("no component (%d,%d)" % (r, d))
-            return {}
-        return project_combo(self.field, *pres, combo_over_compose_basis)
+        return Quotient.project_in(self.field, self.quotients, (r, d), combo_over_compose_basis)
 
     def project_pure(self, r, d, pure_combo):
         """Project a combo over pure (m; s-word) labels into the quotient."""
@@ -876,37 +801,17 @@ def direct_sum_right_modules(m1, m2):
     f = m1.field
     if m1.operad is not m2.operad and m1.operad.name != m2.operad.name:
         raise ValueError("summands over different operads")
-    components = {}
-    actions = {}
-    for n in sorted(set(m1.sigma.arities()) | set(m2.sigma.arities())):
-        c1, c2 = m1.sigma.component(n), m2.sigma.component(n)
-        basis = {}
-        for d in sorted(set(c1.degrees()) | set(c2.degrees())):
-            basis[d] = tuple(("L", l) for l in c1.labels(d)) + tuple(("R", l) for l in c2.labels(d))
-        mod = DgModule(f, basis, {}, check=False)
-        diff = {}
-        for d in sorted(basis):
-            mat = SparseMatrix.zero(f, mod.dim(d - 1), mod.dim(d))
-            for tag, src in ((("L",), m1), (("R",), m2)):
-                comp = src.sigma.component(n)
-                for l in comp.labels(d):
-                    for l2, c in comp.apply_diff(d, {l: f.one()}).items():
-                        mat.add_to(mod.index(d - 1, (tag[0], l2)), mod.index(d, (tag[0], l)), c)
-            if not mat.is_zero():
-                diff[d] = mat
-        components[n] = DgModule(f, basis, diff, check=False)
-        for i in range(1, n):
-            table = {}
-            for d in basis:
-                for tag, src in ((("L",), m1), (("R",), m2)):
-                    comp = src.sigma.component(n)
-                    for l in comp.labels(d):
-                        out = src.sigma.act_adjacent(n, i, d, l)
-                        if out != {l: f.one()}:
-                            table[(d, (tag[0], l))] = {(tag[0], l2): c for l2, c in out.items()}
-            if table:
-                actions[(n, i)] = table
-    sigma = SigmaModule(f, components, actions, check=False)
+    components = {
+        n: m1.sigma.component(n).direct_sum(m2.sigma.component(n))
+        for n in sorted(set(m1.sigma.arities()) | set(m2.sigma.arities()))
+    }
+
+    def act(n, s_i, d, label):
+        tag, l = label
+        src = m1 if tag == "L" else m2
+        return {(tag, l2): c for l2, c in src.sigma.act_perm_combo(n, s_i, d, {l: f.one()}).items()}
+
+    sigma = SigmaModule.from_rule(f, components, act)
 
     def action(m_triple, slot, q_triple):
         n, d, (tag, label) = m_triple

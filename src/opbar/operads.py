@@ -21,7 +21,6 @@ from itertools import permutations as _permutations
 from . import perm, trees
 from .dg import DgModule
 from .errors import ArityBoundExceeded
-from .linalg import SparseMatrix
 from .sigma import SigmaModule, _combo_add
 
 
@@ -116,19 +115,16 @@ class AssociativeOperad(Operad):
     name = "As"
 
     def __init__(self, field, arity_bound):
-        comps = {}
-        actions = {}
-        for n in range(1, arity_bound + 1):
-            labels = sorted(_permutations(range(1, n + 1)))
-            comps[n] = DgModule(field, {0: tuple(labels)}, {}, check=False)
-            for i in range(1, n):
-                s_i = perm.apply_adjacent(perm.identity(n), i)
-                inv = perm.inverse(s_i)
-                table = {}
-                for w in labels:
-                    table[(0, w)] = {tuple(inv[x - 1] for x in w): field.one()}
-                actions[(n, i)] = table
-        super().__init__(field, SigmaModule(field, comps, actions, check=False), (1,))
+        comps = {
+            n: DgModule(field, {0: tuple(sorted(_permutations(range(1, n + 1))))}, {}, check=False)
+            for n in range(1, arity_bound + 1)
+        }
+
+        def act(n, s_i, d, w):
+            inv = perm.inverse(s_i)
+            return {tuple(inv[x - 1] for x in w): field.one()}
+
+        super().__init__(field, SigmaModule.from_rule(field, comps, act), (1,))
 
     def compose_basic(self, p_triple, i, q_triple):
         s, _, w = p_triple
@@ -181,7 +177,6 @@ class FreeOperad(Operad):
                 arities.setdefault(r, []).append(gname)
         self.gen_diff = gen_diff or {}
         comps = {1: DgModule.ground(field, trees.leaf(1))}
-        actions = {}
         tree_bases = {1: [trees.leaf(1)]}
         for n in range(2, arity_bound + 1):
             tree_bases[n] = trees.enumerate_trees(n, arities)
@@ -189,25 +184,9 @@ class FreeOperad(Operad):
             by_degree = {}
             for t in tree_bases[n]:
                 by_degree.setdefault(trees.degree(t, self.degree_of), []).append(t)
-            basis = {d: tuple(ts) for d, ts in by_degree.items()}
-            mod = DgModule(field, basis, {}, check=False)
-            diff = {}
-            for d in sorted(basis):
-                m = SparseMatrix.zero(field, mod.dim(d - 1), mod.dim(d))
-                for t in basis[d]:
-                    for t2, c in self._tree_diff(field, t).items():
-                        m.add_to(mod.index(d - 1, t2), mod.index(d, t), c)
-                if not m.is_zero():
-                    diff[d] = m
-            comps[n] = DgModule(field, basis, diff, check=True)
-            for i in range(1, n):
-                s_i = perm.apply_adjacent(perm.identity(n), i)
-                table = {}
-                for d, ts in basis.items():
-                    for t in ts:
-                        table[(d, t)] = {trees.act(t, s_i): field.one()}
-                actions[(n, i)] = table
-        super().__init__(field, SigmaModule(field, comps, actions, check=False), trees.leaf(1))
+            comps[n] = DgModule.from_rule(field, by_degree, lambda d, t: self._tree_diff(field, t))
+        sigma = SigmaModule.from_rule(field, comps, lambda n, s_i, d, t: {trees.act(t, s_i): field.one()})
+        super().__init__(field, sigma, trees.leaf(1))
 
     def compose_basic(self, p_triple, i, q_triple):
         s, _, p = p_triple

@@ -18,9 +18,11 @@ consecutive blocks; block position v is fed by global input w^{-1}(v).
 
 from __future__ import annotations
 
+from itertools import product
+
 from .dg import DgModule
 from .errors import FieldMismatch
-from .linalg import SparseMatrix, project_combo, quotient_data
+from .linalg import Quotient
 from . import perm
 
 
@@ -48,6 +50,28 @@ class SigmaModule:
         self.actions = actions or {}
         if check:
             self.check_relations()
+
+    @staticmethod
+    def from_rule(field, components, act, check=False):
+        """Build from components {n: DgModule} and act(n, s_i, d, label) -> the combo label . s_i.
+
+        s_i is the adjacent transposition (i i+1) of 1..n as a
+        permutation; images equal to the label itself are not stored.
+        """
+        one = field.one()
+        actions = {}
+        for n, comp in sorted(components.items()):
+            for i in range(1, n):
+                s_i = perm.apply_adjacent(perm.identity(n), i)
+                table = {}
+                for d in comp.degrees():
+                    for label in comp.labels(d):
+                        out = act(n, s_i, d, label)
+                        if out != {label: one}:
+                            table[(d, label)] = out
+                if table:
+                    actions[(n, i)] = table
+        return SigmaModule(field, components, actions, check)
 
     def arities(self):
         return sorted(self.components)
@@ -214,25 +238,14 @@ class WordSpace:
                         for l in comp.labels(d):
                             triples.append((a, d, l))
                     inner_choices.append(triples)
-                for inner in _product(inner_choices):
+                for inner in product(*inner_choices):
                     d_total = sum(t[1] for t in inner)
                     for w in cosets:
                         by_degree.setdefault(d_total, []).append((w, inner))
-            if not by_degree:
-                continue
-            basis = {d: tuple(labels) for d, labels in by_degree.items()}
-            mod = DgModule(self.field, basis, {}, check=False)
-            diff = {}
-            for d in sorted(basis):
-                if not mod.dim(d - 1) and not mod.dim(d):
-                    continue
-                m = SparseMatrix.zero(self.field, mod.dim(d - 1), mod.dim(d))
-                for label in basis[d]:
-                    for lab2, c in self.diff_combo(label).items():
-                        m.add_to(mod.index(d - 1, lab2), mod.index(d, label), c)
-                if not m.is_zero():
-                    diff[d] = m
-            self._components[r] = DgModule(self.field, basis, diff, check=False)
+            if by_degree:
+                self._components[r] = DgModule.from_rule(
+                    self.field, by_degree, lambda d, label: self.diff_combo(label), check=False
+                )
 
     def _arity_splits(self, r):
         k = len(self.factors)
@@ -366,36 +379,10 @@ class WordSpace:
         """Materialize as a SigmaModule (actions computed via cosets)."""
         if self._sigma is not None:
             return self._sigma
-        actions = {}
-        for r in self.arities():
-            comp = self._components[r]
-            for i in range(1, r):
-                sigma = perm.apply_adjacent(perm.identity(r), i)
-                table = {}
-                for d in comp.degrees():
-                    for label in comp.labels(d):
-                        out = self.right_act(r, sigma, label)
-                        if out != {label: self.field.one()}:
-                            table[(d, label)] = out
-                if table:
-                    actions[(r, i)] = table
-        self._sigma = SigmaModule(self.field, dict(self._components), actions, check=False)
+        self._sigma = SigmaModule.from_rule(
+            self.field, dict(self._components), lambda r, s_i, d, label: self.right_act(r, s_i, label)
+        )
         return self._sigma
-
-
-def _product(lists):
-    if not lists:
-        yield ()
-        return
-    for head in lists[0]:
-        for tail in _product(lists[1:]):
-            yield (head,) + tail
-
-
-def _combo_product(combos):
-    """Cartesian product of {label: coeff} dicts, as tuples of items."""
-    item_lists = [list(c.items()) for c in combos]
-    return _product(item_lists)
 
 
 # ---------------------------------------------------------------------------
@@ -412,7 +399,7 @@ def _act_blockwise(field, factors, h_parts, w, inner):
         factors[j].act_perm_combo(a, h_parts[j], d, {l: field.one()}) for j, (a, d, l) in enumerate(inner)
     ]
     result = {}
-    for choice in _combo_product(expanded):
+    for choice in product(*(c.items() for c in expanded)):
         c_total = field.one()
         triples = []
         for (a, d, _), (l2, c2) in zip(inner, choice):
@@ -469,7 +456,7 @@ def routed_compose(field, word, args, evaluate, label, outer=None):
         factors = [sigma] * len(inner)
     sign = field.sign(exponent)
     out = {}
-    for choice in _combo_product(values):
+    for choice in product(*(v.items() for v in values)):
         c = sign
         for _, c2 in choice:
             c = field.mul(c, c2)
@@ -502,8 +489,7 @@ class ComposeResult:
         self.right = n
         self.arity_bound = arity_bound
         self.word_spaces = {}
-        self.big = {}
-        self.presentation = {}
+        self.quotients = {}
         self._build()
 
     def _build(self):
@@ -513,7 +499,6 @@ class ComposeResult:
                 continue
             self.word_spaces[k] = WordSpace(f, [self.right] * k, self.arity_bound)
         components = {}
-        actions = {}
         for r in range(1, self.arity_bound + 1):
             by_degree = {}
             for k, ws in sorted(self.word_spaces.items()):
@@ -526,12 +511,9 @@ class ComposeResult:
                                 by_degree.setdefault(dm + dw, []).append(((k, dm, lm), lw))
             if not by_degree:
                 continue
-            kept_basis = {}
             for d in sorted(by_degree):
-                bigs = by_degree[d]
-                index = {lab: i for i, lab in enumerate(bigs)}
                 relations = []
-                for (k, dm, lm), lw in bigs:
+                for (k, dm, lm), lw in by_degree[d]:
                     ws = self.word_spaces[k]
                     for i in range(1, k):
                         rel = {}
@@ -541,37 +523,16 @@ class ComposeResult:
                         for lw2, cw in ws.factor_swap(i, lw).items():
                             _combo_add(f, rel, ((k, dm, lm), lw2), f.neg(cw))
                         if rel:
-                            relations.append({index[lab]: c for lab, c in rel.items()})
-                kept, project = quotient_data(f, len(bigs), relations)
-                self.presentation[(r, d)] = (bigs, index, kept, project)
-                kept_basis[d] = tuple(bigs[i] for i in kept)
-            mod = DgModule(f, kept_basis, {}, check=False)
-            diff = {}
-            for d in sorted(kept_basis):
-                rows = mod.dim(d - 1)
-                mat = SparseMatrix.zero(f, rows, mod.dim(d))
-                for label in kept_basis[d]:
-                    for lab2, c in self.project(r, d - 1, self.diff_big(label)).items():
-                        mat.add_to(mod.index(d - 1, lab2), mod.index(d, label), c)
-                if not mat.is_zero():
-                    diff[d] = mat
-            components[r] = DgModule(f, kept_basis, diff, check=True)
-            for i in range(1, r):
-                sigma = perm.apply_adjacent(perm.identity(r), i)
-                table = {}
-                for d in sorted(kept_basis):
-                    for label in kept_basis[d]:
-                        (k, dm, lm), lw = label
-                        acted = self.word_spaces[k].right_act(r, sigma, lw)
-                        combo = {}
-                        for lw2, c in acted.items():
-                            _combo_add(f, combo, ((k, dm, lm), lw2), c)
-                        out = self.project(r, d, combo)
-                        if out != {label: f.one()}:
-                            table[(d, label)] = out
-                if table:
-                    actions[(r, i)] = table
-        self.sigma = SigmaModule(self.field, components, actions, check=False)
+                            relations.append(rel)
+                self.quotients[(r, d)] = Quotient(f, by_degree[d], relations)
+            basis = {d: self.quotients[(r, d)].kept for d in sorted(by_degree)}
+            components[r] = DgModule.from_rule(f, basis, lambda d, label: self.project(r, d - 1, self.diff_big(label)))
+        self.sigma = SigmaModule.from_rule(f, components, self._act)
+
+    def _act(self, r, s_i, d, label):
+        (k, dm, lm), lw = label
+        acted = self.word_spaces[k].right_act(r, s_i, lw)
+        return self.project(r, d, {((k, dm, lm), lw2): c for lw2, c in acted.items()})
 
     def diff_big(self, label):
         f = self.field
@@ -587,12 +548,7 @@ class ComposeResult:
 
     def project(self, r, d, big_combo):
         """Project a combo over pure labels to the kept quotient basis."""
-        pres = self.presentation.get((r, d))
-        if pres is None:
-            if big_combo:
-                raise ValueError("no component at arity %d degree %d" % (r, d))
-            return {}
-        return project_combo(self.field, *pres, big_combo)
+        return Quotient.project_in(self.field, self.quotients, (r, d), big_combo)
 
 
 def compose(m, n, arity_bound):

@@ -17,9 +17,11 @@ valid over any field).
 
 from __future__ import annotations
 
+from itertools import product
+
 from .dg import DgModule
 from .errors import AlgebraCheckFailed
-from .linalg import SparseMatrix, echelon, kernel_basis, solve
+from .linalg import SparseMatrix, echelon, kernel_basis
 from .modules import DgAlgebra, check_algebra
 from .sigma import _combo_add
 
@@ -64,26 +66,26 @@ class Retract:
             dim = mod.dim(d)
             nb = len(image_vectors)
             nh = len(hom_vectors)
-            cols_matrix = SparseMatrix.zero(f, dim, dim)
-            col = 0
-            for vec in image_vectors:
+            # rows of [C | I], C the split basis vectors as columns; the RREF is [I | C^-1]
+            rows = [{dim + i: f.one()} for i in range(dim)]
+            for col, vec in enumerate(image_vectors + hom_vectors + [{j: f.one()} for j in coexact]):
                 for i, v in vec.items():
-                    cols_matrix.add_to(i, col, v)
-                col += 1
-            for vec in hom_vectors:
-                for i, v in vec.items():
-                    cols_matrix.add_to(i, col, v)
-                col += 1
-            for j in coexact:
-                cols_matrix.add_to(j, col, f.one())
-                col += 1
-            # solve for each standard basis vector: coordinates in the split basis
+                    rows[i][col] = v
+            e = echelon(f)
+            for row in rows:
+                e.add(row)
+            pivot_rows, pivots = e.rref()
+            # coords[j]: the coordinates of e_j in the split basis, column dim + j of C^-1
+            coords = [{} for _ in range(dim)]
+            for k, i in pivots.items():
+                for col, v in pivot_rows[i].items():
+                    if col >= dim:
+                        coords[col - dim][k] = v
             self.h_basis[d] = nh
             proj = SparseMatrix.zero(f, nh, dim)
             hmat = SparseMatrix.zero(f, mod.dim(d + 1), dim)
             for j in range(dim):
-                coords = solve(cols_matrix, {j: f.one()})
-                for k, v in coords.items():
+                for k, v in coords[j].items():
                     if nb <= k < nb + nh:
                         proj.add_to(k - nb, j, v)
                     elif k < nb:
@@ -163,16 +165,7 @@ def transfer_a_infinity(algebra, max_arity, name=None):
     for r in range(2, max_arity + 1):
         table = {}
         degree_lists = [(d, a) for d in sorted(h_labels) for a in range(len(h_labels[d]))]
-
-        def words(k):
-            if k == 0:
-                yield ()
-                return
-            for rest in words(k - 1):
-                for da in degree_lists:
-                    yield rest + (da,)
-
-        for word in words(r):
+        for word in product(degree_lists, repeat=r):
             args = [include_combo(d, a) for (d, a) in word]
             total = lam(args)
             projected = {}

@@ -13,6 +13,8 @@ and picks up the Koszul sign of jumping over the tail of the host word.
 
 from __future__ import annotations
 
+from itertools import product
+
 from . import perm
 
 
@@ -145,7 +147,7 @@ def shapes(n, arities):
                 subs = shapes(size, arities)
                 parts.append([relabel(s, {k: k + offset for k in range(1, size + 1)}) for s in subs])
                 offset += size
-            for combo in _product(parts):
+            for combo in product(*parts):
                 for gen in arities[r]:
                     out.append((gen,) + tuple(combo))
     return out
@@ -160,15 +162,6 @@ def _compositions(n, r):
         for rest in _compositions(n - first, r - 1):
             out.append((first,) + rest)
     return out
-
-
-def _product(lists):
-    if not lists:
-        yield ()
-        return
-    for head in lists[0]:
-        for tail in _product(lists[1:]):
-            yield (head,) + tail
 
 
 def enumerate_trees(n, arities):

@@ -22,6 +22,22 @@ def test_d_squared_checked():
         )
 
 
+def test_from_data_names_unknown_labels():
+    with pytest.raises(ValueError, match="'y'"):
+        DgModule.from_data(Q, [("x", 1)], {"x": {"y": Q.one()}})
+    with pytest.raises(ValueError, match="'z'"):
+        DgModule.from_data(Q, [("x", 1), ("y", 0)], {"z": {"y": Q.one()}})
+
+
+def test_from_rule_names_a_label_outside_the_degree_below():
+    basis = {0: ("y",), 1: ("x",)}
+    m = DgModule.from_rule(Q, basis, lambda d, label: {"y": Q.one()} if d == 1 else {})
+    assert m.apply_diff(1, {"x": Q.one()}) == {"y": Q.one()}
+    for wrong in ("w", "x"):  # unknown, and a basis label of the wrong degree
+        with pytest.raises(ValueError, match="'%s'" % wrong):
+            DgModule.from_rule(Q, basis, lambda d, label: {wrong: Q.one()} if d == 1 else {})
+
+
 def test_tensor_with_ground_is_canonical():
     k = DgModule.ground(Q)
     m = two_term()
@@ -29,6 +45,12 @@ def test_tensor_with_ground_is_canonical():
     assert [t.dim(d) for d in (0, 1)] == [1, 1]
     assert t.labels(0) == (("1", "y"),)
     assert t.apply_diff(1, {("1", "x"): Q.one()}) == {("1", "y"): Q.one()}
+
+
+def test_tensor_rejects_a_label_in_two_degrees():
+    a = DgModule(Q, {0: ("u",), 1: ("u",)}, {}, check=False)
+    with pytest.raises(ValueError):
+        tensor(a, DgModule.ground(Q))
 
 
 def test_tensor_one_dimensionals():

@@ -6,6 +6,7 @@ import pytest
 from opbar.errors import CompositionNotZero
 from opbar.linalg import (
     CoeffField,
+    Quotient,
     SparseMatrix,
     homology_dimension,
     kernel_basis,
@@ -137,6 +138,19 @@ def test_solve_and_quotient():
     kept, proj = quotient_data(Q, 3, [{0: Q.one(), 1: Q.of_int(-1)}])
     assert kept == [1, 2]
     assert proj.apply({0: Q.one()}) == proj.apply({1: Q.one()})
+
+
+def test_quotient_projects_and_guards_missing_components():
+    q = Quotient(Q, ["a", "b", "c"], [{"a": Q.one(), "b": Q.of_int(-1)}])
+    assert q.kept == ("b", "c")
+    assert q.project({"a": Q.of_int(2), "c": Q.one()}) == {"b": Q.of_int(2), "c": Q.one()}
+    assert q.project({"a": Q.one(), "b": Q.of_int(-1)}) == {}
+    quotients = {(1, 0): q}
+    assert Quotient.project_in(Q, quotients, (1, 0), {"a": Q.one()}) == {"b": Q.one()}
+    assert Quotient.project_in(Q, quotients, (2, 5), {}) == {}
+    assert Quotient.project_in(Q, quotients, (2, 5), {"z": Q.zero()}) == {}
+    with pytest.raises(ValueError, match=r"\(2, 5\)"):
+        Quotient.project_in(Q, quotients, (2, 5), {"z": Q.one()})
 
 
 def test_fp_scalar_parse_format():

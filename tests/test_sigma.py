@@ -32,6 +32,23 @@ def test_relations_catch_bad_action():
     act = {(2, 1): {(0, "x"): {"x": Q.of_int(2)}}}  # not an involution
     with pytest.raises(ValueError):
         SigmaModule(Q, comps, act, check=True)
+    with pytest.raises(ValueError):
+        SigmaModule.from_rule(Q, comps, lambda n, s_i, d, label: {"x": Q.of_int(2)}, check=True)
+    SigmaModule.from_rule(Q, comps, lambda n, s_i, d, label: {"x": Q.of_int(2)})  # unchecked by default
+
+
+def test_from_rule_stores_no_identity_images():
+    comps = {3: DgModule(Q, {0: ("a", "b", "c")}, {}, check=False)}
+    seen = []
+
+    def act(n, s_i, d, label):
+        seen.append(s_i)
+        return {{"a": "b", "b": "a"}.get(label, label): Q.one()}
+
+    s = SigmaModule.from_rule(Q, comps, act, check=True)
+    assert sorted(set(seen)) == [(1, 3, 2), (2, 1, 3)]
+    assert s.actions[(3, 1)] == {(0, "a"): {"b": Q.one()}, (0, "b"): {"a": Q.one()}}
+    assert s.act_adjacent(3, 1, 0, "c") == {"c": Q.one()}
 
 
 def test_tensor_dims_com():
