@@ -121,9 +121,15 @@ class BarComplex:
 
         extend((), 0)
         basis = {d: tuple(ws) for d, ws in sorted(words_by_degree.items())}
-        # inside the window every target word was enumerated; below it none is kept
-        self.module = DgModule.from_rule(f, basis, lambda d, word: self.diff_word(word) if d > lo else {})
+        self.module = DgModule.from_rule(f, basis, self._stored_diff)
         self.weight_of = {w: len(w) for d in basis for w in basis[d]}
+
+    def _stored_diff(self, d, word):
+        """The differential kept in the module: words of degree window.lo - 1 keep none.
+
+        Inside the window every target word was enumerated; below it none is kept.
+        """
+        return self.diff_word(word) if d >= self.window.lo else {}
 
     def diff_word(self, word):
         """Internal differential plus bar coderivation of a basis word."""
@@ -160,13 +166,12 @@ class BarComplex:
 
     def filtration_layer(self, n):
         """The subcomplex of words of weight <= n."""
-        lo = self.window.lo - 1
 
         def rule(d, word):
-            out = self.diff_word(word)
+            out = self._stored_diff(d, word)
             if any(len(word2) > n for word2 in out):
                 raise AssertionError("filtration not closed under the differential")
-            return out if d > lo else {}
+            return out
 
         basis = {d: tuple(w for w in self.module.labels(d) if len(w) <= n) for d in self.module.degrees()}
         return DgModule.from_rule(self.field, basis, rule)

@@ -52,11 +52,12 @@ class SigmaModule:
             self.check_relations()
 
     @staticmethod
-    def from_rule(field, components, act, check=False):
+    def from_rule(field, components, act):
         """Build from components {n: DgModule} and act(n, s_i, d, label) -> the combo label . s_i.
 
         s_i is the adjacent transposition (i i+1) of 1..n as a
         permutation; images equal to the label itself are not stored.
+        The relations are not checked; call check_relations() for that.
         """
         one = field.one()
         actions = {}
@@ -71,7 +72,7 @@ class SigmaModule:
                             table[(d, label)] = out
                 if table:
                     actions[(n, i)] = table
-        return SigmaModule(field, components, actions, check)
+        return SigmaModule(field, components, actions, check=False)
 
     def arities(self):
         return sorted(self.components)

@@ -47,10 +47,16 @@ def test_tensor_with_ground_is_canonical():
     assert t.apply_diff(1, {("1", "x"): Q.one()}) == {("1", "y"): Q.one()}
 
 
-def test_tensor_rejects_a_label_in_two_degrees():
-    a = DgModule(Q, {0: ("u",), 1: ("u",)}, {}, check=False)
-    with pytest.raises(ValueError):
-        tensor(a, DgModule.ground(Q))
+def test_tensor_of_a_label_in_two_degrees():
+    # u in degree 1 maps to the other u in degree 0
+    a = DgModule.from_rule(Q, {0: ("u",), 1: ("u",)}, lambda d, label: {"u": Q.one()} if d == 1 else {})
+    t = tensor(a, two_term())
+    assert [t.dim(d) for d in (0, 1, 2)] == [1, 2, 1]
+    assert t.labels(1) == (("u", "x"), ("u", "y"))
+    assert t.apply_diff(1, {("u", "x"): Q.one()}) == {("u", "y"): Q.one()}
+    assert t.apply_diff(1, {("u", "y"): Q.one()}) == {("u", "y"): Q.one()}
+    assert t.apply_diff(2, {("u", "x"): Q.one()}) == {("u", "x"): Q.one(), ("u", "y"): Q.of_int(-1)}
+    t.check_differential()
 
 
 def test_tensor_one_dimensionals():

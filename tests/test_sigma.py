@@ -33,8 +33,7 @@ def test_relations_catch_bad_action():
     with pytest.raises(ValueError):
         SigmaModule(Q, comps, act, check=True)
     with pytest.raises(ValueError):
-        SigmaModule.from_rule(Q, comps, lambda n, s_i, d, label: {"x": Q.of_int(2)}, check=True)
-    SigmaModule.from_rule(Q, comps, lambda n, s_i, d, label: {"x": Q.of_int(2)})  # unchecked by default
+        SigmaModule.from_rule(Q, comps, lambda n, s_i, d, label: {"x": Q.of_int(2)}).check_relations()
 
 
 def test_from_rule_stores_no_identity_images():
@@ -45,7 +44,8 @@ def test_from_rule_stores_no_identity_images():
         seen.append(s_i)
         return {{"a": "b", "b": "a"}.get(label, label): Q.one()}
 
-    s = SigmaModule.from_rule(Q, comps, act, check=True)
+    s = SigmaModule.from_rule(Q, comps, act)
+    s.check_relations()
     assert sorted(set(seen)) == [(1, 3, 2), (2, 1, 3)]
     assert s.actions[(3, 1)] == {(0, "a"): {"b": Q.one()}, (0, "b"): {"a": Q.one()}}
     assert s.act_adjacent(3, 1, 0, "c") == {"c": Q.one()}
