@@ -27,6 +27,12 @@ from math import gcd, lcm
 from .errors import CompositionNotZero
 
 
+# shared scalars over Q (Fractions are immutable)
+_Q_ZERO = Fraction(0)
+_Q_ONE = Fraction(1)
+_Q_MINUS_ONE = Fraction(-1)
+
+
 def _is_prime(p):
     if p < 2:
         return False
@@ -71,10 +77,10 @@ class CoeffField:
     # scalar constructors ------------------------------------------------
 
     def zero(self):
-        return 0 if self.p else Fraction(0)
+        return 0 if self.p else _Q_ZERO
 
     def one(self):
-        return 1 if self.p else Fraction(1)
+        return 1 if self.p else _Q_ONE
 
     def of_int(self, n):
         return n % self.p if self.p else Fraction(n)
@@ -119,7 +125,9 @@ class CoeffField:
 
     def sign(self, parity):
         """(-1)**parity as a field scalar."""
-        return self.of_int(-1 if parity % 2 else 1)
+        if parity % 2:
+            return self.p - 1 if self.p else _Q_MINUS_ONE
+        return self.one()
 
 
 class SparseMatrix:

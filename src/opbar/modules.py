@@ -283,6 +283,14 @@ def check_algebra(a, max_arity=None, report=False, partial_range=None):
     inputs or outputs would leave the closed interval (lo, hi) are
     skipped instead of failed (the data beyond the truncation is
     unknown, not zero).
+
+    The relations are checked only on the words `_reachable_words`
+    derives from the stored tables: the words on which at least one term
+    (delta.mu_r, mu_r.delta or a composite mu_s o_i mu_t) reads a table
+    entry.  On every other word both sides are the empty combination,
+    so skipping it cannot change the verdict; the visited words come in
+    the order of `product(labels_all, repeat=r)`, so the diagnostics and
+    the stop after the ninth are those of the exhaustive scan.
     """
     f = a.field
     mod = a.module
@@ -314,10 +322,9 @@ def check_algebra(a, max_arity=None, report=False, partial_range=None):
 
     labels_all = [(d, l) for d in mod.degrees() for l in mod.labels(d)]
 
+    reachable = _reachable_words(a, labels_all, top)
     for r in range(2, top + 1):
-        if r not in a.ops and not any(s + t - 1 == r and s in a.ops and t in a.ops for s in a.ops for t in a.ops):
-            continue
-        for word in product(labels_all, repeat=r):
+        for word in reachable[r]:
             degs = [d for d, _ in word]
             labs = [l for _, l in word]
             if partial_range is not None:
@@ -367,6 +374,52 @@ def check_algebra(a, max_arity=None, report=False, partial_range=None):
                     return (ok, diags) if report else ok
     ok = not diags
     return (ok, diags) if report else ok
+
+
+def _reachable_words(a, labels_all, top):
+    """{r: words} for r = 2..top: the arity-r words (tuples of letters of
+    `labels_all`) on which some term of the arity-r relation of
+    `check_algebra` reads a stored entry, in `product(labels_all,
+    repeat=r)` order.  A word qualifies if
+      (a) its labels are a key of mu_r (delta.mu_r),
+      (b) replacing one letter by a term of its differential gives a key
+          of mu_r (mu_r.delta), or
+      (c) it is ks o_i kt: kt a key of mu_t, ks a key of mu_s with
+          s + t - 1 = r whose i-th letter occurs in mu_t(kt).
+    """
+    letters = {}  # label -> positions in labels_all carrying it
+    hits = {}  # label -> positions of the letters whose differential reaches it
+    for n, (d, l) in enumerate(labels_all):
+        letters.setdefault(l, []).append(n)
+        for l2 in a.module.apply_diff(d, {l: a.field.one()}):
+            hits.setdefault(l2, []).append(n)
+    by_slot = {}  # s -> (i, label) -> keys of mu_s with that label in slot i
+    for s, table in a.ops.items():
+        index = by_slot[s] = {}
+        for ks in table:
+            for i, l in enumerate(ks):
+                index.setdefault((i, l), []).append(ks)
+    reachable = {}
+    for r in range(2, top + 1):
+        slots = []  # per candidate: the positions allowed in each slot
+        for key in a.ops.get(r, {}):
+            slots.append([letters.get(l, ()) for l in key])
+            for j in range(r):
+                slots.append([(hits if k == j else letters).get(l, ()) for k, l in enumerate(key)])
+        for t, inner in a.ops.items():
+            s = r + 1 - t
+            if t < 2 or s < 2 or s not in a.ops:
+                continue
+            for kt, out in inner.items():
+                for lmid in out:
+                    for i in range(s):
+                        for ks in by_slot[s].get((i, lmid), ()):
+                            slots.append([letters.get(l, ()) for l in ks[:i] + kt + ks[i + 1 :]])
+        words = set()
+        for choice in slots:
+            words.update(product(*choice))
+        reachable[r] = [tuple(labels_all[n] for n in w) for w in sorted(words)]
+    return reachable
 
 
 def evaluate_monomial(alg, word_label, arg_triples):

@@ -1,3 +1,4 @@
+from itertools import product
 from pathlib import Path
 
 import pytest
@@ -7,6 +8,7 @@ from opbar.errors import AlgebraCheckFailed, NotCommutative, TruncationUnsound
 from opbar.fixtures import random_commutative_algebra, random_tensor_algebra
 from opbar.jsonio import algebra_from_json, load_json
 from opbar.linalg import CoeffField, kernel_basis
+from opbar import modules
 from opbar.modules import DgAlgebra, check_algebra
 from opbar.bar import (
     bar,
@@ -169,11 +171,35 @@ def test_shuffle_requires_commutative():
         shuffle_product(b)
 
 
-def test_shuffle_algebra_checks_on_seeded_fixture():
+def test_shuffle_algebra_checks_on_seeded_fixture(monkeypatch):
     alg = random_commutative_algebra(F2, 42)
     b = bar(alg, DegreeWindow(0, 8))
     sh = shuffle_product(b)
+    assert sh.module.total_dim() == 209
+    # work done: an N^r scan would enumerate 209^3 = 9,129,329 words, the
+    # tables reach 1,750; mu_2 is evaluated 1,339 times either way,
+    # since the degree filter runs before any table lookup
+    words = 0
+    op_calls = 0
+    op_apply = DgAlgebra.op_apply
+
+    def counted_product(*args, **kwargs):
+        nonlocal words
+        for word in product(*args, **kwargs):
+            words += 1
+            assert words <= 20_000, "check_algebra enumerates more words than its tables reach"
+            yield word
+
+    def counted_op_apply(self, r, labels):
+        nonlocal op_calls
+        op_calls += 1
+        return op_apply(self, r, labels)
+
+    monkeypatch.setattr(modules, "product", counted_product)
+    monkeypatch.setattr(DgAlgebra, "op_apply", counted_op_apply)
     assert check_algebra(sh, 3, partial_range=(b.window.lo - 1, b.window.hi + 1))
+    assert 0 < words <= 20_000
+    assert op_calls <= 2_000
 
 
 def test_iterated_bar_b2_exterior():

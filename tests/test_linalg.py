@@ -160,6 +160,17 @@ def test_fp_scalar_parse_format():
     assert Q.parse("-3/6") == Q.parse("-1/2")
 
 
+def test_scalar_constants_are_shared_and_signs_unchanged():
+    assert Q.one() is Q.one() and Q.zero() is Q.zero() and Q.sign(1) is Q.sign(3)
+    for field in (F2, CoeffField.prime(3), Q):
+        for parity in range(-3, 4):
+            expect = field.of_int(-1 if parity % 2 else 1)
+            got = field.sign(parity)
+            assert got == expect and type(got) is type(expect)
+        assert type(field.one()) is type(field.of_int(1)) and field.one() == field.of_int(1)
+        assert type(field.zero()) is type(field.of_int(0)) and field.zero() == field.of_int(0)
+
+
 # --- dense oracle ------------------------------------------------------------
 #
 # Textbook Gauss-Jordan elimination on dense lists, written here so that it

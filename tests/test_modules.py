@@ -1,12 +1,22 @@
+import importlib
+import random
+from itertools import product
+from pathlib import Path
+
 import pytest
 
-from opbar.dg import DgModule, tensor as dg_tensor
+from opbar.bar import bar, shuffle_product
+from opbar.dg import DegreeWindow, DgModule, tensor as dg_tensor
 from opbar.errors import InvalidMorphism
 from opbar.fixtures import random_commutative_algebra, random_tensor_algebra
+from opbar.jsonio import algebra_from_json, load_json
 from opbar.linalg import CoeffField
+from opbar.simplicial import normalized_cochains, simplicial_set_from_json
+from opbar.transfer import transfer_a_infinity
 from opbar.modules import (
     DgAlgebra,
     TensorRightModule,
+    _tensor_diff_terms,
     check_algebra,
     direct_sum_right_modules,
     extension,
@@ -24,10 +34,14 @@ from opbar.operads import (
     eps_to_assoc,
     identity_morphism,
     stasheff_operad,
+    stasheff_sign,
 )
+from opbar.sigma import _combo_add
 
+ROOT = Path(__file__).resolve().parent.parent
 Q = CoeffField.rationals()
 F2 = CoeffField.prime(2)
+F3 = CoeffField.prime(3)
 
 
 def exterior(field):
@@ -100,6 +114,160 @@ def test_ainf_with_mu3():
         {3: {("x", "x", "x"): {"w": Q.one()}}},
     )
     assert check_algebra(a3, 6)
+
+
+def massey_algebra():
+    """A dga over F_2 whose homology a, b, c, m carries the Massey product
+    <a, b, c> = xc + ay = m: dx = ab, dy = bc, xc = m."""
+    one = F2.one()
+    mod = DgModule.from_data(
+        F2,
+        [("a", 1), ("b", 1), ("c", 1), ("ab", 2), ("bc", 2), ("x", 3), ("y", 3), ("m", 4)],
+        {"x": {"ab": one}, "y": {"bc": one}},
+    )
+    ops = {("a", "b"): {"ab": one}, ("b", "c"): {"bc": one}, ("x", "c"): {"m": one}}
+    return DgAlgebra(F2, "assoc", mod, {2: ops}, name="massey")
+
+
+def _exhaustive_check_algebra(a, max_arity=None, partial_range=None):
+    """check_algebra as it was before it derived its words from the
+    stored tables: every relation on all N^r words.  (ok, diagnostics)."""
+    f = a.field
+    mod = a.module
+    diags = []
+    top = max_arity or (a.max_op_arity() + 1)
+    misgraded = False
+    for r, table in a.ops.items():
+        if a.kind in ("assoc", "comm") and r != 2:
+            diags.append("kind %s admits only the binary product, found mu_%d" % (a.kind, r))
+        for labels, out in table.items():
+            din = sum(a.degree_of(l) for l in labels)
+            for l2, c in out.items():
+                if a.degree_of(l2) != din + r - 2:
+                    diags.append("mu_%d%r output degree wrong at %r" % (r, labels, l2))
+                    misgraded = True
+    if a.kind == "comm":
+        for (x, y), out in a.ops.get(2, {}).items():
+            sgn = f.sign(a.degree_of(x) * a.degree_of(y))
+            scaled = {k: f.mul(sgn, v) for k, v in a.op_apply(2, (y, x)).items()}
+            if {k: v for k, v in out.items() if not f.is_zero(v)} != scaled:
+                diags.append("commutativity fails at (%r,%r)" % (x, y))
+    if misgraded:
+        return False, diags
+    labels_all = [(d, l) for d in mod.degrees() for l in mod.labels(d)]
+    for r in range(2, top + 1):
+        for word in product(labels_all, repeat=r):
+            degs = [d for d, _ in word]
+            labs = [l for _, l in word]
+            if partial_range is not None:
+                lo, hi = partial_range
+                d_out = sum(degs) + r - 2
+                needed = [d_out, d_out - 1]
+                for s in range(2, r):
+                    for i in range(1, s + 1):
+                        t = r + 1 - s
+                        needed.append(sum(degs[i - 1 : i - 1 + t]) + t - 2)
+                if any(dd < lo or dd > hi for dd in needed):
+                    continue
+            lhs = {}
+            for l2, c in a.op_apply(r, labs).items():
+                for l3, c3 in mod.apply_diff(sum(degs) + r - 2, {l2: c}).items():
+                    _combo_add(f, lhs, l3, c3)
+            sgn = f.sign(r - 1)
+            for c, j, l2 in _tensor_diff_terms(f, degs, labs, mod):
+                for l3, c3 in a.op_apply(r, labs[:j] + [l2] + labs[j + 1 :]).items():
+                    _combo_add(f, lhs, l3, f.mul(f.mul(sgn, c), c3))
+            rhs = {}
+            for s in range(2, r):
+                t = r + 1 - s
+                for i in range(1, s + 1):
+                    sign = f.sign(stasheff_sign(s, t, i) + (t - 2) * sum(degs[: i - 1]))
+                    for lmid, cmid in a.op_apply(t, labs[i - 1 : i - 1 + t]).items():
+                        outer = labs[: i - 1] + [lmid] + labs[i - 1 + t :]
+                        for l3, c3 in a.op_apply(s, outer).items():
+                            _combo_add(f, rhs, l3, f.mul(sign, f.mul(cmid, c3)))
+            if lhs != rhs:
+                diags.append("structure relation fails at arity %d word %r" % (r, tuple(labs)))
+                if len(diags) > 8:
+                    return False, diags
+    return not diags, diags
+
+
+def _one_coefficient_mutant(alg, rng):
+    """alg with one mu_2 coefficient moved by a nonzero scalar (a new
+    entry if it was zero, none if it becomes zero); degrees are kept.
+    None if no product can land in the basis."""
+    f = alg.field
+    mod = alg.module
+    letters = [(d, l) for d in mod.degrees() for l in mod.labels(d)]
+    spots = [((x, y), z) for dx, x in letters for dy, y in letters for z in mod.labels(dx + dy)]
+    if not spots:
+        return None
+    key, z = rng.choice(spots)
+    ops = {r: {k: dict(v) for k, v in table.items()} for r, table in alg.ops.items()}
+    out = ops.setdefault(2, {}).setdefault(key, {})
+    step = f.of_int(rng.choice([1, 2, -1]) if f.p is None else rng.randint(1, f.p - 1))
+    new = f.add(out.get(z, f.zero()), step)
+    if f.is_zero(new):
+        del out[z]
+    else:
+        out[z] = new
+    return DgAlgebra(f, alg.kind, mod, ops, name="mutant")
+
+
+def _oracle_fixtures():
+    """(algebra, max_arity, partial_range) cases with at most 20 basis elements."""
+    yield exterior(F2), 4, None
+    yield trunc_poly(F2), 4, None
+    yield DgAlgebra(Q, "ainf", trunc_poly(Q).module, dict(trunc_poly(Q).ops)), 4, None
+    yield DgAlgebra(Q, "comm", DgModule.from_data(Q, [("x", 1), ("y", 2)]), {2: {("x", "x"): {"y": Q.one()}}}), 3, None
+    yield DgAlgebra(
+        Q,
+        "assoc",
+        DgModule.from_data(Q, [("a", 1), ("b", 2), ("c", 3)]),
+        {2: {("a", "a"): {"b": Q.one()}, ("a", "b"): {"c": Q.one()}, ("b", "a"): {"c": Q.of_int(-1)}}},
+    ), 4, None
+    yield DgAlgebra(Q, "ainf", DgModule.from_data(Q, [("x", 1), ("w", 4)]), {3: {("x", "x", "x"): {"w": Q.one()}}}), 6, None
+    yield algebra_from_json(load_json(ROOT / "data" / "nonassoc.json"))[0], None, None
+    rng = random.Random(2006)
+    for seed in range(24):
+        for field in (F2, F3, Q):
+            for make in (random_tensor_algebra, random_commutative_algebra):
+                mutant = _one_coefficient_mutant(make(field, seed), rng)
+                if mutant is not None:
+                    yield mutant, None, None
+    for seed, field, hi in ((0, F2, 7), (6, Q, 5), (7, F2, 5), (7, Q, 6), (10, F2, 5)):
+        b = bar(random_commutative_algebra(field, seed), DegreeWindow(0, hi))
+        yield shuffle_product(b), 3, (b.window.lo - 1, b.window.hi + 1)
+    s2 = simplicial_set_from_json(load_json(ROOT / "data" / "s2_boundary.json"))
+    yield normalized_cochains(s2, F2).algebra(), None, None
+    massey = massey_algebra()
+    transferred = transfer_a_infinity(massey, 4)
+    assert list(transferred.ops) == [3]
+    yield transferred, 5, None
+    # the dga itself, with mu_3(a, b, c) = m added as an A-infinity structure
+    ainf = DgAlgebra(F2, "ainf", massey.module, {2: massey.ops[2], 3: {("a", "b", "c"): {"m": F2.one()}}})
+    for alg in (massey, ainf):
+        yield alg, 4, None
+        for _ in range(3):
+            yield _one_coefficient_mutant(alg, rng), 4, None
+    workloads = importlib.import_module("workloads")
+    for seed in range(3):
+        yield algebra_from_json(workloads.late_violation_algebra_json(seed))[0], None, None
+
+
+def test_check_algebra_matches_exhaustive_oracle(monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    mutants = failing = with_diff = 0
+    for alg, max_arity, prange in _oracle_fixtures():
+        assert alg.module.total_dim() <= 20
+        expect = _exhaustive_check_algebra(alg, max_arity, prange)
+        assert check_algebra(alg, max_arity, report=True, partial_range=prange) == expect, alg.name
+        if alg.name == "mutant":
+            mutants += 1
+            failing += not expect[0]
+            with_diff += bool(alg.module.diff)
+    assert mutants >= 100 and failing >= 50 and with_diff >= 20
 
 
 def test_sym_apply_counts():
