@@ -23,20 +23,31 @@ explicit weight bound and raise TruncationUnsound otherwise.
 
 from __future__ import annotations
 
-from . import perm
-from .dg import DgModule, homology
-from .errors import AlgebraCheckFailed, NotCommutative, TruncationUnsound
+from . import perm, trees
+from .dg import DegreeWindow, DgMap, DgModule, homology
+from .errors import AlgebraCheckFailed, InvalidMorphism, NotCommutative, TruncationUnsound
 from .linalg import SparseMatrix
 from .modules import (
     DgAlgebra,
+    RightModule,
+    SymOverOperad,
     TensorRightModule,
     check_algebra,
     evaluate_operad_element,
+    extension,
     gamma_along,
     operad_right_module,
     suspend_right_module,
 )
-from .operads import compose_morphisms, eps_to_assoc, alpha_to_com, identity_morphism, operad_morphism_check
+from .operads import (
+    alpha_to_com,
+    associative_operad,
+    compose_morphisms,
+    eps_to_assoc,
+    identity_morphism,
+    operad_morphism_check,
+    stasheff_operad,
+)
 from .sigma import WordSpace, SigmaModule, _combo_add, routed_compose
 
 
@@ -261,8 +272,6 @@ def iterated_bar(algebra, iterations, window, weight_bounds=None, check=True):
     construction raises TruncationUnsound when a level's support makes
     exact weight truncation impossible.
     """
-    from .dg import DegreeWindow
-
     if iterations < 1:
         raise ValueError("iterations must be >= 1")
     if not algebra.is_commutative_kind():
@@ -298,8 +307,6 @@ def canonical_from_stasheff(operad, k_operad):
     if operad.name == "As":
         return eps_to_assoc(k_operad, operad)
     if operad.name == "Com":
-        from .operads import associative_operad
-
         as_op = associative_operad(operad.field, operad.arity_bound())
         return compose_morphisms(alpha_to_com(as_op, operad), eps_to_assoc(k_operad, as_op))
     raise ValueError("no canonical morphism into %r" % (operad.name,))
@@ -319,11 +326,8 @@ class BarModule:
         self.eta = eta
         self.field = operad.field
         self.arity_bound = arity_bound
-        if check_eta:
-            from .errors import InvalidMorphism
-
-            if not operad_morphism_check(eta, min(arity_bound, eta.source.arity_bound())):
-                raise InvalidMorphism("eta: K -> R is not an operad morphism")
+        if check_eta and not operad_morphism_check(eta, min(arity_bound, eta.source.arity_bound())):
+            raise InvalidMorphism("eta: K -> R is not an operad morphism")
         self.susp_sigma = operad.sigma.suspend()
         self.word_spaces = {
             n: WordSpace(self.field, [self.susp_sigma] * n, arity_bound) for n in range(1, arity_bound + 1)
@@ -349,8 +353,6 @@ class BarModule:
             basis = {d: tuple(ls) for d, ls in sorted(by_degree.items())}
             components[r] = DgModule.from_rule(f, basis, lambda d, label: self.diff_label(r, d, label))
         self.sigma = SigmaModule.from_rule(f, components, self._act_adjacent)
-        from .modules import RightModule
-
         self.right_module = RightModule(f, self.sigma, self.operad, self._act_partial, name="B_%s" % self.operad.name)
 
     def _act_adjacent(self, r, s_i, d, label):
@@ -370,7 +372,7 @@ class BarModule:
             susp_degs = [t[1] for t in sub_triples]
             des = desuspension_parity(susp_degs)
             bare = [(t[0], t[1] - 1, t[2][1]) for t in sub_triples]
-            head_combo = eta.apply_triple((rr, rr - 2, _stasheff_generator_label(eta, rr)))
+            head_combo = eta.apply_triple((rr, rr - 2, trees.corolla(mu, rr)))
             out = {}
             for lh, ch in head_combo.items():
                 for (b, dgb, lab), c in op.gamma((rr, rr - 2, lh), bare).items():
@@ -410,13 +412,6 @@ class BarModule:
         return self.sigma.dims()
 
 
-def _stasheff_generator_label(eta, rr):
-    """The corolla basis label of mu_rr in the Stasheff source of eta."""
-    from . import trees
-
-    return trees.corolla(("mu", rr), rr)
-
-
 def bar_module(operad, arity_bound, eta=None, k_operad=None):
     """The bar module B_R for R in {K, As, Com} (or explicit eta)."""
     if eta is None:
@@ -424,8 +419,6 @@ def bar_module(operad, arity_bound, eta=None, k_operad=None):
             eta = identity_morphism(operad)
         else:
             if k_operad is None:
-                from .operads import stasheff_operad
-
                 k_operad = stasheff_operad(operad.field, operad.arity_bound())
             eta = canonical_from_stasheff(operad, k_operad)
     return BarModule(operad, eta, arity_bound)
@@ -438,9 +431,6 @@ def sym_bar_comparison(bar_mod, algebra, weights, window):
     fails to kill the coequalizer relations, fails to be a chain map, or
     fails to be bijective within the window.
     """
-    from .dg import DegreeWindow
-    from .modules import SymOverOperad
-
     f = bar_mod.field
     op = bar_mod.operad
     sym = SymOverOperad(bar_mod.right_module, algebra, op, weights)
@@ -483,8 +473,6 @@ def sym_bar_comparison(bar_mod, algebra, weights, window):
             if image != image2:
                 raise AssertionError("comparison map does not descend to the coequalizer at %r" % (lab,))
     # chain map + iso on the window
-    from .dg import DgMap
-
     iso = DgMap(sym.module, target.module, 0, blocks)
     if not iso.is_chain_map():
         raise AssertionError("Sym_R(B_R, A) -> B(A) is not a chain map")
@@ -501,13 +489,11 @@ def sym_bar_comparison(bar_mod, algebra, weights, window):
 def bar_extension_iso(bar_mod_r, psi, arity_bound, bar_mod_s=None):
     """The isomorphism B_R o_R S -> B_S induced by psi: R -> S.
 
-    Both sides are computed independently; the collapse map is checked
-    to kill the coequalizer relations, commute with differentials and
-    the symmetric group actions, and be bijective.  Returns
-    (extended, bar_mod_s, iso_blocks_per_arity).
+    Both sides are computed independently; the collapse map, defined on
+    the kept basis of the coequalizer, is checked to be a chain map and
+    bijective in every arity.  Returns (extended, bar_mod_s, iso_blocks)
+    with iso_blocks[(r, d)] its matrix in arity r and degree d.
     """
-    from .modules import extension
-
     f = bar_mod_r.field
     s_op = psi.target
     if bar_mod_s is None:
@@ -530,29 +516,11 @@ def bar_extension_iso(bar_mod_r, psi, arity_bound, bar_mod_s=None):
     iso_blocks = {}
     for r in ext.sigma.arities():
         comp = ext.sigma.component(r)
-        t_comp = bar_mod_s.component(r)
-        t_index = {d: {lab: i for i, lab in enumerate(t_comp.labels(d))} for d in t_comp.degrees()}
+        iso = DgMap.from_rule(comp, bar_mod_s.component(r), 0, lambda d, lab: collapse(lab))
         for d in comp.degrees():
-            mat = SparseMatrix.zero(f, t_comp.dim(d), comp.dim(d))
-            for a, lab in enumerate(comp.labels(d)):
-                for lab2, c in collapse(lab).items():
-                    mat.add_to(t_index[d][lab2], a, c)
-            iso_blocks[(r, d)] = mat
-        # dims must agree degreewise
-        dims_l = {d: comp.dim(d) for d in comp.degrees()}
-        dims_r = {d: t_comp.dim(d) for d in t_comp.degrees()}
-        if dims_l != dims_r:
-            raise AssertionError("arity %d: dims %r vs %r" % (r, dims_l, dims_r))
-        # chain map: D_S . phi = phi . D_ext ; and bijectivity
-        from .linalg import rank as _rank
-
-        for d in comp.degrees():
-            if _rank(iso_blocks[(r, d)]) != comp.dim(d):
-                raise AssertionError("collapse map not bijective at arity %d degree %d" % (r, d))
-            lhs = t_comp.diff_block(d).matmul(iso_blocks[(r, d)])
-            rhs = iso_blocks.get((r, d - 1), SparseMatrix.zero(f, t_comp.dim(d - 1), comp.dim(d - 1))).matmul(
-                comp.diff_block(d)
-            )
-            if not lhs.sub(rhs).is_zero():
-                raise AssertionError("collapse map not a chain map at arity %d degree %d" % (r, d))
+            iso_blocks[(r, d)] = iso.block(d)
+        if not iso.is_iso():
+            raise AssertionError("collapse map not bijective at arity %d" % r)
+        if not iso.is_chain_map():
+            raise AssertionError("collapse map not a chain map at arity %d" % r)
     return ext, bar_mod_s, iso_blocks

@@ -154,6 +154,10 @@ def cmd_cochains(args):
 def cmd_verify(args):
     from .verify import run_suite
 
+    # the suites need an operation of arity 2 and a degree window reaching degree 1
+    for flag, value, least in (("--arity-bound", args.arity_bound, 2), ("--max-degree", args.max_degree, 1)):
+        if value is not None and value < least:
+            raise OpbarError("verify needs %s of at least %d, got %d" % (flag, least, value))
     results = run_suite(
         args.suite,
         arity=args.arity_bound,

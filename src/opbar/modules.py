@@ -21,28 +21,9 @@ from itertools import product
 from . import perm, trees
 from .dg import DgModule
 from .errors import AlgebraCheckFailed, InvalidMorphism
-from .linalg import Quotient
-from .operads import stasheff_sign
+from .linalg import Quotient, quotient_data
+from .operads import gamma_partial, operad_morphism_check, stasheff_sign
 from .sigma import SigmaModule, WordSpace, _combo_add, compose, routed_compose
-
-
-def gamma_partial(field, compose_fn, head, args):
-    """Full composition head(q_1,...,q_k) via left-to-right partials.
-
-    `compose_fn(triple, slot, q)` returns a label combo; triples are
-    (arity, degree, label).  Left-to-right insertion carries no extra
-    Koszul signs in the conventions of this engine.
-    """
-    cur = {head: field.one()}
-    slot = 1
-    for q in args:
-        nxt = {}
-        for t, c in cur.items():
-            for label, c2 in compose_fn(t, slot, q).items():
-                _combo_add(field, nxt, (t[0] + q[0] - 1, t[1] + q[1], label), field.mul(c, c2))
-        cur = nxt
-        slot += q[0]
-    return cur
 
 
 class RightModule:
@@ -80,12 +61,12 @@ class RightModule:
         for n in self.sigma.arities():
             if n > bound:
                 continue
-            for m in _basis_triples(self.sigma, n):
+            for m in self.sigma.basis_triples(n):
                 for i in range(1, n + 1):
                     if self.act_partial(m, i, unit) != {m[2]: f.one()}:
                         raise ValueError("module unit law fails at %r slot %d" % (m, i))
         for n in self.sigma.arities():
-            for m in _basis_triples(self.sigma, n):
+            for m in self.sigma.basis_triples(n):
                 for s in op.sigma.arities():
                     for q in op.basis_triples(s):
                         for t in op.sigma.arities():
@@ -128,7 +109,7 @@ class RightModule:
                                             raise ValueError("disjoint module law fails at %r" % (m,))
         # derivation: d(m o_i q) = dm o_i q + (-1)^{|m|} m o_i dq
         for n in self.sigma.arities():
-            for m in _basis_triples(self.sigma, n):
+            for m in self.sigma.basis_triples(n):
                 for s in op.sigma.arities():
                     if n + s - 1 > bound:
                         continue
@@ -149,13 +130,6 @@ class RightModule:
                                     _combo_add(f, rhs, lab, f.mul(f.mul(sgn, cq), c2))
                             if lhs != rhs:
                                 raise ValueError("module derivation fails at %r o_%d %r" % (m, i, q))
-
-
-def _basis_triples(sigma, n):
-    comp = sigma.component(n)
-    for d in comp.degrees():
-        for label in comp.labels(d):
-            yield (n, d, label)
 
 
 def operad_right_module(op):
@@ -740,11 +714,9 @@ class ExtendedModule:
         self.psi = psi
         self.r_op = psi.source
         self.s_op = psi.target
-        if check_morphism:
-            from .operads import operad_morphism_check
-
-            if not operad_morphism_check(psi, min(arity_bound, self.r_op.arity_bound(), self.s_op.arity_bound())):
-                raise InvalidMorphism("psi is not an operad morphism")
+        bound = min(arity_bound, self.r_op.arity_bound(), self.s_op.arity_bound())
+        if check_morphism and not operad_morphism_check(psi, bound):
+            raise InvalidMorphism("psi is not an operad morphism")
         self.arity_bound = arity_bound
         self.compose_ms = compose(right_module.sigma, self.s_op.sigma, arity_bound)
         self._coequalize()
@@ -950,19 +922,14 @@ def module_hom_dimension(m, n, arity_bound=None):
                                 add_relation(coeffs)
     if not unknowns:
         return 0
-    from .linalg import quotient_data
-
     kept, _ = quotient_data(f, len(unknowns), relations)
     return len(kept)
 
 
 def restriction(right_module_over_s, psi, check_morphism=True):
     """Restriction of structure: same module, action through psi."""
-    if check_morphism:
-        from .operads import operad_morphism_check
-
-        if not operad_morphism_check(psi):
-            raise InvalidMorphism("psi is not an operad morphism")
+    if check_morphism and not operad_morphism_check(psi):
+        raise InvalidMorphism("psi is not an operad morphism")
     s_module = right_module_over_s
     field = s_module.field
 

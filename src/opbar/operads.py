@@ -16,12 +16,31 @@ which the bar-module tests enforce.
 
 from __future__ import annotations
 
-from itertools import permutations as _permutations
+from itertools import permutations as _permutations, product
 
 from . import perm, trees
 from .dg import DgModule
 from .errors import ArityBoundExceeded
 from .sigma import SigmaModule, _combo_add
+
+
+def gamma_partial(field, compose_fn, head, args):
+    """Full composition head(q_1,...,q_k) via left-to-right partials.
+
+    `compose_fn(triple, slot, q)` returns a label combo; triples are
+    (arity, degree, label).  Left-to-right insertion carries no extra
+    Koszul signs in the vertex-word convention.
+    """
+    cur = {head: field.one()}
+    slot = 1
+    for q in args:
+        nxt = {}
+        for t, c in cur.items():
+            for label, c2 in compose_fn(t, slot, q).items():
+                _combo_add(field, nxt, (t[0] + q[0] - 1, t[1] + q[1], label), field.mul(c, c2))
+        cur = nxt
+        slot += q[0]
+    return cur
 
 
 class Operad:
@@ -60,33 +79,9 @@ class Operad:
             )
         return self.compose_basic(p_triple, i, q_triple)
 
-    def compose_combo(self, p_combo_triples, i, q_combo_triples):
-        """Bilinear extension over {triple: coeff} dicts."""
-        f = self.field
-        out = {}
-        for (pt, cp) in p_combo_triples.items():
-            for (qt, cq) in q_combo_triples.items():
-                for label, c in self.compose_partial(pt, i, qt).items():
-                    _combo_add(f, out, (pt[0] + qt[0] - 1, pt[1] + qt[1], label), f.mul(f.mul(cp, cq), c))
-        return out
-
     def gamma(self, p_triple, args):
-        """Full composition p(q_1,...,q_s), args a list of triples.
-
-        Defined by left-to-right partial compositions, which carries no
-        extra Koszul signs in the vertex-word convention.
-        """
-        f = self.field
-        cur = {p_triple: f.one()}
-        slot = 1
-        for q in args:
-            nxt = {}
-            for pt, cp in cur.items():
-                for label, c in self.compose_partial(pt, slot, q).items():
-                    _combo_add(f, nxt, (pt[0] + q[0] - 1, pt[1] + q[1], label), f.mul(cp, c))
-            cur = nxt
-            slot += q[0]
-        return cur
+        """Full composition p(q_1,...,q_s), args a list of triples."""
+        return gamma_partial(self.field, self.compose_partial, p_triple, args)
 
     def differential_combo(self, triple):
         """d of a basis element, as {triple: coeff}."""
@@ -98,10 +93,7 @@ class Operad:
         return out
 
     def basis_triples(self, n):
-        comp = self.component(n)
-        for d in comp.degrees():
-            for label in comp.labels(d):
-                yield (n, d, label)
+        return self.sigma.basis_triples(n)
 
 
 class AssociativeOperad(Operad):
@@ -198,19 +190,15 @@ class FreeOperad(Operad):
         par, out = trees.graft(p, i, q, self.degree_of)
         return {out: self.field.sign(par)}
 
-    def _gen_diff_combo(self, field, name):
-        return self.gen_diff.get(name, {})
-
     def _tree_diff(self, field, t):
         """Derivation extension of the generator differentials.
 
-        Works на planar-standard shapes via one-child-at-a-time
+        Works on planar-standard shapes via one-child-at-a-time
         decomposition, then transports along the leaf relabeling.
         """
         f = field
         labels = trees.leaf_labels(t)
         n = len(labels)
-        sigma = tuple(labels)  # shape . sigma = t, where shape is planar-standard
         shape = trees.relabel(t, {labels[k]: k + 1 for k in range(n)})
         out_shape = self._shape_diff(f, shape)
         out = {}
@@ -223,7 +211,7 @@ class FreeOperad(Operad):
             return {}
         children = t[1:]
         if all(trees.is_leaf(c) for c in children):
-            return dict(self._gen_diff_combo(f, t[0]))
+            return dict(self.gen_diff.get(t[0], {}))
         # split off the leftmost non-leaf child: t = p o_j c
         j = None
         offset = 0
@@ -238,15 +226,12 @@ class FreeOperad(Operad):
         a_child = trees.arity(child)
         # p: t with that child collapsed to one leaf, labels renormalized
         new_children = []
-        pos = 0
         for idx, c in enumerate(children):
-            a = trees.arity(c)
             if idx == child_index:
                 new_children.append(trees.leaf(j))
             else:
                 shift = {l: (l if l < j else l - a_child + 1) for l in trees.leaf_labels(c)}
                 new_children.append(trees.relabel(c, shift))
-            pos += a
         p = (t[0],) + tuple(new_children)
         c_std = trees.relabel(child, {l: l - j + 1 for l in trees.leaf_labels(child)})
         dp = self._shape_diff(f, p)
@@ -269,18 +254,18 @@ def stasheff_sign(s, t, i):
 
 def stasheff_generator_diff(field, r):
     """d(mu_r) as {tree: coeff} over the corolla generators."""
+    return _generator_diff(field, r, stasheff_sign)
+
+
+def _generator_diff(field, r, sign):
+    """d(mu_r) with mu_s o_i mu_t entering at (-1)^{sign(s, t, i)} times its grafting sign."""
     degs = {("mu", k): k - 2 for k in range(2, r + 1)}
     out = {}
     for s in range(2, r):
         t = r + 1 - s
-        if t < 2:
-            continue
         for i in range(1, s + 1):
-            par, tree = trees.graft(
-                trees.corolla(("mu", s), s), i, trees.corolla(("mu", t), t), degs
-            )
-            c = field.sign(stasheff_sign(s, t, i) + par)
-            _combo_add(field, out, tree, c)
+            par, tree = trees.graft(trees.corolla(("mu", s), s), i, trees.corolla(("mu", t), t), degs)
+            _combo_add(field, out, tree, field.sign(sign(s, t, i) + par))
     return out
 
 
@@ -290,25 +275,32 @@ def stasheff_d_squared_vanishes(field, max_arity):
     Works on tree combinations directly (no operad materialization), so
     arity 7 runs in well under a second.
     """
+    return _d_squared_vanishes(field, max_arity, stasheff_sign)
+
+
+def _d_squared_vanishes(field, max_arity, sign):
+    """d(d(mu_r)) = 0 for every r <= max_arity, d(mu_r) being `_generator_diff` under `sign`.
+
+    d of the term mu_s o_i mu_t of d(mu_r) is the derivation rule
+    d(mu_s) o_i mu_t + (-1)^{|mu_s|} mu_s o_i d(mu_t).
+    """
     degs = {("mu", k): k - 2 for k in range(2, max_arity + 1)}
+    mu = {k: trees.corolla(("mu", k), k) for k in range(2, max_arity + 1)}
+    diff = {k: _generator_diff(field, k, sign) for k in range(2, max_arity)}
     for r in range(2, max_arity + 1):
         acc = {}
         for s in range(2, r):
             t = r + 1 - s
-            if t < 2:
-                continue
+            sgn_s = field.sign(s - 2)
             for i in range(1, s + 1):
-                par0, _ = trees.graft(trees.corolla(("mu", s), s), i, trees.corolla(("mu", t), t), degs)
-                c0 = field.sign(stasheff_sign(s, t, i) + par0)
-                # d(mu_s) o_i mu_t
-                for ptree, pc in stasheff_generator_diff(field, s).items():
-                    par, tr = trees.graft(ptree, i, trees.corolla(("mu", t), t), degs)
+                par0, _ = trees.graft(mu[s], i, mu[t], degs)
+                c0 = field.sign(sign(s, t, i) + par0)
+                for ptree, pc in diff[s].items():
+                    par, tr = trees.graft(ptree, i, mu[t], degs)
                     _combo_add(field, acc, tr, field.mul(c0, field.mul(pc, field.sign(par))))
-                # (-1)^{|mu_s|} mu_s o_i d(mu_t)
-                sgn_p = field.sign(s - 2)
-                for qtree, qc in stasheff_generator_diff(field, t).items():
-                    par, tr = trees.graft(trees.corolla(("mu", s), s), i, qtree, degs)
-                    _combo_add(field, acc, tr, field.mul(c0, field.mul(field.mul(sgn_p, qc), field.sign(par))))
+                for qtree, qc in diff[t].items():
+                    par, tr = trees.graft(mu[s], i, qtree, degs)
+                    _combo_add(field, acc, tr, field.mul(c0, field.mul(field.mul(sgn_s, qc), field.sign(par))))
         if acc:
             return False
     return True
@@ -320,59 +312,29 @@ def stasheff_unique_sign_convention(field, max_arity=5):
     Returns the list of coefficient tuples; exactly two survive through
     arity 5 (a global-sign pair), one of which is the pinned convention.
     """
-    from itertools import product as _product
-
-    degs = {("mu", k): k - 2 for k in range(2, max_arity + 1)}
     good = []
-    for coeffs in _product([0, 1], repeat=7):
+    for coeffs in product([0, 1], repeat=7):
         a, b, c, d, e, f_, g = coeffs
 
-        def sign_fn(s, t, i):
+        def sign(s, t, i):
             return (a * i + b * s + c * t + d * i * t + e * i * s + f_ * s * t + g) % 2
 
-        ok = True
-        for r in range(2, max_arity + 1):
-            acc = {}
-            for s in range(2, r):
-                t = r + 1 - s
-                if t < 2:
-                    continue
-                for i in range(1, s + 1):
-                    par0, _ = trees.graft(
-                        trees.corolla(("mu", s), s), i, trees.corolla(("mu", t), t), degs
-                    )
-                    c0 = field.sign(sign_fn(s, t, i) + par0)
-                    for s2 in range(2, s):
-                        t2 = s + 1 - s2
-                        if t2 < 2:
-                            continue
-                        for i2 in range(1, s2 + 1):
-                            par1, tr1 = trees.graft(
-                                trees.corolla(("mu", s2), s2), i2, trees.corolla(("mu", t2), t2), degs
-                            )
-                            c1 = field.mul(c0, field.sign(sign_fn(s2, t2, i2) + par1))
-                            par, tr = trees.graft(tr1, i, trees.corolla(("mu", t), t), degs)
-                            _combo_add(field, acc, tr, field.mul(c1, field.sign(par)))
-                    sgn_p = field.sign(s - 2)
-                    for s2 in range(2, t):
-                        t2 = t + 1 - s2
-                        if t2 < 2:
-                            continue
-                        for i2 in range(1, s2 + 1):
-                            par1, tr1 = trees.graft(
-                                trees.corolla(("mu", s2), s2), i2, trees.corolla(("mu", t2), t2), degs
-                            )
-                            c1 = field.mul(
-                                field.mul(c0, sgn_p), field.sign(sign_fn(s2, t2, i2) + par1)
-                            )
-                            par, tr = trees.graft(trees.corolla(("mu", s), s), i, tr1, degs)
-                            _combo_add(field, acc, tr, field.mul(c1, field.sign(par)))
-            if acc:
-                ok = False
-                break
-        if ok:
+        if _d_squared_vanishes(field, max_arity, sign):
             good.append(coeffs)
     return good
+
+
+def _binary_word(tree):
+    """The leaf labels of a tree whose vertices are all binary, left to right; None otherwise."""
+    word = []
+
+    def walk(node):
+        if trees.is_leaf(node):
+            word.append(node[1])
+            return True
+        return len(node) == 3 and walk(node[1]) and walk(node[2])
+
+    return tuple(word) if walk(tree) else None
 
 
 def eps_kills_stasheff_differential(field, max_arity):
@@ -381,24 +343,10 @@ def eps_kills_stasheff_differential(field, max_arity):
     For r = 3 this is associativity of the product; beyond, every term
     carries a generator of arity > 2 and dies.
     """
-
-    def eps_tree(t):
-        word = []
-
-        def walk(node):
-            if trees.is_leaf(node):
-                word.append(node[1])
-                return True
-            if len(node) != 3:
-                return False
-            return walk(node[1]) and walk(node[2])
-
-        return tuple(word) if walk(t) else None
-
     for r in range(3, max_arity + 1):
         acc = {}
         for tr, c in stasheff_generator_diff(field, r).items():
-            w = eps_tree(tr)
+            w = _binary_word(tr)
             if w is not None:
                 _combo_add(field, acc, w, c)
         if acc:
@@ -487,21 +435,8 @@ def eps_to_assoc(k_operad, as_operad):
         n, d, t = triple
         if n == 1:
             return {as_operad.unit_label: k_operad.field.one()}
-        if d != 0:
-            return {}
-        word = []
-
-        def walk(node):
-            if trees.is_leaf(node):
-                word.append(node[1])
-                return True
-            if len(node) != 3:
-                return False
-            return walk(node[1]) and walk(node[2])
-
-        if not walk(t):
-            return {}
-        return {tuple(word): k_operad.field.one()}
+        word = _binary_word(t) if d == 0 else None
+        return {} if word is None else {word: k_operad.field.one()}
 
     return OperadMorphism(k_operad, as_operad, rule, name="eps")
 
@@ -599,11 +534,16 @@ def operad_morphism_check(f, arity_bound=None, report=False):
 
 
 def check_operad(op, arity_bound=None, deep=False):
-    """Unit, associativity, equivariance, derivation and d^2 checks.
+    """Unit, associativity, equivariance and derivation checks.
 
-    Raises ValueError on the first failure.  `deep` additionally runs
+    Raises ValueError on the first failure.  The right unit,
+    associativity and derivation laws are those of `op` as a right
+    module over itself, checked by `RightModule.check_module`; the left
+    unit and equivariance are checked here.  `deep` additionally runs
     the Sigma-module relation checks.
     """
+    from .modules import operad_right_module  # modules imports this module
+
     field = op.field
     bound = arity_bound or op.arity_bound()
     if deep:
@@ -611,84 +551,9 @@ def check_operad(op, arity_bound=None, deep=False):
     unit = op.unit_triple()
     for n in range(1, bound + 1):
         for p in op.basis_triples(n):
-            for i in range(1, n + 1):
-                if op.compose_partial(p, i, unit) != {p[2]: field.one()}:
-                    raise ValueError("right unit law fails at %r slot %d" % (p, i))
             if op.compose_partial(unit, 1, p) != {p[2]: field.one()}:
                 raise ValueError("left unit law fails at %r" % (p,))
-
-    def combos_equal(a, b):
-        return a == b
-
-    for s in range(1, bound + 1):
-        for t in range(1, bound + 1):
-            for u in range(1, bound + 1):
-                if s + t + u - 2 > bound:
-                    continue
-                for p in op.basis_triples(s):
-                    for q in op.basis_triples(t):
-                        for r_ in op.basis_triples(u):
-                            # nested: (p o_i q) o_{i+j-1} r = p o_i (q o_j r)
-                            for i in range(1, s + 1):
-                                for j in range(1, t + 1):
-                                    lhs = op.compose_combo(
-                                        op_combo_wrap(op, op.compose_partial(p, i, q), s + t - 1, p[1] + q[1]),
-                                        i + j - 1,
-                                        {r_: field.one()},
-                                    )
-                                    rhs = op.compose_combo(
-                                        {p: field.one()},
-                                        i,
-                                        op_combo_wrap(op, op.compose_partial(q, j, r_), t + u - 1, q[1] + r_[1]),
-                                    )
-                                    if not combos_equal(lhs, rhs):
-                                        raise ValueError(
-                                            "nested associativity fails: %r o_%d %r o_%d %r" % (p, i, q, j, r_)
-                                        )
-                            # disjoint: (p o_i q) o_{j+t-1} r = (-1)^{|q||r|} (p o_j r) o_i q, i<j
-                            for i in range(1, s + 1):
-                                for j in range(i + 1, s + 1):
-                                    lhs = op.compose_combo(
-                                        op_combo_wrap(op, op.compose_partial(p, i, q), s + t - 1, p[1] + q[1]),
-                                        j + t - 1,
-                                        {r_: field.one()},
-                                    )
-                                    rhs = op.compose_combo(
-                                        op_combo_wrap(op, op.compose_partial(p, j, r_), s + u - 1, p[1] + r_[1]),
-                                        i,
-                                        {q: field.one()},
-                                    )
-                                    sgn = field.sign(q[1] * r_[1])
-                                    rhs = {k: field.mul(sgn, v) for k, v in rhs.items()}
-                                    if not combos_equal(lhs, rhs):
-                                        raise ValueError(
-                                            "disjoint associativity fails: %r o_%d %r, o_%d %r" % (p, i, q, j, r_)
-                                        )
-
-    # derivation: d(p o_i q) = dp o_i q + (-1)^{|p|} p o_i dq
-    for s in range(1, bound + 1):
-        for t in range(1, bound + 1):
-            if s + t - 1 > bound:
-                continue
-            for p in op.basis_triples(s):
-                for q in op.basis_triples(t):
-                    for i in range(1, s + 1):
-                        lhs = {}
-                        for label, c in op.compose_partial(p, i, q).items():
-                            for t2, c2 in op.differential_combo((s + t - 1, p[1] + q[1], label)).items():
-                                _combo_add(field, lhs, t2, field.mul(c, c2))
-                        rhs = {}
-                        for pt, cp in op.differential_combo(p).items():
-                            for label, c in op.compose_partial(pt, i, q).items():
-                                _combo_add(field, rhs, (s + t - 1, pt[1] + q[1], label), field.mul(cp, c))
-                        sgn = field.sign(p[1])
-                        for qt, cq in op.differential_combo(q).items():
-                            for label, c in op.compose_partial(p, i, qt).items():
-                                _combo_add(
-                                    field, rhs, (s + t - 1, p[1] + qt[1], label), field.mul(field.mul(sgn, cq), c)
-                                )
-                        if lhs != rhs:
-                            raise ValueError("derivation rule fails at %r o_%d %r" % (p, i, q))
+    operad_right_module(op).check_module(bound)
 
     # equivariance: (p.sigma) o_i (q.tau) = (p o_{sigma(i)} q).(sigma o_i tau)
     for s in range(1, bound + 1):
@@ -718,7 +583,3 @@ def check_operad(op, arity_bound=None, deep=False):
                                     raise ValueError(
                                         "equivariance fails at %r o_%d %r with generators" % (p, i, q)
                                     )
-
-
-def op_combo_wrap(op, label_combo, arity, degree):
-    return {(arity, degree, label): c for label, c in label_combo.items()}

@@ -84,6 +84,13 @@ class SigmaModule:
         c = self.components.get(n)
         return c if c is not None else DgModule.zero(self.field)
 
+    def basis_triples(self, n):
+        """The basis of M(n) as (arity, degree, label) triples, degree by degree."""
+        comp = self.component(n)
+        for d in comp.degrees():
+            for label in comp.labels(d):
+                yield (n, d, label)
+
     def dims(self):
         return {n: {d: c.dim(d) for d in c.degrees()} for n, c in sorted(self.components.items())}
 

@@ -244,6 +244,24 @@ def test_cli_rejects_malformed_input(tmp_path, argv, data, message):
 
 
 @pytest.mark.parametrize(
+    "suite, flag, value, least",
+    [
+        ("stasheff", "--arity-bound", "1", 2),
+        ("bar-module", "--arity-bound", "1", 2),
+        ("extension", "--arity-bound", "1", 2),
+        ("loops", "--max-degree", "-3", 1),
+        ("shuffle", "--max-degree", "0", 1),
+    ],
+)
+def test_cli_verify_rejects_nonsense_bounds(suite, flag, value, least):
+    r = run_cli("verify", "--suite", suite, flag, value)
+    assert r.returncode == 2
+    assert "verify needs %s of at least %d, got %s" % (flag, least, value) in r.stderr
+    assert "Traceback" not in r.stderr
+    assert r.stdout == ""  # rejected before any check ran
+
+
+@pytest.mark.parametrize(
     "flags, expected",
     [
         ([], {"a": (3, 4), "b": 1}),

@@ -15,6 +15,7 @@ from opbar.simplicial import normalized_cochains, simplicial_set_from_json
 from opbar.transfer import transfer_a_infinity
 from opbar.modules import (
     DgAlgebra,
+    RightModule,
     TensorRightModule,
     _tensor_diff_terms,
     check_algebra,
@@ -64,6 +65,21 @@ def trunc_poly(field):
 def test_operads_are_modules_over_themselves():
     for op in (associative_operad(Q, 3), commutative_operad(Q, 3), stasheff_operad(Q, 3)):
         operad_right_module(op).check_module(3)
+
+
+def test_check_module_rejects_a_corrupted_action():
+    As = associative_operad(Q, 4)
+    m = (2, 0, (1, 2))
+    image = As.compose_partial(m, 1, m)
+
+    def action(m_triple, slot, q_triple):
+        if (m_triple, slot, q_triple) == (m, 1, m):
+            return {label: Q.of_int(2) for label in image}
+        return As.compose_partial(m_triple, slot, q_triple)
+
+    operad_right_module(As).check_module(4)
+    with pytest.raises(ValueError):
+        RightModule(Q, As.sigma, As, action).check_module(4)
 
 
 def test_suspended_module_axioms():

@@ -1,6 +1,9 @@
+import copy
+
 import pytest
 
 from opbar import trees
+from opbar.jsonio import operad_from_json, operad_to_json
 from opbar.linalg import CoeffField
 from opbar.operads import (
     OperadMorphism,
@@ -23,6 +26,7 @@ from opbar.operads import (
 
 Q = CoeffField.rationals()
 F2 = CoeffField.prime(2)
+F3 = CoeffField.prime(3)
 
 
 def test_basic_dims():
@@ -160,3 +164,53 @@ def test_d_squared_enforced_at_construction():
     # an honest acyclic pair passes
     good = free_operad(Q, {2: [("a", 0), ("b", 1)]}, 3, {"b": {trees.corolla("a", 2): Q.one()}})
     check_operad(good, 3)
+
+
+def _compositions(data, s, t):
+    """The entries p o_i q of an exported composition table with p of arity s and q of arity t."""
+    arity = {e["name"]: c["arity"] for c in data["components"] for e in c["basis"]}
+    return [e for e in data["compositions"] if (arity[e["p"]], arity[e["q"]]) == (s, t)]
+
+
+def _drop_binary_composition(data):
+    data["compositions"].remove(_compositions(data, 2, 2)[0])
+
+
+def _swap_binary_output(data):
+    entries = _compositions(data, 2, 2)
+    other = next(e for e in entries if e["output"] != entries[0]["output"])
+    entries[0]["output"] = copy.deepcopy(other["output"])
+
+
+@pytest.mark.parametrize("field", [Q, F2, F3], ids=["Q", "F2", "F3"])
+@pytest.mark.parametrize(
+    "build", [associative_operad, commutative_operad, stasheff_operad], ids=["As", "Com", "K"]
+)
+def test_check_operad_rejects_one_entry_mutants(build, field):
+    # arity bound 4, so that mu_2 o_i mu_2 meets a third mu_2 in the associativity laws
+    data = operad_to_json(build(field, 4), 4)
+    check_operad(operad_from_json(data), 4)
+    edits = [_drop_binary_composition]
+    if build is not commutative_operad:  # Com has one element per arity: nothing to swap in
+        edits.append(_swap_binary_output)
+    for edit in edits:
+        mutant = copy.deepcopy(data)
+        edit(mutant)
+        with pytest.raises(ValueError):
+            check_operad(operad_from_json(mutant), 4)
+
+
+def test_check_operad_rejects_a_dropped_action():
+    data = operad_to_json(associative_operad(Q, 3), 3)
+    del data["actions"][0]
+    with pytest.raises(ValueError):
+        check_operad(operad_from_json(data), 3)
+
+
+def test_check_operad_checks_associativity_as_a_module_law():
+    # doubling every mu_2 o_i mu_3 of Com keeps it equivariant and breaks associativity
+    data = operad_to_json(commutative_operad(Q, 4), 4)
+    for entry in _compositions(data, 2, 3):
+        entry["output"][0]["coeff"] = "2"
+    with pytest.raises(ValueError, match="module law"):
+        check_operad(operad_from_json(data), 4)
