@@ -26,7 +26,7 @@ from __future__ import annotations
 from . import perm, trees
 from .dg import DegreeWindow, DgMap, DgModule, homology
 from .errors import AlgebraCheckFailed, InvalidMorphism, NotCommutative, TruncationUnsound
-from .linalg import SparseMatrix
+from .linalg import SparseMatrix, combo_add, combo_map
 from .modules import (
     DgAlgebra,
     RightModule,
@@ -48,7 +48,7 @@ from .operads import (
     operad_morphism_check,
     stasheff_operad,
 )
-from .sigma import WordSpace, SigmaModule, _combo_add, routed_compose
+from .sigma import WordSpace, SigmaModule, routed_compose
 
 
 def sound_weight_bound(suspended_degrees, window):
@@ -153,7 +153,7 @@ class BarComplex:
         for j, (d, l) in enumerate(word):
             for l2, c in a.module.apply_diff(d, {l: f.one()}).items():
                 w2 = word[:j] + ((d - 1, l2),) + word[j + 1 :]
-                _combo_add(f, out, w2, f.mul(f.sign(prefix + 1), c))
+                combo_add(f, out, w2, f.mul(f.sign(prefix + 1), c))
             prefix += d + 1
         # coderivation
         n = len(word)
@@ -167,7 +167,7 @@ class BarComplex:
                 for l2, c in a.op_apply(r, tuple(l for _, l in chunk)).items():
                     d2 = sum(d for d, _ in chunk) + r - 2
                     w2 = word[: i - 1] + ((d2, l2),) + word[i - 1 + r :]
-                    _combo_add(f, out, w2, f.mul(f.sign(pre + des), c))
+                    combo_add(f, out, w2, f.mul(f.sign(pre + des), c))
         return out
 
     # structure ------------------------------------------------------------------
@@ -202,7 +202,7 @@ class BarComplex:
                         for j, (dd, l) in enumerate(word):
                             for l2, c2 in self.algebra.module.apply_diff(dd, {l: f.one()}).items():
                                 w2 = word[:j] + ((dd - 1, l2),) + word[j + 1 :]
-                                _combo_add(f, internal, w2, f.mul(f.sign(prefix + 1), c2))
+                                combo_add(f, internal, w2, f.mul(f.sign(prefix + 1), c2))
                             prefix += dd + 1
                         if internal.get(word2) != c:
                             return False
@@ -233,7 +233,7 @@ def shuffle_word_product(field, u, v):
         for j, pos in enumerate(w):
             placed[pos - 1] = letters[j]
         sgn = field.sign(perm.koszul_sign_exponent(susp, w))
-        _combo_add(field, out, tuple(placed), sgn)
+        combo_add(field, out, tuple(placed), sgn)
     return out
 
 
@@ -364,21 +364,20 @@ class BarModule:
     def _b_operator(self, rr):
         """The suspended operation applied to rr consecutive letters."""
         f = self.field
-        eta = self.eta
         op = self.operad
-        mu = ("mu", rr)
+        head = self.eta.apply_triple((rr, rr - 2, trees.corolla(("mu", rr), rr)))
 
         def apply_b(u, sub_triples):
-            susp_degs = [t[1] for t in sub_triples]
-            des = desuspension_parity(susp_degs)
+            sgn = f.sign(desuspension_parity([t[1] for t in sub_triples]))
             bare = [(t[0], t[1] - 1, t[2][1]) for t in sub_triples]
-            head_combo = eta.apply_triple((rr, rr - 2, trees.corolla(mu, rr)))
-            out = {}
-            for lh, ch in head_combo.items():
-                for (b, dgb, lab), c in op.gamma((rr, rr - 2, lh), bare).items():
-                    for lab2, c2 in op.sigma.act_perm_combo(b, u, dgb, {lab: c}).items():
-                        _combo_add(f, out, (dgb + 1, ("s", lab2)), f.mul(f.mul(f.sign(des), ch), c2))
-            return out
+            # every term of eta(mu_rr)(bare) has the arity b and degree dgb
+            b = sum(t[0] for t in bare)
+            dgb = rr - 2 + sum(t[1] for t in bare)
+            composed = combo_map(
+                f, head, lambda lh: {lab: c for (_, _, lab), c in op.gamma((rr, rr - 2, lh), bare).items()}
+            )
+            acted = op.sigma.act_perm_combo(b, u, dgb, composed)
+            return {(dgb + 1, ("s", lab)): f.mul(sgn, c) for lab, c in acted.items()}
 
         return apply_b
 
@@ -389,12 +388,12 @@ class BarModule:
         ws = self.word_spaces[n]
         out = {}
         for lab2, c in ws.diff_combo(word).items():
-            _combo_add(f, out, (n, lab2), c)
+            combo_add(f, out, (n, lab2), c)
         for rr in range(2, min(n, self.operad.arity_bound()) + 1):
             b_op = self._b_operator(rr)
             for i in range(1, n - rr + 2):
                 for lab2, c in ws.apply_at(word, i, rr, b_op, 1).items():
-                    _combo_add(f, out, (n - rr + 1, lab2), c)
+                    combo_add(f, out, (n - rr + 1, lab2), c)
         return out
 
     def _act_partial(self, m_triple, slot, q_triple):
@@ -463,14 +462,8 @@ def sym_bar_comparison(bar_mod, algebra, weights, window):
         blocks[d] = mat
         # relation check: non-kept pure labels must map consistently
         for lab in quotient.labels:
-            image = collapse(lab)
-            back = sym.sym.project(d, {lab: f.one()})
-            image2 = {}
-            for lab2, c in back.items():
-                for wd, c2 in collapse(lab2).items():
-                    _combo_add(f, image2, wd, f.mul(c, c2))
-            image = {k: v for k, v in image.items() if not f.is_zero(v)}
-            if image != image2:
+            image = {k: v for k, v in collapse(lab).items() if not f.is_zero(v)}
+            if image != combo_map(f, sym.sym.project(d, {lab: f.one()}), collapse):
                 raise AssertionError("comparison map does not descend to the coequalizer at %r" % (lab,))
     # chain map + iso on the window
     iso = DgMap(sym.module, target.module, 0, blocks)

@@ -25,12 +25,15 @@ the shuffle product against the Eilenberg-Mac Lane product.
 
 from __future__ import annotations
 
+from itertools import combinations
+
 from . import perm
-from .dg import DgMap, DgModule, tensor as dg_tensor
+from .bar import bar, shuffle_word_product, sound_weight_bound
+from .dg import DegreeWindow, DgMap, DgModule, tensor as dg_tensor
 from .errors import FieldMismatch, NotCommutative, SimplicialIdentityViolation
-from .linalg import Quotient, SparseMatrix, rank
+from .linalg import Quotient, SparseMatrix, combo_add, combo_map, rank
 from .modules import DgAlgebra
-from .sigma import _combo_add
+from .sigma import SigmaModule, compose
 
 
 class SimplicialDgModule:
@@ -134,13 +137,13 @@ class NormalizedComplex:
             out = {}
             # internal differential
             for lab2, c in self.project(n, q - 1, sx.level(n).apply_diff(q, {lab: f.one()})).items():
-                _combo_add(f, out, (n, lab2), c)
+                combo_add(f, out, (n, lab2), c)
             # simplicial boundary with the bicomplex sign
             if n >= 1:
                 for i in range(n + 1):
                     coeff = f.mul(f.sign(q), f.sign(i))
                     for lab2, c in self.project(n - 1, q, sx.face(n, i).apply(q, {lab: f.one()})).items():
-                        _combo_add(f, out, (n - 1, lab2), f.mul(coeff, c))
+                        combo_add(f, out, (n - 1, lab2), f.mul(coeff, c))
             return out
 
         self.module = DgModule.from_rule(f, dict(sorted(basis.items())), rule)
@@ -203,7 +206,7 @@ def coproduct_algebra(algebras):
             amod = algebras[S[j] - 1].module
             for l2, c in amod.apply_diff(d, {l: field.one()}).items():
                 w2 = w[:j] + ((d - 1, l2),) + w[j + 1 :]
-                _combo_add(field, targets, (S, w2), field.mul(field.sign(prefix), c))
+                combo_add(field, targets, (S, w2), field.mul(field.sign(prefix), c))
             prefix += d
         if targets:
             diff[(S, w)] = targets
@@ -256,7 +259,7 @@ def _coproduct_product(field, algebras, left, right):
     out = {}
     for w, c in result_words:
         if not field.is_zero(c):
-            _combo_add(field, out, (U, w), c)
+            combo_add(field, out, (U, w), c)
     return out
 
 
@@ -340,7 +343,7 @@ def _cat_face(field, algebra, levels, n, i):
             out = {}
             for l3, c in prod.items():
                 w2 = w[:j] + ((d1 + d2, l3),) + w[j + 2 :]
-                _combo_add(field, out, (S2, w2), c)
+                combo_add(field, out, (S2, w2), c)
             return out
         S2 = tuple(x if x <= i else x - 1 for x in S)
         return {(S2, w): field.one()}
@@ -383,24 +386,12 @@ def tensor_simplicial(c, d, dimension_bound=None):
 
 def _tensor_map(field, src, dst, f_map, g_map):
     """f (x) g on levelwise tensors (both degree 0: no Koszul twist)."""
-    src_c = f_map.source
 
     def rule(q, label):
         x, y = label
-        # find the degrees of the two halves
-        dx = None
-        for dd in f_map.source.degrees():
-            if x in f_map.source._index.get(dd, {}):
-                dx = dd
-                break
-        dy = q - dx
-        out = {}
-        fx = f_map.apply(dx, {x: field.one()})
-        gy = g_map.apply(dy, {y: field.one()})
-        for lx, cx in fx.items():
-            for ly, cy in gy.items():
-                _combo_add(field, out, (lx, ly), field.mul(cx, cy))
-        return out
+        dx = _find_degree(f_map.source, x)
+        gy = g_map.apply(q - dx, {y: field.one()})
+        return combo_map(field, f_map.apply(dx, {x: field.one()}), lambda lx: {(lx, ly): c for ly, c in gy.items()})
 
     return DgMap.from_rule(src, dst, 0, rule)
 
@@ -432,45 +423,18 @@ def eilenberg_maclane(c, d, normalized_c=None, normalized_d=None, normalized_cd=
         q, y = q_lab
         if p + q > bound:
             return {}
-        qx = None
-        for dd in c.level(p).degrees():
-            if x in c.level(p)._index.get(dd, {}):
-                qx = dd
-                break
-        qy = None
-        for dd in d.level(q).degrees():
-            if y in d.level(q)._index.get(dd, {}):
-                qy = dd
-                break
-        out = {}
-        for mu, nu, sgn in _em_shuffles(p, q):
-            sgn = (sgn + p * qy) % 2
+        qx = _find_degree(c.level(p), x)
+        qy = _find_degree(d.level(q), y)
+        total = {}  # the sum over the shuffles in C_{p+q} (x) D_{p+q}, projected once (projection is linear)
+        for mu, nu, parity in _em_shuffles(p, q):
             xs = {x: field.one()}
-            cur = p
-            for idx in nu:
-                nxt = {}
-                for lx, cx in xs.items():
-                    for l2, c2 in c.degeneracy(cur, idx).apply(qx, {lx: cx}).items():
-                        _combo_add(field, nxt, l2, c2)
-                xs = nxt
-                cur += 1
-            ys = {y: field.one()}
-            cur = q
-            for idx in mu:
-                nxt = {}
-                for ly, cy in ys.items():
-                    for l2, c2 in d.degeneracy(cur, idx).apply(qy, {ly: cy}).items():
-                        _combo_add(field, nxt, l2, c2)
-                ys = nxt
-                cur += 1
-            for lx, cx in xs.items():
-                for ly, cy in ys.items():
-                    combo = cd.project(p + q, qx + qy, {(lx, ly): field.mul(cx, cy)})
-                    for lab2, c2 in combo.items():
-                        _combo_add(
-                            field, out, (p + q, lab2), field.mul(field.sign(sgn), field.mul(c2, field.one()))
-                        )
-        return out
+            for k, idx in enumerate(nu):
+                xs = c.degeneracy(p + k, idx).apply(qx, xs)
+            ys = {y: field.sign(parity + p * qy)}  # the shuffle's sign, carried through the linear degeneracies
+            for k, idx in enumerate(mu):
+                ys = d.degeneracy(q + k, idx).apply(qy, ys)
+            combo_map(field, xs, lambda lx: {(lx, ly): cy for ly, cy in ys.items()}, total)
+        return {(p + q, lab): c2 for lab, c2 in cd.project(p + q, qx + qy, total).items()}
 
     return DgMap.from_rule(source, target, 0, rule), nc, nd, cd
 
@@ -482,8 +446,6 @@ def _em_shuffles(p, q):
     {0..p+q-1}; s_nu and s_mu are applied in ascending index order
     (the innermost degeneracy first), which respects the level bounds.
     """
-    from itertools import combinations
-
     out = []
     for mu in combinations(range(p + q), p):
         nu = tuple(k for k in range(p + q) if k not in mu)
@@ -527,7 +489,7 @@ class CategoricalBar:
                     for l3, c3 in prod.items():
                         q3 = _find_degree(sx.level(n), l3)
                         for l4, c4 in self.normalized.project(n, q3, {l3: c3}).items():
-                            _combo_add(f, folded, (n, l4), f.mul(c, c4))
+                            combo_add(f, folded, (n, l4), f.mul(c, c4))
                 folded = {k: v for k, v in folded.items() if not f.is_zero(v)}
                 if folded:
                     table[(u_lab, v_lab)] = folded
@@ -551,9 +513,6 @@ class CategoricalBarModule:
     """
 
     def __init__(self, operad, arity_bound, dimension_bound, check=True):
-        from .sigma import compose as sigma_compose, SigmaModule as _SM
-        from .dg import DgModule as _DG
-
         self.operad = operad
         self.field = operad.field
         self.arity_bound = arity_bound
@@ -561,10 +520,10 @@ class CategoricalBarModule:
         f = self.field
         self.levels = {}
         for n in range(1, dimension_bound + 1):
-            colors = _SM(
-                f, {1: _DG(f, {0: tuple(("c", j) for j in range(1, n + 1))}, {}, check=False)}, {}, check=False
+            colors = SigmaModule(
+                f, {1: DgModule(f, {0: tuple(("c", j) for j in range(1, n + 1))}, {}, check=False)}, {}, check=False
             )
-            self.levels[n] = sigma_compose(operad.sigma, colors, arity_bound)
+            self.levels[n] = compose(operad.sigma, colors, arity_bound)
         self.normalized = {}
         self._normalize(check)
 
@@ -672,9 +631,8 @@ def cat_bar_module_vs_bar_module(cat_mod, bar_mod):
                 colors = tuple(("c", owner[p]) for p in range(1, r + 1))
                 pure = ((r, 0, "e"), (w, tuple((1, 0, c) for c in colors)))
                 cls = cat_mod.levels[m].project(r, 0, {pure: f.one()})
-                for lab2, c2 in cls.items():
-                    for lab3, c3 in cat_mod.normalized[r].project(m, 0, {lab2: c2}).items():
-                        mat.add_to(ncomp.index(d, (m, lab3)), col, c3)
+                for lab, c in cat_mod.normalized[r].project(m, 0, cls).items():
+                    mat.add_to(ncomp.index(d, (m, lab)), col, c)
             blocks[d] = mat
         iso = DgMap(bcomp, ncomp, 0, blocks)
         if not iso.is_chain_map():
@@ -694,9 +652,6 @@ def bar_cat_comparison(algebra, window, compare_products=True, product_weight_ca
     product for words of weight up to the cap.  Returns
     (bar_complex, categorical, iso).
     """
-    from .bar import bar, shuffle_word_product, sound_weight_bound
-    from .dg import DegreeWindow
-
     f = algebra.field
     susp = [d + 1 for d in algebra.module.degrees()]
     wb = sound_weight_bound(susp, window)
@@ -731,16 +686,11 @@ def bar_cat_comparison(algebra, window, compare_products=True, product_weight_ca
                             continue
                         shuffle = shuffle_word_product(f, u, v)
                         shuffle = {w: c for w, c in shuffle.items() if w in b.weight_of}
-                        lhs = {}
-                        for w, c in shuffle.items():
-                            for lab, c2 in iso_rule(du + dv, w).items():
-                                _combo_add(f, lhs, lab, f.mul(c, c2))
-                        (u_img,), (v_img,) = list(iso_rule(du, u)), list(iso_rule(dv, v))
-                        cu = iso_rule(du, u)[u_img]
-                        cv = iso_rule(dv, v)[v_img]
-                        rhs = {}
-                        for lab, c in em_table.get((u_img, v_img), {}).items():
-                            _combo_add(f, rhs, lab, f.mul(f.mul(cu, cv), c))
+                        lhs = combo_map(f, shuffle, lambda w: iso_rule(du + dv, w))
+                        ((u_img, cu),) = iso_rule(du, u).items()
+                        ((v_img, cv),) = iso_rule(dv, v).items()
+                        cuv = f.mul(cu, cv)
+                        rhs = {lab: f.mul(cuv, c) for lab, c in em_table.get((u_img, v_img), {}).items()}
                         if lhs != rhs:
                             raise AssertionError(
                                 "product mismatch at %r * %r: %r vs %r" % (u, v, lhs, rhs)

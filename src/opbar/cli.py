@@ -105,7 +105,7 @@ def _bar_tables(algebra, args):
 
 def cmd_bar(args):
     data = load_json(args.input)
-    field = parse_field_flag(args.field) if args.field else None
+    field = parse_field_flag(args.field) if args.field is not None else None
     algebra, f = algebra_from_json(data, field)
     table, top, cochain_side = _bar_tables(algebra, args)
     extra = {
@@ -121,7 +121,7 @@ def cmd_cochains(args):
     from .simplicial import normalized_cochains, simplicial_set_from_json
 
     data = load_json(args.input)
-    field = parse_field_flag(args.field) if args.field else CoeffField.prime(2)
+    field = parse_field_flag(args.field) if args.field is not None else CoeffField.prime(2)
     space = simplicial_set_from_json(data)
     cochains = normalized_cochains(space, field)
     algebra = cochains.algebra()
@@ -192,7 +192,7 @@ def cmd_verify(args):
 def cmd_export(args):
     from .operads import associative_operad, commutative_operad, stasheff_operad
 
-    field = parse_field_flag(args.field) if args.field else CoeffField.rationals()
+    field = parse_field_flag(args.field) if args.field is not None else CoeffField.rationals()
     bound = args.arity_bound if args.arity_bound is not None else 3
     if args.builtin:
         builders = {"K": stasheff_operad, "As": associative_operad, "Com": commutative_operad}

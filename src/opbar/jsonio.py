@@ -82,11 +82,11 @@ def field_from_json(data, where="field"):
 
 
 def parse_field_flag(text):
-    """--field values: Q, or F<p>."""
+    """--field values: Q, or F<p> with p written in decimal digits."""
     text = text.strip()
     if text.upper() == "Q":
         return CoeffField.rationals()
-    if text[0] in "Ff":
+    if text[:1] in ("F", "f") and text[1:].isascii() and text[1:].isdigit():
         return CoeffField.prime(int(text[1:]))
     raise OpbarError("cannot parse field %r (use Q or F<p>)" % (text,))
 
@@ -209,20 +209,22 @@ def _face_expr(word, core):
 
 
 def operad_to_json(operad, arity_bound=None):
-    """Mirror of the Sigma-module plus the full composition table."""
+    """Mirror of the Sigma-module plus the full composition table.
+
+    Each component is written in the basis/differential format of a
+    dg-module.
+    """
     bound = arity_bound or operad.arity_bound()
     f = operad.field
     namer = {}
     components = []
     for n in range(1, bound + 1):
         comp = operad.component(n)
-        entries = []
         for d in comp.degrees():
             for i, label in enumerate(comp.labels(d)):
-                name = "a%d_d%d_%d" % (n, d, i)
-                namer[(n, d, label)] = name
-                entries.append({"name": name, "degree": d})
-        components.append({"arity": n, "basis": entries})
+                namer[(n, d, label)] = "a%d_d%d_%d" % (n, d, i)
+        data = dgmodule_to_json(comp, lambda d, label: namer[(n, d, label)])
+        components.append({"arity": n, "basis": data["basis"], "differential": data["differential"]})
     table = []
     for s in range(1, bound + 1):
         for t in range(1, bound + 1):
@@ -274,6 +276,7 @@ def operad_to_json(operad, arity_bound=None):
 
 
 def operad_from_json(data):
+    """An operad from `operad_to_json` output; a component without a differential has d = 0."""
     from .operads import TableOperad
     from .sigma import SigmaModule
 
@@ -283,13 +286,11 @@ def operad_from_json(data):
     arity_of = {}
     for comp, at in _objects(data, "components"):
         n = _member(comp, "arity", int, at)
-        by_degree = {}
-        for e, eat in _objects(comp, "basis", at):
-            name, d = _member(e, "name", str, eat), _member(e, "degree", int, eat)
-            by_degree.setdefault(d, []).append(name)
-            degree_of[name] = d
-            arity_of[name] = n
-        comps[n] = DgModule(f, {d: tuple(ls) for d, ls in by_degree.items()}, {}, check=False)
+        comps[n], _ = dgmodule_from_json(comp, f, at)
+        for d in comps[n].degrees():
+            for name in comps[n].labels(d):
+                degree_of[name] = d
+                arity_of[name] = n
 
     def operation(obj, key, where):
         name = _member(obj, key, str, where)

@@ -17,6 +17,11 @@ through one `Echelon`, whose row representation depends on the field:
 
 Scalars leave an `Echelon` as field scalars again (`Fraction` over Q)
 only when `rref()` hands out the reduced rows.
+
+Elements of a space with a named basis are combos {label: scalar}.
+`combo_add` and `combo_map` sum them, dropping the labels whose
+coefficients cancel; every multilinear structure map is evaluated on
+combos through `combo_map`, its linear extension.
 """
 
 from __future__ import annotations
@@ -128,6 +133,31 @@ class CoeffField:
         if parity % 2:
             return self.p - 1 if self.p else _Q_MINUS_ONE
         return self.one()
+
+
+def combo_add(field, acc, label, coeff):
+    """acc[label] += coeff in place, dropping the label if its coefficient vanishes."""
+    cur = acc.get(label)
+    new = field.add(cur, coeff) if cur is not None else coeff
+    if field.is_zero(new):
+        acc.pop(label, None)
+    else:
+        acc[label] = new
+
+
+def combo_map(field, combo, image, acc=None):
+    """The sum of combo[l] * image(l) over the labels l of `combo`.
+
+    `image(l)` returns a combo.  The sum is added into `acc` (and `acc`
+    returned) when one is given, else into a new combo; neither `combo`
+    nor the images are modified.
+    """
+    out = {} if acc is None else acc
+    mul = field.mul
+    for label, c in combo.items():
+        for label2, c2 in image(label).items():
+            combo_add(field, out, label2, mul(c, c2))
+    return out
 
 
 class SparseMatrix:
@@ -587,20 +617,13 @@ class Quotient:
         vectors = ({index[lab]: c for lab, c in rel.items()} for rel in relations)
         kept, matrix = quotient_data(field, len(self.labels), vectors)
         self.kept = tuple(self.labels[i] for i in kept)
-        # the image of each label, read once off the projection matrix
-        images = {}
+        # the image of each label as a combo over `kept`, read once off the projection matrix
+        self._images = {lab: {} for lab in self.labels}
         for (i, j), v in matrix.entries.items():
-            images.setdefault(j, []).append((self.kept[i], v))
-        self._images = {lab: tuple(images.get(j, ())) for j, lab in enumerate(self.labels)}
+            self._images[self.labels[j]][self.kept[i]] = v
 
     def project(self, combo):
-        f = self.field
-        out = {}
-        for lab, c in combo.items():
-            for k, v in self._images[lab]:
-                cur = out.get(k)
-                out[k] = f.mul(v, c) if cur is None else f.add(cur, f.mul(v, c))
-        return {k: v for k, v in out.items() if not f.is_zero(v)}
+        return combo_map(self.field, combo, self._images.__getitem__)
 
     @staticmethod
     def project_in(field, quotients, key, combo):

@@ -21,9 +21,9 @@ from itertools import product
 from . import perm, trees
 from .dg import DgModule
 from .errors import AlgebraCheckFailed, InvalidMorphism
-from .linalg import Quotient, quotient_data
+from .linalg import Quotient, combo_add, combo_map, quotient_data
 from .operads import gamma_partial, operad_morphism_check, stasheff_sign
-from .sigma import SigmaModule, WordSpace, _combo_add, compose, routed_compose
+from .sigma import SigmaModule, WordSpace, compose, routed_compose
 
 
 class RightModule:
@@ -73,61 +73,41 @@ class RightModule:
                             if n + s + t - 2 > bound:
                                 continue
                             for r_ in op.basis_triples(t):
+                                # arity and degree of m o q, q o r and m o r
+                                mq = (n + s - 1, m[1] + q[1])
+                                qr = (s + t - 1, q[1] + r_[1])
+                                mr = (n + t - 1, m[1] + r_[1])
+                                sgn = f.sign(q[1] * r_[1])
                                 for i in range(1, n + 1):
+                                    m_q = self.act_partial(m, i, q)
                                     # nested
                                     for j in range(1, s + 1):
-                                        lhs = {}
-                                        for lab, c in self.act_partial(m, i, q).items():
-                                            for lab2, c2 in self.act_partial(
-                                                (n + s - 1, m[1] + q[1], lab), i + j - 1, r_
-                                            ).items():
-                                                _combo_add(f, lhs, lab2, f.mul(c, c2))
-                                        rhs = {}
-                                        for lab, c in op.compose_partial(q, j, r_).items():
-                                            for lab2, c2 in self.act_partial(
-                                                m, i, (s + t - 1, q[1] + r_[1], lab)
-                                            ).items():
-                                                _combo_add(f, rhs, lab2, f.mul(c, c2))
+                                        lhs = combo_map(f, m_q, lambda lab: self.act_partial((*mq, lab), i + j - 1, r_))
+                                        q_r = op.compose_partial(q, j, r_)
+                                        rhs = combo_map(f, q_r, lambda lab: self.act_partial(m, i, (*qr, lab)))
                                         if lhs != rhs:
                                             raise ValueError("nested module law fails at %r" % (m,))
                                     # disjoint
                                     for j in range(i + 1, n + 1):
-                                        lhs = {}
-                                        for lab, c in self.act_partial(m, i, q).items():
-                                            for lab2, c2 in self.act_partial(
-                                                (n + s - 1, m[1] + q[1], lab), j + s - 1, r_
-                                            ).items():
-                                                _combo_add(f, lhs, lab2, f.mul(c, c2))
-                                        rhs = {}
-                                        sgn = f.sign(q[1] * r_[1])
-                                        for lab, c in self.act_partial(m, j, r_).items():
-                                            for lab2, c2 in self.act_partial(
-                                                (n + t - 1, m[1] + r_[1], lab), i, q
-                                            ).items():
-                                                _combo_add(f, rhs, lab2, f.mul(f.mul(sgn, c), c2))
+                                        lhs = combo_map(f, m_q, lambda lab: self.act_partial((*mq, lab), j + s - 1, r_))
+                                        m_r = {lab: f.mul(sgn, c) for lab, c in self.act_partial(m, j, r_).items()}
+                                        rhs = combo_map(f, m_r, lambda lab: self.act_partial((*mr, lab), i, q))
                                         if lhs != rhs:
                                             raise ValueError("disjoint module law fails at %r" % (m,))
         # derivation: d(m o_i q) = dm o_i q + (-1)^{|m|} m o_i dq
         for n in self.sigma.arities():
             for m in self.sigma.basis_triples(n):
+                dm = self.component(n).apply_diff(m[1], {m[2]: f.one()})
+                sgn = f.sign(m[1])
                 for s in op.sigma.arities():
                     if n + s - 1 > bound:
                         continue
                     for q in op.basis_triples(s):
+                        dq = {q2: f.mul(sgn, c) for q2, c in op.differential_combo(q).items()}
                         for i in range(1, n + 1):
-                            lhs = {}
-                            out_comp = self.component(n + s - 1)
-                            for lab, c in self.act_partial(m, i, q).items():
-                                for l2, c2 in out_comp.apply_diff(m[1] + q[1], {lab: c}).items():
-                                    _combo_add(f, lhs, l2, c2)
-                            rhs = {}
-                            for l2, c in self.component(n).apply_diff(m[1], {m[2]: f.one()}).items():
-                                for lab, c2 in self.act_partial((n, m[1] - 1, l2), i, q).items():
-                                    _combo_add(f, rhs, lab, f.mul(c, c2))
-                            sgn = f.sign(m[1])
-                            for q2, cq in op.differential_combo(q).items():
-                                for lab, c2 in self.act_partial(m, i, q2).items():
-                                    _combo_add(f, rhs, lab, f.mul(f.mul(sgn, cq), c2))
+                            lhs = self.component(n + s - 1).apply_diff(m[1] + q[1], self.act_partial(m, i, q))
+                            rhs = combo_map(f, dm, lambda l2: self.act_partial((n, m[1] - 1, l2), i, q))
+                            combo_map(f, dq, lambda q2: self.act_partial(m, i, q2), rhs)
                             if lhs != rhs:
                                 raise ValueError("module derivation fails at %r o_%d %r" % (m, i, q))
 
@@ -313,34 +293,24 @@ def check_algebra(a, max_arity=None, report=False, partial_range=None):
                         needed.append(sum(degs[i - 1 : i - 1 + t]) + t - 2)
                 if any(dd < lo or dd > hi for dd in needed):
                     continue
-            lhs = {}
             # delta . mu_r
-            for l2, c in a.op_apply(r, labs).items():
-                for l3, c3 in mod.apply_diff(sum(degs) + r - 2, {l2: c}).items():
-                    _combo_add(f, lhs, l3, c3)
+            lhs = mod.apply_diff(sum(degs) + r - 2, a.op_apply(r, labs))
             # - (-1)^{|mu_r|} mu_r . delta
             sgn = f.sign(r - 2 + 1)
             for c, j, l2 in _tensor_diff_terms(f, degs, labs, mod):
                 labs2 = labs[:j] + [l2] + labs[j + 1 :]
                 for l3, c3 in a.op_apply(r, labs2).items():
-                    _combo_add(f, lhs, l3, f.mul(f.mul(sgn, c), c3))
+                    combo_add(f, lhs, l3, f.mul(f.mul(sgn, c), c3))
             rhs = {}
             for s in range(2, r):
                 t = r + 1 - s
                 if t < 2:
                     continue
                 for i in range(1, s + 1):
-                    base = stasheff_sign(s, t, i)
-                    inner_prefix = sum(degs[: i - 1])
-                    kos = (t - 2) * inner_prefix
-                    inner = a.op_apply(t, labs[i - 1 : i - 1 + t])
-                    for lmid, cmid in inner.items():
-                        dmid = sum(degs[i - 1 : i - 1 + t]) + t - 2
-                        outer_labs = labs[: i - 1] + [lmid] + labs[i - 1 + t :]
-                        for l3, c3 in a.op_apply(s, outer_labs).items():
-                            _combo_add(
-                                f, rhs, l3, f.mul(f.sign(base + kos), f.mul(cmid, c3))
-                            )
+                    # the Stasheff sign, and the Koszul sign of mu_t passing the first i-1 letters
+                    sgn_i = f.sign(stasheff_sign(s, t, i) + (t - 2) * sum(degs[: i - 1]))
+                    inner = {lmid: f.mul(sgn_i, c) for lmid, c in a.op_apply(t, labs[i - 1 : i - 1 + t]).items()}
+                    combo_map(f, inner, lambda lmid: a.op_apply(s, labs[: i - 1] + [lmid] + labs[i - 1 + t :]), rhs)
             if lhs != rhs:
                 diags.append("structure relation fails at arity %d word %r" % (r, tuple(labs)))
                 if len(diags) > 8:
@@ -413,17 +383,13 @@ def evaluate_com(alg, r, arg_triples):
 
 
 def _iterated_product(alg, ordered, coeff):
-    f = alg.field
-    if len(ordered) == 1:
-        return {ordered[0]: coeff}
-    cur = {ordered[0]: coeff}
-    for (d, l) in ordered[1:]:
-        nxt = {}
-        for (dc, lc), c in cur.items():
-            for l2, c2 in alg.op_apply(2, (lc, l)).items():
-                _combo_add(f, nxt, (dc + d, l2), f.mul(c, c2))
-        cur = nxt
-    return cur
+    """coeff times the left-nested product of the letters `ordered`; mu_2 has degree 0."""
+    degree, first = ordered[0]
+    cur = {first: coeff}
+    for d, l in ordered[1:]:
+        cur = combo_map(alg.field, cur, lambda lc: alg.op_apply(2, (lc, l)))
+        degree += d
+    return {(degree, lab): c for lab, c in cur.items()}
 
 
 def evaluate_tree(alg, tree, arg_triples):
@@ -445,7 +411,7 @@ def evaluate_tree(alg, tree, arg_triples):
     shape = trees.relabel(tree, {labels[k]: k + 1 for k in range(len(labels))})
     out = {}
     for (d, l), c in _evaluate_shape(alg, shape, ordered).items():
-        _combo_add(f, out, (d, l), f.mul(sign, c))
+        combo_add(f, out, (d, l), f.mul(sign, c))
     return out
 
 
@@ -476,7 +442,7 @@ def _evaluate_shape(alg, shape, args):
         if j == r:
             for l2, c2 in alg.op_apply(r, tuple(l for _, l in acc_triples)).items():
                 d2 = sum(d for d, _ in acc_triples) + r - 2
-                _combo_add(f, out, (d2, l2), f.mul(coeff, c2))
+                combo_add(f, out, (d2, l2), f.mul(coeff, c2))
             return
         for triple, c in child_results[j].items():
             rec(j + 1, acc_triples + [triple], f.mul(coeff, c))
@@ -564,8 +530,8 @@ class SymPresentation:
                     acted_m = self.sigma.act_adjacent(n, i, dm, lm)
                     aw, sgn = _word_swap(f, w, i)
                     for lm2, cm in acted_m.items():
-                        _combo_add(f, rel, ((n, dm, lm2), aw), f.mul(cm, sgn))
-                    _combo_add(f, rel, label, f.neg(f.one()))
+                        combo_add(f, rel, ((n, dm, lm2), aw), f.mul(cm, sgn))
+                    combo_add(f, rel, label, f.neg(f.one()))
                     if rel:
                         relations.append(rel)
             relations.extend(extra_relations.get(d, ()))
@@ -581,13 +547,13 @@ class SymPresentation:
         out = {}
         comp = self.sigma.component(n)
         for lm2, c in comp.apply_diff(dm, {lm: f.one()}).items():
-            _combo_add(f, out, ((n, dm - 1, lm2), w), c)
+            combo_add(f, out, ((n, dm - 1, lm2), w), c)
         sgn = f.sign(dm)
         degs = [dd for dd, _ in w]
         labs = [ll for _, ll in w]
         for c, j, l2 in _tensor_diff_terms(f, degs, labs, self.algebra_module):
             w2 = w[:j] + ((degs[j] - 1, l2),) + w[j + 1 :]
-            _combo_add(f, out, ((n, dm, lm), w2), f.mul(sgn, c))
+            combo_add(f, out, ((n, dm, lm), w2), f.mul(sgn, c))
         return out
 
     def project(self, d, big_combo):
@@ -612,13 +578,12 @@ def _d0(right_module, m_triple, word, tail):
     The coequalizer arrow shared by Sym_R(M, A) and M o_R S; `tail` is
     the untouched last layer (an algebra word or an S-word).
     """
-    f = right_module.field
     w_r, inner = word
-    out = {}
-    for (b, dmb, lm2), c in right_module.gamma(m_triple, list(inner)).items():
-        for lm3, c3 in right_module.sigma.act_perm_combo(b, w_r, dmb, {lm2: c}).items():
-            _combo_add(f, out, ((b, dmb, lm3), tail), c3)
-    return out
+    b = sum(t[0] for t in inner)
+    dmb = m_triple[1] + sum(t[1] for t in inner)
+    composed = {lab: c for (_, _, lab), c in right_module.gamma(m_triple, list(inner)).items()}
+    acted = right_module.sigma.act_perm_combo(b, w_r, dmb, composed)
+    return {((b, dmb, lab), tail): c for lab, c in acted.items()}
 
 
 class SymOverOperad:
@@ -629,12 +594,12 @@ class SymOverOperad:
     words (m; R-word; A-word) via d0 - d1.
     """
 
-    def __init__(self, right_module, algebra, operad, weights, morphism=None):
+    def __init__(self, right_module, algebra, operad, weights):
         self.right_module = right_module
         self.algebra = algebra
         self.operad = operad
         self.field = right_module.field
-        if not algebra_suits_operad(algebra, operad) and morphism is None:
+        if not algebra_suits_operad(algebra, operad):
             raise AlgebraCheckFailed(
                 "algebra of kind %r cannot be fed to operad %r" % (algebra.kind, operad.name)
             )
@@ -660,12 +625,10 @@ class SymOverOperad:
                         for dw in wcomp.degrees():
                             for lw in wcomp.labels(dw):
                                 for aw in a_words:
-                                    rel = {}
                                     d_total = dm + dw + sum(dd for dd, _ in aw)
-                                    for lab, c in _d0(self.right_module, (n, dm, lm), lw, aw).items():
-                                        _combo_add(f, rel, lab, c)
+                                    rel = _d0(self.right_module, (n, dm, lm), lw, aw)
                                     for lab, c in self._d1((n, dm, lm), lw, aw).items():
-                                        _combo_add(f, rel, lab, f.neg(c))
+                                        combo_add(f, rel, lab, f.neg(c))
                                     if rel:
                                         extra.setdefault(d_total, []).append(rel)
         # rebuild the quotient over Sym(M, A) with the extra relations
@@ -697,12 +660,8 @@ def sym_over_operad(right_module, algebra, operad, weights):
 
 def gamma_along(psi, q_triple, args):
     """gamma_S(psi(q); args) for q in R and a list of S-triples args."""
-    f = psi.target.field
-    out = {}
-    for lq, cq in psi.apply_triple(q_triple).items():
-        for triple, c in psi.target.gamma((q_triple[0], q_triple[1], lq), args).items():
-            _combo_add(f, out, triple, f.mul(cq, c))
-    return out
+    n, d, _ = q_triple
+    return combo_map(psi.target.field, psi.apply_triple(q_triple), lambda lq: psi.target.gamma((n, d, lq), args))
 
 
 class ExtendedModule:
@@ -742,11 +701,9 @@ class ExtendedModule:
                                 for lr in rcomp.labels(dr):
                                     for ds in scomp.degrees():
                                         for ls in scomp.labels(ds):
-                                            rel = {}
-                                            for lab, c in _d0(self.left, (n, dm, lm), lr, ls).items():
-                                                _combo_add(f, rel, lab, c)
+                                            rel = _d0(self.left, (n, dm, lm), lr, ls)
                                             for lab, c in self._d1((n, dm, lm), lr, ls).items():
-                                                _combo_add(f, rel, lab, f.neg(c))
+                                                combo_add(f, rel, lab, f.neg(c))
                                             if rel:
                                                 relations.setdefault(
                                                     (r_total, dm + dr + ds), []
@@ -886,22 +843,22 @@ def module_hom_dimension(m, n, arity_bound=None):
                     for ln in nc.labels(d):
                         coeffs = {}
                         for lm2, c in lhs.items():
-                            _combo_add(f, coeffs, (a, d, lm2, ln), c)
+                            combo_add(f, coeffs, (a, d, lm2, ln), c)
                         for ln2 in nc.labels(d):
                             out = n.sigma.act_adjacent(a, i, d, ln2)
                             c = out.get(ln)
                             if c is not None:
-                                _combo_add(f, coeffs, (a, d, lm, ln2), f.neg(c))
+                                combo_add(f, coeffs, (a, d, lm, ln2), f.neg(c))
                         add_relation(coeffs)
                 # chain map: f(dx) = d(f(x))
                 for ln in nc.labels(d - 1):
                     coeffs = {}
                     for lm2, c in mc.apply_diff(d, {lm: f.one()}).items():
-                        _combo_add(f, coeffs, (a, d - 1, lm2, ln), c)
+                        combo_add(f, coeffs, (a, d - 1, lm2, ln), c)
                     for ln2 in nc.labels(d):
                         c = nc.apply_diff(d, {ln2: f.one()}).get(ln)
                         if c is not None:
-                            _combo_add(f, coeffs, (a, d, lm, ln2), f.neg(c))
+                            combo_add(f, coeffs, (a, d, lm, ln2), f.neg(c))
                     add_relation(coeffs)
                 # module action: f(x o_i q) = f(x) o_i q
                 for s in m.operad.sigma.arities():
@@ -914,11 +871,11 @@ def module_hom_dimension(m, n, arity_bound=None):
                             for ln in n.sigma.component(a2).labels(d2):
                                 coeffs = {}
                                 for lm2, c in acted.items():
-                                    _combo_add(f, coeffs, (a2, d2, lm2, ln), c)
+                                    combo_add(f, coeffs, (a2, d2, lm2, ln), c)
                                 for ln2 in n.sigma.component(a).labels(d):
                                     c = n.act_partial((a, d, ln2), i, q).get(ln)
                                     if c is not None:
-                                        _combo_add(f, coeffs, (a, d, lm, ln2), f.neg(c))
+                                        combo_add(f, coeffs, (a, d, lm, ln2), f.neg(c))
                                 add_relation(coeffs)
     if not unknowns:
         return 0
@@ -934,11 +891,7 @@ def restriction(right_module_over_s, psi, check_morphism=True):
     field = s_module.field
 
     def action(m_triple, slot, q_triple):
-        f = field
-        out = {}
-        for lq, cq in psi.apply_triple(q_triple).items():
-            for lab, c in s_module.act_partial(m_triple, slot, (q_triple[0], q_triple[1], lq)).items():
-                _combo_add(f, out, lab, f.mul(cq, c))
-        return out
+        n, d, _ = q_triple
+        return combo_map(field, psi.apply_triple(q_triple), lambda lq: s_module.act_partial(m_triple, slot, (n, d, lq)))
 
     return RightModule(field, s_module.sigma, psi.source, action, name="psi^*" + s_module.name)

@@ -21,7 +21,8 @@ from itertools import permutations as _permutations, product
 from . import perm, trees
 from .dg import DgModule
 from .errors import ArityBoundExceeded
-from .sigma import SigmaModule, _combo_add
+from .linalg import combo_add, combo_map
+from .sigma import SigmaModule
 
 
 def gamma_partial(field, compose_fn, head, args):
@@ -29,18 +30,18 @@ def gamma_partial(field, compose_fn, head, args):
 
     `compose_fn(triple, slot, q)` returns a label combo; triples are
     (arity, degree, label).  Left-to-right insertion carries no extra
-    Koszul signs in the vertex-word convention.
+    Koszul signs in the vertex-word convention.  Every term of a partial
+    composite has the same arity and degree, so the combo is kept over
+    labels and wrapped into triples once at the end.
     """
-    cur = {head: field.one()}
+    n, d, label = head
+    cur = {label: field.one()}
     slot = 1
     for q in args:
-        nxt = {}
-        for t, c in cur.items():
-            for label, c2 in compose_fn(t, slot, q).items():
-                _combo_add(field, nxt, (t[0] + q[0] - 1, t[1] + q[1], label), field.mul(c, c2))
-        cur = nxt
+        cur = combo_map(field, cur, lambda lab: compose_fn((n, d, lab), slot, q))
+        n, d = n + q[0] - 1, d + q[1]
         slot += q[0]
-    return cur
+    return {(n, d, lab): c for lab, c in cur.items()}
 
 
 class Operad:
@@ -203,7 +204,7 @@ class FreeOperad(Operad):
         out_shape = self._shape_diff(f, shape)
         out = {}
         for t2, c in out_shape.items():
-            _combo_add(f, out, trees.relabel(t2, {k + 1: labels[k] for k in range(n)}), c)
+            combo_add(f, out, trees.relabel(t2, {k + 1: labels[k] for k in range(n)}), c)
         return out
 
     def _shape_diff(self, f, t):
@@ -239,11 +240,11 @@ class FreeOperad(Operad):
         out = {}
         for p2, cp in dp.items():
             par, tr = trees.graft(p2, j, c_std, self.degree_of)
-            _combo_add(f, out, tr, f.mul(cp, f.sign(par)))
+            combo_add(f, out, tr, f.mul(cp, f.sign(par)))
         sgn = f.sign(trees.degree(p, self.degree_of))
         for c2, cc in dc.items():
             par, tr = trees.graft(p, j, c2, self.degree_of)
-            _combo_add(f, out, tr, f.mul(f.mul(sgn, cc), f.sign(par)))
+            combo_add(f, out, tr, f.mul(f.mul(sgn, cc), f.sign(par)))
         return out
 
 
@@ -265,7 +266,7 @@ def _generator_diff(field, r, sign):
         t = r + 1 - s
         for i in range(1, s + 1):
             par, tree = trees.graft(trees.corolla(("mu", s), s), i, trees.corolla(("mu", t), t), degs)
-            _combo_add(field, out, tree, field.sign(sign(s, t, i) + par))
+            combo_add(field, out, tree, field.sign(sign(s, t, i) + par))
     return out
 
 
@@ -297,10 +298,10 @@ def _d_squared_vanishes(field, max_arity, sign):
                 c0 = field.sign(sign(s, t, i) + par0)
                 for ptree, pc in diff[s].items():
                     par, tr = trees.graft(ptree, i, mu[t], degs)
-                    _combo_add(field, acc, tr, field.mul(c0, field.mul(pc, field.sign(par))))
+                    combo_add(field, acc, tr, field.mul(c0, field.mul(pc, field.sign(par))))
                 for qtree, qc in diff[t].items():
                     par, tr = trees.graft(mu[s], i, qtree, degs)
-                    _combo_add(field, acc, tr, field.mul(c0, field.mul(field.mul(sgn_s, qc), field.sign(par))))
+                    combo_add(field, acc, tr, field.mul(c0, field.mul(field.mul(sgn_s, qc), field.sign(par))))
         if acc:
             return False
     return True
@@ -348,7 +349,7 @@ def eps_kills_stasheff_differential(field, max_arity):
         for tr, c in stasheff_generator_diff(field, r).items():
             w = _binary_word(tr)
             if w is not None:
-                _combo_add(field, acc, w, c)
+                combo_add(field, acc, w, c)
         if acc:
             return False
     return True
@@ -457,12 +458,8 @@ def compose_morphisms(g, f):
     """g after f."""
 
     def rule(triple):
-        out = {}
-        field = f.source.field
-        for label, c in f.apply_triple(triple).items():
-            for label2, c2 in g.apply_triple((triple[0], triple[1], label)).items():
-                _combo_add(field, out, label2, field.mul(c, c2))
-        return out
+        n, d, _ = triple
+        return combo_map(f.source.field, f.apply_triple(triple), lambda label: g.apply_triple((n, d, label)))
 
     return OperadMorphism(f.source, g.target, rule, name="%s.%s" % (g.name, f.name))
 
@@ -483,27 +480,16 @@ def operad_morphism_check(f, arity_bound=None, report=False):
 
     for n in range(1, bound + 1):
         for triple in src.basis_triples(n):
-            lhs = {}
-            for t2, c in src.differential_combo(triple).items():
-                for label, c2 in f.apply_triple(t2).items():
-                    _combo_add(field, lhs, (n, triple[1] - 1, label), field.mul(c, c2))
-            rhs = {}
-            for label, c in f.apply_triple(triple).items():
-                for l2, c2 in dst.component(n).apply_diff(triple[1], {label: c}).items():
-                    _combo_add(field, rhs, (n, triple[1] - 1, l2), c2)
-            if lhs != rhs:
+            d = triple[1]
+            image = f.apply_triple(triple)
+            lhs = combo_map(field, src.differential_combo(triple), f.apply_triple)
+            if lhs != dst.component(n).apply_diff(d, image):
                 failures.append("differential not preserved at %r" % (triple,))
             for i in range(1, n):
                 s_i = perm.apply_adjacent(perm.identity(n), i)
-                lhs = {}
-                for l2, c in src.sigma.act_perm_combo(n, s_i, triple[1], {triple[2]: field.one()}).items():
-                    for label, c2 in f.apply_triple((n, triple[1], l2)).items():
-                        _combo_add(field, lhs, label, field.mul(c, c2))
-                rhs = {}
-                for label, c in f.apply_triple(triple).items():
-                    for l2, c2 in dst.sigma.act_perm_combo(n, s_i, triple[1], {label: c}).items():
-                        _combo_add(field, rhs, l2, c2)
-                if lhs != rhs:
+                acted = src.sigma.act_perm_combo(n, s_i, d, {triple[2]: field.one()})
+                lhs = combo_map(field, acted, lambda label: f.apply_triple((n, d, label)))
+                if lhs != dst.sigma.act_perm_combo(n, s_i, d, image):
                     failures.append("equivariance fails at %r s_%d" % (triple, i))
 
     for s in range(1, bound + 1):
@@ -511,19 +497,22 @@ def operad_morphism_check(f, arity_bound=None, report=False):
             if s + t - 1 > bound:
                 continue
             for p in src.basis_triples(s):
+                fp = f.apply_triple(p)
                 for q in src.basis_triples(t):
+                    fq = f.apply_triple(q)
                     for i in range(1, s + 1):
-                        lhs = {}
-                        for label, c in src.compose_partial(p, i, q).items():
-                            for l2, c2 in f.apply_triple((s + t - 1, p[1] + q[1], label)).items():
-                                _combo_add(field, lhs, l2, field.mul(c, c2))
-                        rhs = {}
-                        fp = f.apply_triple(p)
-                        fq = f.apply_triple(q)
-                        for lp, cp in fp.items():
-                            for lq, cq in fq.items():
-                                for l2, c2 in dst.compose_partial((s, p[1], lp), i, (t, q[1], lq)).items():
-                                    _combo_add(field, rhs, l2, field.mul(field.mul(cp, cq), c2))
+                        lhs = combo_map(
+                            field,
+                            src.compose_partial(p, i, q),
+                            lambda label: f.apply_triple((s + t - 1, p[1] + q[1], label)),
+                        )
+                        rhs = combo_map(
+                            field,
+                            fp,
+                            lambda lp: combo_map(
+                                field, fq, lambda lq: dst.compose_partial((s, p[1], lp), i, (t, q[1], lq))
+                            ),
+                        )
                         if lhs != rhs:
                             failures.append("composition fails at %r o_%d %r" % (p, i, q))
     ok = not failures
@@ -565,20 +554,21 @@ def check_operad(op, arity_bound=None, deep=False):
             for p in op.basis_triples(s):
                 for q in op.basis_triples(t):
                     for sg in gens_s:
+                        p_sg = op.sigma.act_perm_combo(s, sg, p[1], {p[2]: field.one()})
                         for tg in gens_t:
+                            q_tg = op.sigma.act_perm_combo(t, tg, q[1], {q[2]: field.one()})
                             for i in range(1, s + 1):
-                                lhs = {}
-                                for lp, cp in op.sigma.act_perm_combo(s, sg, p[1], {p[2]: field.one()}).items():
-                                    for lq, cq in op.sigma.act_perm_combo(t, tg, q[1], {q[2]: field.one()}).items():
-                                        for label, c in op.compose_partial((s, p[1], lp), i, (t, q[1], lq)).items():
-                                            _combo_add(field, lhs, label, field.mul(field.mul(cp, cq), c))
-                                rhs = {}
+                                lhs = combo_map(
+                                    field,
+                                    p_sg,
+                                    lambda lp: combo_map(
+                                        field, q_tg, lambda lq: op.compose_partial((s, p[1], lp), i, (t, q[1], lq))
+                                    ),
+                                )
                                 big = perm.block_substitution(sg, i, tg)
-                                for label, c in op.compose_partial(p, sg[i - 1], q).items():
-                                    for l2, c2 in op.sigma.act_perm_combo(
-                                        s + t - 1, big, p[1] + q[1], {label: c}
-                                    ).items():
-                                        _combo_add(field, rhs, l2, c2)
+                                rhs = op.sigma.act_perm_combo(
+                                    s + t - 1, big, p[1] + q[1], op.compose_partial(p, sg[i - 1], q)
+                                )
                                 if lhs != rhs:
                                     raise ValueError(
                                         "equivariance fails at %r o_%d %r with generators" % (p, i, q)

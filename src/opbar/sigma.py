@@ -22,17 +22,8 @@ from itertools import product
 
 from .dg import DgModule
 from .errors import FieldMismatch
-from .linalg import Quotient
+from .linalg import Quotient, combo_add, combo_map
 from . import perm
-
-
-def _combo_add(field, acc, label, coeff):
-    cur = acc.get(label)
-    new = field.add(cur, coeff) if cur is not None else coeff
-    if field.is_zero(new):
-        acc.pop(label, None)
-    else:
-        acc[label] = new
 
 
 class SigmaModule:
@@ -114,14 +105,13 @@ class SigmaModule:
 
     def act_perm_combo(self, n, sigma, d, combo):
         """combo . sigma by the stored right action."""
-        f = self.field
+        return self._act_word(n, perm.transposition_word(sigma), d, combo)
+
+    def _act_word(self, n, word, d, combo):
+        """combo . s_{word[0]} ... s_{word[-1]}, a new combo."""
         cur = dict(combo)
-        for i in perm.transposition_word(sigma):
-            nxt = {}
-            for label, c in cur.items():
-                for label2, c2 in self.act_adjacent(n, i, d, label).items():
-                    _combo_add(f, nxt, label2, f.mul(c, c2))
-            cur = nxt
+        for i in word:
+            cur = combo_map(self.field, cur, lambda label: self.act_adjacent(n, i, d, label))
         return cur
 
     def suspend(self):
@@ -143,18 +133,13 @@ class SigmaModule:
 
     def check_relations(self):
         """Involution, braid and commutation relations; action vs diff."""
-        f = self.field
+        one = self.field.one()
         for n, comp in self.components.items():
             gens = list(range(1, n))
             for d in comp.degrees():
                 for label in comp.labels(d):
                     for i in gens:
-                        once = self.act_adjacent(n, i, d, label)
-                        twice = {}
-                        for l2, c in once.items():
-                            for l3, c3 in self.act_adjacent(n, i, d, l2).items():
-                                _combo_add(f, twice, l3, f.mul(c, c3))
-                        if twice != {label: f.one()}:
+                        if self._act_word(n, (i, i), d, {label: one}) != {label: one}:
                             raise ValueError("s_%d^2 != 1 on %r (arity %d)" % (i, label, n))
             for i in gens:
                 for j in gens:
@@ -164,7 +149,8 @@ class SigmaModule:
                     word_b = [j, i, j] if j == i + 1 else [j, i]
                     for d in comp.degrees():
                         for label in comp.labels(d):
-                            if self._act_word(n, word_a, d, label) != self._act_word(n, word_b, d, label):
+                            x = {label: one}
+                            if self._act_word(n, word_a, d, x) != self._act_word(n, word_b, d, x):
                                 raise ValueError(
                                     "braid/commutation failure at s_%d,s_%d (arity %d)" % (i, j, n)
                                 )
@@ -172,27 +158,10 @@ class SigmaModule:
             for i in gens:
                 for d in list(comp.diff):
                     for label in comp.labels(d):
-                        lhs = {}
-                        for l2, c in self.act_adjacent(n, i, d, label).items():
-                            for l3, c3 in comp.apply_diff(d, {l2: f.one()}).items():
-                                _combo_add(f, lhs, l3, f.mul(c, c3))
-                        rhs = {}
-                        for l2, c in comp.apply_diff(d, {label: f.one()}).items():
-                            for l3, c3 in self.act_adjacent(n, i, d - 1, l2).items():
-                                _combo_add(f, rhs, l3, f.mul(c, c3))
+                        lhs = comp.apply_diff(d, self.act_adjacent(n, i, d, label))
+                        rhs = self._act_word(n, (i,), d - 1, comp.apply_diff(d, {label: one}))
                         if lhs != rhs:
                             raise ValueError("action does not commute with diff (arity %d)" % n)
-
-    def _act_word(self, n, word, d, label):
-        f = self.field
-        cur = {label: f.one()}
-        for i in word:
-            nxt = {}
-            for l, c in cur.items():
-                for l2, c2 in self.act_adjacent(n, i, d, l).items():
-                    _combo_add(f, nxt, l2, f.mul(c, c2))
-            cur = nxt
-        return cur
 
     def __repr__(self):
         return "SigmaModule(%r, arities %s)" % (self.field, self.arities())
@@ -291,7 +260,7 @@ class WordSpace:
             comp = self.factors[j].component(a)
             for l2, c in comp.apply_diff(d, {l: f.one()}).items():
                 lab2 = (w, inner[:j] + ((a, d - 1, l2),) + inner[j + 1 :])
-                _combo_add(f, out, lab2, f.mul(f.sign(prefix), c))
+                combo_add(f, out, lab2, f.mul(f.sign(prefix), c))
             prefix += d
         return out
 
@@ -345,7 +314,7 @@ class WordSpace:
         out = {}
         for (d2, l2), c in op(u, sub).items():
             lab2 = (w_coarse, inner[: i - 1] + ((merged_arity, d2, l2),) + inner[i - 1 + rlen :])
-            _combo_add(f, out, lab2, f.mul(sgn, c))
+            combo_add(f, out, lab2, f.mul(sgn, c))
         return out
 
     def compose_into_slot(self, label, slot, p_arity, p_degree, p_label, action_fn):
@@ -380,7 +349,7 @@ class WordSpace:
         for (d2, l2), c in action_fn(owner, local, inner[owner], (p_arity, p_degree, p_label)).items():
             new_inner = inner[:owner] + ((new_sizes[owner], d2, l2),) + inner[owner + 1 :]
             for lab, c2 in _act_blockwise(f, self.factors, h_parts, w_canon, new_inner).items():
-                _combo_add(f, out, lab, f.mul(f.mul(sgn, c), c2))
+                combo_add(f, out, lab, f.mul(f.mul(sgn, c), c2))
         return out
 
     def as_sigma(self):
@@ -413,7 +382,7 @@ def _act_blockwise(field, factors, h_parts, w, inner):
         for (a, d, _), (l2, c2) in zip(inner, choice):
             c_total = field.mul(c_total, c2)
             triples.append((a, d, l2))
-        _combo_add(field, result, (w, tuple(triples)), c_total)
+        combo_add(field, result, (w, tuple(triples)), c_total)
     return result
 
 
@@ -470,10 +439,10 @@ def routed_compose(field, word, args, evaluate, label, outer=None):
             c = field.mul(c, c2)
         keys = tuple(k for k, _ in choice)
         if outer is None:
-            _combo_add(field, out, label(keys), c)
+            combo_add(field, out, label(keys), c)
         else:
             for lab, c3 in _act_blockwise(field, factors, h_parts, w_canon, keys).items():
-                _combo_add(field, out, label(lab), field.mul(c, c3))
+                combo_add(field, out, label(lab), field.mul(c, c3))
     return out
 
 
@@ -527,9 +496,9 @@ class ComposeResult:
                         rel = {}
                         acted_m = self.left.act_adjacent(k, i, dm, lm)
                         for lm2, cm in acted_m.items():
-                            _combo_add(f, rel, ((k, dm, lm2), lw), cm)
+                            combo_add(f, rel, ((k, dm, lm2), lw), cm)
                         for lw2, cw in ws.factor_swap(i, lw).items():
-                            _combo_add(f, rel, ((k, dm, lm), lw2), f.neg(cw))
+                            combo_add(f, rel, ((k, dm, lm), lw2), f.neg(cw))
                         if rel:
                             relations.append(rel)
                 self.quotients[(r, d)] = Quotient(f, by_degree[d], relations)
@@ -548,10 +517,10 @@ class ComposeResult:
         out = {}
         mcomp = self.left.component(k)
         for lm2, c in mcomp.apply_diff(dm, {lm: f.one()}).items():
-            _combo_add(f, out, ((k, dm - 1, lm2), lw), c)
+            combo_add(f, out, ((k, dm - 1, lm2), lw), c)
         sgn = f.sign(dm)
         for lw2, c in self.word_spaces[k].diff_combo(lw).items():
-            _combo_add(f, out, ((k, dm, lm), lw2), f.mul(sgn, c))
+            combo_add(f, out, ((k, dm, lm), lw2), f.mul(sgn, c))
         return out
 
     def project(self, r, d, big_combo):

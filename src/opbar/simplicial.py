@@ -20,12 +20,15 @@ the tests; degenerate front/back pieces pair to zero).
 from __future__ import annotations
 
 import re
+from itertools import combinations
 
-from .dg import DgModule
-from .errors import SimplicialIdentityViolation
+from .bar import bar, sound_weight_bound
+from .dg import DegreeWindow, DgModule
+from .errors import NotCommutative, SimplicialIdentityViolation
 from .jsonio import _member, _objects, _typed
+from .linalg import combo_add
 from .modules import DgAlgebra
-from .sigma import _combo_add
+from .transfer import transfer_a_infinity
 
 
 class FiniteSimplicialSet:
@@ -186,8 +189,6 @@ def boundary_of_simplex(n):
     """The boundary of the n-simplex: nondegenerate faces of [0..n]."""
     simplices = {}
     face_data = {}
-    from itertools import combinations
-
     for k in range(n):
         for verts in combinations(range(n + 1), k + 1):
             simplices[_vname(verts)] = k
@@ -203,8 +204,6 @@ def standard_simplex(n):
     """Delta^n as a finite simplicial set (contractible)."""
     simplices = {}
     face_data = {}
-    from itertools import combinations
-
     for k in range(n + 1):
         for verts in combinations(range(n + 1), k + 1):
             simplices[_vname(verts)] = k
@@ -255,7 +254,7 @@ class CochainAlgebra:
                         continue
                     if core == x.basepoint and n - 1 == 0:
                         continue
-                    _combo_add(f, diff_map.setdefault(core, {}), tau, f.sign(i))
+                    combo_add(f, diff_map.setdefault(core, {}), tau, f.sign(i))
         diff_map = {k: v for k, v in diff_map.items() if v}
         self.module = DgModule.from_data(f, elements, diff_map)
         self._cup_table = self._build_cup()
@@ -277,7 +276,7 @@ class CochainAlgebra:
                         continue
                     if (p == 0 and front == x.basepoint) or (q == 0 and back == x.basepoint):
                         continue
-                    _combo_add(f, table.setdefault((front, back), {}), tau, f.one())
+                    combo_add(f, table.setdefault((front, back), {}), tau, f.one())
         return {k: v for k, v in table.items() if v}
 
     def algebra(self):
@@ -306,11 +305,6 @@ def bar_of_cochains(space, field, iterations, window, weight_bound=None):
     info records the weight bound, exactness and whether the retract
     was used.
     """
-    from .bar import bar, sound_weight_bound
-    from .dg import DegreeWindow
-    from .errors import NotCommutative
-    from .transfer import transfer_a_infinity
-
     if iterations >= 2:
         raise NotCommutative(
             "the iterated bar of a cochain algebra needs a strictly commutative model; "

@@ -21,9 +21,8 @@ from itertools import product
 
 from .dg import DgModule
 from .errors import AlgebraCheckFailed
-from .linalg import SparseMatrix, echelon, kernel_basis
+from .linalg import SparseMatrix, combo_add, echelon, kernel_basis
 from .modules import DgAlgebra, check_algebra
-from .sigma import _combo_add
 
 
 class Retract:
@@ -158,7 +157,7 @@ def transfer_a_infinity(algebra, max_arity, name=None):
             for (d1, l1), c1 in left_h.items():
                 for (d2, l2), c2 in right_h.items():
                     for l3, c3 in algebra.op_apply(2, (l1, l2)).items():
-                        _combo_add(f, out, (d1 + d2, l3), f.mul(f.mul(c1, c2), c3))
+                        combo_add(f, out, (d1 + d2, l3), f.mul(f.mul(c1, c2), c3))
         return out
 
     ops = {}
@@ -172,7 +171,7 @@ def transfer_a_infinity(algebra, max_arity, name=None):
             for (d, l), c in total.items():
                 col = ret.project[d].column(algebra.module.index(d, l))
                 for idx, v in col.items():
-                    _combo_add(f, projected, ("h", d, idx), f.mul(c, v))
+                    combo_add(f, projected, ("h", d, idx), f.mul(c, v))
             if projected:
                 table[tuple(("h", d, a) for (d, a) in word)] = projected
         if table:
@@ -194,5 +193,5 @@ def _apply_h(ret, combo):
         col = ret.homotopy[d].column(ret.module.index(d, l))
         labels_up = ret.module.labels(d + 1)
         for i, v in col.items():
-            _combo_add(f, out, (d + 1, labels_up[i]), f.mul(c, v))
+            combo_add(f, out, (d + 1, labels_up[i]), f.mul(c, v))
     return out

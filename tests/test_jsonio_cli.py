@@ -229,6 +229,9 @@ def _with_basis_entry(index, entry):
         (["export", "--builtin", "K", "--arity-bound", "0"], None, "--arity-bound must be at least 1"),
         (["export", "--builtin", "As", "--arity-bound", "-2"], None, "--arity-bound must be at least 1"),
         (["verify", "--suite", "stasheff", "--arity-bound", "0"], None, "--arity-bound must be at least 1"),
+        (["bar", "--max-degree", "4", "--field", "F"], None, "cannot parse field 'F' (use Q or F<p>)"),
+        (["cochains", "--bar", "--max-degree", "4", "--field", "Fx"], None, "cannot parse field 'Fx'"),
+        (["export", "--builtin", "K", "--field", ""], None, "cannot parse field ''"),
     ],
 )
 def test_cli_rejects_malformed_input(tmp_path, argv, data, message):

@@ -8,6 +8,8 @@ from opbar.linalg import (
     CoeffField,
     Quotient,
     SparseMatrix,
+    combo_add,
+    combo_map,
     homology_dimension,
     kernel_basis,
     quotient_data,
@@ -151,6 +153,26 @@ def test_quotient_projects_and_guards_missing_components():
     assert Quotient.project_in(Q, quotients, (2, 5), {"z": Q.zero()}) == {}
     with pytest.raises(ValueError, match=r"\(2, 5\)"):
         Quotient.project_in(Q, quotients, (2, 5), {"z": Q.one()})
+
+
+@pytest.mark.parametrize("field", [F2, CoeffField.prime(3), Q], ids=["F2", "F3", "Q"])
+def test_combo_map_drops_cancelled_labels_and_keeps_its_inputs(field):
+    one, two = field.one(), field.of_int(2)
+    images = {"a": {"x": one, "y": one}, "b": {"x": field.neg(one), "z": two}}
+    combo = {"a": one, "b": one}
+    before = (dict(combo), {k: dict(v) for k, v in images.items()})
+    # x cancels: 1*1 + 1*(-1) = 0
+    out = combo_map(field, combo, images.__getitem__)
+    expect = {"y": one}
+    combo_add(field, expect, "z", two)  # 2 = 0 over F2
+    assert out == expect and "x" not in out
+    assert ("z" in out) == (field.p != 2)
+    # added into a given acc, which is returned; y cancels there
+    acc = {"y": field.neg(one), "w": one}
+    assert combo_map(field, {"a": one}, images.__getitem__, acc) is acc
+    assert acc == {"w": one, "x": one}
+    assert (combo, images) == before
+    assert combo_map(field, {}, images.__getitem__) == {}
 
 
 def test_fp_scalar_parse_format():

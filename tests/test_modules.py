@@ -10,7 +10,7 @@ from opbar.dg import DegreeWindow, DgModule, tensor as dg_tensor
 from opbar.errors import InvalidMorphism
 from opbar.fixtures import random_commutative_algebra, random_tensor_algebra
 from opbar.jsonio import algebra_from_json, load_json
-from opbar.linalg import CoeffField
+from opbar.linalg import CoeffField, combo_add
 from opbar.simplicial import normalized_cochains, simplicial_set_from_json
 from opbar.transfer import transfer_a_infinity
 from opbar.modules import (
@@ -37,7 +37,6 @@ from opbar.operads import (
     stasheff_operad,
     stasheff_sign,
 )
-from opbar.sigma import _combo_add
 
 ROOT = Path(__file__).resolve().parent.parent
 Q = CoeffField.rationals()
@@ -188,11 +187,11 @@ def _exhaustive_check_algebra(a, max_arity=None, partial_range=None):
             lhs = {}
             for l2, c in a.op_apply(r, labs).items():
                 for l3, c3 in mod.apply_diff(sum(degs) + r - 2, {l2: c}).items():
-                    _combo_add(f, lhs, l3, c3)
+                    combo_add(f, lhs, l3, c3)
             sgn = f.sign(r - 1)
             for c, j, l2 in _tensor_diff_terms(f, degs, labs, mod):
                 for l3, c3 in a.op_apply(r, labs[:j] + [l2] + labs[j + 1 :]).items():
-                    _combo_add(f, lhs, l3, f.mul(f.mul(sgn, c), c3))
+                    combo_add(f, lhs, l3, f.mul(f.mul(sgn, c), c3))
             rhs = {}
             for s in range(2, r):
                 t = r + 1 - s
@@ -201,7 +200,7 @@ def _exhaustive_check_algebra(a, max_arity=None, partial_range=None):
                     for lmid, cmid in a.op_apply(t, labs[i - 1 : i - 1 + t]).items():
                         outer = labs[: i - 1] + [lmid] + labs[i - 1 + t :]
                         for l3, c3 in a.op_apply(s, outer).items():
-                            _combo_add(f, rhs, l3, f.mul(sign, f.mul(cmid, c3)))
+                            combo_add(f, rhs, l3, f.mul(sign, f.mul(cmid, c3)))
             if lhs != rhs:
                 diags.append("structure relation fails at arity %d word %r" % (r, tuple(labs)))
                 if len(diags) > 8:

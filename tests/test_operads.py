@@ -214,3 +214,28 @@ def test_check_operad_checks_associativity_as_a_module_law():
         entry["output"][0]["coeff"] = "2"
     with pytest.raises(ValueError, match="module law"):
         check_operad(operad_from_json(data), 4)
+
+
+@pytest.mark.parametrize("field", [Q, F3], ids=["Q", "F3"])
+def test_operad_json_keeps_the_differentials(field):
+    op = stasheff_operad(field, 4)
+    back = operad_from_json(operad_to_json(op, 4))
+    for n in range(1, 5):
+        a, b = op.component(n), back.component(n)
+        assert sorted(a.diff) == sorted(b.diff)
+        for d in a.diff:
+            assert sorted(a.diff[d].to_rows().items()) == sorted(b.diff[d].to_rows().items())
+    assert back.component(3).diff and back.component(4).diff
+
+
+def test_check_operad_checks_the_derivation_law_of_an_import():
+    # doubling d in arity 3 keeps d^2 = 0 (arity 3 has degrees 0 and 1 only) but breaks
+    # d(mu_2 o_i mu_3) = mu_2 o_i d(mu_3) in arity 4
+    data = operad_to_json(stasheff_operad(Q, 4), 4)
+    (arity3,) = [c for c in data["components"] if c["arity"] == 3]
+    assert arity3["differential"]
+    for entry in arity3["differential"]:
+        entry["coeff"] = str(2 * int(entry["coeff"]))
+    mutant = operad_from_json(data)
+    with pytest.raises(ValueError, match="derivation"):
+        check_operad(mutant, 4)
