@@ -390,8 +390,10 @@ def _tensor_map(field, src, dst, f_map, g_map):
     def rule(q, label):
         x, y = label
         dx = _find_degree(f_map.source, x)
+        fx = f_map.apply(dx, {x: field.one()})
         gy = g_map.apply(q - dx, {y: field.one()})
-        return combo_map(field, f_map.apply(dx, {x: field.one()}), lambda lx: {(lx, ly): c for ly, c in gy.items()})
+        # distinct pairs of nonzero coefficients: nothing to sum, nothing cancels
+        return {(lx, ly): field.mul(cx, cy) for lx, cx in fx.items() for ly, cy in gy.items()}
 
     return DgMap.from_rule(src, dst, 0, rule)
 

@@ -19,9 +19,9 @@ Scalars leave an `Echelon` as field scalars again (`Fraction` over Q)
 only when `rref()` hands out the reduced rows.
 
 Elements of a space with a named basis are combos {label: scalar}.
-`combo_add` and `combo_map` sum them, dropping the labels whose
-coefficients cancel; every multilinear structure map is evaluated on
-combos through `combo_map`, its linear extension.
+`combo_add` and `combo_map` sum them and drop the labels whose
+coefficients cancel; `combo_map` evaluates a map fixed on basis labels
+on a whole combo, by linear extension.
 """
 
 from __future__ import annotations

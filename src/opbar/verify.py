@@ -7,8 +7,6 @@ deterministic for a fixed seed.
 
 from __future__ import annotations
 
-import inspect
-
 from .bar import (
     bar,
     bar_extension_iso,
@@ -503,6 +501,8 @@ def run_suite(name, **kwargs):
     fn = SUITES.get(name)
     if fn is None:
         raise KeyError("unknown suite %r (have %s)" % (name, ", ".join(sorted(SUITES) + ["all"])))
+    import inspect  # kept local: a slow, memory-heavy import that only run_suite needs
+
     sig = inspect.signature(fn)
     usable = {k: v for k, v in kwargs.items() if k in sig.parameters and v is not None}
     return fn(**usable)
