@@ -286,9 +286,15 @@ def operad_from_json(data):
     arity_of = {}
     for comp, at in _objects(data, "components"):
         n = _member(comp, "arity", int, at)
+        if n in comps:
+            raise MalformedInput("%s.arity: arity %d is given twice" % (at, n))
         comps[n], _ = dgmodule_from_json(comp, f, at)
         for d in comps[n].degrees():
             for name in comps[n].labels(d):
+                if name in degree_of:
+                    raise MalformedInput(
+                        "%s.basis names %r, which arity %d already uses" % (at, name, arity_of[name])
+                    )
                 degree_of[name] = d
                 arity_of[name] = n
 

@@ -8,11 +8,23 @@ using deterministic elimination, giving maps p: A -> H, i: H -> A and a
 homotopy h with dh + hd = 1 - ip, ph = 0, hi = 0, h^2 = 0.
 
 The transferred operations are the standard sums over planar binary
-trees with the homotopy on inner edges.  Signs are omitted, which is
-correct over F_2; for other fields the construction is accepted only
-when the result verifies the structure relations (in particular, when
-every operation is forced to vanish for degree reasons the result is
-valid over any field).
+trees with the homotopy on inner edges: mu_r = p lambda_r (i x ... x i),
+where lambda_r of a word is the sum over its binary splits of
+mu_2(h lambda(left), h lambda(right)), a single letter x standing for
+i(x) in place of h lambda.
+
+Cost.  lambda of a word and h lambda of it are memoised on the subword,
+a tuple of (degree, index) letters, across all words and arities, so
+each subword is summed once and h applied to it once; the columns of
+i, h and p are read once per call.  A word whose output degree
+sum(d_i) + r - 2 carries no homology is skipped before any tree sum:
+p kills it.  On a sphere model with one class x in degree -n every
+word x^r lands in degree -r(n - 1) - 2, so every word is skipped.
+
+Signs are omitted, which is exact over F_2.  mu_2 = p mu (i x i) needs
+no sign and is kept over every field; over a field of characteristic
+other than 2 a nonzero mu_r with r >= 3 raises AlgebraCheckFailed.  The
+result must also pass the structure relations.
 """
 
 from __future__ import annotations
@@ -21,7 +33,7 @@ from itertools import product
 
 from .dg import DgModule
 from .errors import AlgebraCheckFailed
-from .linalg import SparseMatrix, combo_add, echelon, kernel_basis
+from .linalg import SparseMatrix, combo_add, combo_map, echelon, kernel_basis
 from .modules import DgAlgebra, check_algebra
 
 
@@ -127,56 +139,23 @@ class Retract:
 def transfer_a_infinity(algebra, max_arity, name=None):
     """Transferred Stasheff-algebra structure on the homology.
 
-    Sign-free tree sums: exact over F_2; over other fields the result is
-    returned only if it passes the structure relations (e.g. when all
-    operations vanish for degree reasons).
+    Sign-free tree sums: exact over F_2.  Over a field of another
+    characteristic a nonzero mu_r with r >= 3 raises AlgebraCheckFailed;
+    otherwise the result is returned only if it passes the structure
+    relations.
     """
     f = algebra.field
     ret = Retract(algebra.module)
     if not ret.verify():
         raise AssertionError("retract construction failed verification")
-    hmod = ret.homology_module()
-    h_labels = {d: hmod.labels(d) for d in hmod.degrees()}
-
-    def include_combo(d, a):
-        col = ret.include[d].column(a)
-        return {(d, algebra.module.labels(d)[i]): v for i, v in col.items()}
-
-    # lambda_r on included elements, recursively with h on inner edges
-    def lam(args):
-        """args: list of combos over (degree, label); returns combo."""
-        if len(args) == 1:
-            return args[0]
-        out = {}
-        r = len(args)
-        for s in range(1, r):
-            left = lam(args[:s])
-            right = lam(args[s:])
-            left_h = _apply_h(ret, left) if s > 1 else left
-            right_h = _apply_h(ret, right) if r - s > 1 else right
-            for (d1, l1), c1 in left_h.items():
-                for (d2, l2), c2 in right_h.items():
-                    for l3, c3 in algebra.op_apply(2, (l1, l2)).items():
-                        combo_add(f, out, (d1 + d2, l3), f.mul(f.mul(c1, c2), c3))
-        return out
-
-    ops = {}
-    for r in range(2, max_arity + 1):
-        table = {}
-        degree_lists = [(d, a) for d in sorted(h_labels) for a in range(len(h_labels[d]))]
-        for word in product(degree_lists, repeat=r):
-            args = [include_combo(d, a) for (d, a) in word]
-            total = lam(args)
-            projected = {}
-            for (d, l), c in total.items():
-                col = ret.project[d].column(algebra.module.index(d, l))
-                for idx, v in col.items():
-                    combo_add(f, projected, ("h", d, idx), f.mul(c, v))
-            if projected:
-                table[tuple(("h", d, a) for (d, a) in word)] = projected
-        if table:
-            ops[r] = table
-    out = DgAlgebra(f, "ainf", hmod, ops, name=name or ("H(%s)" % algebra.name))
+    ops = _tree_sums(algebra, ret, max_arity)
+    higher = [r for r in ops if r >= 3]
+    if higher and f.p != 2:
+        raise AlgebraCheckFailed(
+            "transferred mu_%d is nonzero over %r: the sign-free transfer is exact only over F_2"
+            % (higher[0], f)
+        )
+    out = DgAlgebra(f, "ainf", ret.homology_module(), ops, name=name or ("H(%s)" % algebra.name))
     ok, diags = check_algebra(out, max_arity + 1, report=True)
     if not ok:
         raise AlgebraCheckFailed(
@@ -186,12 +165,62 @@ def transfer_a_infinity(algebra, max_arity, name=None):
     return out
 
 
-def _apply_h(ret, combo):
-    f = ret.field
-    out = {}
-    for (d, l), c in combo.items():
-        col = ret.homotopy[d].column(ret.module.index(d, l))
-        labels_up = ret.module.labels(d + 1)
-        for i, v in col.items():
-            combo_add(f, out, (d + 1, labels_up[i]), f.mul(c, v))
-    return out
+def _tree_sums(algebra, ret, max_arity):
+    """{r: table} of the nonzero p lambda_r (i x ... x i), 2 <= r <= max_arity.
+
+    Table keys are words of ("h", d, a) labels in `product` order.
+    """
+    f = algebra.field
+    mod = algebra.module
+    # label-keyed columns of i, h and p, built once
+    include, homotopy, project = {}, {}, {}
+    for d in mod.degrees():
+        labels, up = mod.labels(d), mod.labels(d + 1)
+        for (i, a), v in ret.include[d].entries.items():
+            include.setdefault((d, a), {})[(d, labels[i])] = v
+        for (i, j), v in ret.homotopy[d].entries.items():
+            homotopy.setdefault((d, labels[j]), {})[(d + 1, up[i])] = v
+        for (k, j), v in ret.project[d].entries.items():
+            project.setdefault((d, labels[j]), {})[("h", d, k)] = v
+
+    # memos over subwords of (degree, index) letters, shared by every word
+    # of every arity; their combos are read, never modified
+    lam = {}
+    edge = {(x,): col for x, col in include.items()}
+
+    def lam_of(word):
+        """lambda on a word of length >= 2: a sum over the binary splits."""
+        out = lam.get(word)
+        if out is None:
+            out = lam[word] = {}
+            for s in range(1, len(word)):
+                right = edge_of(word[s:])
+                for (d1, l1), c1 in edge_of(word[:s]).items():
+                    for (d2, l2), c2 in right.items():
+                        c12 = f.mul(c1, c2)
+                        for l3, c3 in algebra.op_apply(2, (l1, l2)).items():
+                            combo_add(f, out, (d1 + d2, l3), f.mul(c12, c3))
+        return out
+
+    def edge_of(word):
+        """The value on an edge above `word`: i(x) for a letter, else h lambda."""
+        out = edge.get(word)
+        if out is None:
+            out = edge[word] = combo_map(f, lam_of(word), lambda key: homotopy.get(key, {}))
+        return out
+
+    letters = [(d, a) for d in sorted(ret.h_basis) for a in range(ret.h_basis[d])]
+    ops = {}
+    for r in range(2, max_arity + 1):
+        table = {}
+        for word in product(letters, repeat=r):
+            # lambda_r lands in degree sum(d) + r - 2; with no homology there,
+            # p kills it
+            if not ret.h_basis.get(sum(d for d, _ in word) + r - 2):
+                continue
+            projected = combo_map(f, lam_of(word), lambda key: project.get(key, {}))
+            if projected:
+                table[tuple(("h", d, a) for (d, a) in word)] = projected
+        if table:
+            ops[r] = table
+    return ops

@@ -88,8 +88,13 @@ def test_operad_round_trip():
     [
         (lambda d: d["components"][0].pop("arity"), "components[0] has no 'arity' field"),
         (lambda d: d.update(components={}), "components must be a list, got an object"),
+        (
+            lambda d: d["components"][1]["basis"][0].update(name=d["components"][0]["basis"][0]["name"]),
+            "components[1].basis names 'a1_d0_0', which arity 1 already uses",
+        ),
+        (lambda d: d["components"][1].update(arity=1), "components[1].arity: arity 1 is given twice"),
     ],
-    ids=["component-without-arity", "components-object"],
+    ids=["component-without-arity", "components-object", "name-in-two-components", "arity-twice"],
 )
 def test_operad_from_json_rejects_bad_shapes(mutate, message):
     data = operad_to_json(commutative_operad(Q, 2), 2)

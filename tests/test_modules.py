@@ -131,17 +131,17 @@ def test_ainf_with_mu3():
     assert check_algebra(a3, 6)
 
 
-def massey_algebra():
-    """A dga over F_2 whose homology a, b, c, m carries the Massey product
+def massey_algebra(field=F2):
+    """A dga whose homology a, b, c, m carries the Massey product
     <a, b, c> = xc + ay = m: dx = ab, dy = bc, xc = m."""
-    one = F2.one()
+    one = field.one()
     mod = DgModule.from_data(
-        F2,
+        field,
         [("a", 1), ("b", 1), ("c", 1), ("ab", 2), ("bc", 2), ("x", 3), ("y", 3), ("m", 4)],
         {"x": {"ab": one}, "y": {"bc": one}},
     )
     ops = {("a", "b"): {"ab": one}, ("b", "c"): {"bc": one}, ("x", "c"): {"m": one}}
-    return DgAlgebra(F2, "assoc", mod, {2: ops}, name="massey")
+    return DgAlgebra(field, "assoc", mod, {2: ops}, name="massey")
 
 
 def _exhaustive_check_algebra(a, max_arity=None, partial_range=None):
