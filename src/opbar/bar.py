@@ -14,6 +14,12 @@ algebra; the word's dg-degree is the sum of the suspended degrees
     applied to r consecutive letters, with all signs produced by the
     operator tensor rule.
 
+Each piece of the differential is computed once per complex: every
+letter's differential is read from the algebra when the complex is
+built, and each signed b_r is memoised on its chunk of r letters, so a
+word's differential only places stored terms with the sign of its
+suspended prefix.
+
 Weight truncation is exact when the suspended letter degrees all have
 the same sign: a degree-d word then has weight at most |d|+1 over the
 minimal absolute suspended degree, and `sound_weight_bound` computes
@@ -110,27 +116,35 @@ class BarComplex:
 
     def _build(self):
         f = self.field
+        amod = self.algebra.module
         letters = self._letters()
+        # d(s a) = -s(d a): each letter's terms with their sign after an even
+        # and after an odd suspended prefix
+        self._letter_diff = {}
+        for d, l in letters:
+            terms = amod.apply_diff(d, {l: f.one()}).items()
+            self._letter_diff[(d, l)] = tuple(((d - 1, l2), f.mul(f.sign(1), c), f.mul(f.one(), c)) for l2, c in terms)
+        self._b_terms = {}
         lo, hi = self.window.lo - 1, self.window.hi + 1
         # the furthest one more letter can move the degree down and up
         down = min([d + 1 for d, _ in letters] + [0])
         up = max([d + 1 for d, _ in letters] + [0])
         words_by_degree = {}
-
-        def extend(word, deg):
+        # depth-first, letters in order: children are pushed in reverse
+        stack = [((), 0)]
+        while stack:
+            word, deg = stack.pop()
             n = len(word)
             if n >= 1 and lo <= deg <= hi:
                 words_by_degree.setdefault(deg, []).append(word)
             if n == self.weight_bound:
-                return
+                continue
             remaining = self.weight_bound - n - 1
-            for (d, l) in letters:
+            for d, l in reversed(letters):
                 nd = deg + d + 1
                 # can `remaining` more letters bring nd into [lo, hi]?
                 if nd + down * remaining <= hi and nd + up * remaining >= lo:
-                    extend(word + ((d, l),), nd)
-
-        extend((), 0)
+                    stack.append((word + ((d, l),), nd))
         basis = {d: tuple(ws) for d, ws in sorted(words_by_degree.items())}
         self.module = DgModule.from_rule(f, basis, self._stored_diff)
         self.weight_of = {w: len(w) for d in basis for w in basis[d]}
@@ -142,32 +156,46 @@ class BarComplex:
         """
         return self.diff_word(word) if d >= self.window.lo else {}
 
+    def _internal_diff(self, word):
+        """The Koszul differential of the suspended word, from the stored letter differentials."""
+        f = self.field
+        out = {}
+        odd = 0  # parity of the suspended prefix
+        for j, letter in enumerate(word):
+            for letter2, c_even, c_odd in self._letter_diff[letter]:
+                combo_add(f, out, word[:j] + (letter2,) + word[j + 1 :], c_odd if odd else c_even)
+            odd ^= (letter[0] + 1) & 1
+        return out
+
+    def _b_term(self, chunk):
+        """b_r on a chunk of r letters, memoised: per term of mu_r its letter and its
+        coefficient after an even and after an odd suspended prefix."""
+        terms = self._b_terms.get(chunk)
+        if terms is None:
+            f = self.field
+            r = len(chunk)
+            sgn = f.sign(desuspension_parity([d + 1 for d, _ in chunk]))
+            d2 = sum(d for d, _ in chunk) + r - 2
+            terms = []
+            for l2, c in self.algebra.op_apply(r, tuple(l for _, l in chunk)).items():
+                c = f.mul(sgn, c)
+                terms.append(((d2, l2), c, f.mul(f.sign(1), c)))
+            terms = self._b_terms[chunk] = tuple(terms)
+        return terms
+
     def diff_word(self, word):
         """Internal differential plus bar coderivation of a basis word."""
         f = self.field
-        a = self.algebra
-        out = {}
-        susp = [d + 1 for d, _ in word]
-        # internal: d(s a) = -s(d a), Koszul over the suspended prefix
-        prefix = 0
-        for j, (d, l) in enumerate(word):
-            for l2, c in a.module.apply_diff(d, {l: f.one()}).items():
-                w2 = word[:j] + ((d - 1, l2),) + word[j + 1 :]
-                combo_add(f, out, w2, f.mul(f.sign(prefix + 1), c))
-            prefix += d + 1
-        # coderivation
+        out = self._internal_diff(word)
         n = len(word)
-        for r in sorted(a.ops):
+        for r in sorted(self.algebra.ops):
             if r > n:
                 continue
-            for i in range(1, n - r + 2):
-                chunk = word[i - 1 : i - 1 + r]
-                pre = sum(susp[: i - 1]) % 2
-                des = desuspension_parity([d + 1 for d, _ in chunk])
-                for l2, c in a.op_apply(r, tuple(l for _, l in chunk)).items():
-                    d2 = sum(d for d, _ in chunk) + r - 2
-                    w2 = word[: i - 1] + ((d2, l2),) + word[i - 1 + r :]
-                    combo_add(f, out, w2, f.mul(f.sign(pre + des), c))
+            odd = 0  # parity of the suspended letters before position i
+            for i in range(n - r + 1):
+                for letter2, c_even, c_odd in self._b_term(word[i : i + r]):
+                    combo_add(f, out, word[:i] + (letter2,) + word[i + r :], c_odd if odd else c_even)
+                odd ^= (word[i][0] + 1) & 1
         return out
 
     # structure ------------------------------------------------------------------
@@ -189,23 +217,14 @@ class BarComplex:
 
     def layer_quotient_matches_tensor_power(self, n):
         """B_{<=n}/B_{<=n-1} carries the internal differential only."""
-        f = self.field
         for d in self.module.degrees():
             for word in self.module.labels(d):
                 if len(word) != n:
                     continue
+                internal = self._internal_diff(word)
                 for word2, c in self.diff_word(word).items():
-                    if len(word2) == n:
-                        # must equal the internal Koszul differential
-                        internal = {}
-                        prefix = 0
-                        for j, (dd, l) in enumerate(word):
-                            for l2, c2 in self.algebra.module.apply_diff(dd, {l: f.one()}).items():
-                                w2 = word[:j] + ((dd - 1, l2),) + word[j + 1 :]
-                                combo_add(f, internal, w2, f.mul(f.sign(prefix + 1), c2))
-                            prefix += dd + 1
-                        if internal.get(word2) != c:
-                            return False
+                    if len(word2) == n and internal.get(word2) != c:
+                        return False
         return True
 
 

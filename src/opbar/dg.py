@@ -17,7 +17,9 @@ Sign conventions, fixed once:
 `DgModule.from_rule`, `from_data` and the constructor check d^2 = 0 by
 default, which pins the conventions in practice; `tensor`,
 `suspension`, `direct_sum` and the word spaces of `sigma.py` build
-with check=False, and `homology` re-checks every block it ranks.
+with check=False.  A module records that its check passed, so d^2 = 0
+is checked once per module: `homology` re-checks only the blocks of
+modules built unchecked.
 """
 
 from __future__ import annotations
@@ -72,6 +74,7 @@ class DgModule:
         for d, m in self.diff.items():
             if m.cols != self.dim(d) or m.rows != self.dim(d - 1):
                 raise ValueError("differential block at degree %d has wrong shape" % d)
+        self.d_squared_checked = False  # set by a check_differential that passed
         if check:
             self.check_differential()
 
@@ -112,6 +115,7 @@ class DgModule:
             below = self.diff.get(d - 1)
             if below is not None and not below.matmul(self.diff[d]).is_zero():
                 raise CompositionNotZero("d^2 != 0 from degree %d" % d)
+        self.d_squared_checked = True
 
     # element helpers -------------------------------------------------------
 
@@ -389,5 +393,8 @@ def homology(a, window=None):
             if k not in ranks:
                 block = a.diff_block(k)
                 ranks[k] = rank(block) if block.entries else 0
-        out[d] = homology_dimension(a.diff_block(d + 1), a.diff_block(d), ranks[d + 1], ranks[d])
+        if a.d_squared_checked:
+            out[d] = a.dim(d) - ranks[d] - ranks[d + 1]
+        else:
+            out[d] = homology_dimension(a.diff_block(d + 1), a.diff_block(d), ranks[d + 1], ranks[d])
     return out

@@ -1,3 +1,6 @@
+import gc
+import hashlib
+import weakref
 from itertools import product
 from pathlib import Path
 
@@ -6,8 +9,8 @@ import pytest
 from opbar.dg import DegreeWindow, DgModule, homology
 from opbar.errors import AlgebraCheckFailed, NotCommutative, TruncationUnsound
 from opbar.fixtures import random_commutative_algebra, random_tensor_algebra
-from opbar.jsonio import algebra_from_json, load_json
-from opbar.linalg import CoeffField, kernel_basis
+from opbar.jsonio import algebra_from_json, bar_to_json, dump_json, load_json
+from opbar.linalg import CoeffField, combo_add, kernel_basis
 from opbar import modules
 from opbar.modules import DgAlgebra, check_algebra
 from opbar.bar import (
@@ -15,6 +18,7 @@ from opbar.bar import (
     bar_extension_iso,
     bar_filtration_layer,
     bar_module,
+    desuspension_parity,
     iterated_bar,
     shuffle_product,
     shuffle_word_product,
@@ -29,7 +33,8 @@ from opbar.operads import (
     identity_morphism,
     stasheff_operad,
 )
-from opbar.transfer import Retract
+from opbar.transfer import Retract, transfer_a_infinity
+from test_modules import massey_algebra
 
 Q = CoeffField.rationals()
 F2 = CoeffField.prime(2)
@@ -121,14 +126,101 @@ def test_random_bars_square_zero():
             bar(random_tensor_algebra(field, seed), DegreeWindow(-12, 12))
 
 
-def test_ainf_bar_square_zero():
-    a3 = DgAlgebra(
+def ainf_mu3():
+    return DgAlgebra(
         Q,
         "ainf",
         DgModule.from_data(Q, [("x", 1), ("w", 4)]),
         {3: {("x", "x", "x"): {"w": Q.one()}}},
     )
-    bar(a3, DegreeWindow(0, 12))
+
+
+def test_ainf_bar_square_zero():
+    bar(ainf_mu3(), DegreeWindow(0, 12))
+
+
+def reference_diff_word(b, word):
+    """The bar differential of a word from its definition, with no memo:
+    each letter's differential and each mu_r read from the algebra."""
+    f = b.field
+    a = b.algebra
+    out = {}
+    susp = [d + 1 for d, _ in word]
+    prefix = 0
+    for j, (d, l) in enumerate(word):
+        for l2, c in a.module.apply_diff(d, {l: f.one()}).items():
+            w2 = word[:j] + ((d - 1, l2),) + word[j + 1 :]
+            combo_add(f, out, w2, f.mul(f.sign(prefix + 1), c))
+        prefix += d + 1
+    n = len(word)
+    for r in sorted(a.ops):
+        if r > n:
+            continue
+        for i in range(1, n - r + 2):
+            chunk = word[i - 1 : i - 1 + r]
+            pre = sum(susp[: i - 1]) % 2
+            des = desuspension_parity([d + 1 for d, _ in chunk])
+            for l2, c in a.op_apply(r, tuple(l for _, l in chunk)).items():
+                d2 = sum(d for d, _ in chunk) + r - 2
+                w2 = word[: i - 1] + ((d2, l2),) + word[i - 1 + r :]
+                combo_add(f, out, w2, f.mul(f.sign(pre + des), c))
+    return out
+
+
+def test_memoised_diff_word_matches_reference():
+    complexes = [
+        bar(make(field, seed), DegreeWindow(-10, 10))
+        for make in (random_tensor_algebra, random_commutative_algebra)
+        for seed in range(6)
+        for field in (F2, F3, Q)
+    ]
+    complexes.append(bar(transfer_a_infinity(massey_algebra(F2), 4), DegreeWindow(0, 12)))
+    complexes.append(bar(ainf_mu3(), DegreeWindow(0, 12)))
+    complexes.append(iterated_bar(_data_algebra("lambda_x3_f2.json", None), 2, DegreeWindow(-13, -1))[1])
+    words = with_terms = 0
+    for b in complexes:
+        for d in b.module.degrees():
+            for word in b.module.labels(d):
+                got = b.diff_word(word)
+                # repr pins the order of the terms too
+                assert repr(got) == repr(reference_diff_word(b, word)), (b.algebra.name, word)
+                words += 1
+                with_terms += bool(got)
+    assert (words, with_terms) == (6376, 4286)
+
+
+def test_bar_complex_is_freed_without_the_cycle_collector():
+    gc.disable()
+    try:
+        b = bar(random_tensor_algebra(F2, 0), DegreeWindow(0, 6))
+        ref = weakref.ref(b)
+        del b
+        assert ref() is None, "BarComplex is kept alive by a reference cycle"
+    finally:
+        gc.enable()
+
+
+# sha256 of dump_json(bar_to_json(...)): any change to a basis word, its
+# order or a differential entry changes the digest
+BAR_EXPORT_SHA256 = {
+    "trunc.json": (None, DegreeWindow(0, 12), "8ecf53fc5a769586e0bfc4eaa1e40503aa04386464a8359a3ba098cf54817cb2"),
+    "exterior.json": (None, DegreeWindow(0, 12), "974d6ef44def7c9028c498529d8d4d74b776dabe84a8df216a369fb7afcea1f4"),
+    "lambda_x3_f2.json": (None, DegreeWindow(-19, -1), "69344c8fa3cfce219952d5daf0127a13f270469f47d80b5723ecf70d8f2b2456"),
+    "tensor-F2": (F2, DegreeWindow(0, 8), "c76408e021e379a76b97b50670de8ab93a6c29f7ad6d15bf931ad1270a76e047"),
+    "tensor-F3": (F3, DegreeWindow(0, 8), "dca3b1568bcab0f25941bbb7c0d2ff68e4d992ab0a566330182ff2a9cb603a0f"),
+    "tensor-Q": (Q, DegreeWindow(0, 8), "9c4925e8d39a4bdcbc51aa6b5842a3a4a87c2dac6c7758dd050aaded9bac81d0"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(BAR_EXPORT_SHA256))
+def test_bar_export_is_byte_identical(name):
+    field, window, digest = BAR_EXPORT_SHA256[name]
+    if name.startswith("tensor"):
+        algebra = random_tensor_algebra(field, 1, 3, 3)
+    else:
+        algebra = _data_algebra(name, field)
+    text = dump_json(bar_to_json(bar(algebra, window)))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
 def test_filtration_layers():

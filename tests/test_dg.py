@@ -189,3 +189,30 @@ def test_homology_ranks_each_nonzero_block_once(monkeypatch):
     monkeypatch.setattr(opbar.dg, "rank", counting_rank)
     assert homology(m) == {0: 0, 1: 0, 2: 0, 3: 0}
     assert sorted(id(b) for b in ranked) == sorted(id(m.diff_block(d)) for d in (1, 2, 3))
+
+
+def test_homology_skips_the_d_squared_check_made_at_construction(monkeypatch):
+    import opbar.linalg
+
+    products = []
+    real_matmul = opbar.linalg.SparseMatrix.matmul
+
+    def counting_matmul(self, other):
+        products.append((self, other))
+        return real_matmul(self, other)
+
+    monkeypatch.setattr(opbar.linalg.SparseMatrix, "matmul", counting_matmul)
+    # d x_k = y_{k-1}, d y_k = 0: consecutive nonzero blocks in degrees 1, 2, 3
+    m = DgModule.from_data(
+        Q,
+        [("y0", 0), ("x1", 1), ("y1", 1), ("x2", 2), ("y2", 2), ("x3", 3)],
+        {"x1": {"y0": Q.one()}, "x2": {"y1": Q.one()}, "x3": {"y2": Q.one()}},
+    )
+    assert len(products) == 2  # d_1 d_2 and d_2 d_3, once each
+    products.clear()
+    assert homology(m) == {0: 0, 1: 0, 2: 0, 3: 0}
+    assert products == []
+    # the one check stays at construction
+    d_squared_not_zero = {"a": {"b": Q.one()}, "b": {"c": Q.one()}}
+    with pytest.raises(CompositionNotZero):
+        DgModule.from_rule(Q, {2: ("a",), 1: ("b",), 0: ("c",)}, lambda d, label: d_squared_not_zero.get(label, {}))
