@@ -110,14 +110,10 @@ class BarComplex:
 
     # construction -------------------------------------------------------------
 
-    def _letters(self):
-        amod = self.algebra.module
-        return [(d, l) for d in amod.degrees() for l in amod.labels(d)]
-
     def _build(self):
         f = self.field
         amod = self.algebra.module
-        letters = self._letters()
+        letters = amod.basis_pairs()
         # d(s a) = -s(d a): each letter's terms with their sign after an even
         # and after an odd suspended prefix
         self._letter_diff = {}

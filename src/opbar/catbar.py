@@ -192,8 +192,8 @@ def coproduct_algebra(algebras):
     for S in subsets:
         words = [()]
         for i in S:
-            amod = algebras[i - 1].module
-            words = [w + ((d, l),) for w in words for d in amod.degrees() for l in amod.labels(d)]
+            letters = algebras[i - 1].module.basis_pairs()
+            words = [w + (letter,) for w in words for letter in letters]
         for w in words:
             label = (S, w)
             deg = sum(d for d, _ in w)

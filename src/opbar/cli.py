@@ -16,6 +16,7 @@ are deterministic for a fixed configuration and seed.
 from __future__ import annotations
 
 import argparse
+import functools
 import json
 import sys
 
@@ -219,7 +220,9 @@ def cmd_export(args):
     return 0
 
 
+@functools.cache
 def build_parser():
+    """The argument parser, built once per process: argparse parsers are cyclic garbage once dropped."""
     parser = argparse.ArgumentParser(
         prog="opbar",
         description="Exact bar-construction engine over operads (Q and F_p coefficients).",

@@ -101,6 +101,10 @@ class DgModule:
     def labels(self, d):
         return self.basis.get(d, ())
 
+    def basis_pairs(self):
+        """The basis as (degree, label) pairs, degree by degree."""
+        return [(d, label) for d in self.degrees() for label in self.basis[d]]
+
     def diff_block(self, d):
         m = self.diff.get(d)
         if m is None:

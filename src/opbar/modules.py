@@ -7,11 +7,18 @@ to the coequalizer Sym_R(M, A) of
 
 where one arrow collapses R into M by the module action and the other
 evaluates R on A.  Everything here is materialized on explicit bases:
-Sym(M, A) is presented as a quotient of words (m; a_1..a_n) by the
-symmetric group identifications, and the coequalizer is a further
-quotient by the image of (d0 - d1) ranging over pure three-level
-words.  Coinvariants are always true quotients computed by elimination,
-never averages, so prime characteristic is handled correctly.
+Sym_R(M, A) is presented as one quotient of the words (m; a_1..a_n)
+by the symmetric group identifications and the image of (d0 - d1) on
+pure three-level words together, and so is M o_R S over the words
+(m; S-word).  One elimination gives what quotienting by the symmetric
+relations R1 and then by the projected (d0 - d1) relations R2 would:
+pivots are taken at the lowest column, so a quotient keeps exactly the
+labels that lead no vector of the relation span and projects along that
+span; every pivot row's tail lies right of its pivot, so projecting R2
+through the first quotient leaves its leading columns among the kept
+labels unchanged.  Coinvariants are always true quotients computed by
+elimination, never averages, so prime characteristic is handled
+correctly.
 """
 
 from __future__ import annotations
@@ -23,7 +30,7 @@ from .dg import DgModule
 from .errors import AlgebraCheckFailed, InvalidMorphism
 from .linalg import Quotient, combo_add, combo_map, quotient_data
 from .operads import gamma_partial, operad_morphism_check, stasheff_sign
-from .sigma import SigmaModule, WordSpace, compose, routed_compose
+from .sigma import ComposeResult, SigmaModule, WordSpace, routed_compose
 
 
 class RightModule:
@@ -274,7 +281,7 @@ def check_algebra(a, max_arity=None, report=False, partial_range=None):
         # the relations below apply the differential in the degrees mu_r should land in
         return (False, diags) if report else False
 
-    labels_all = [(d, l) for d in mod.degrees() for l in mod.labels(d)]
+    labels_all = mod.basis_pairs()
 
     reachable = _reachable_words(a, labels_all, top)
     for r in range(2, top + 1):
@@ -489,9 +496,9 @@ class SymPresentation:
 
     Pure labels are (m_triple, a_labels) with a_labels a tuple of
     (degree, label) pairs; `quotients[d]` presents degree d; `module` is
-    the quotient dg-module; `weight_of` maps kept labels to their word
-    length.  `extra_relations` maps a degree to further relations,
-    combos over the pure labels.
+    the quotient dg-module.  `extra_relations` maps a degree to further
+    relations, combos over the pure labels, quotiented out in the same
+    elimination.
     """
 
     def __init__(self, field, sigma, algebra_module, weights, extra_relations=None):
@@ -500,17 +507,10 @@ class SymPresentation:
         self.algebra_module = algebra_module
         self.weights = list(weights)
         self.quotients = {}
-        self.weight_of = {}
         self._build(extra_relations or {})
 
     def _pure_labels(self, n):
-        comp = self.sigma.component(n)
-        amod = self.algebra_module
-        a_words = list(product([(d, l) for d in amod.degrees() for l in amod.labels(d)], repeat=n))
-        for dm in comp.degrees():
-            for lm in comp.labels(dm):
-                for w in a_words:
-                    yield ((n, dm, lm), w)
+        return product(self.sigma.basis_triples(n), product(self.algebra_module.basis_pairs(), repeat=n))
 
     def _build(self, extra_relations):
         f = self.field
@@ -536,8 +536,6 @@ class SymPresentation:
                         relations.append(rel)
             relations.extend(extra_relations.get(d, ()))
             self.quotients[d] = Quotient(f, by_degree[d], relations)
-            for lab in self.quotients[d].kept:
-                self.weight_of[lab] = len(lab[1])
         basis = {d: q.kept for d, q in self.quotients.items()}
         self.module = DgModule.from_rule(f, basis, lambda d, label: self.project(d - 1, self.diff_big(label)))
 
@@ -589,9 +587,10 @@ def _d0(right_module, m_triple, word, tail):
 class SymOverOperad:
     """Sym_R(M, A): the coequalizer quotient of Sym(M, A).
 
-    `module` is the resulting dg-module; `project_big` maps pure
-    Sym(M,A) words into it.  Relations are generated by pure three-level
-    words (m; R-word; A-word) via d0 - d1.
+    `sym` presents it in one quotient per degree: the pure Sym(M, A)
+    words modulo the Sigma relations and the images of (d0 - d1) on pure
+    three-level words (m; R-word; A-word), eliminated together.
+    `module` is the resulting dg-module.
     """
 
     def __init__(self, right_module, algebra, operad, weights):
@@ -603,39 +602,29 @@ class SymOverOperad:
             raise AlgebraCheckFailed(
                 "algebra of kind %r cannot be fed to operad %r" % (algebra.kind, operad.name)
             )
-        self.free = sym_apply(right_module.sigma, algebra.module, weights)
-        self._coequalize(weights)
+        self.sym = SymPresentation(self.field, right_module.sigma, algebra.module, weights, self._relations(weights))
+        self.module = self.sym.module
 
-    def _coequalize(self, weights):
+    def _relations(self, weights):
+        """d0 - d1 on every pure three-level word, keyed by degree."""
         f = self.field
         extra = {}
+        letters = self.algebra.module.basis_pairs()
         for n in weights:
-            mcomp = self.right_module.sigma.component(n)
-            if mcomp.is_zero():
+            if self.right_module.sigma.component(n).is_zero():
                 continue
             for b in range(n, self.operad.arity_bound() + 1):
-                ws = WordSpace(f, [self.operad.sigma] * n, b)
-                wcomp = ws.component(b)
+                wcomp = WordSpace(f, [self.operad.sigma] * n, b).component(b)
                 if wcomp.is_zero():
                     continue
-                amod = self.algebra.module
-                a_words = list(product([(d, l) for d in amod.degrees() for l in amod.labels(d)], repeat=b))
-                for dm in mcomp.degrees():
-                    for lm in mcomp.labels(dm):
-                        for dw in wcomp.degrees():
-                            for lw in wcomp.labels(dw):
-                                for aw in a_words:
-                                    d_total = dm + dw + sum(dd for dd, _ in aw)
-                                    rel = _d0(self.right_module, (n, dm, lm), lw, aw)
-                                    for lab, c in self._d1((n, dm, lm), lw, aw).items():
-                                        combo_add(f, rel, lab, f.neg(c))
-                                    if rel:
-                                        extra.setdefault(d_total, []).append(rel)
-        # rebuild the quotient over Sym(M, A) with the extra relations
-        rebuilt = SymPresentation(f, self.right_module.sigma, self.algebra.module, self.free.weights, extra)
-        self.sym = rebuilt
-        self.module = rebuilt.module
-        self.weight_of = rebuilt.weight_of
+                m_triples = self.right_module.sigma.basis_triples(n)
+                for m, (dw, lw), aw in product(m_triples, wcomp.basis_pairs(), product(letters, repeat=b)):
+                    rel = _d0(self.right_module, m, lw, aw)
+                    for lab, c in self._d1(m, lw, aw).items():
+                        combo_add(f, rel, lab, f.neg(c))
+                    if rel:
+                        extra.setdefault(m[1] + dw + sum(dd for dd, _ in aw), []).append(rel)
+        return extra
 
     def _d1(self, m_triple, word_label, a_word):
         """Evaluate the operad layer on the algebra arguments."""
@@ -646,9 +635,6 @@ class SymOverOperad:
             lambda q, args: evaluate_operad_element(self.algebra, self.operad, q, args),
             lambda letters: (m_triple, letters),
         )
-
-    def project_pure(self, m_triple, a_word):
-        return self.sym.project(m_triple[1] + sum(d for d, _ in a_word), {(m_triple, a_word): self.field.one()})
 
 
 def sym_over_operad(right_module, algebra, operad, weights):
@@ -665,7 +651,13 @@ def gamma_along(psi, q_triple, args):
 
 
 class ExtendedModule:
-    """psi_! M = M o_R S as a right S-module, via the coequalizer."""
+    """psi_! M = M o_R S as a right S-module, via the coequalizer.
+
+    `coequalizer` presents it in one quotient per (arity, degree): the
+    pure (m; S-word) labels of M o S modulo the Sigma relations and the
+    images of (d0 - d1) on pure three-level words (m; R-word; S-word),
+    eliminated together.  `sigma` and `module` are read off it.
+    """
 
     def __init__(self, right_module, psi, arity_bound, check_morphism=True):
         self.field = right_module.field
@@ -677,39 +669,29 @@ class ExtendedModule:
         if check_morphism and not operad_morphism_check(psi, bound):
             raise InvalidMorphism("psi is not an operad morphism")
         self.arity_bound = arity_bound
-        self.compose_ms = compose(right_module.sigma, self.s_op.sigma, arity_bound)
-        self._coequalize()
+        self.coequalizer = ComposeResult(self.field, right_module.sigma, self.s_op.sigma, arity_bound, self._relations())
+        self.sigma = self.coequalizer.sigma
+        self.module = RightModule(self.field, self.sigma, self.s_op, self._action, name="%s o_R S" % self.left.name)
 
-    def _coequalize(self):
+    def _relations(self):
+        """d0 - d1 on every pure three-level word, keyed by (arity, degree)."""
         f = self.field
         relations = {}
         for n in self.left.sigma.arities():
-            mcomp = self.left.sigma.component(n)
             for b in range(n, self.arity_bound + 1):
-                ws_r = WordSpace(f, [self.r_op.sigma] * n, b)
-                if ws_r.component(b).is_zero():
+                rcomp = WordSpace(f, [self.r_op.sigma] * n, b).component(b)
+                if rcomp.is_zero():
                     continue
                 for r_total in range(b, self.arity_bound + 1):
-                    ws_s = WordSpace(f, [self.s_op.sigma] * b, r_total)
-                    scomp = ws_s.component(r_total)
-                    if scomp.is_zero():
-                        continue
-                    rcomp = ws_r.component(b)
-                    for dm in mcomp.degrees():
-                        for lm in mcomp.labels(dm):
-                            for dr in rcomp.degrees():
-                                for lr in rcomp.labels(dr):
-                                    for ds in scomp.degrees():
-                                        for ls in scomp.labels(ds):
-                                            rel = _d0(self.left, (n, dm, lm), lr, ls)
-                                            for lab, c in self._d1((n, dm, lm), lr, ls).items():
-                                                combo_add(f, rel, lab, f.neg(c))
-                                            if rel:
-                                                relations.setdefault(
-                                                    (r_total, dm + dr + ds), []
-                                                ).append(rel)
-        # quotient the composed module by the relations
-        self._quotient(relations)
+                    scomp = WordSpace(f, [self.s_op.sigma] * b, r_total).component(r_total)
+                    m_triples = self.left.sigma.basis_triples(n)
+                    for m, (dr, lr), (ds, ls) in product(m_triples, rcomp.basis_pairs(), scomp.basis_pairs()):
+                        rel = _d0(self.left, m, lr, ls)
+                        for lab, c in self._d1(m, lr, ls).items():
+                            combo_add(f, rel, lab, f.neg(c))
+                        if rel:
+                            relations.setdefault((r_total, m[1] + dr + ds), []).append(rel)
+        return relations
 
     def _d1(self, m_triple, r_word, s_word):
         """Evaluate psi of the R-layer on the S-layer, inside S."""
@@ -723,54 +705,19 @@ class ExtendedModule:
             outer=(w_s, self.s_op.sigma),
         )
 
-    def _quotient(self, relations):
-        f = self.field
-        base = self.compose_ms
-        components = {}
-        self.quotients = {}
-        for r in base.sigma.arities():
-            comp = base.sigma.component(r)
-            for d in comp.degrees():
-                # relations over pure labels of M o S, projected into M o S
-                rels = [base.project(r, d, rel) for rel in relations.get((r, d), ())]
-                self.quotients[(r, d)] = Quotient(f, comp.labels(d), rels)
-            basis = {d: self.quotients[(r, d)].kept for d in comp.degrees()}
-            components[r] = DgModule.from_rule(
-                f, basis, lambda d, label: self.project_quotient(r, d - 1, base.project(r, d - 1, base.diff_big(label)))
-            )
-        self.sigma = SigmaModule.from_rule(f, components, self._act_adjacent)
-        self.module = RightModule(f, self.sigma, self.s_op, self._action, name="%s o_R S" % self.left.name)
-
-    def _act_adjacent(self, r, s_i, d, label):
-        acted = self.compose_ms.sigma.act_perm_combo(r, s_i, d, {label: self.field.one()})
-        return self.project_quotient(r, d, acted)
-
-    def project_quotient(self, r, d, combo_over_compose_basis):
-        return Quotient.project_in(self.field, self.quotients, (r, d), combo_over_compose_basis)
-
-    def project_pure(self, r, d, pure_combo):
-        """Project a combo over pure (m; s-word) labels into the quotient."""
-        return self.project_quotient(r, d, self.compose_ms.project(r, d, pure_combo))
-
     def _action(self, m_triple, slot, q_triple):
         """Right S-action on the quotient, through pure representatives."""
-        f = self.field
         r, d, label = m_triple
         (k, dm, lm), s_word = label
 
-        ws = self.compose_ms.word_spaces[k]
-
         def action_fn(owner, local, factor_triple, p_triple):
-            out = {}
-            for lab, c in self.s_op.compose_partial(factor_triple, local, p_triple).items():
-                out[(factor_triple[1] + p_triple[1], lab)] = c
-            return out
+            composed = self.s_op.compose_partial(factor_triple, local, p_triple)
+            return {(factor_triple[1] + p_triple[1], lab): c for lab, c in composed.items()}
 
+        ws = self.coequalizer.word_spaces[k]
         moved = ws.compose_into_slot(s_word, slot, q_triple[0], q_triple[1], q_triple[2], action_fn)
-        pure = {}
-        for lab, c in moved.items():
-            pure[((k, dm, lm), lab)] = c
-        return self.project_pure(r + q_triple[0] - 1, d + q_triple[1], pure)
+        pure = {((k, dm, lm), lab): c for lab, c in moved.items()}
+        return self.coequalizer.project(r + q_triple[0] - 1, d + q_triple[1], pure)
 
 
 def extension(right_module, psi, arity_bound, check_morphism=True):

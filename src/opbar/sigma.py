@@ -457,19 +457,21 @@ class ComposeResult:
     Pure basis labels are (m_triple, word_label) with m_triple =
     (k, degree, label) in M(k) and word_label a basis label of
     N^{(x)k}(r).  The quotient identifies (m.s_i) (x) word with
-    m (x) (s_i-factor-permuted word).
+    m (x) (s_i-factor-permuted word).  `extra_relations` maps
+    (arity, degree) to further relations, combos over the pure labels,
+    quotiented out in the same elimination.
     """
 
-    def __init__(self, field, m, n, arity_bound):
+    def __init__(self, field, m, n, arity_bound, extra_relations=None):
         self.field = field
         self.left = m
         self.right = n
         self.arity_bound = arity_bound
         self.word_spaces = {}
         self.quotients = {}
-        self._build()
+        self._build(extra_relations or {})
 
-    def _build(self):
+    def _build(self, extra_relations):
         f = self.field
         for k in self.left.arities():
             if k > self.arity_bound:
@@ -501,6 +503,7 @@ class ComposeResult:
                             combo_add(f, rel, ((k, dm, lm), lw2), f.neg(cw))
                         if rel:
                             relations.append(rel)
+                relations.extend(extra_relations.get((r, d), ()))
                 self.quotients[(r, d)] = Quotient(f, by_degree[d], relations)
             basis = {d: self.quotients[(r, d)].kept for d in sorted(by_degree)}
             components[r] = DgModule.from_rule(f, basis, lambda d, label: self.project(r, d - 1, self.diff_big(label)))

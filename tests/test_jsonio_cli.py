@@ -353,3 +353,21 @@ def test_cli_survives_mutated_data_files(case):
         with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
             code = main(_FUZZ_ARGV[name] + ["--input", str(path)])
     assert code in (0, 2)
+
+
+def test_cli_builds_its_parser_once_per_process():
+    import gc
+
+    from opbar import cli
+
+    assert cli.build_parser() is cli.build_parser()
+    gc.collect()
+    gc.disable()
+    try:
+        with contextlib.redirect_stdout(io.StringIO()):
+            for _ in range(2):
+                assert cli.main(["export", "--builtin", "As", "--arity-bound", "2"]) == 0
+        # a fresh argparse parser per call is several hundred objects of cyclic garbage
+        assert gc.collect() < 100
+    finally:
+        gc.enable()

@@ -2,6 +2,8 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from opbar.errors import CompositionNotZero
 from opbar.linalg import (
@@ -330,3 +332,31 @@ def test_kernel_matches_dense_oracle(field):
         assert kept == want_kept
         assert project.entries == want_project
         assert all(type(v) is scalar_type for v in project.entries.values())
+
+
+def _relation_sets():
+    """A field, a label count and two relation sets over labels 0..n-1."""
+
+    @st.composite
+    def build(draw):
+        field = draw(st.sampled_from([F2, CoeffField.prime(3), Q]))
+        n = draw(st.integers(1, 8))
+        scalars = st.integers(-3, 3).map(field.of_int)
+        relation = st.dictionaries(st.integers(0, n - 1), scalars, max_size=4)
+        return field, n, draw(st.lists(relation, max_size=6)), draw(st.lists(relation, max_size=6))
+
+    return build()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=300)
+@given(_relation_sets())
+def test_one_stage_quotient_equals_two_stage(case):
+    # quotienting by R1 + R2 at once equals quotienting by R1, then by R2 projected through it
+    field, n, r1, r2 = case
+    labels = list(range(n))
+    one = Quotient(field, labels, r1 + r2)
+    first = Quotient(field, labels, r1)
+    second = Quotient(field, first.kept, [first.project(rel) for rel in r2])
+    assert one.kept == second.kept
+    for lab in labels:
+        assert one.project({lab: field.one()}) == second.project(first.project({lab: field.one()}))

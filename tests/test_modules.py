@@ -1,3 +1,4 @@
+import hashlib
 import importlib
 import random
 from itertools import product
@@ -5,14 +6,18 @@ from pathlib import Path
 
 import pytest
 
-from opbar.bar import bar, shuffle_product
+import opbar.modules
+import opbar.sigma
+from opbar.bar import bar, bar_extension_iso, bar_module, shuffle_product, sym_bar_comparison
 from opbar.dg import DegreeWindow, DgModule, tensor as dg_tensor
 from opbar.errors import InvalidMorphism
 from opbar.fixtures import random_commutative_algebra, random_tensor_algebra
 from opbar.jsonio import algebra_from_json, load_json
 from opbar.linalg import CoeffField, combo_add
 from opbar.simplicial import normalized_cochains, simplicial_set_from_json
+from opbar.sigma import compose
 from opbar.transfer import transfer_a_infinity
+from opbar.verify import _fixture_algebras
 from opbar.modules import (
     DgAlgebra,
     RightModule,
@@ -32,6 +37,7 @@ from opbar.operads import (
     alpha_to_com,
     associative_operad,
     commutative_operad,
+    compose_morphisms,
     eps_to_assoc,
     identity_morphism,
     stasheff_operad,
@@ -437,3 +443,134 @@ def test_random_fixture_validity():
         assert check_algebra(random_tensor_algebra(Q, seed), 4)
         assert check_algebra(random_commutative_algebra(Q, seed), 4)
         assert check_algebra(random_commutative_algebra(F2, seed + 10), 4)
+
+
+# the coequalizers, pinned byte for byte -----------------------------------------
+
+
+def _module_parts(mod):
+    """Kept basis and differential entries of a dg-module, in their stored order."""
+    parts = []
+    for d in mod.degrees():
+        parts.append((d, mod.labels(d)))
+        m = mod.diff.get(d)
+        if m is not None:
+            parts.append((d, m.rows, m.cols, list(m.entries.items())))
+    return parts
+
+
+def _digest(parts):
+    return hashlib.sha256(repr(parts).encode()).hexdigest()
+
+
+def _extension_cases(field):
+    K = stasheff_operad(field, 3)
+    As = associative_operad(field, 3)
+    Com = commutative_operad(field, 3)
+    yield "eps", bar_module(K, 3), eps_to_assoc(K, As), None
+    yield "alpha", bar_module(As, 3), alpha_to_com(As, Com), None
+    yield "composite", bar_module(K, 3), compose_morphisms(alpha_to_com(As, Com), eps_to_assoc(K, As)), None
+    bm = bar_module(Com, 3)
+    yield "identity", bm, identity_morphism(Com), bm
+
+
+# sha256 over kept bases, differentials, Sigma actions and iso blocks of
+# bar_extension_iso at arity 3; the values are those of quotienting by the
+# Sigma relations and then by the projected d0 - d1 relations, which the
+# one-stage quotient must reproduce byte for byte
+EXTENSION_DIGESTS = {
+    "Q": {
+        "eps": "7fb894cc95ea370ca24723f36c0a4e54ad17f2e34a3e6fd5875e41f44420afcd",
+        "alpha": "35c40875bd9cd4f4b85d021bc2f6fc567e7228dc9b11c849ef21a19fcf462885",
+        "composite": "bfbe43ee6bf511e6b40fae72d85edf4d78b86857b4be9ab8c29e98a6ed9ff691",
+        "identity": "03c091701f8c5a445ab6242949004e8067cdf97b0c2c88f182ef9810af004ae6",
+    },
+    "F2": {
+        "eps": "d595d3be9788c56363de219ef58e346c42ce58afc85bb50cfe705693d0d35a0f",
+        "alpha": "a4d088825e971db9a9ee4fc5ff6a5b3d77961fc7f091d7441c88d83d5192f625",
+        "composite": "df8f1b3b56b1f56c868d2f466242fde8f5c6131d0cf5a109b1979c80d9c5d0dc",
+        "identity": "027294ac5a0a6e7a9c78a8c5ac724384f143ef08e7c855b83cf224ba7438feef",
+    },
+    "F3": {
+        "eps": "6b1a8b9675df66c4b2afa487452a07af30dd789e14ddc3a80b01f4fbb251e8a2",
+        "alpha": "04b433ff1f684ba4c4e9665fa3aa78bee502cb79ca848d26fe6636921d0044eb",
+        "composite": "bb75c3d1d732046af3056db62b771484d7db1e7fe1737dfae7b6d03fd779e486",
+        "identity": "6c56649f2867f9ff780956ffdabdd1f568d1420b40f677c3eb2cc4da0e19196c",
+    },
+}
+
+# sha256 over the kept labels per degree and the differential of Sym_R(B_R, A)
+# for the module-functor fixtures, pinned the same way
+SYM_DIGESTS = {
+    "Com/exterior": "b4fbcf39ad42b0e9f98a94a068f5103dbe61f6d41e2e20cd5c2c72af9222b411",
+    "Com/trunc": "15b87d0c6b75a35a1bac4ade70e7dcfc9f77506bf35aabe64f99cc253249f8af",
+    "As/exterior": "a1ee7fa3ae3789264750ea3e26101b55f3086e77331b0a633233fb72f7b9c953",
+    "As/trunc": "463c6de761efef3d069699772ff62de2fe58186104e59a0ab1179c8177641484",
+    "K/exterior": "11e3778bcfd967424add2b12bf09b977b4fb8f93b3f0509bc14a25781626d889",
+    "K/trunc": "57cc9f94e229638158609b56c866a707ca6233a2b152a6b064ee7e79e241db26",
+}
+
+
+@pytest.mark.parametrize("field", [Q, F2, F3], ids=["Q", "F2", "F3"])
+def test_bar_extension_iso_is_pinned(field):
+    got = {}
+    for name, bm, psi, bm_s in _extension_cases(field):
+        ext, _, blocks = bar_extension_iso(bm, psi, 3, bar_mod_s=bm_s)
+        parts = [(r, _module_parts(ext.sigma.component(r))) for r in ext.sigma.arities()]
+        parts += [(key, [(k, list(v.items())) for k, v in table.items()]) for key, table in ext.sigma.actions.items()]
+        parts.append([(key, b.rows, b.cols, list(b.entries.items())) for key, b in sorted(blocks.items())])
+        got[name] = _digest(parts)
+    assert got == EXTENSION_DIGESTS[repr(field)]
+
+
+def test_sym_over_operad_is_pinned():
+    got = {}
+    for rname, operad, algebras in (
+        ("Com", commutative_operad(F2, 3), _fixture_algebras(F2, "comm")),
+        ("As", associative_operad(F2, 3), _fixture_algebras(F2, "assoc")),
+        ("K", stasheff_operad(Q, 3), _fixture_algebras(Q, "ainf")),
+    ):
+        bm = bar_module(operad, 3)
+        for alg in algebras:
+            sym, _, _ = sym_bar_comparison(bm, alg, [1, 2, 3], DegreeWindow(0, 6))
+            got["%s/%s" % (rname, alg.name)] = _digest(_module_parts(sym.module))
+    assert got == SYM_DIGESTS
+
+
+def _count_builds(monkeypatch, module, name):
+    """Count the constructions of module.name made through that module's global."""
+    calls = []
+    original = getattr(module, name)
+
+    class Counted(original):
+        def __init__(self, *args, **kwargs):
+            calls.append(name)
+            super().__init__(*args, **kwargs)
+
+    monkeypatch.setattr(module, name, Counted)
+    return calls
+
+
+def test_each_coequalizer_builds_one_quotient_per_key(monkeypatch):
+    sigma_quotients = _count_builds(monkeypatch, opbar.sigma, "Quotient")
+    modules_quotients = _count_builds(monkeypatch, opbar.modules, "Quotient")
+    presentations = _count_builds(monkeypatch, opbar.modules, "SymPresentation")
+    K = stasheff_operad(Q, 3)
+    As = associative_operad(Q, 3)
+    M = bar_module(K, 3).right_module
+    compose(M.sigma, As.sigma, 3)
+    per_key = len(sigma_quotients) + len(modules_quotients)
+    del sigma_quotients[:], modules_quotients[:]
+    extension(M, eps_to_assoc(K, As), 3, check_morphism=False)
+    # M o_R S: one quotient per (arity, degree) of the pure labels of M o S, as for M o S itself
+    assert len(sigma_quotients) + len(modules_quotients) == per_key
+    Com = commutative_operad(F2, 3)
+    a = trunc_poly(F2)
+    del sigma_quotients[:], modules_quotients[:]
+    sym_apply(Com.sigma, a.module, [1, 2, 3])
+    per_key = len(sigma_quotients) + len(modules_quotients)
+    del sigma_quotients[:], modules_quotients[:], presentations[:]
+    sym_over_operad(operad_right_module(Com), a, Com, [1, 2, 3])
+    # Sym_R(M, A): one SymPresentation, one quotient per degree of the pure labels of Sym(M, A)
+    assert len(presentations) == 1
+    assert len(sigma_quotients) + len(modules_quotients) == per_key
