@@ -29,7 +29,7 @@ from itertools import combinations
 
 from . import perm
 from .bar import bar, shuffle_word_product, sound_weight_bound
-from .dg import DegreeWindow, DgMap, DgModule, tensor as dg_tensor
+from .dg import DegreeWindow, DgMap, DgModule, koszul_diff, tensor as dg_tensor
 from .errors import FieldMismatch, NotCommutative, SimplicialIdentityViolation
 from .linalg import Quotient, SparseMatrix, combo_add, combo_map, rank
 from .modules import DgAlgebra
@@ -200,16 +200,9 @@ def coproduct_algebra(algebras):
             elements.append((label, deg))
     diff = {}
     for (S, w), deg in elements:
-        targets = {}
-        prefix = 0
-        for j, (d, l) in enumerate(w):
-            amod = algebras[S[j] - 1].module
-            for l2, c in amod.apply_diff(d, {l: field.one()}).items():
-                w2 = w[:j] + ((d - 1, l2),) + w[j + 1 :]
-                combo_add(field, targets, (S, w2), field.mul(field.sign(prefix), c))
-            prefix += d
+        targets = koszul_diff(field, w, lambda j, x: (x[0], algebras[S[j] - 1].module.differential_combo(x)))
         if targets:
-            diff[(S, w)] = targets
+            diff[(S, w)] = {(S, w2): c for w2, c in targets.items()}
     module = DgModule.from_data(field, elements, diff)
     table = {}
     for (S, u), du in elements:
@@ -228,21 +221,13 @@ def _coproduct_product(field, algebras, left, right):
     T, v = right
     U = tuple(sorted(set(S) | set(T)))
     # Koszul: rearrange the concatenated letters into U-order, x before y
-    items = []
-    for j, i in enumerate(S):
-        items.append((i, 0, u[j]))
-    for j, i in enumerate(T):
-        items.append((i, 1, v[j]))
-    order = sorted(range(len(items)), key=lambda a: (items[a][0], items[a][1]))
-    degs = [it[2][0] for it in items]
-    sigma = [0] * len(items)
-    for newpos, old in enumerate(order):
-        sigma[old] = newpos + 1
-    sign = field.sign(perm.koszul_sign_exponent(degs, tuple(sigma)))
+    items = list(zip(S + T, u + v))
+    _, e = perm.koszul_sort(S + T, [d for _, (d, _) in items])
+    sign = field.sign(e)
     # fold: walk U; overlap indices multiply in their algebra
     letters_per_index = {}
-    for i, side, (d, l) in items:
-        letters_per_index.setdefault(i, []).append((d, l))
+    for i, letter in items:
+        letters_per_index.setdefault(i, []).append(letter)
     result_words = [((), sign)]
     for i in U:
         letters = letters_per_index[i]
@@ -644,14 +629,14 @@ def cat_bar_module_vs_bar_module(cat_mod, bar_mod):
     return True
 
 
-def bar_cat_comparison(algebra, window, compare_products=True, product_weight_cap=3):
+def bar_cat_comparison(algebra, window, compare_products=True):
     """B(A) vs N(C(A)): the signed basis bijection, as dg-algebras.
 
     Builds both sides at the sound weight bound for `window`, maps the
     bar word a_1..a_n to (-1)^{sum j |a_j|} times the class of the full
     tensor summand at level n, and verifies: chain iso; and (optionally)
     that the Eilenberg-Mac Lane product corresponds to the shuffle
-    product for words of weight up to the cap.  Returns
+    product for words of weight up to 3.  Returns
     (bar_complex, categorical, iso).
     """
     f = algebra.field
@@ -678,11 +663,11 @@ def bar_cat_comparison(algebra, window, compare_products=True, product_weight_ca
         em_table = cat.em_product_table()
         for du in b.module.degrees():
             for u in b.module.labels(du):
-                if len(u) > product_weight_cap:
+                if len(u) > 3:
                     continue
                 for dv in b.module.degrees():
                     for v in b.module.labels(dv):
-                        if len(v) > product_weight_cap or len(u) + len(v) > wb:
+                        if len(v) > 3 or len(u) + len(v) > wb:
                             continue
                         if du + dv not in b.module.basis:
                             continue

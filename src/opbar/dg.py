@@ -14,6 +14,15 @@ Sign conventions, fixed once:
   * operator evaluation      (f (x) g)(x (x) y) = (-1)^{|g||x|} f(x) (x) g(y)
   * suspension               d(s x) = -s(d x)
   * symmetry                 x (x) y -> (-1)^{|x||y|} y (x) x
+`koszul_diff` is the one implementation of the tensor differential: the
+tensor products here, the word spaces and coequalizers of `sigma.py` and
+`modules.py`, `check_algebra`, the coproducts of `catbar.py` and the
+fixtures all take their word differentials from it.  The one exception
+is `BarComplex` (`bar.py`): it stores each suspended letter's
+differential once, with its coefficient after an even and after an odd
+suspended prefix and the suspension sign d(sa) = -s(da) already folded
+in.  That loop is the hot path of every bar table, and a callback per
+letter would only slow it.
 `DgModule.from_rule`, `from_data` and the constructor check d^2 = 0 by
 default, which pins the conventions in practice; `tensor`,
 `suspension`, `direct_sum` and the word spaces of `sigma.py` build
@@ -25,7 +34,7 @@ modules built unchecked.
 from __future__ import annotations
 
 from .errors import CompositionNotZero, FieldMismatch
-from .linalg import SparseMatrix, homology_dimension, rank
+from .linalg import SparseMatrix, combo_add, homology_dimension, rank
 
 
 class DegreeWindow:
@@ -135,6 +144,11 @@ class DgModule:
     def apply_diff(self, d, combo):
         return self.combo(d - 1, self.diff_block(d).apply(self.vector(d, combo)))
 
+    def differential_combo(self, letter):
+        """d of a basis letter (degree, label), as {(degree - 1, label2): coeff}."""
+        d, label = letter
+        return {(d - 1, l2): c for l2, c in self.apply_diff(d, {label: self.field.one()}).items()}
+
     # constructions ----------------------------------------------------------
 
     @staticmethod
@@ -184,14 +198,12 @@ class DgModule:
                 raise ValueError("differential given for unknown label %r" % (src,))
         return DgModule.from_rule(field, basis, lambda d, label: diff_map.get(label, {}), check)
 
-    def direct_sum(self, other, tag_left="L", tag_right="R"):
+    def direct_sum(self, other):
         if self.field != other.field:
             raise FieldMismatch("direct_sum over different fields")
         basis = {}
         for d in sorted(set(self.basis) | set(other.basis)):
-            basis[d] = tuple((tag_left, l) for l in self.labels(d)) + tuple(
-                (tag_right, l) for l in other.labels(d)
-            )
+            basis[d] = tuple(("L", l) for l in self.labels(d)) + tuple(("R", l) for l in other.labels(d))
         diff = {}
         for d in sorted(set(self.diff) | set(other.diff)):
             m = SparseMatrix.zero(self.field, self.dim(d - 1) + other.dim(d - 1), self.dim(d) + other.dim(d))
@@ -272,15 +284,6 @@ class DgMap:
             blocks[d] = self.block(d + other.degree).matmul(other.block(d))
         return DgMap(other.source, self.target, self.degree + other.degree, blocks)
 
-    def add(self, other):
-        blocks = {}
-        for d in set(self.blocks) | set(other.blocks):
-            blocks[d] = self.block(d).add(other.block(d))
-        return DgMap(self.source, self.target, self.degree, blocks)
-
-    def scale(self, c):
-        return DgMap(self.source, self.target, self.degree, {d: m.scale(c) for d, m in self.blocks.items()})
-
     def is_chain_map(self):
         f = self.source.field
         sign = f.sign(self.degree)
@@ -315,6 +318,25 @@ class DgMap:
 # tensor products -----------------------------------------------------------
 
 
+def koszul_diff(field, word, letter_diff):
+    """The Koszul differential of a tensor word, as {word2: coeff}.
+
+    d(x_1 ... x_n) = sum_j (-1)^{|x_1| + ... + |x_{j-1}|} x_1 ... dx_j ... x_n.
+    `word` is a tuple of letters and `letter_diff(j, x)` returns (|x|, dx)
+    for the letter x at position j, dx a combo over letters.  Terms are
+    summed in position order.
+    """
+    out = {}
+    prefix = 0
+    for j, x in enumerate(word):
+        degree, dx = letter_diff(j, x)
+        sgn = field.sign(prefix)
+        for x2, c in dx.items():
+            combo_add(field, out, word[:j] + (x2,) + word[j + 1 :], field.mul(sgn, c))
+        prefix += degree
+    return out
+
+
 def tensor(a, b, window=None):
     """Tensor product with the Koszul differential; labels are pairs."""
     if a.field != b.field:
@@ -333,19 +355,13 @@ def tensor(a, b, window=None):
         basis[d] = tuple((x, y) for da, db in degree_pairs[d] for x in a.labels(da) for y in b.labels(db))
         split[d] = {(x, y): (da, db) for da, db in degree_pairs[d] for x in a.labels(da) for y in b.labels(db)}
     one = field.one()
-    d_a = {(da, x): a.apply_diff(da, {x: one}) for da in a.degrees() for x in a.labels(da)}
-    d_b = {(db, y): b.apply_diff(db, {y: one}) for db in b.degrees() for y in b.labels(db)}
+    diffs = [{(dx, x): m.apply_diff(dx, {x: one}) for dx in m.degrees() for x in m.labels(dx)} for m in (a, b)]
 
     def rule(d, label):
         if window is not None and d - 1 not in window:
             return {}
-        x, y = label
-        da, db = split[d][label]
-        sgn = field.sign(da)
-        out = {(x2, y): v for x2, v in d_a[(da, x)].items()}
-        for y2, v in d_b[(db, y)].items():
-            out[(x, y2)] = field.mul(sgn, v)
-        return out
+        degrees = split[d][label]
+        return koszul_diff(field, label, lambda j, x: (degrees[j], diffs[j][(degrees[j], x)]))
 
     return DgModule.from_rule(field, basis, rule, check=False)
 
@@ -367,15 +383,10 @@ def dg_tensor_swap(a, b, ab=None, ba=None):
     return DgMap.from_rule(ab, ba, 0, rule)
 
 
-def suspension(a, wrap=None):
-    """Degree shift by +1 with d(s x) = -s(d x).
-
-    `wrap` renames basis labels; default tags them with 's'.
-    """
-    if wrap is None:
-        wrap = lambda l: ("s", l)
+def suspension(a):
+    """Degree shift by +1 with d(s x) = -s(d x); labels are tagged with 's'."""
     field = a.field
-    basis = {d + 1: tuple(wrap(l) for l in a.labels(d)) for d in a.degrees()}
+    basis = {d + 1: tuple(("s", l) for l in a.labels(d)) for d in a.degrees()}
     diff = {d + 1: a.diff_block(d).scale(field.sign(1)) for d in a.diff}
     return DgModule(field, basis, diff, check=False)
 

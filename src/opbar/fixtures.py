@@ -13,7 +13,8 @@ import random
 from itertools import permutations as _permutations
 
 from . import perm
-from .dg import DgModule
+from .dg import DgModule, koszul_diff
+from .linalg import combo_add
 from .modules import DgAlgebra
 from .sigma import SigmaModule
 
@@ -50,23 +51,11 @@ def random_tensor_algebra(field, seed, max_generators=3, length_cap=2):
         words.extend(layer)
     word_deg = {w: sum(deg[g] for g in w) for w in words}
     module_elements = [(w, word_deg[w]) for w in words]
-    diff_map = {}
     f = field
+    letter_diff = _generator_diff(f, deg, diff_pairs)
+    diff_map = {}
     for w in words:
-        targets = {}
-        prefix = 0
-        for j, g in enumerate(w):
-            low = diff_pairs.get(g)
-            if low is not None:
-                w2 = w[:j] + (low,) + w[j + 1 :]
-                c = f.sign(prefix)
-                cur = targets.get(w2, f.zero())
-                new = f.add(cur, c)
-                if f.is_zero(new):
-                    targets.pop(w2, None)
-                else:
-                    targets[w2] = new
-            prefix += deg[g]
+        targets = koszul_diff(f, w, letter_diff)
         if targets:
             diff_map[w] = targets
     module = DgModule.from_data(f, module_elements, diff_map)
@@ -125,49 +114,19 @@ def random_commutative_algebra(field, seed, max_generators=3, length_cap=2):
     mono_deg = {m: sum(deg[g] for g in m) for m in monos}
     f = field
 
-    def merge(u, v):
-        """Sorted merge with the Koszul sign of the interleaving."""
-        letters = [(g, 0, deg[g]) for g in u] + [(g, 1, deg[g]) for g in v]
-        order = sorted(range(len(letters)), key=lambda a: (letters[a][0], letters[a][1]))
-        degs = [l[2] for l in letters]
-        sigma = [0] * len(letters)
-        for newpos, old in enumerate(order):
-            sigma[old] = newpos + 1
-        sign = perm.koszul_sign_exponent(degs, tuple(sigma))
-        merged = tuple(letters[a][0] for a in order)
-        return merged, f.sign(sign)
+    def merge(word):
+        """The sorted word, with the Koszul sign of sorting it."""
+        order, e = perm.koszul_sort(word, [deg[g] for g in word])
+        return tuple(word[a] for a in order), f.sign(e)
 
-    def sort_in_place(letters):
-        """Stable sort of (name, tiebreak, degree) letters; Koszul sign."""
-        order = sorted(range(len(letters)), key=lambda a: (letters[a][0], letters[a][1]))
-        degs = [l[2] for l in letters]
-        sigma = [0] * len(letters)
-        for newpos, old in enumerate(order):
-            sigma[old] = newpos + 1
-        sign = perm.koszul_sign_exponent(degs, tuple(sigma))
-        return tuple(letters[a][0] for a in order), f.sign(sign)
-
+    letter_diff = _generator_diff(f, deg, diff_pairs)
     diff_map = {}
     for m in monos:
         targets = {}
-        prefix = 0
-        for j, g in enumerate(m):
-            low = diff_pairs.get(g)
-            if low is not None:
-                in_place = [(h, pos, deg[h]) for pos, h in enumerate(m[:j])]
-                in_place.append((low, j, deg[low]))
-                in_place.extend((h, pos + len(m), deg[h]) for pos, h in enumerate(m[j + 1 :]))
-                merged, sgn = sort_in_place(in_place)
-                if merged not in mono_deg:
-                    continue
-                c = f.mul(f.sign(prefix), sgn)
-                cur = targets.get(merged, f.zero())
-                new = f.add(cur, c)
-                if f.is_zero(new):
-                    targets.pop(merged, None)
-                else:
-                    targets[merged] = new
-            prefix += deg[g]
+        for w, c in koszul_diff(f, m, letter_diff).items():
+            merged, sgn = merge(w)
+            if merged in mono_deg:
+                combo_add(f, targets, merged, f.mul(c, sgn))
         if targets:
             diff_map[m] = targets
     module = DgModule.from_data(f, [(m, mono_deg[m]) for m in monos], diff_map)
@@ -176,11 +135,17 @@ def random_commutative_algebra(field, seed, max_generators=3, length_cap=2):
         for v in monos:
             if len(u) + len(v) > length_cap:
                 continue
-            merged, sgn = merge(u, v)
+            merged, sgn = merge(u + v)
             if merged not in mono_deg:
                 continue
             prod[(u, v)] = {merged: sgn}
     return DgAlgebra(f, "comm", module, {2: prod}, name="C%d" % seed)
+
+
+def _generator_diff(field, deg, diff_pairs):
+    """letter_diff for `koszul_diff` over generator words: dg = low for each acyclic pair."""
+    one = field.one()
+    return lambda j, g: (deg[g], {diff_pairs[g]: one} if g in diff_pairs else {})
 
 
 # random Sigma-modules ----------------------------------------------------------

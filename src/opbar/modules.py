@@ -26,7 +26,7 @@ from __future__ import annotations
 from itertools import product
 
 from . import perm, trees
-from .dg import DgModule
+from .dg import DgModule, koszul_diff
 from .errors import AlgebraCheckFailed, InvalidMorphism
 from .linalg import Quotient, combo_add, combo_map, quotient_data
 from .operads import gamma_partial, operad_morphism_check, stasheff_sign
@@ -104,16 +104,16 @@ class RightModule:
         # derivation: d(m o_i q) = dm o_i q + (-1)^{|m|} m o_i dq
         for n in self.sigma.arities():
             for m in self.sigma.basis_triples(n):
-                dm = self.component(n).apply_diff(m[1], {m[2]: f.one()})
+                dm = self.sigma.differential_combo(m)
                 sgn = f.sign(m[1])
                 for s in op.sigma.arities():
                     if n + s - 1 > bound:
                         continue
                     for q in op.basis_triples(s):
-                        dq = {q2: f.mul(sgn, c) for q2, c in op.differential_combo(q).items()}
+                        dq = {q2: f.mul(sgn, c) for q2, c in op.sigma.differential_combo(q).items()}
                         for i in range(1, n + 1):
                             lhs = self.component(n + s - 1).apply_diff(m[1] + q[1], self.act_partial(m, i, q))
-                            rhs = combo_map(f, dm, lambda l2: self.act_partial((n, m[1] - 1, l2), i, q))
+                            rhs = combo_map(f, dm, lambda m2: self.act_partial(m2, i, q))
                             combo_map(f, dq, lambda q2: self.act_partial(m, i, q2), rhs)
                             if lhs != rhs:
                                 raise ValueError("module derivation fails at %r o_%d %r" % (m, i, q))
@@ -218,19 +218,6 @@ class DgAlgebra:
         return not self.ops
 
 
-def _tensor_diff_terms(field, degrees, labels, module):
-    """Koszul differential terms of a word of algebra basis elements.
-
-    Yields (coeff, position, new_label); degrees are the letters' own
-    degrees.
-    """
-    prefix = 0
-    for j, (d, l) in enumerate(zip(degrees, labels)):
-        for l2, c in module.apply_diff(d, {l: field.one()}).items():
-            yield field.mul(field.sign(prefix), c), j, l2
-        prefix += d
-
-
 def check_algebra(a, max_arity=None, report=False, partial_range=None):
     """Verify the structure relations of a DgAlgebra.
 
@@ -304,9 +291,8 @@ def check_algebra(a, max_arity=None, report=False, partial_range=None):
             lhs = mod.apply_diff(sum(degs) + r - 2, a.op_apply(r, labs))
             # - (-1)^{|mu_r|} mu_r . delta
             sgn = f.sign(r - 2 + 1)
-            for c, j, l2 in _tensor_diff_terms(f, degs, labs, mod):
-                labs2 = labs[:j] + [l2] + labs[j + 1 :]
-                for l3, c3 in a.op_apply(r, labs2).items():
+            for word2, c in koszul_diff(f, word, lambda j, x: (x[0], mod.differential_combo(x))).items():
+                for l3, c3 in a.op_apply(r, [l for _, l in word2]).items():
                     combo_add(f, lhs, l3, f.mul(f.mul(sgn, c), c3))
             rhs = {}
             for s in range(2, r):
@@ -540,19 +526,16 @@ class SymPresentation:
         self.module = DgModule.from_rule(f, basis, lambda d, label: self.project(d - 1, self.diff_big(label)))
 
     def diff_big(self, label):
+        """d of a pure label, the two-letter word (m, a_1 ... a_n)."""
         f = self.field
-        (n, dm, lm), w = label
-        out = {}
-        comp = self.sigma.component(n)
-        for lm2, c in comp.apply_diff(dm, {lm: f.one()}).items():
-            combo_add(f, out, ((n, dm - 1, lm2), w), c)
-        sgn = f.sign(dm)
-        degs = [dd for dd, _ in w]
-        labs = [ll for _, ll in w]
-        for c, j, l2 in _tensor_diff_terms(f, degs, labs, self.algebra_module):
-            w2 = w[:j] + ((degs[j] - 1, l2),) + w[j + 1 :]
-            combo_add(f, out, ((n, dm, lm), w2), f.mul(sgn, c))
-        return out
+        amod = self.algebra_module
+
+        def letter_diff(j, x):
+            if j == 0:
+                return x[1], self.sigma.differential_combo(x)
+            return sum(d for d, _ in x), koszul_diff(f, x, lambda _, a: (a[0], amod.differential_combo(a)))
+
+        return koszul_diff(f, label, letter_diff)
 
     def project(self, d, big_combo):
         return Quotient.project_in(self.field, self.quotients, d, big_combo)

@@ -204,6 +204,20 @@ def koszul_sign_exponent(degrees, sigma):
     return e % 2
 
 
+def koszul_sort(keys, degrees):
+    """Stable sort of letters by key, with its Koszul sign.
+
+    Returns (order, e): order[k] is the old position of the letter that
+    lands at position k, and e the parity of the Koszul sign of moving
+    letters of the given degrees into that order.
+    """
+    order = sorted(range(len(keys)), key=keys.__getitem__)
+    sigma = [0] * len(keys)
+    for newpos, old in enumerate(order):
+        sigma[old] = newpos + 1
+    return order, koszul_sign_exponent(degrees, sigma)
+
+
 def shuffles(m, n):
     """(m,n)-shuffles: permutations of m+n increasing on both blocks."""
     out = []

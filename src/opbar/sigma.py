@@ -20,7 +20,7 @@ from __future__ import annotations
 
 from itertools import product
 
-from .dg import DgModule
+from .dg import DgModule, koszul_diff
 from .errors import FieldMismatch
 from .linalg import Quotient, combo_add, combo_map
 from . import perm
@@ -81,6 +81,11 @@ class SigmaModule:
         for d in comp.degrees():
             for label in comp.labels(d):
                 yield (n, d, label)
+
+    def differential_combo(self, triple):
+        """d of a basis element (arity, degree, label), as {triple: coeff}."""
+        n, d, label = triple
+        return {(n, d - 1, l2): c for l2, c in self.component(n).apply_diff(d, {label: self.field.one()}).items()}
 
     def dims(self):
         return {n: {d: c.dim(d) for d in c.degrees()} for n, c in sorted(self.components.items())}
@@ -184,7 +189,7 @@ class WordSpace:
     right-coset representative for the block sizes.
     """
 
-    def __init__(self, field, factors, arity_bound, check=False):
+    def __init__(self, field, factors, arity_bound):
         if not factors:
             raise ValueError("need at least one factor")
         for fac in factors:
@@ -196,8 +201,6 @@ class WordSpace:
         self._components = {}
         self._build()
         self._sigma = None
-        if check:
-            self.as_sigma().check_relations()
 
     # construction -----------------------------------------------------------
 
@@ -252,17 +255,9 @@ class WordSpace:
 
     def diff_combo(self, label):
         """Koszul differential: sum over factors of the internal diffs."""
-        f = self.field
         w, inner = label
-        out = {}
-        prefix = 0
-        for j, (a, d, l) in enumerate(inner):
-            comp = self.factors[j].component(a)
-            for l2, c in comp.apply_diff(d, {l: f.one()}).items():
-                lab2 = (w, inner[:j] + ((a, d - 1, l2),) + inner[j + 1 :])
-                combo_add(f, out, lab2, f.mul(f.sign(prefix), c))
-            prefix += d
-        return out
+        terms = koszul_diff(self.field, inner, lambda j, t: (t[1], self.factors[j].differential_combo(t)))
+        return {(w, inner2): c for inner2, c in terms.items()}
 
     def right_act(self, r, sigma, label):
         """(x (x) w) . sigma = (x . h) (x) w' where w sigma = h w'."""
@@ -515,16 +510,15 @@ class ComposeResult:
         return self.project(r, d, {((k, dm, lm), lw2): c for lw2, c in acted.items()})
 
     def diff_big(self, label):
-        f = self.field
-        (k, dm, lm), lw = label
-        out = {}
-        mcomp = self.left.component(k)
-        for lm2, c in mcomp.apply_diff(dm, {lm: f.one()}).items():
-            combo_add(f, out, ((k, dm - 1, lm2), lw), c)
-        sgn = f.sign(dm)
-        for lw2, c in self.word_spaces[k].diff_combo(lw).items():
-            combo_add(f, out, ((k, dm, lm), lw2), f.mul(sgn, c))
-        return out
+        """d of a pure label, the two-letter word (m, word)."""
+        ws = self.word_spaces[label[0][0]]
+
+        def letter_diff(j, x):
+            if j == 0:
+                return x[1], self.left.differential_combo(x)
+            return sum(t[1] for t in x[1]), ws.diff_combo(x)
+
+        return koszul_diff(self.field, label, letter_diff)
 
     def project(self, r, d, big_combo):
         """Project a combo over pure labels to the kept quotient basis."""

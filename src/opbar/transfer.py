@@ -110,9 +110,8 @@ class Retract:
                     inc.add_to(i, a, v)
             self.include[d] = inc
 
-    def homology_module(self, wrap=None):
-        wrap = wrap or (lambda d, a: ("h", d, a))
-        basis = {d: tuple(wrap(d, a) for a in range(n)) for d, n in self.h_basis.items() if n}
+    def homology_module(self):
+        basis = {d: tuple(("h", d, a) for a in range(n)) for d, n in self.h_basis.items() if n}
         return DgModule(self.field, basis, {}, check=False)
 
     def verify(self):

@@ -1,8 +1,18 @@
+from itertools import product
+
 import pytest
 
-from opbar.dg import DegreeWindow, DgMap, DgModule, dg_tensor_swap, homology, suspension, tensor
+from opbar import perm
+from opbar.bar import bar_module
+from opbar.catbar import coproduct_algebra
+from opbar.dg import DegreeWindow, DgMap, DgModule, dg_tensor_swap, homology, koszul_diff, suspension, tensor
 from opbar.errors import CompositionNotZero, FieldMismatch
-from opbar.linalg import CoeffField
+from opbar.fixtures import random_commutative_algebra, random_sigma_module, random_tensor_algebra
+from opbar.linalg import CoeffField, combo_add
+from opbar.modules import sym_apply
+from opbar.operads import associative_operad, commutative_operad, stasheff_operad
+from opbar.sigma import WordSpace, compose
+from opbar.verify import _fixture_algebras
 
 Q = CoeffField.rationals()
 F2 = CoeffField.prime(2)
@@ -216,3 +226,309 @@ def test_homology_skips_the_d_squared_check_made_at_construction(monkeypatch):
     d_squared_not_zero = {"a": {"b": Q.one()}, "b": {"c": Q.one()}}
     with pytest.raises(CompositionNotZero):
         DgModule.from_rule(Q, {2: ("a",), 1: ("b",), 0: ("c",)}, lambda d, label: d_squared_not_zero.get(label, {}))
+
+
+# koszul_diff against the hand-written loops it replaced ---------------------
+#
+# Each reference below is a loop as it stood in its module before the tensor
+# differential was routed through `koszul_diff`; outputs must agree in repr,
+# the order of terms included.
+
+FIELDS = [CoeffField.prime(2), CoeffField.prime(3), Q]
+
+
+def _entries(mod):
+    """The basis per degree and the differential entries in stored order."""
+    basis = [(d, mod.basis[d]) for d in mod.degrees()]
+    return repr((basis, [(d, list(m.entries.items())) for d, m in mod.diff.items()]))
+
+
+def _ref_tensor(a, b):
+    """dg.tensor's rule, without a window."""
+    field = a.field
+    degree_pairs = {}
+    for da in a.degrees():
+        for db in b.degrees():
+            degree_pairs.setdefault(da + db, []).append((da, db))
+    basis, split = {}, {}
+    for d in sorted(degree_pairs):
+        basis[d] = tuple((x, y) for da, db in degree_pairs[d] for x in a.labels(da) for y in b.labels(db))
+        split[d] = {(x, y): (da, db) for da, db in degree_pairs[d] for x in a.labels(da) for y in b.labels(db)}
+    one = field.one()
+    d_a = {(da, x): a.apply_diff(da, {x: one}) for da in a.degrees() for x in a.labels(da)}
+    d_b = {(db, y): b.apply_diff(db, {y: one}) for db in b.degrees() for y in b.labels(db)}
+
+    def rule(d, label):
+        x, y = label
+        da, db = split[d][label]
+        sgn = field.sign(da)
+        out = {(x2, y): v for x2, v in d_a[(da, x)].items()}
+        for y2, v in d_b[(db, y)].items():
+            out[(x, y2)] = field.mul(sgn, v)
+        return out
+
+    return DgModule.from_rule(field, basis, rule, check=False)
+
+
+def _ref_tensor_diff_terms(field, degrees, labels, module):
+    """modules._tensor_diff_terms, read by check_algebra."""
+    prefix = 0
+    for j, (d, l) in enumerate(zip(degrees, labels)):
+        for l2, c in module.apply_diff(d, {l: field.one()}).items():
+            yield field.mul(field.sign(prefix), c), j, l2
+        prefix += d
+
+
+def _ref_word_space_diff(ws, label):
+    """WordSpace.diff_combo."""
+    f = ws.field
+    w, inner = label
+    out = {}
+    prefix = 0
+    for j, (a, d, l) in enumerate(inner):
+        comp = ws.factors[j].component(a)
+        for l2, c in comp.apply_diff(d, {l: f.one()}).items():
+            lab2 = (w, inner[:j] + ((a, d - 1, l2),) + inner[j + 1 :])
+            combo_add(f, out, lab2, f.mul(f.sign(prefix), c))
+        prefix += d
+    return out
+
+
+def _ref_sym_diff_big(sym, label):
+    """SymPresentation.diff_big."""
+    f = sym.field
+    (n, dm, lm), w = label
+    out = {}
+    for lm2, c in sym.sigma.component(n).apply_diff(dm, {lm: f.one()}).items():
+        combo_add(f, out, ((n, dm - 1, lm2), w), c)
+    sgn = f.sign(dm)
+    degs = [dd for dd, _ in w]
+    labs = [ll for _, ll in w]
+    for c, j, l2 in _ref_tensor_diff_terms(f, degs, labs, sym.algebra_module):
+        w2 = w[:j] + ((degs[j] - 1, l2),) + w[j + 1 :]
+        combo_add(f, out, ((n, dm, lm), w2), f.mul(sgn, c))
+    return out
+
+
+def _ref_compose_diff_big(cr, label):
+    """ComposeResult.diff_big, over the reference word-space differential."""
+    f = cr.field
+    (k, dm, lm), lw = label
+    out = {}
+    for lm2, c in cr.left.component(k).apply_diff(dm, {lm: f.one()}).items():
+        combo_add(f, out, ((k, dm - 1, lm2), lw), c)
+    sgn = f.sign(dm)
+    for lw2, c in _ref_word_space_diff(cr.word_spaces[k], lw).items():
+        combo_add(f, out, ((k, dm, lm), lw2), f.mul(sgn, c))
+    return out
+
+
+def _ref_coproduct_diff(algebras, elements):
+    """The differential loop of catbar.coproduct_algebra."""
+    field = algebras[0].field
+    diff = {}
+    for (S, w), deg in elements:
+        targets = {}
+        prefix = 0
+        for j, (d, l) in enumerate(w):
+            amod = algebras[S[j] - 1].module
+            for l2, c in amod.apply_diff(d, {l: field.one()}).items():
+                w2 = w[:j] + ((d - 1, l2),) + w[j + 1 :]
+                combo_add(field, targets, (S, w2), field.mul(field.sign(prefix), c))
+            prefix += d
+        if targets:
+            diff[(S, w)] = targets
+    return diff
+
+
+def _generators(alg):
+    """The one-letter words of a fixture algebra: their degrees and d(upper) = lower."""
+    f = alg.field
+    deg, diff_pairs = {}, {}
+    for d, w in alg.module.basis_pairs():
+        if len(w) == 1:
+            deg[w[0]] = d
+            for (low,), c in alg.module.apply_diff(d, {w: f.one()}).items():
+                assert c == f.one()
+                diff_pairs[w[0]] = low
+    return deg, diff_pairs
+
+
+def _ref_tensor_algebra_diff(alg):
+    """The differential loop of fixtures.random_tensor_algebra."""
+    f = alg.field
+    deg, diff_pairs = _generators(alg)
+    diff_map = {}
+    for _, w in alg.module.basis_pairs():
+        targets = {}
+        prefix = 0
+        for j, g in enumerate(w):
+            low = diff_pairs.get(g)
+            if low is not None:
+                w2 = w[:j] + (low,) + w[j + 1 :]
+                c = f.sign(prefix)
+                cur = targets.get(w2, f.zero())
+                new = f.add(cur, c)
+                if f.is_zero(new):
+                    targets.pop(w2, None)
+                else:
+                    targets[w2] = new
+            prefix += deg[g]
+        if targets:
+            diff_map[w] = targets
+    return diff_map
+
+
+def _ref_sort_in_place(f, letters):
+    order = sorted(range(len(letters)), key=lambda a: (letters[a][0], letters[a][1]))
+    degs = [l[2] for l in letters]
+    sigma = [0] * len(letters)
+    for newpos, old in enumerate(order):
+        sigma[old] = newpos + 1
+    sign = perm.koszul_sign_exponent(degs, tuple(sigma))
+    return tuple(letters[a][0] for a in order), f.sign(sign)
+
+
+def _ref_commutative_algebra_diff(alg):
+    """The differential loop of fixtures.random_commutative_algebra, and its products."""
+    f = alg.field
+    deg, diff_pairs = _generators(alg)
+    mono_deg = dict((m, d) for d, m in alg.module.basis_pairs())
+    diff_map = {}
+    for m in mono_deg:
+        targets = {}
+        prefix = 0
+        for j, g in enumerate(m):
+            low = diff_pairs.get(g)
+            if low is not None:
+                in_place = [(h, pos, deg[h]) for pos, h in enumerate(m[:j])]
+                in_place.append((low, j, deg[low]))
+                in_place.extend((h, pos + len(m), deg[h]) for pos, h in enumerate(m[j + 1 :]))
+                merged, sgn = _ref_sort_in_place(f, in_place)
+                if merged not in mono_deg:
+                    continue
+                c = f.mul(f.sign(prefix), sgn)
+                cur = targets.get(merged, f.zero())
+                new = f.add(cur, c)
+                if f.is_zero(new):
+                    targets.pop(merged, None)
+                else:
+                    targets[merged] = new
+            prefix += deg[g]
+        if targets:
+            diff_map[m] = targets
+    prod = {}
+    for u in sorted(mono_deg):
+        for v in sorted(mono_deg):
+            if len(u) + len(v) > 2:  # the fixtures' default length cap
+                continue
+            letters = [(g, 0, deg[g]) for g in u] + [(g, 1, deg[g]) for g in v]
+            merged, sgn = _ref_sort_in_place(f, letters)
+            if merged in mono_deg:
+                prod[(u, v)] = {merged: sgn}
+    return diff_map, prod
+
+
+def _rebuilt(alg, diff_map):
+    return DgModule.from_data(alg.field, [(w, d) for d, w in alg.module.basis_pairs()], diff_map)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_koszul_diff_matches_the_fixture_loops(field):
+    for seed in range(12):
+        ta = random_tensor_algebra(field, seed)
+        assert _entries(ta.module) == _entries(_rebuilt(ta, _ref_tensor_algebra_diff(ta)))
+        ca = random_commutative_algebra(field, seed)
+        diff_map, prod = _ref_commutative_algebra_diff(ca)
+        assert _entries(ca.module) == _entries(_rebuilt(ca, diff_map))
+        assert repr(ca.ops.get(2, {})) == repr(prod)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_koszul_diff_matches_tensor(field):
+    for seed in range(12):
+        a = random_tensor_algebra(field, seed).module
+        b = random_commutative_algebra(field, seed).module
+        for x, y in [(a, b), (b, a), (a, a)]:
+            t = tensor(x, y)
+            assert _entries(t) == _entries(_ref_tensor(x, y))
+            t.check_differential()
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_koszul_diff_matches_check_algebra_terms(field):
+    for seed in range(12):
+        for alg in (random_tensor_algebra(field, seed), random_commutative_algebra(field, seed)):
+            mod = alg.module
+            letters = mod.basis_pairs()
+            for r in (1, 2, 3):
+                for word in product(letters, repeat=r):
+                    ref = {}
+                    labs = [l for _, l in word]
+                    for c, j, l2 in _ref_tensor_diff_terms(field, [d for d, _ in word], labs, mod):
+                        combo_add(field, ref, tuple(labs[:j] + [l2] + labs[j + 1 :]), c)
+                    got = koszul_diff(field, word, lambda j, x: (x[0], mod.differential_combo(x)))
+                    assert repr(ref) == repr({tuple(l for _, l in w): c for w, c in got.items()})
+
+
+def _sigma_modules(field, seed):
+    """Two random Sigma-modules (zero differentials) and two with differentials:
+    Stasheff's K and its suspension."""
+    M, _ = random_sigma_module(field, seed, arity_bound=3)
+    N, _ = random_sigma_module(field, seed + 1, arity_bound=3)
+    K = stasheff_operad(field, 4).sigma
+    return M, N, K, K.suspend()
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_koszul_diff_matches_word_spaces(field):
+    M, N, K, sK = _sigma_modules(field, 0)
+    spaces = [([M, N], 4), ([N, N, N], 4), ([M, K], 4), ([K, sK], 5), ([sK, K, sK], 5)]
+    M2, N2 = _sigma_modules(field, 2)[:2]
+    for factors, arity_bound in spaces + [([M2, N2], 4), ([N2, M2, N2], 4)]:
+        ws = WordSpace(field, factors, arity_bound)
+        for r in ws.arities():
+            comp = ws.component(r)
+            comp.check_differential()
+            for d, label in comp.basis_pairs():
+                assert repr(ws.diff_combo(label)) == repr(_ref_word_space_diff(ws, label))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_koszul_diff_matches_compose_diff_big(field):
+    """On compose-oracle pairs of random Sigma-modules, and on K and its suspension."""
+    M, N, K, sK = _sigma_modules(field, 11)
+    pairs = [(M, N), (K, sK), (sK, K), (M, sK)] + [_sigma_modules(field, seed)[:2] for seed in (13, 15)]
+    for left, right in pairs:
+        cr = compose(left, right, 3)
+        for k, ws in cr.word_spaces.items():
+            for m in left.basis_triples(k):
+                for r in ws.arities():
+                    for _, lw in ws.component(r).basis_pairs():
+                        label = (m, lw)
+                        assert repr(cr.diff_big(label)) == repr(_ref_compose_diff_big(cr, label))
+
+
+def test_koszul_diff_matches_sym_diff_big():
+    """On the Sym(B_R, A) words of the module-functor suite."""
+    for field, operad, kind in [
+        (CoeffField.prime(2), commutative_operad(CoeffField.prime(2), 3), "comm"),
+        (CoeffField.prime(2), associative_operad(CoeffField.prime(2), 3), "assoc"),
+        (Q, stasheff_operad(Q, 3), "ainf"),
+    ]:
+        sigma = bar_module(operad, 3).right_module.sigma
+        for alg in _fixture_algebras(field, kind) + [random_tensor_algebra(field, 1, length_cap=1)]:
+            sym = sym_apply(sigma, alg.module, [1, 2, 3])
+            for n in sym.weights:
+                for label in sym._pure_labels(n):
+                    assert repr(sym.diff_big(label)) == repr(_ref_sym_diff_big(sym, label))
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_koszul_diff_matches_coproduct_algebra(field):
+    for seeds in [(0, 7), (6, 9), (0, 1, 7)]:
+        algebras = [random_commutative_algebra(field, s) for s in seeds]
+        co, _ = coproduct_algebra(algebras)
+        elements = [(label, d) for d, label in co.module.basis_pairs()]
+        ref = DgModule.from_data(field, elements, _ref_coproduct_diff(algebras, elements))
+        assert _entries(co.module) == _entries(ref)

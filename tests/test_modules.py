@@ -22,7 +22,6 @@ from opbar.modules import (
     DgAlgebra,
     RightModule,
     TensorRightModule,
-    _tensor_diff_terms,
     check_algebra,
     direct_sum_right_modules,
     extension,
@@ -148,6 +147,16 @@ def massey_algebra(field=F2):
     )
     ops = {("a", "b"): {"ab": one}, ("b", "c"): {"bc": one}, ("x", "c"): {"m": one}}
     return DgAlgebra(field, "assoc", mod, {2: ops}, name="massey")
+
+
+def _tensor_diff_terms(field, degrees, labels, module):
+    """The oracle's own Koszul differential of a word of algebra basis
+    elements: yields (coeff, position, new_label)."""
+    prefix = 0
+    for j, (d, l) in enumerate(zip(degrees, labels)):
+        for l2, c in module.apply_diff(d, {l: field.one()}).items():
+            yield field.mul(field.sign(prefix), c), j, l2
+        prefix += d
 
 
 def _exhaustive_check_algebra(a, max_arity=None, partial_range=None):

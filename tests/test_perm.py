@@ -1,5 +1,5 @@
 import math
-from itertools import permutations
+from itertools import combinations, permutations, product
 
 from opbar import perm
 
@@ -81,3 +81,13 @@ def test_koszul_sign_composition():
     # swapping two odd letters is a sign; even-odd swap is not
     assert perm.koszul_sign_exponent((1, 1), (2, 1)) == 1
     assert perm.koszul_sign_exponent((2, 1), (2, 1)) == 0
+
+
+def test_koszul_sort_is_stable_and_signed():
+    keys = ["b", "a", "b", "c", "a"]
+    for degrees in product([0, 1, 2], repeat=len(keys)):
+        order, e = perm.koszul_sort(keys, list(degrees))
+        assert order == sorted(range(len(keys)), key=lambda k: (keys[k], k))
+        # a stable sort swaps exactly the pairs i < j with keys[i] > keys[j]
+        swapped = sum(degrees[i] * degrees[j] for i, j in combinations(range(len(keys)), 2) if keys[i] > keys[j])
+        assert e == swapped % 2
