@@ -4,11 +4,15 @@ Scalars are plain Python objects: `Fraction` over the rationals, ints in
 [0, p) over a prime field.  A `CoeffField` instance owns all arithmetic,
 so no floating point can sneak in anywhere.
 
-Elimination uses a fixed pivot order (lowest remaining row, then lowest
-column) so ranks, kernels and quotient bases are reproducible
-bit-for-bit across runs.  Every elimination (`rank`, `rref`,
-`kernel_basis`, `solve`, `quotient_data` and the homotopy retract) runs
-through one `Echelon`, whose row representation depends on the field:
+Elimination uses a fixed pivot order (rows fed lowest first, each
+reduced lowest column first) so kernels, solutions and quotient bases
+are reproducible bit-for-bit across runs.  `rank` alone feeds the rows
+last first: a count does not depend on pivot order, and on bar
+differentials that order leaves far less fill-in.  The eliminations
+that hand out a basis or pivot order (`rref`, `kernel_basis`, `solve`,
+`quotient_data` and the homotopy retract) keep lowest row first.  Every
+elimination runs through one `Echelon`, whose row representation
+depends on the field:
 
   F_2   a Python int bitset per row, reduced by XOR;
   F_p   {col: int} rows with inline `% p` arithmetic;
@@ -16,7 +20,10 @@ through one `Echelon`, whose row representation depends on the field:
         and eliminated fraction-free with gcd content removal.
 
 Scalars leave an `Echelon` as field scalars again (`Fraction` over Q)
-only when `rref()` hands out the reduced rows.
+only when `rref()` hands out the reduced rows.  `SparseMatrix.matmul`
+likewise sums plain ints in one kernel per field (bitset columns over
+F_2, one `% p` per output entry over F_p, one division per output entry
+over Q).
 
 Elements of a space with a named basis are combos {label: scalar}.
 `combo_add` and `combo_map` sum them and drop the labels whose
@@ -243,21 +250,32 @@ class SparseMatrix:
         return self.add(other.scale(self.field.neg(self.field.one())))
 
     def matmul(self, other):
-        """self @ other, composing self after other."""
+        """self @ other, composing self after other.
+
+        One kernel per field, all summing plain ints: over F_2 each column
+        of `self` is an int bitset over rows and an output column is the
+        XOR of the columns its column of `other` names; over F_p products
+        are summed as ints with one `% p` per output entry; over Q each
+        factor is scaled once by the lcm of its denominators and each
+        surviving sum divided once by the product of the two.  The result
+        holds reduced field scalars (`Fraction`s over Q).
+        """
+        self._check_shape(other)
         if self.cols != other.rows:
             raise ValueError("shape mismatch %dx%d @ %dx%d" % (self.rows, self.cols, other.rows, other.cols))
-        f = self.field
-        by_row = {}
-        for (i, k), v in self.entries.items():
-            by_row.setdefault(k, []).append((i, v))
-        out = SparseMatrix(f, self.rows, other.cols)
-        acc = {}
-        for (k, j), w in other.entries.items():
-            for i, v in by_row.get(k, ()):
-                key = (i, j)
-                cur = acc.get(key)
-                acc[key] = f.mul(v, w) if cur is None else f.add(cur, f.mul(v, w))
-        out.entries = {k: v for k, v in acc.items() if not f.is_zero(v)}
+        out = SparseMatrix(self.field, self.rows, other.cols)
+        p = self.field.p
+        if p == 2:
+            out.entries = _matmul_f2(self.entries, other.entries)
+        elif p:
+            sums = _int_products(self.entries.items(), other.entries.items())
+            out.entries = {(i, j): r for j, col in sums.items() for i, s in col.items() if (r := s % p)}
+        else:
+            da, a = _scaled_to_ints(self.entries)
+            db, b = _scaled_to_ints(other.entries)
+            den = da * db
+            sums = _int_products(a, b)
+            out.entries = {(i, j): Fraction(s, den) for j, col in sums.items() for i, s in col.items() if s}
         return out
 
     def apply(self, vec):
@@ -290,6 +308,46 @@ class SparseMatrix:
 
     def __repr__(self):
         return "SparseMatrix(%dx%d over %r, %d nonzero)" % (self.rows, self.cols, self.field, len(self.entries))
+
+
+def _matmul_f2(a, b):
+    """The entries of A @ B over F_2, for the entry dicts of A and B."""
+    cols = {}
+    for (i, k), v in a.items():
+        if v % 2:
+            cols[k] = cols.get(k, 0) | 1 << i
+    acc = {}
+    for (k, j), w in b.items():
+        c = cols.get(k)
+        if c and w % 2:
+            acc[j] = acc.get(j, 0) ^ c
+    return {(i, j): 1 for j, c in acc.items() for i in _bits(c)}
+
+
+def _scaled_to_ints(entries):
+    """(D, the entries times D as ((row, col), int) pairs), where D is the
+    lcm of the denominators; the pairs are produced as they are read."""
+    den = lcm(*(v.denominator for v in entries.values()))
+    return den, ((key, v.numerator * (den // v.denominator)) for key, v in entries.items())
+
+
+def _int_products(a, b):
+    """{j: {i: sum over k of A[i, k] * B[k, j]}} for the ((row, col), int)
+    entry pairs of A and B; sums that cancel to 0 are kept."""
+    by_k = {}
+    for (i, k), v in a:
+        by_k.setdefault(k, []).append((i, v))
+    acc = {}
+    for (k, j), w in b:
+        terms = by_k.get(k)
+        if terms is None:
+            continue
+        col = acc.get(j)
+        if col is None:
+            col = acc[j] = {}
+        for i, v in terms:
+            col[i] = col.get(i, 0) + v * w
+    return acc
 
 
 def _bits(r):
@@ -494,14 +552,15 @@ def echelon(field):
     return _FpEchelon(field.p)
 
 
-def _matrix_echelon(m, target=None):
-    """Echelon of the nonzero rows of a SparseMatrix, fed in row order;
-    with `target` ({row: scalar}), of the augmented matrix [m | target]."""
+def _matrix_echelon(m, target=None, last_first=False):
+    """Echelon of the nonzero rows of a SparseMatrix, fed lowest row first
+    (highest first with `last_first`); with `target` ({row: scalar}), of
+    the augmented matrix [m | target]."""
     rows = m.to_rows()
     for i, t in (target or {}).items():
         rows.setdefault(i, {})[m.cols] = t
     e = echelon(m.field)
-    for i in sorted(rows):
+    for i in sorted(rows, reverse=last_first):
         e.add(rows.pop(i))  # drop each input row once fed: they and the echelon never peak together
     return e
 
@@ -516,8 +575,12 @@ def rref(m):
 
 
 def rank(m):
-    """Rank over the field, by deterministic Gaussian elimination."""
-    return len(_matrix_echelon(m))
+    """Rank over the field, by deterministic Gaussian elimination.
+
+    The rows are fed last first: a count does not depend on pivot order,
+    and on bar differentials this order leaves far less fill-in.
+    """
+    return len(_matrix_echelon(m, last_first=True))
 
 
 def kernel_basis(m):

@@ -120,6 +120,73 @@ def test_trunc_poly_tor_pattern():
     assert got == oracle
 
 
+def _unpaired_generator_degrees(algebra):
+    """Degrees of the generators (length-1 words) of a tensor fixture that
+    are neither the source nor the target of a generator's differential."""
+    mod = algebra.module
+    paired = set()
+    for d in mod.degrees():
+        for i, j in mod.diff_block(d).entries:
+            src = mod.labels(d)[j]
+            if len(src) == 1:
+                paired |= {(d, src), (d - 1, mod.labels(d - 1)[i])}
+    return [d for d in mod.degrees() for x in mod.labels(d) if len(x) == 1 and (d, x) not in paired]
+
+
+def anick_tor_dims(generator_degrees, cap, hi):
+    """Reduced Tor of T(V_0)/V_0^{>cap} by Anick's chains, in bar degrees 0..hi.
+
+    Tor_n is V_0^{(x) l(n)} with l(2j) = j(cap+1) and l(2j+1) = j(cap+1)+1,
+    a word of internal degree e sitting in bar degree e + n.
+    """
+    out = dict.fromkeys(range(hi + 1), 0)
+    n = 1
+    while True:
+        j, odd = divmod(n, 2)
+        length = j * (cap + 1) + odd
+        if not generator_degrees or length * min(generator_degrees) + n > hi:
+            return out
+        words = {0: 1}  # internal degree -> number of words of the current length
+        for _ in range(length):
+            nxt = {}
+            for e, k in words.items():
+                for g in generator_degrees:
+                    if e + g + n <= hi:
+                        nxt[e + g] = nxt.get(e + g, 0) + k
+            words = nxt
+        for e, k in words.items():
+            out[e + n] += k
+        n += 1
+
+
+def test_tensor_bar_homology_matches_anick_chains():
+    # T(V)/V^{>c} with V = V_0 + acyclic pairs is quasi-isomorphic to the
+    # monomial algebra T(V_0)/V_0^{>c}, whose Tor Anick's chains count
+    cases = [(field, seed, cap, 10) for field in (F2, F3, Q) for seed in range(12) for cap in (2, 3)]
+    # the benchmark's tensor fixture at the bar_tables windows
+    cases += [(F2, 1, 3, 14), (F3, 1, 3, 14), (Q, 1, 3, 13)]
+    nonzero = 0
+    for field, seed, cap, hi in cases:
+        algebra = random_tensor_algebra(field, seed, 3, cap)
+        want = anick_tor_dims(_unpaired_generator_degrees(algebra), cap, hi)
+        assert bar(algebra, DegreeWindow(0, hi)).homology() == want, (field, seed, cap)
+        nonzero += any(want.values())
+    assert nonzero == 42  # the others have every generator in an acyclic pair
+
+
+def test_lambda_x3_b2_is_polynomial_on_x1_x3_x7_x15():
+    # B^2 of Lambda(x_3) models C*(Omega^2 S^3); over F_2 its cohomology is
+    # F_2[x_1, x_3, x_7, x_15, ...], whose Poincare series through degree 19
+    # counts the solutions of a + 3b + 7c + 15d = n
+    want = {n: 0 for n in range(1, 20)}
+    for a, b, c, d in product(range(20), range(7), range(3), range(2)):
+        n = a + 3 * b + 7 * c + 15 * d
+        if 1 <= n <= 19:
+            want[n] += 1
+    top = iterated_bar(_data_algebra("lambda_x3_f2.json", None), 2, DegreeWindow(-19, -1))[-1]
+    assert {-d: v for d, v in top.homology().items()} == want
+
+
 def test_random_bars_square_zero():
     for seed in range(4):
         for field in (Q, F2):

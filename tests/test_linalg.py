@@ -5,13 +5,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from opbar.bar import bar
+from opbar.dg import DegreeWindow
 from opbar.errors import CompositionNotZero
+from opbar.fixtures import random_commutative_algebra, random_tensor_algebra
 from opbar.linalg import (
     CoeffField,
     Quotient,
     SparseMatrix,
     combo_add,
     combo_map,
+    echelon,
     homology_dimension,
     kernel_basis,
     quotient_data,
@@ -360,3 +364,156 @@ def test_one_stage_quotient_equals_two_stage(case):
     assert one.kept == second.kept
     for lab in labels:
         assert one.project({lab: field.one()}) == second.project(first.project({lab: field.one()}))
+
+
+# --- matmul kernels ----------------------------------------------------------
+
+
+def reference_matmul(a, b):
+    """The entries of a @ b by the plain dict-of-products loop, one field
+    operation per scalar product."""
+    f = a.field
+    by_row = {}
+    for (i, k), v in a.entries.items():
+        by_row.setdefault(k, []).append((i, v))
+    acc = {}
+    for (k, j), w in b.entries.items():
+        for i, v in by_row.get(k, ()):
+            key = (i, j)
+            cur = acc.get(key)
+            acc[key] = f.mul(v, w) if cur is None else f.add(cur, f.mul(v, w))
+    return {k: v for k, v in acc.items() if not f.is_zero(v)}
+
+
+_MATMUL_FIELDS = [F2, CoeffField.prime(3), CoeffField.prime(5), Q]
+
+
+def _matmul_cases():
+    """A field and two composable matrices, filled through add_to.
+
+    Scalars include unreduced F_p ints (5 over F_3 is stored as 5) and,
+    over Q, plain ints beside Fractions.  In a "cancel" case the columns
+    of the second factor are combinations of kernel vectors of the first,
+    so the product is zero although its scalar products are not; in an
+    "empty" case one factor has no entries or a zero dimension.
+    """
+
+    @st.composite
+    def build(draw):
+        field = draw(st.sampled_from(_MATMUL_FIELDS))
+        kind = draw(st.sampled_from(["product", "cancel", "empty"]))
+        rng = random.Random(draw(st.integers(0, 2**32 - 1)))
+
+        def scalar():
+            if field.p:
+                return rng.randint(-7, 12)
+            if rng.random() < 0.5:
+                return rng.randint(-4, 4)
+            return Fraction(rng.randint(-6, 6), rng.choice([1, 2, 3, 4, 9]))
+
+        rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+        inner = rng.randint(rows + 1, 8) if kind == "cancel" else rng.randint(1, 6)
+        if kind == "empty":
+            rows, inner, cols = (n * rng.randint(0, 1) for n in (rows, inner, cols))
+
+        def fill(m):
+            if kind == "empty" and rng.random() < 0.5:
+                return
+            density = rng.choice([0.2, 0.5, 0.9])
+            for i in range(m.rows):
+                for j in range(m.cols):
+                    if rng.random() < density:
+                        m.add_to(i, j, scalar())
+
+        a = SparseMatrix(field, rows, inner)
+        b = SparseMatrix(field, inner, cols)
+        fill(a)
+        if kind == "cancel":
+            # inner > rows, so the kernel of a is not zero
+            ker = kernel_basis(a)
+            for j in range(cols):
+                for v in rng.sample(ker, min(len(ker), rng.randint(1, 3))):
+                    c = scalar()
+                    for k, x in v.items():
+                        b.add_to(k, j, field.mul(field.of_int(c) if field.p else c, x))
+        else:
+            fill(b)
+        return a, b
+
+    return build()
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=120)
+@given(_matmul_cases())
+def test_matmul_kernel_equals_reference(case):
+    a, b = case
+    f = a.field
+    got = a.matmul(b)
+    want = reference_matmul(a, b)
+    assert (got.field, got.rows, got.cols) == (f, a.rows, b.cols)
+    assert got.entries == want
+    assert got.to_rows() == SparseMatrix(f, a.rows, b.cols, want).to_rows()
+    for v in got.entries.values():
+        if f.p:
+            assert type(v) is int and 0 < v < f.p
+        else:
+            assert type(v) is Fraction and v != 0
+
+
+def test_matmul_cancels_unreduced_and_int_entries():
+    f3 = CoeffField.prime(3)
+    a = SparseMatrix(f3, 1, 2)
+    a.add_to(0, 0, 5)  # stored unreduced
+    a.add_to(0, 1, 1)
+    b = SparseMatrix(f3, 2, 1)
+    b.add_to(0, 0, 1)
+    b.add_to(1, 0, 1)
+    assert a.entries[(0, 0)] == 5 and a.matmul(b).is_zero()  # 5 + 1 = 0 mod 3
+    b.add_to(1, 0, 1)
+    assert a.matmul(b).entries == {(0, 0): 1}  # 5 + 2 = 1 mod 3
+    qa = SparseMatrix(Q, 1, 2)
+    qa.add_to(0, 0, 3)  # a plain int over Q
+    qa.add_to(0, 1, Fraction(1, 2))
+    qb = SparseMatrix(Q, 2, 1)
+    qb.add_to(0, 0, Fraction(1, 6))
+    qb.add_to(1, 0, -1)
+    assert qa.matmul(qb).is_zero()
+    qb.add_to(1, 0, Fraction(1, 3))
+    assert qa.matmul(qb).entries == {(0, 0): Fraction(1, 6)}
+    assert SparseMatrix(Q, 0, 3).matmul(SparseMatrix(Q, 3, 2)).entries == {}
+    assert SparseMatrix(F2, 2, 0).matmul(SparseMatrix(F2, 0, 2)).entries == {}
+
+
+def test_matmul_rejects_shape_and_field_mismatch():
+    with pytest.raises(ValueError, match="shape mismatch"):
+        SparseMatrix.identity(Q, 2).matmul(SparseMatrix.identity(Q, 3))
+    with pytest.raises(ValueError, match="field mismatch"):
+        SparseMatrix.identity(F2, 2).matmul(SparseMatrix.identity(Q, 2))
+    with pytest.raises(ValueError, match="field mismatch"):
+        SparseMatrix.identity(CoeffField.prime(3), 2).matmul(SparseMatrix.identity(CoeffField.prime(5), 2))
+
+
+# --- rank does not depend on the order rows are fed in ------------------------
+
+
+def _bar_blocks():
+    for make in (random_tensor_algebra, random_commutative_algebra):
+        for seed in range(12):
+            for field in (F2, CoeffField.prime(3), Q):
+                module = bar(make(field, seed), DegreeWindow(0, 6)).module
+                for d in module.degrees():
+                    yield module.diff_block(d)
+
+
+def test_rank_is_order_free_on_bar_differentials():
+    blocks = 0
+    for m in _bar_blocks():
+        before = dict(m.entries)
+        e = echelon(m.field)
+        for _, row in sorted(m.to_rows().items()):  # lowest row first
+            e.add(row)
+        pivcols, _ = _dense_rref(m.field.p, _dense(m), m.cols)
+        assert rank(m) == len(e) == len(pivcols)
+        assert m.entries == before and list(m.entries.items()) == list(before.items())
+        blocks += bool(m.entries)
+    assert blocks > 150
