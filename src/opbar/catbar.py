@@ -124,12 +124,22 @@ class NormalizedComplex:
             for q in lvl.degrees():
                 relations = []
                 if n >= 1:
-                    prev = sx.level(n - 1)
+                    dim = sx.level(n - 1).dim(q)
                     for j in range(n):
-                        s_map = sx.degeneracy(n - 1, j)
-                        relations.extend(s_map.apply(q, {label: f.one()}) for label in prev.labels(q))
+                        images = sx.degeneracy(n - 1, j).images(q)
+                        relations.extend(images.get(k, {}) for k in range(dim))
                 self.quotients[(n, q)] = Quotient(f, lvl.labels(q), relations)
                 basis.setdefault(n + q, []).extend((n, label) for label in self.quotients[(n, q)].kept)
+
+        # the signed face images of one (n, q) group at a time: the rule
+        # visits the labels of each group together
+        group = {}
+
+        def faces(n, q):
+            if (n, q) not in group:
+                group.clear()
+                group[(n, q)] = [(f.sign(q + i), sx.face(n, i).images(q)) for i in range(n + 1)]
+            return group[(n, q)]
 
         def rule(d, label):
             n, lab = label
@@ -138,12 +148,14 @@ class NormalizedComplex:
             # internal differential
             for lab2, c in self.project(n, q - 1, sx.level(n).apply_diff(q, {lab: f.one()})).items():
                 combo_add(f, out, (n, lab2), c)
-            # simplicial boundary with the bicomplex sign
+            # simplicial boundary with the bicomplex sign (-1)^(q + i)
             if n >= 1:
-                for i in range(n + 1):
-                    coeff = f.mul(f.sign(q), f.sign(i))
-                    for lab2, c in self.project(n - 1, q, sx.face(n, i).apply(q, {lab: f.one()})).items():
-                        combo_add(f, out, (n - 1, lab2), f.mul(coeff, c))
+                j = sx.level(n).index(q, lab)
+                for coeff, images in faces(n, q):
+                    image = images.get(j)
+                    if image:
+                        for lab2, c in self.project(n - 1, q, image).items():
+                            combo_add(f, out, (n - 1, lab2), f.mul(coeff, c))
             return out
 
         self.module = DgModule.from_rule(f, dict(sorted(basis.items())), rule)
@@ -371,12 +383,18 @@ def tensor_simplicial(c, d, dimension_bound=None):
 
 def _tensor_map(field, src, dst, f_map, g_map):
     """f (x) g on levelwise tensors (both degree 0: no Koszul twist)."""
+    f_images, g_images = {}, {}  # degree -> the map's images there, read once
+
+    def image(images, m, d, label):
+        if d not in images:
+            images[d] = m.images(d)
+        return images[d].get(m.source.index(d, label), {})
 
     def rule(q, label):
         x, y = label
         dx = _find_degree(f_map.source, x)
-        fx = f_map.apply(dx, {x: field.one()})
-        gy = g_map.apply(q - dx, {y: field.one()})
+        fx = image(f_images, f_map, dx, x)
+        gy = image(g_images, g_map, q - dx, y)
         # distinct pairs of nonzero coefficients: nothing to sum, nothing cancels
         return {(lx, ly): field.mul(cx, cy) for lx, cx in fx.items() for ly, cy in gy.items()}
 

@@ -275,6 +275,27 @@ class DgMap:
         vec = self.block(d).apply(self.source.vector(d, combo))
         return self.target.combo(d + self.degree, vec)
 
+    def images(self, d):
+        """The image of every basis vector of degree d, as {column: combo}.
+
+        One pass over the block's entries, where `apply` walks them all
+        for each vector.  Columns with a zero image are absent.  Each
+        combo lists its labels in the order `apply` gives them, with the
+        stored scalars.
+        """
+        m = self.blocks.get(d)
+        if m is None:
+            return {}
+        labels = self.target.labels(d + self.degree)
+        out = {}
+        for (i, j), v in m.entries.items():
+            col = out.get(j)
+            if col is None:
+                out[j] = {labels[i]: v}
+            else:
+                col[labels[i]] = v
+        return out
+
     def compose(self, other):
         """self after other."""
         if other.target is not self.source and other.target.basis != self.source.basis:

@@ -2,7 +2,14 @@
 
 Scalars are plain Python objects: `Fraction` over the rationals, ints in
 [0, p) over a prime field.  A `CoeffField` instance owns all arithmetic,
-so no floating point can sneak in anywhere.
+so no floating point can sneak in anywhere.  Over Q, `one()`, `zero()`
+and `sign()` hand out shared `Fraction` objects, and `mul` has a fast
+path for the signs: when one operand *is* the shared 1 or -1 and the
+other is a `Fraction`, it returns the other operand or its negation
+without multiplying.  Most scalar products outside the matrices are a
+sign times a coefficient, and the result has the same value and type as
+the product.  `SparseMatrix.add_to` reduces every entry it stores over
+F_p, so equal matrices have equal `entries`.
 
 Elimination uses a fixed pivot order (rows fed lowest first, each
 reduced lowest column first) so kernels, solutions and quotient bases
@@ -122,7 +129,16 @@ class CoeffField:
         return (-a) % self.p if self.p else -a
 
     def mul(self, a, b):
-        return (a * b) % self.p if self.p else a * b
+        if self.p:
+            return (a * b) % self.p
+        # the shared signs, tested by identity: a sign times a Fraction needs no product
+        if a is _Q_ONE or a is _Q_MINUS_ONE:
+            if type(b) is Fraction:
+                return b if a is _Q_ONE else -b
+        elif b is _Q_ONE or b is _Q_MINUS_ONE:
+            if type(a) is Fraction:
+                return a if b is _Q_ONE else -a
+        return a * b
 
     def inv(self, a):
         if self.is_zero(a):
@@ -160,10 +176,18 @@ def combo_map(field, combo, image, acc=None):
     nor the images are modified.
     """
     out = {} if acc is None else acc
-    mul = field.mul
+    mul, p = field.mul, field.p
     for label, c in combo.items():
         for label2, c2 in image(label).items():
-            combo_add(field, out, label2, mul(c, c2))
+            # combo_add, inlined: `mul` hands back a reduced scalar
+            new = mul(c, c2)
+            cur = out.get(label2)
+            if cur is not None:
+                new = (cur + new) % p if p else cur + new
+            if new:
+                out[label2] = new
+            else:
+                out.pop(label2, None)
     return out
 
 
@@ -188,13 +212,15 @@ class SparseMatrix:
     def add_to(self, i, j, v):
         if not (0 <= i < self.rows and 0 <= j < self.cols):
             raise IndexError("entry (%d,%d) outside %dx%d" % (i, j, self.rows, self.cols))
-        f = self.field
+        p = self.field.p
         cur = self.entries.get((i, j))
-        new = f.add(cur, v) if cur is not None else v
-        if f.is_zero(new):
-            self.entries.pop((i, j), None)
-        else:
+        new = v if cur is None else cur + v
+        if p:
+            new %= p
+        if new:
             self.entries[(i, j)] = new
+        else:
+            self.entries.pop((i, j), None)
 
     @staticmethod
     def identity(field, n):

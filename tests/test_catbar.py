@@ -1,6 +1,10 @@
+import hashlib
+import random
+
 import pytest
 
 from opbar.catbar import (
+    CategoricalBar,
     NormalizedComplex,
     SimplicialDgModule,
     bar_cat_comparison,
@@ -11,13 +15,15 @@ from opbar.catbar import (
     eilenberg_maclane,
     normalize,
     simplicial_categorical_bar,
+    tensor_simplicial,
 )
 from opbar.dg import DegreeWindow, DgMap, DgModule, homology
 from opbar.errors import NotCommutative, SimplicialIdentityViolation
-from opbar.linalg import CoeffField
+from opbar.linalg import CoeffField, SparseMatrix
 from opbar.modules import DgAlgebra
 from opbar.bar import bar_module
 from opbar.operads import commutative_operad
+from opbar.verify import _constant_simplicial
 
 Q = CoeffField.rationals()
 F2 = CoeffField.prime(2)
@@ -199,3 +205,181 @@ def test_categorical_bar_module_dims_and_identity():
                 assert dims.get(r, {}).get(0, 0) == n ** r
         assert cm.degeneracies_split_injective()
         assert cat_bar_module_vs_bar_module(cm, bar_module(Com, 3))
+
+
+# --- one-pass map images ---------------------------------------------------------
+#
+# The categorical bars that the commutative-identity and em suites build
+# (exterior and truncated algebras at their sound weight bounds, the
+# two-generator probe at 3, the constant case at 2), each also over the
+# fields the suites leave out, so F2, F3 and Q are all covered.
+
+F3 = CoeffField.prime(3)
+
+_CAT_FIXTURES = {
+    "exterior.F2": (lambda: exterior(F2), 5),
+    "exterior.F3": (lambda: exterior(F3), 5),
+    "trunc.F2": (lambda: trunc(F2), 4),
+    "trunc.F3": (lambda: trunc(F3), 3),
+    "trunc.Q": (lambda: trunc(Q), 3),
+    "probe.F2": (lambda: two_dim_fixture(F2), 3),
+    "probe.F3": (lambda: two_dim_fixture(F3), 3),
+    "probe.Q": (lambda: two_dim_fixture(Q), 3),
+}
+
+_FIELDS = {"F2": F2, "F3": F3, "Q": Q}
+
+
+@pytest.fixture(scope="module")
+def suite_objects():
+    """The fixtures built once: name -> (CategoricalBar, its levelwise
+    tensor square), the constant case per field as (em, normalized target),
+    and the Com categorical bar module per field."""
+    cats = {}
+    for name, (make, bound) in _CAT_FIXTURES.items():
+        cat = CategoricalBar(make(), bound)
+        cats[name] = cat, tensor_simplicial(cat.simplicial, cat.simplicial, bound)
+    constant, com_modules = {}, {}
+    for field_name, field in _FIELDS.items():
+        sx = simplicial_categorical_bar(exterior(field), 2)
+        const = _constant_simplicial(field, DgModule.ground(field, "k"), 2)
+        em, _, _, cd = eilenberg_maclane(const, sx, bound=2)
+        constant[field_name] = em, cd
+        com_modules[field_name] = categorical_bar_module(commutative_operad(field, 3), 3, 3)
+    return cats, constant, com_modules
+
+
+def _simplicial_objects(suite_objects):
+    """(name, simplicial object) for every one the fixtures build."""
+    cats, constant, com_modules = suite_objects
+    for name, (cat, tsx) in cats.items():
+        yield name, cat.simplicial
+        yield name + ".tensor", tsx
+    for field_name in _FIELDS:
+        yield "constant." + field_name, constant[field_name][1].simplicial
+        for r, normalized in com_modules[field_name].normalized.items():
+            yield "com_module.%s.arity%d" % (field_name, r), normalized.simplicial
+
+
+def _maps(sx):
+    return list(sx.faces.values()) + list(sx.degeneracies.values())
+
+
+def _assert_images_equal_apply(m, d, context):
+    field = m.source.field
+    want = {}
+    for j, label in enumerate(m.source.labels(d)):
+        image = m.apply(d, {label: field.one()})
+        if image:
+            want[j] = image
+    got = m.images(d)
+    assert got == want, context
+    for j, image in got.items():
+        assert list(image) == list(want[j]), context  # same key order
+        for label, c in image.items():
+            assert type(c) is type(want[j][label]) and not field.is_zero(c), context
+
+
+def test_images_equal_per_label_apply(suite_objects):
+    checked = 0
+    for name, sx in _simplicial_objects(suite_objects):
+        for m in _maps(sx):
+            for d in m.source.degrees():
+                _assert_images_equal_apply(m, d, name)
+                checked += 1
+    assert checked > 300
+
+
+def test_images_keep_apply_key_order_on_dense_blocks():
+    # the suites' maps send a basis vector to at most one term, so key order
+    # is tested here on blocks with several terms per column, whose entries
+    # were cancelled and written again out of column order
+    for field in (F2, F3, Q):
+        rng = random.Random(str(field))
+        for _ in range(20):
+            rows, cols = rng.randint(1, 6), rng.randint(1, 6)
+            block = SparseMatrix(field, rows, cols)
+            for _ in range(rng.randint(0, 3 * rows * cols)):
+                block.add_to(rng.randrange(rows), rng.randrange(cols), field.of_int(rng.randint(-3, 3)))
+            source = DgModule(field, {0: tuple("s%d" % j for j in range(cols))}, {}, check=False)
+            target = DgModule(field, {0: tuple("t%d" % i for i in range(rows))}, {}, check=False)
+            _assert_images_equal_apply(DgMap(source, target, 0, {0: block}), 0, field)
+
+
+def _digest(value):
+    return hashlib.sha256(repr(value).encode()).hexdigest()
+
+
+def _differential_rows(module):
+    return [(d, module.labels(d), module.diff_block(d).to_rows()) for d in module.degrees()]
+
+
+# sha256 of repr() of the normalized differentials (labels and to_rows() per
+# degree, in stored order) and of the EM product tables, as the per-vector
+# `apply` code computed them
+_PINS = {
+    'exterior.F2.normalized': '5d06fc540c4a9e5be921fe5f303d22cf1706d77c9b89a00acca704d42bfe6c2a',
+    'exterior.F2.em_table': '44d7cbab5df39ac0d957296ab0d1a353d927dfde41ba8d57a6db891e801330b5',
+    'exterior.F3.normalized': '5d06fc540c4a9e5be921fe5f303d22cf1706d77c9b89a00acca704d42bfe6c2a',
+    'exterior.F3.em_table': '5cb9491871cbb0911cbe59c2a451524e145bf03a2901237df98447546246b218',
+    'trunc.F2.normalized': '01248ea7d3c24cdb9513bccbb55b7c5ccc594ab2e44c35c75cbe6f5813f29161',
+    'trunc.F2.em_table': 'f5c96ac984a0e624931fb8b0843e04d3a997d7e38588506871eaa3ca27207ddb',
+    'trunc.F3.normalized': '2aeac2f0ae8001171799fff06d81a05a9e20cdf768598ab317a6c6a0719396c4',
+    'trunc.F3.em_table': 'b0d6f51ec9f1d845bffd1c03af864b18ac3d4f760d77a0a5059962bbc93f9f19',
+    'trunc.Q.normalized': 'abef822577bdcf56a21d8a10ff95552a5e4cb8bca857ae43b45302ec6d310535',
+    'trunc.Q.em_table': '6153355ea0db5077dc1029a0d1d1bed40bdd6b07a87293dac87b9b5ae4a8bbb4',
+    'probe.F2.normalized': '7b6d52e49279c80fc1585b2399824c035635acd87862d833c2213c85227594ab',
+    'probe.F2.em_table': '8a68aec9fa17638ae5b7ad2a22e65f901f92a229aa034ddb95aefe85488443a3',
+    'probe.F3.normalized': '7b6d52e49279c80fc1585b2399824c035635acd87862d833c2213c85227594ab',
+    'probe.F3.em_table': '25462f4632632718a966ae7655fa1202f980e90d4d749da565fb37af38b35cc4',
+    'probe.Q.normalized': '7b6d52e49279c80fc1585b2399824c035635acd87862d833c2213c85227594ab',
+    'probe.Q.em_table': 'c2b2f5842936334bf18f16cad0304f883ab073bab7107174e1b032b5850b6f28',
+    'constant.F2.normalized': '008dd6e41170e9f83a922ba1bbeac9d06cd9ce460d44cede87914870d7bed289',
+    'constant.F2.em': '1521afc019c0897656d820da59dd81d719898534a1e449c205fc94fe5c615ba8',
+    'com_module.F2.normalized': '5419929e8c58001376728e9bccb78add53c2cdd3b2004956e525336987e436ce',
+    'constant.F3.normalized': '008dd6e41170e9f83a922ba1bbeac9d06cd9ce460d44cede87914870d7bed289',
+    'constant.F3.em': '1521afc019c0897656d820da59dd81d719898534a1e449c205fc94fe5c615ba8',
+    'com_module.F3.normalized': '6f60cacd58723ff2ca8bea58049af7532983f05fdf3687bdda453f0f8ecec3be',
+    'constant.Q.normalized': '008dd6e41170e9f83a922ba1bbeac9d06cd9ce460d44cede87914870d7bed289',
+    'constant.Q.em': 'af1e9318c7b7a783136cf6710e6bfa1ee00947995f82ac7009b01b2b207f9591',
+    'com_module.Q.normalized': '262d8945d04256cb461c627e0af2577ad68515a173f09de6e864727cf7f84194',
+}
+
+
+def _pinned(suite_objects):
+    cats, constant, com_modules = suite_objects
+    for name, (cat, _) in cats.items():
+        yield name + ".normalized", _differential_rows(cat.module)
+        yield name + ".em_table", cat.em_product_table()
+    for field_name in _FIELDS:
+        em, cd = constant[field_name]
+        yield "constant.%s.normalized" % field_name, _differential_rows(cd.module)
+        yield "constant.%s.em" % field_name, [(d, em.block(d).to_rows()) for d in sorted(em.blocks)]
+        cm = com_modules[field_name]
+        yield "com_module.%s.normalized" % field_name, [_differential_rows(cm.normalized[r].module) for r in (1, 2, 3)]
+
+
+def test_normalized_differentials_and_em_tables_match_pins(suite_objects):
+    got = {name: _digest(value) for name, value in _pinned(suite_objects)}
+    assert got == _PINS
+
+
+def test_face_and_tensor_factor_maps_are_read_in_one_pass(monkeypatch):
+    sx = simplicial_categorical_bar(trunc(F2), 3)
+    applied = []
+    per_vector = SparseMatrix.apply
+
+    def counting(self, vec):
+        applied.append(self)
+        return per_vector(self, vec)
+
+    monkeypatch.setattr(SparseMatrix, "apply", counting)
+    NormalizedComplex(sx)
+    tsx = tensor_simplicial(sx, sx, 3)
+    NormalizedComplex(tsx)
+    watched = {id(m) for mp in _maps(sx) + _maps(tsx) for m in mp.blocks.values()}
+    assert watched and applied  # the level differentials still go through apply
+    assert not [m for m in applied if id(m) in watched]
+    # the guard sees a map applied to one basis vector
+    sx.face(2, 1).apply(2, {((1, 2), ((1, "x"), (1, "x"))): F2.one()})
+    assert id(applied[-1]) in watched

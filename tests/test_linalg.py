@@ -199,6 +199,57 @@ def test_scalar_constants_are_shared_and_signs_unchanged():
         assert type(field.zero()) is type(field.of_int(0)) and field.zero() == field.of_int(0)
 
 
+_MUL_FIELDS = [Q, F2, CoeffField.prime(3), CoeffField.prime(5)]
+
+
+@st.composite
+def _mul_cases(draw):
+    field = draw(st.sampled_from(_MUL_FIELDS))
+    shared = [field.one(), field.sign(1), field.zero()]
+    if field.p:
+        operand = st.one_of(st.sampled_from(shared), st.integers(0, field.p - 1))
+    else:
+        operand = st.one_of(
+            st.sampled_from(shared + [Fraction(1), Fraction(-1)]),
+            st.integers(-5, 5),
+            st.builds(Fraction, st.integers(-9, 9), st.integers(1, 9)),
+        )
+    return field, draw(operand), draw(operand)
+
+
+@settings(derandomize=True, database=None, deadline=None, max_examples=400)
+@given(_mul_cases())
+def test_mul_equals_plain_product_in_value_and_type(case):
+    field, a, b = case
+    want = a * b if field.p is None else (a * b) % field.p
+    for got in (field.mul(a, b), field.mul(b, a)):
+        assert got == want and type(got) is type(want)
+
+
+def test_mul_by_a_shared_sign_returns_the_other_operand():
+    x = Fraction(3, 7)
+    assert Q.mul(Q.one(), x) is x and Q.mul(x, Q.one()) is x
+    assert Q.mul(Q.sign(1), x) == -x and Q.mul(x, Q.sign(1)) == -x
+    assert Q.mul(Q.sign(1), Q.sign(1)) == 1 and Q.mul(Fraction(1), x) == x
+    # an int operand still gets the Fraction product
+    assert type(Q.mul(Q.one(), 2)) is Fraction and type(Q.mul(-1, Q.sign(1))) is Fraction
+
+
+def test_add_to_reduces_over_fp():
+    f3 = CoeffField.prime(3)
+    a, b = SparseMatrix(f3, 1, 2), SparseMatrix(f3, 1, 2)
+    a.add_to(0, 0, 5)
+    b.add_to(0, 0, 2)
+    assert a == b and a.entries == {(0, 0): 2}
+    a.add_to(0, 1, -1)
+    b.add_to(0, 1, 2)
+    assert a == b
+    a.add_to(0, 0, 4)  # 2 + 4 = 0 mod 3
+    assert a.entries == {(0, 1): 2}
+    assert SparseMatrix(F2, 1, 1, {(0, 0): -1}).entries == {(0, 0): 1}
+    assert SparseMatrix(f3, 1, 1, {(0, 0): 6}).is_zero()
+
+
 # --- dense oracle ------------------------------------------------------------
 #
 # Textbook Gauss-Jordan elimination on dense lists, written here so that it
@@ -463,7 +514,7 @@ def test_matmul_kernel_equals_reference(case):
 def test_matmul_cancels_unreduced_and_int_entries():
     f3 = CoeffField.prime(3)
     a = SparseMatrix(f3, 1, 2)
-    a.add_to(0, 0, 5)  # stored unreduced
+    a.entries[(0, 0)] = 5  # stored unreduced, past add_to
     a.add_to(0, 1, 1)
     b = SparseMatrix(f3, 2, 1)
     b.add_to(0, 0, 1)
