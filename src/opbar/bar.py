@@ -20,6 +20,15 @@ built, and each signed b_r is memoised on its chunk of r letters, so a
 word's differential only places stored terms with the sign of its
 suspended prefix.
 
+Inside the build a letter is coded by its index in the algebra's
+`basis_pairs()`, which lists the letters by ascending degree.  Words,
+b_r chunks and the row index of each block are tuples of these small
+ints, and the (degree, label) words are decoded once, for the basis.
+Words are enumerated depth-first with the letters in order; after a
+prefix, the letters that can still reach the window form one slice of
+the ascending suspended degrees, found by bisection.  `diff_word`
+encodes a word, runs the same coded kernel and decodes the terms.
+
 Weight truncation is exact when the suspended letter degrees all have
 the same sign: a degree-d word then has weight at most |d|+1 over the
 minimal absolute suspended degree, and `sound_weight_bound` computes
@@ -28,6 +37,9 @@ explicit weight bound and raise TruncationUnsound otherwise.
 """
 
 from __future__ import annotations
+
+from bisect import bisect_left, bisect_right
+from functools import cached_property
 
 from . import perm, trees
 from .dg import DegreeWindow, DgMap, DgModule, homology
@@ -113,18 +125,31 @@ class BarComplex:
     def _build(self):
         f = self.field
         amod = self.algebra.module
-        letters = amod.basis_pairs()
-        # d(s a) = -s(d a): each letter's terms with their sign after an even
-        # and after an odd suspended prefix
-        self._letter_diff = {}
-        for d, l in letters:
-            terms = amod.apply_diff(d, {l: f.one()}).items()
-            self._letter_diff[(d, l)] = tuple(((d - 1, l2), f.mul(f.sign(1), c), f.mul(f.one(), c)) for l2, c in terms)
+        letters = self._letters = amod.basis_pairs()
+        self._code = {letter: x for x, letter in enumerate(letters)}
+        susp = [d + 1 for d, _ in letters]
+        self._odd = [s & 1 for s in susp]
+        first = {}  # degree -> code of its first letter
+        for x, (d, _) in enumerate(letters):
+            first.setdefault(d, x)
+        # d(s a) = -s(d a): each letter's terms with their coefficient after an even and
+        # after an odd suspended prefix, read in one pass over each degree's block
+        self._letter_diff = [[] for _ in letters]
+        minus, one = f.sign(1), f.one()
+        for d, m in amod.diff.items():
+            for (i, j), c in m.entries.items():
+                c = f.mul(one, c)  # reduced, as `apply_diff` hands it out
+                if c:
+                    self._letter_diff[first[d] + j].append((first[d - 1] + i, f.mul(minus, c), c))
+        # 0 stands for the internal part, left out when no letter has a differential
+        internal = (0,) if any(self._letter_diff) else ()
+        self._arities = internal + tuple(sorted(self.algebra.ops))
         self._b_terms = {}
         lo, hi = self.window.lo - 1, self.window.hi + 1
         # the furthest one more letter can move the degree down and up
-        down = min([d + 1 for d, _ in letters] + [0])
-        up = max([d + 1 for d, _ in letters] + [0])
+        down = min(susp + [0])
+        up = max(susp + [0])
+        wb = self.weight_bound
         words_by_degree = {}
         # depth-first, letters in order: children are pushed in reverse
         stack = [((), 0)]
@@ -133,66 +158,109 @@ class BarComplex:
             n = len(word)
             if n >= 1 and lo <= deg <= hi:
                 words_by_degree.setdefault(deg, []).append(word)
-            if n == self.weight_bound:
+            if n == wb:
                 continue
-            remaining = self.weight_bound - n - 1
-            for d, l in reversed(letters):
-                nd = deg + d + 1
-                # can `remaining` more letters bring nd into [lo, hi]?
-                if nd + down * remaining <= hi and nd + up * remaining >= lo:
-                    stack.append((word + ((d, l),), nd))
-        basis = {d: tuple(ws) for d, ws in sorted(words_by_degree.items())}
-        self.module = DgModule.from_rule(f, basis, self._stored_diff)
-        self.weight_of = {w: len(w) for d in basis for w in basis[d]}
+            remaining = wb - n - 1
+            # the letters after which `remaining` more letters can still reach [lo, hi]:
+            # one slice of the ascending suspended degrees
+            start = bisect_left(susp, lo - deg - up * remaining)
+            for x in range(bisect_right(susp, hi - deg - down * remaining) - 1, start - 1, -1):
+                stack.append((word + (x,), deg + susp[x]))
+        basis, diff = {}, {}
+        rows = {}  # coded word -> row, for the words one degree below
+        for d in sorted(words_by_degree):
+            words = words_by_degree.pop(d)
+            if d - 1 not in basis:
+                rows = {}
+            # words of degree window.lo - 1 keep no differential; inside the window every
+            # target word was enumerated
+            if d >= self.window.lo:
+                m = diff[d] = SparseMatrix(f, len(rows), len(words))
+                entries = m.entries
+                for j, w in enumerate(words):
+                    for w2, c in self._coded_diff(w).items():
+                        i = rows.get(w2)
+                        if i is None:
+                            raise ValueError(
+                                "d(%r) names %r, not a basis label in degree %d"
+                                % (self._decode(w), self._decode(w2), d - 1)
+                            )
+                        entries[(i, j)] = c
+            basis[d] = tuple([self._decode(w) for w in words])
+            rows = {w: j for j, w in enumerate(words)}
+        self.module = DgModule(f, basis, diff)
 
-    def _stored_diff(self, d, word):
-        """The differential kept in the module: words of degree window.lo - 1 keep none.
+    @cached_property
+    def weight_of(self):
+        """word -> weight, over the whole basis; built on first use."""
+        return {w: len(w) for d in self.module.degrees() for w in self.module.labels(d)}
 
-        Inside the window every target word was enumerated; below it none is kept.
-        """
-        return self.diff_word(word) if d >= self.window.lo else {}
-
-    def _internal_diff(self, word):
-        """The Koszul differential of the suspended word, from the stored letter differentials."""
-        f = self.field
-        out = {}
-        odd = 0  # parity of the suspended prefix
-        for j, letter in enumerate(word):
-            for letter2, c_even, c_odd in self._letter_diff[letter]:
-                combo_add(f, out, word[:j] + (letter2,) + word[j + 1 :], c_odd if odd else c_even)
-            odd ^= (letter[0] + 1) & 1
-        return out
+    def _decode(self, w):
+        """A coded word as its tuple of (degree, label) letters."""
+        return tuple(map(self._letters.__getitem__, w))
 
     def _b_term(self, chunk):
-        """b_r on a chunk of r letters, memoised: per term of mu_r its letter and its
-        coefficient after an even and after an odd suspended prefix."""
-        terms = self._b_terms.get(chunk)
-        if terms is None:
-            f = self.field
-            r = len(chunk)
-            sgn = f.sign(desuspension_parity([d + 1 for d, _ in chunk]))
-            d2 = sum(d for d, _ in chunk) + r - 2
-            terms = []
-            for l2, c in self.algebra.op_apply(r, tuple(l for _, l in chunk)).items():
-                c = f.mul(sgn, c)
-                terms.append(((d2, l2), c, f.mul(f.sign(1), c)))
-            terms = self._b_terms[chunk] = tuple(terms)
+        """b_r on a coded chunk of r letters, memoised: per term of mu_r its letter's code
+        and its coefficient after an even and after an odd suspended prefix."""
+        f = self.field
+        letters = [self._letters[x] for x in chunk]
+        r = len(chunk)
+        sgn = f.sign(desuspension_parity([d + 1 for d, _ in letters]))
+        d2 = sum(d for d, _ in letters) + r - 2
+        terms = []
+        for l2, c in self.algebra.op_apply(r, tuple(l for _, l in letters)).items():
+            x2 = self._code.get((d2, l2))
+            if x2 is None:
+                raise ValueError("mu_%d names %r, not a basis label in degree %d" % (r, l2, d2))
+            c = f.mul(sgn, c)
+            if c:
+                terms.append((x2, c, f.mul(f.sign(1), c)))
+        terms = self._b_terms[chunk] = tuple(terms)
         return terms
+
+    def _coded_diff(self, w, bar_part=True):
+        """The differential of a coded word, as {coded word: coeff}: the internal
+        part letter by letter, then (with `bar_part`) each b_r at every position,
+        r ascending, each term signed by its suspended prefix and summed in as
+        `combo_add` would."""
+        p = self.field.p
+        letter_diff, b_terms, odd_of = self._letter_diff, self._b_terms, self._odd
+        out = {}
+        get = out.get
+        n = len(w)
+        # r = 0 stands for the internal part, whose pieces are single letters
+        for r in self._arities if bar_part else (0,):
+            k = r or 1
+            if k > n:
+                break
+            odd = 0  # parity of the suspended letters before position i
+            for i in range(n - k + 1):
+                if r:
+                    chunk = w[i : i + k]
+                    terms = b_terms.get(chunk)
+                    if terms is None:
+                        terms = self._b_term(chunk)
+                else:
+                    terms = letter_diff[w[i]]
+                if terms:
+                    head, tail = w[:i], w[i + k :]
+                    for x2, c_even, c_odd in terms:
+                        w2 = head + (x2,) + tail
+                        c = c_odd if odd else c_even
+                        cur = get(w2)
+                        if cur is not None:
+                            c = (cur + c) % p if p else cur + c
+                            if not c:
+                                del out[w2]
+                                continue
+                        out[w2] = c
+                odd ^= odd_of[w[i]]
+        return out
 
     def diff_word(self, word):
         """Internal differential plus bar coderivation of a basis word."""
-        f = self.field
-        out = self._internal_diff(word)
-        n = len(word)
-        for r in sorted(self.algebra.ops):
-            if r > n:
-                continue
-            odd = 0  # parity of the suspended letters before position i
-            for i in range(n - r + 1):
-                for letter2, c_even, c_odd in self._b_term(word[i : i + r]):
-                    combo_add(f, out, word[:i] + (letter2,) + word[i + r :], c_odd if odd else c_even)
-                odd ^= (word[i][0] + 1) & 1
-        return out
+        out = self._coded_diff(tuple(map(self._code.__getitem__, word)))
+        return {self._decode(w2): c for w2, c in out.items()}
 
     # structure ------------------------------------------------------------------
 
@@ -203,7 +271,7 @@ class BarComplex:
         """The subcomplex of words of weight <= n."""
 
         def rule(d, word):
-            out = self._stored_diff(d, word)
+            out = self.diff_word(word) if d >= self.window.lo else {}
             if any(len(word2) > n for word2 in out):
                 raise AssertionError("filtration not closed under the differential")
             return out
@@ -217,9 +285,10 @@ class BarComplex:
             for word in self.module.labels(d):
                 if len(word) != n:
                     continue
-                internal = self._internal_diff(word)
-                for word2, c in self.diff_word(word).items():
-                    if len(word2) == n and internal.get(word2) != c:
+                w = tuple(map(self._code.__getitem__, word))
+                internal = self._coded_diff(w, bar_part=False)
+                for w2, c in self._coded_diff(w).items():
+                    if len(w2) == n and internal.get(w2) != c:
                         return False
         return True
 
@@ -263,20 +332,18 @@ def shuffle_product(bar_complex):
         raise NotCommutative("shuffle product requires a commutative source algebra")
     f = bar_complex.field
     mod = bar_complex.module
-    degree_of_word = {}
-    for d in mod.degrees():
-        for w in mod.labels(d):
-            degree_of_word[w] = d
+    degrees = mod.degrees()
     table = {}
-    support = set(mod.degrees())
-    for u, du in degree_of_word.items():
-        for v, dv in degree_of_word.items():
-            if du + dv not in support:
-                continue
-            prod = shuffle_word_product(f, u, v)
-            prod = {w: c for w, c in prod.items() if w in degree_of_word}
-            if prod:
-                table[(u, v)] = prod
+    # only the degree buckets whose sum lies in the support, paired in the order of
+    # a scan over all pairs
+    for du in degrees:
+        targets = [(mod.labels(dv), mod._index[du + dv]) for dv in degrees if du + dv in mod._index]
+        for u in mod.labels(du):
+            for vs, words in targets:
+                for v in vs:
+                    prod = {w: c for w, c in shuffle_word_product(f, u, v).items() if w in words}
+                    if prod:
+                        table[(u, v)] = prod
     return DgAlgebra(f, "comm", mod, {2: table}, name="B(%s)" % bar_complex.algebra.name)
 
 

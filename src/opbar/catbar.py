@@ -384,6 +384,7 @@ def tensor_simplicial(c, d, dimension_bound=None):
 def _tensor_map(field, src, dst, f_map, g_map):
     """f (x) g on levelwise tensors (both degree 0: no Koszul twist)."""
     f_images, g_images = {}, {}  # degree -> the map's images there, read once
+    degree_of = _degree_index(f_map.source)
 
     def image(images, m, d, label):
         if d not in images:
@@ -392,7 +393,7 @@ def _tensor_map(field, src, dst, f_map, g_map):
 
     def rule(q, label):
         x, y = label
-        dx = _find_degree(f_map.source, x)
+        dx = degree_of[x]
         fx = image(f_images, f_map, dx, x)
         gy = image(g_images, g_map, q - dx, y)
         # distinct pairs of nonzero coefficients: nothing to sum, nothing cancels
@@ -421,6 +422,8 @@ def eilenberg_maclane(c, d, normalized_c=None, normalized_d=None, normalized_cd=
     cd = normalized_cd or NormalizedComplex(tensor_simplicial(c, d, bound))
     source = dg_tensor(nc.module, nd.module)
     target = cd.module
+    c_degree = {n: _degree_index(c.level(n)) for n in range(bound + 1)}
+    d_degree = {n: _degree_index(d.level(n)) for n in range(bound + 1)}
 
     def rule(total_deg, label):
         (p_lab, q_lab) = label
@@ -428,8 +431,8 @@ def eilenberg_maclane(c, d, normalized_c=None, normalized_d=None, normalized_cd=
         q, y = q_lab
         if p + q > bound:
             return {}
-        qx = _find_degree(c.level(p), x)
-        qy = _find_degree(d.level(q), y)
+        qx = c_degree[p][x]
+        qy = d_degree[q][y]
         total = {}  # the sum over the shuffles in C_{p+q} (x) D_{p+q}, projected once (projection is linear)
         for mu, nu, parity in _em_shuffles(p, q):
             xs = {x: field.one()}
@@ -480,6 +483,7 @@ class CategoricalBar:
         em, nc, nd, cd = eilenberg_maclane(sx, sx, self.normalized, self.normalized)
         table = {}
         src = em.source
+        level_degree = {n: _degree_index(sx.level(n)) for n in sx.level_algebras}
         for dtot in src.degrees():
             for (u_lab, v_lab) in src.labels(dtot):
                 out = em.apply(dtot, {(u_lab, v_lab): f.one()})
@@ -492,7 +496,7 @@ class CategoricalBar:
                     (xl, yl) = lab
                     prod = alg_n.op_apply(2, (xl, yl))
                     for l3, c3 in prod.items():
-                        q3 = _find_degree(sx.level(n), l3)
+                        q3 = level_degree[n][l3]
                         for l4, c4 in self.normalized.project(n, q3, {l3: c3}).items():
                             combo_add(f, folded, (n, l4), f.mul(c, c4))
                 folded = {k: v for k, v in folded.items() if not f.is_zero(v)}
@@ -501,11 +505,9 @@ class CategoricalBar:
         return table
 
 
-def _find_degree(module, label):
-    for d in module.degrees():
-        if label in module._index.get(d, {}):
-            return d
-    raise KeyError(label)
+def _degree_index(module):
+    """label -> degree over a module's basis; a label in several degrees keeps the lowest."""
+    return {label: d for d in reversed(module.degrees()) for label in module.labels(d)}
 
 
 class CategoricalBarModule:

@@ -21,8 +21,10 @@ fixtures all take their word differentials from it.  The one exception
 is `BarComplex` (`bar.py`): it stores each suspended letter's
 differential once, with its coefficient after an even and after an odd
 suspended prefix and the suspension sign d(sa) = -s(da) already folded
-in.  That loop is the hot path of every bar table, and a callback per
-letter would only slow it.
+in, and it codes each letter by its index in the algebra's basis, so
+its words are tuples of small ints until it decodes its basis.  That
+loop is the hot path of every bar table, and a callback per letter
+would only slow it.
 `DgModule.from_rule`, `from_data` and the constructor check d^2 = 0 by
 default, which pins the conventions in practice; `tensor`,
 `suspension`, `direct_sum` and the word spaces of `sigma.py` build
@@ -167,15 +169,20 @@ class DgModule:
         ValueError naming it.
         """
         mod = DgModule(field, basis, {}, check=False)
+        p = field.p
         for d in mod.degrees():
             below = mod._index.get(d - 1, {})
             m = SparseMatrix.zero(field, len(below), mod.dim(d))
+            # a combo's labels are distinct, so each entry is written once
             for j, label in enumerate(mod.basis[d]):
                 for lab2, c in rule(d, label).items():
                     i = below.get(lab2)
                     if i is None:
                         raise ValueError("d(%r) names %r, not a basis label in degree %d" % (label, lab2, d - 1))
-                    m.add_to(i, j, c)
+                    if p:
+                        c %= p
+                    if c:
+                        m.entries[(i, j)] = c
             if not m.is_zero():
                 mod.diff[d] = m
         if check:
@@ -252,14 +259,22 @@ class DgMap:
     @staticmethod
     def from_rule(source, target, degree, rule):
         """rule(d, label) -> {target_label: coeff} in degree d+degree."""
+        p = source.field.p
         blocks = {}
         for d in source.degrees():
             td = d + degree
-            m = SparseMatrix.zero(source.field, target.dim(td), source.dim(d))
+            index = target._index.get(td, {})
+            m = blocks[d] = SparseMatrix.zero(source.field, target.dim(td), source.dim(d))
+            # a combo's labels are distinct, so each entry is written once
             for j, label in enumerate(source.labels(d)):
                 for out_label, c in rule(d, label).items():
-                    m.add_to(target.index(td, out_label), j, c)
-            blocks[d] = m
+                    i = index.get(out_label)
+                    if i is None:
+                        target.index(td, out_label)  # raises the KeyError naming the label or degree
+                    if p:
+                        c %= p
+                    if c:
+                        m.entries[(i, j)] = c
         return DgMap(source, target, degree, blocks)
 
     @staticmethod

@@ -377,8 +377,13 @@ def _int_products(a, b):
 
 
 def _bits(r):
-    """The set bit positions of a nonnegative int, lowest first."""
-    return [j for j, ch in enumerate(bin(r)[:1:-1]) if ch == "1"]
+    """The set bit positions of a nonnegative int, lowest first: one step per set bit."""
+    out = []
+    while r:
+        low = r & -r
+        out.append(low.bit_length() - 1)
+        r ^= low
+    return out
 
 
 class Echelon:

@@ -290,6 +290,96 @@ def test_bar_export_is_byte_identical(name):
     assert hashlib.sha256(text.encode()).hexdigest() == digest
 
 
+# the same digest for the top level of an iterated bar
+ITERATED_BAR_SHA256 = {
+    "lambda_x3.B2": (2, DegreeWindow(-13, -1), "f617f9601363314ff2c78ae1f4a6f11ed9f61b24ed7e406280a9216faf72df32"),
+    "lambda_x5.B3": (3, DegreeWindow(-16, -1), "bbe9b3e74cb89a7263ac5cf5f9cb5e1dbb4018512da2e0c46ce8415eda735026"),
+}
+
+
+@pytest.mark.parametrize("name", sorted(ITERATED_BAR_SHA256))
+def test_iterated_bar_export_is_byte_identical(name):
+    iterations, window, digest = ITERATED_BAR_SHA256[name]
+    if name == "lambda_x3.B2":
+        algebra = _data_algebra("lambda_x3_f2.json", None)
+    else:
+        algebra = exterior(F2, -5)
+    top = iterated_bar(algebra, iterations, window)[-1]
+    text = dump_json(bar_to_json(top))
+    assert hashlib.sha256(text.encode()).hexdigest() == digest
+
+
+def cohen_series(n, top):
+    """(generator degrees, {d: dim H_d} for d = 1..top) of H_*(Omega^n S^{n+2}; F_2).
+
+    It is the polynomial algebra on the Q_I x with |x| = 2, Q_i y of
+    degree 2|y| + i and I = (i_1, ..., i_k), 0 < i_1 <= ... <= i_k <= n - 1,
+    i_1 outermost (Cohen, in Cohen-Lada-May, LNM 533): computed from the
+    generator degrees alone.
+    """
+    gens = []
+    stack = [(2, n - 1)]  # a generator's degree and the largest index its outer Q may take
+    while stack:
+        deg, imax = stack.pop()
+        if deg <= top:
+            gens.append(deg)
+            stack.extend((2 * deg + i, i) for i in range(1, imax + 1))
+    series = [1] + [0] * top
+    for g in gens:
+        for d in range(g, top + 1):
+            series[d] += series[d - g]
+    return sorted(gens), {d: series[d] for d in range(1, top + 1)}
+
+
+def test_cohen_series_generators():
+    assert cohen_series(3, 30)[0] == [2, 5, 6, 11, 13, 14, 23, 27, 29, 30]
+    assert cohen_series(4, 27)[0] == [2, 5, 6, 7, 11, 13, 14, 15, 16, 17, 23, 27]
+
+
+@pytest.mark.parametrize("n, top", [(3, 26), (4, 22)])
+def test_iterated_bar_of_exterior_matches_cohen_series(n, top):
+    # B^n of Lambda[x_{n+2}] models C*(Omega^n S^{n+2})
+    levels = iterated_bar(exterior(F2, -(n + 2)), n, DegreeWindow(-top, -1))
+    assert {-d: v for d, v in levels[-1].homology().items()} == cohen_series(n, top)[1]
+
+
+def reference_bar_basis(b):
+    """The bar basis by a plain filter over every word of weight 1..weight_bound.
+
+    A word is kept when its degree lies in [window.lo - 1, window.hi + 1];
+    each degree lists its words in lexicographic order of their letters'
+    positions in basis_pairs(), which is the depth-first order.
+    """
+    letters = b.algebra.module.basis_pairs()
+    lo, hi = b.window.lo - 1, b.window.hi + 1
+    by_degree = {}
+    for n in range(1, b.weight_bound + 1):
+        for codes in product(range(len(letters)), repeat=n):
+            deg = sum(letters[x][0] + 1 for x in codes)
+            if lo <= deg <= hi:
+                by_degree.setdefault(deg, []).append(codes)
+    return {d: tuple(tuple(letters[x] for x in w) for w in sorted(ws)) for d, ws in sorted(by_degree.items())}
+
+
+def test_enumeration_matches_a_plain_filter():
+    complexes = [
+        bar(make(field, seed), DegreeWindow(-10, 10))
+        for make in (random_tensor_algebra, random_commutative_algebra)
+        for seed in range(4)
+        for field in (F2, F3, Q)
+    ]
+    # mixed signs and a zero suspended degree, cut by an explicit weight bound
+    mixed = DgModule.from_data(Q, [("a", 1), ("b", -2), ("c", -1), ("e", 3)])
+    complexes.append(bar(DgAlgebra(Q, "comm", mixed, {2: {}}), DegreeWindow(-4, 4), weight_bound=4))
+    words = 0
+    for b in complexes:
+        got = {d: b.module.labels(d) for d in b.module.degrees()}
+        want = reference_bar_basis(b)
+        assert list(got) == list(want) and got == want, b.algebra.name
+        words += b.module.total_dim()
+    assert words == 3585
+
+
 def test_filtration_layers():
     b = bar(trunc_f2(), DegreeWindow(0, 8))
     layer1 = bar_filtration_layer(b, 1)
