@@ -39,7 +39,7 @@ explicit weight bound and raise TruncationUnsound otherwise.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right
-from functools import cached_property
+from functools import cached_property, partial
 
 from . import perm, trees
 from .dg import DegreeWindow, DgMap, DgModule, homology
@@ -307,16 +307,17 @@ def bar_filtration_layer(bar_complex, n):
 
 
 def shuffle_word_product(field, u, v):
-    """Sum over (m,n)-shuffles with Koszul signs in suspended degrees."""
+    """Sum over (m,n)-shuffles with Koszul signs in suspended degrees (all +1 over F_2, so not computed there)."""
     m, n = len(u), len(v)
     letters = list(u) + list(v)
     susp = [d + 1 for d, _ in letters]
+    signed = field.p != 2
     out = {}
     for w in perm.shuffles(m, n):
         placed = [None] * (m + n)
         for j, pos in enumerate(w):
             placed[pos - 1] = letters[j]
-        sgn = field.sign(perm.koszul_sign_exponent(susp, w))
+        sgn = field.sign(perm.koszul_sign_exponent(susp, w)) if signed else field.one()
         combo_add(field, out, tuple(placed), sgn)
     return out
 
@@ -435,7 +436,9 @@ class BarModule:
             basis = {d: tuple(ls) for d, ls in sorted(by_degree.items())}
             components[r] = DgModule.from_rule(f, basis, lambda d, label: self.diff_label(r, d, label))
         self.sigma = SigmaModule.from_rule(f, components, self._act_adjacent)
-        self.right_module = RightModule(f, self.sigma, self.operad, self._act_partial, name="B_%s" % self.operad.name)
+        # an action closing over self would make a cycle, left to the cycle collector
+        action = partial(_tensor_word_action, self.tensor_modules)
+        self.right_module = RightModule(f, self.sigma, self.operad, action, name="B_%s" % self.operad.name)
 
     def _act_adjacent(self, r, s_i, d, label):
         n, word = label
@@ -478,19 +481,17 @@ class BarModule:
                     combo_add(f, out, (n - rr + 1, lab2), c)
         return out
 
-    def _act_partial(self, m_triple, slot, q_triple):
-        r, d, label = m_triple
-        n, word = label
-        out = {}
-        for lab2, c in self.tensor_modules[n].act_partial((r, d, word), slot, q_triple).items():
-            out[(n, lab2)] = c
-        return out
-
     def component(self, r):
         return self.sigma.component(r)
 
     def dims(self):
         return self.sigma.dims()
+
+
+def _tensor_word_action(tensor_modules, m_triple, slot, q_triple):
+    """The right action of B_R on a basis element (n, word): slotwise on the word."""
+    r, d, (n, word) = m_triple
+    return {(n, lab2): c for lab2, c in tensor_modules[n].act_partial((r, d, word), slot, q_triple).items()}
 
 
 def bar_module(operad, arity_bound, eta=None, k_operad=None):
@@ -534,7 +535,7 @@ def sym_bar_comparison(bar_mod, algebra, weights, window):
     # relations die under the map
     blocks = {}
     t_index = {d: {wd: i for i, wd in enumerate(target.module.labels(d))} for d in target.module.degrees()}
-    for d, quotient in sym.sym.quotients.items():
+    for (_, d), quotient in sym.sym.quotients.items():
         mat = SparseMatrix.zero(f, target.module.dim(d), len(quotient.kept))
         for a, kept_label in enumerate(quotient.kept):
             for wd, c in collapse(kept_label).items():
@@ -545,7 +546,7 @@ def sym_bar_comparison(bar_mod, algebra, weights, window):
         # relation check: non-kept pure labels must map consistently
         for lab in quotient.labels:
             image = {k: v for k, v in collapse(lab).items() if not f.is_zero(v)}
-            if image != combo_map(f, sym.sym.project(d, {lab: f.one()}), collapse):
+            if image != combo_map(f, sym.sym.project(0, d, {lab: f.one()}), collapse):
                 raise AssertionError("comparison map does not descend to the coequalizer at %r" % (lab,))
     # chain map + iso on the window
     iso = DgMap(sym.module, target.module, 0, blocks)

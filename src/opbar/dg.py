@@ -35,6 +35,8 @@ modules built unchecked.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 from .errors import CompositionNotZero, FieldMismatch
 from .linalg import SparseMatrix, combo_add, homology_dimension, rank
 
@@ -79,15 +81,17 @@ class DgModule:
             if m is None or m.is_zero():
                 continue
             self.diff[d] = m
-        self._index = {
-            d: {label: i for i, label in enumerate(labels)} for d, labels in self.basis.items()
-        }
         for d, m in self.diff.items():
             if m.cols != self.dim(d) or m.rows != self.dim(d - 1):
                 raise ValueError("differential block at degree %d has wrong shape" % d)
         self.d_squared_checked = False  # set by a check_differential that passed
         if check:
             self.check_differential()
+
+    @cached_property
+    def _index(self):
+        """{degree: {label: position}}, built on first use (no caller reads it on a top-level bar module)."""
+        return {d: {label: i for i, label in enumerate(labels)} for d, labels in self.basis.items()}
 
     # basic queries --------------------------------------------------------
 

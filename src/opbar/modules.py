@@ -6,31 +6,35 @@ to the coequalizer Sym_R(M, A) of
     Sym(M o R, A)  ==>  Sym(M, A)
 
 where one arrow collapses R into M by the module action and the other
-evaluates R on A.  Everything here is materialized on explicit bases:
-Sym_R(M, A) is presented as one quotient of the words (m; a_1..a_n)
-by the symmetric group identifications and the image of (d0 - d1) on
-pure three-level words together, and so is M o_R S over the words
-(m; S-word).  One elimination gives what quotienting by the symmetric
-relations R1 and then by the projected (d0 - d1) relations R2 would:
-pivots are taken at the lowest column, so a quotient keeps exactly the
-labels that lead no vector of the relation span and projects along that
-span; every pivot row's tail lies right of its pivot, so projecting R2
-through the first quotient leaves its leading columns among the kept
-labels unchanged.  Coinvariants are always true quotients computed by
+evaluates R on A.  Everything here is materialized on explicit bases,
+and one class, `sigma.Coequalizer`, builds Sym(M, A) as it builds M o N:
+Sym_R(M, A) is one quotient of the words (m; a_1..a_n) by the symmetric
+group identifications and the image of (d0 - d1) on pure three-level
+words together, and so is M o_R S over the words (m; S-word); one
+enumerator, `_d0_d1_relations`, gives both sets of (d0 - d1) relations.
+One elimination gives what quotienting by the symmetric relations R1
+and then by the projected (d0 - d1) relations R2 would: pivots are taken
+at the lowest column, so a quotient keeps exactly the labels that lead
+no vector of the relation span and projects along that span; every
+pivot row's tail lies right of its pivot, so projecting R2 through the
+first quotient leaves its leading columns among the kept labels
+unchanged.  The result depends on the span alone, not on the order or
+scaling of the relations.  Coinvariants are always true quotients computed by
 elimination, never averages, so prime characteristic is handled
 correctly.
 """
 
 from __future__ import annotations
 
+from functools import partial
 from itertools import product
 
 from . import perm, trees
 from .dg import DgModule, koszul_diff
 from .errors import AlgebraCheckFailed, InvalidMorphism
-from .linalg import Quotient, combo_add, combo_map, quotient_data
+from .linalg import combo_add, combo_map, quotient_data
 from .operads import gamma_partial, operad_morphism_check, stasheff_sign
-from .sigma import ComposeResult, SigmaModule, WordSpace, routed_compose
+from .sigma import Coequalizer, SigmaModule, WordSpace, routed_compose
 
 
 class RightModule:
@@ -477,94 +481,96 @@ def algebra_suits_operad(alg, operad):
 # Sym and its quotients ---------------------------------------------------------
 
 
-class SymPresentation:
-    """Sym(M, A) = (+)_n (M(n) (x) A^{(x)n})_{Sigma_n} presented on words.
+class AlgebraWords:
+    """A^{(x)n} on the words of n letters (degree, label) of A, in arity 0.
 
-    Pure labels are (m_triple, a_labels) with a_labels a tuple of
-    (degree, label) pairs; `quotients[d]` presents degree d; `module` is
-    the quotient dg-module.  `extra_relations` maps a degree to further
-    relations, combos over the pure labels, quotiented out in the same
-    elimination.
+    The n-th tail space of Sym(M, A): the words in `product` order
+    within each degree, the Koszul differential, and the Koszul swap of
+    adjacent letters.  Its words take no inputs, so no Sigma_r acts.
     """
 
-    def __init__(self, field, sigma, algebra_module, weights, extra_relations=None):
-        self.field = field
-        self.sigma = sigma
-        self.algebra_module = algebra_module
-        self.weights = list(weights)
-        self.quotients = {}
-        self._build(extra_relations or {})
-
-    def _pure_labels(self, n):
-        return product(self.sigma.basis_triples(n), product(self.algebra_module.basis_pairs(), repeat=n))
-
-    def _build(self, extra_relations):
-        f = self.field
+    def __init__(self, module, n):
+        self.field = module.field
+        self.module = module
         by_degree = {}
-        for n in self.weights:
-            for label in self._pure_labels(n):
-                (nn, dm, lm), w = label
-                d = dm + sum(dd for dd, _ in w)
-                by_degree.setdefault(d, []).append(label)
-        for d in sorted(by_degree):
-            relations = []
-            for label in by_degree[d]:
-                (n, dm, lm), w = label
-                for i in range(1, n):
-                    rel = {}
-                    # (m.s_i) (x) (s_i.a) - m (x) a
-                    acted_m = self.sigma.act_adjacent(n, i, dm, lm)
-                    aw, sgn = _word_swap(f, w, i)
-                    for lm2, cm in acted_m.items():
-                        combo_add(f, rel, ((n, dm, lm2), aw), f.mul(cm, sgn))
-                    combo_add(f, rel, label, f.neg(f.one()))
-                    if rel:
-                        relations.append(rel)
-            relations.extend(extra_relations.get(d, ()))
-            self.quotients[d] = Quotient(f, by_degree[d], relations)
-        basis = {d: q.kept for d, q in self.quotients.items()}
-        self.module = DgModule.from_rule(f, basis, lambda d, label: self.project(d - 1, self.diff_big(label)))
+        for w in product(module.basis_pairs(), repeat=n):
+            by_degree.setdefault(self.degree(w), []).append(w)
+        basis = dict(sorted(by_degree.items()))
+        self._words = DgModule.from_rule(self.field, basis, lambda d, w: self.diff_combo(w), check=False)
 
-    def diff_big(self, label):
-        """d of a pure label, the two-letter word (m, a_1 ... a_n)."""
-        f = self.field
-        amod = self.algebra_module
+    def component(self, r):
+        return self._words if r == 0 else DgModule.zero(self.field)
 
-        def letter_diff(j, x):
-            if j == 0:
-                return x[1], self.sigma.differential_combo(x)
-            return sum(d for d, _ in x), koszul_diff(f, x, lambda _, a: (a[0], amod.differential_combo(a)))
+    @staticmethod
+    def degree(w):
+        return sum(d for d, _ in w)
 
-        return koszul_diff(f, label, letter_diff)
+    def diff_combo(self, w):
+        return koszul_diff(self.field, w, lambda _, a: (a[0], self.module.differential_combo(a)))
 
-    def project(self, d, big_combo):
-        return Quotient.project_in(self.field, self.quotients, d, big_combo)
+    def factor_swap(self, i, w):
+        """Koszul swap of letters i, i+1 (1-based)."""
+        (d1, l1), (d2, l2) = w[i - 1], w[i]
+        return {w[: i - 1] + ((d2, l2), (d1, l1)) + w[i + 1 :]: self.field.sign(d1 * d2)}
 
 
-def _word_swap(field, w, i):
-    """Koszul swap of letters i, i+1 (1-based) of an algebra word."""
-    (d1, l1), (d2, l2) = w[i - 1], w[i]
-    w2 = w[: i - 1] + ((d2, l2), (d1, l1)) + w[i + 1 :]
-    return w2, field.sign(d1 * d2)
+class SymPresentation(Coequalizer):
+    """Sym(M, A) = (+)_n (M(n) (x) A^{(x)n})_{Sigma_n} over the weights n.
+
+    The coequalizer whose tails are the algebra words, so all of it lies
+    in arity 0: `quotients[(0, d)]` presents degree d and `module` is the
+    quotient dg-module.
+    """
+
+    def __init__(self, sigma, algebra_module, weights, relations=None):
+        super().__init__(sigma, lambda n: AlgebraWords(algebra_module, n), weights, (0,), relations)
+        self.module = self.sigma.component(0)
 
 
 def sym_apply(sigma, algebra_module, weights):
     """The symmetric-tensor functor Sym(M, E) on explicit weights."""
-    return SymPresentation(sigma.field, sigma, algebra_module, weights)
+    return SymPresentation(sigma, algebra_module, weights)
 
 
-def _d0(right_module, m_triple, word, tail):
-    """Collapse the operad layer `word` into m by the right action.
-
-    The coequalizer arrow shared by Sym_R(M, A) and M o_R S; `tail` is
-    the untouched last layer (an algebra word or an S-word).
-    """
+def _d0(right_module, m_triple, word):
+    """Collapse the operad layer `word` into m by the right action, as a combo over M(b)."""
     w_r, inner = word
     b = sum(t[0] for t in inner)
     dmb = m_triple[1] + sum(t[1] for t in inner)
     composed = {lab: c for (_, _, lab), c in right_module.gamma(m_triple, list(inner)).items()}
     acted = right_module.sigma.act_perm_combo(b, w_r, dmb, composed)
-    return {((b, dmb, lab), tail): c for lab, c in acted.items()}
+    return {(b, dmb, lab): c for lab, c in acted.items()}
+
+
+def _d0_d1_relations(coeq, right_module, r_sigma, r_bound, evaluate):
+    """d0 - d1 on every pure three-level word (m; R-word; tail), keyed as in `coeq`.
+
+    The coequalizer arrows of Sym_R(M, A) and M o_R S: d0 collapses the
+    R-word into m by the right action, d1 = `evaluate(R-word, tail)`
+    evaluates it on the tail (a combo over tails).  The R-words come from
+    one word space per factor count n and the tails from `coeq.tail(b)`.
+    d0 runs once per (m; R-word) and is dropped with its R-word; d1 runs
+    once per (R-word; tail), and m enters its terms only as the label.
+    """
+    f = coeq.field
+    relations = {}
+    for n in coeq.factor_counts:
+        m_triples = list(right_module.sigma.basis_triples(n))
+        r_words = WordSpace(f, [r_sigma] * n, r_bound)
+        for b in range(n, r_bound + 1):
+            tails = coeq.tail(b)
+            for dr, lr in r_words.component(b).basis_pairs():
+                collapsed = [(m, _d0(right_module, m, lr)) for m in m_triples]
+                for r in coeq.tail_arities:
+                    for dt, t in tails.component(r).basis_pairs():
+                        evaluated = evaluate(lr, t)
+                        for m, d0 in collapsed:
+                            rel = {(m2, t): c for m2, c in d0.items()}
+                            for t2, c in evaluated.items():
+                                combo_add(f, rel, (m, t2), f.neg(c))
+                            if rel:
+                                relations.setdefault((r, m[1] + dr + dt), []).append(rel)
+    return relations
 
 
 class SymOverOperad:
@@ -585,38 +591,22 @@ class SymOverOperad:
             raise AlgebraCheckFailed(
                 "algebra of kind %r cannot be fed to operad %r" % (algebra.kind, operad.name)
             )
-        self.sym = SymPresentation(self.field, right_module.sigma, algebra.module, weights, self._relations(weights))
+        self.sym = SymPresentation(
+            right_module.sigma,
+            algebra.module,
+            weights,
+            lambda coeq: _d0_d1_relations(coeq, right_module, operad.sigma, operad.arity_bound(), self._d1),
+        )
         self.module = self.sym.module
 
-    def _relations(self, weights):
-        """d0 - d1 on every pure three-level word, keyed by degree."""
-        f = self.field
-        extra = {}
-        letters = self.algebra.module.basis_pairs()
-        for n in weights:
-            if self.right_module.sigma.component(n).is_zero():
-                continue
-            for b in range(n, self.operad.arity_bound() + 1):
-                wcomp = WordSpace(f, [self.operad.sigma] * n, b).component(b)
-                if wcomp.is_zero():
-                    continue
-                m_triples = self.right_module.sigma.basis_triples(n)
-                for m, (dw, lw), aw in product(m_triples, wcomp.basis_pairs(), product(letters, repeat=b)):
-                    rel = _d0(self.right_module, m, lw, aw)
-                    for lab, c in self._d1(m, lw, aw).items():
-                        combo_add(f, rel, lab, f.neg(c))
-                    if rel:
-                        extra.setdefault(m[1] + dw + sum(dd for dd, _ in aw), []).append(rel)
-        return extra
-
-    def _d1(self, m_triple, word_label, a_word):
+    def _d1(self, r_word, a_word):
         """Evaluate the operad layer on the algebra arguments."""
         return routed_compose(
             self.field,
-            word_label,
+            r_word,
             a_word,
             lambda q, args: evaluate_operad_element(self.algebra, self.operad, q, args),
-            lambda letters: (m_triple, letters),
+            lambda letters: letters,
         )
 
 
@@ -652,31 +642,20 @@ class ExtendedModule:
         if check_morphism and not operad_morphism_check(psi, bound):
             raise InvalidMorphism("psi is not an operad morphism")
         self.arity_bound = arity_bound
-        self.coequalizer = ComposeResult(self.field, right_module.sigma, self.s_op.sigma, arity_bound, self._relations())
+        f, s_op = self.field, self.s_op
+        # a tail rule or action closing over self would make a cycle, left to the cycle collector
+        self.coequalizer = Coequalizer(
+            right_module.sigma,
+            lambda k: WordSpace(f, [s_op.sigma] * k, arity_bound),
+            [k for k in right_module.sigma.arities() if k <= arity_bound],
+            range(1, arity_bound + 1),
+            lambda coeq: _d0_d1_relations(coeq, right_module, self.r_op.sigma, arity_bound, self._d1),
+        )
         self.sigma = self.coequalizer.sigma
-        self.module = RightModule(self.field, self.sigma, self.s_op, self._action, name="%s o_R S" % self.left.name)
+        action = partial(_extended_action, self.coequalizer, s_op)
+        self.module = RightModule(f, self.sigma, s_op, action, name="%s o_R S" % self.left.name)
 
-    def _relations(self):
-        """d0 - d1 on every pure three-level word, keyed by (arity, degree)."""
-        f = self.field
-        relations = {}
-        for n in self.left.sigma.arities():
-            for b in range(n, self.arity_bound + 1):
-                rcomp = WordSpace(f, [self.r_op.sigma] * n, b).component(b)
-                if rcomp.is_zero():
-                    continue
-                for r_total in range(b, self.arity_bound + 1):
-                    scomp = WordSpace(f, [self.s_op.sigma] * b, r_total).component(r_total)
-                    m_triples = self.left.sigma.basis_triples(n)
-                    for m, (dr, lr), (ds, ls) in product(m_triples, rcomp.basis_pairs(), scomp.basis_pairs()):
-                        rel = _d0(self.left, m, lr, ls)
-                        for lab, c in self._d1(m, lr, ls).items():
-                            combo_add(f, rel, lab, f.neg(c))
-                        if rel:
-                            relations.setdefault((r_total, m[1] + dr + ds), []).append(rel)
-        return relations
-
-    def _d1(self, m_triple, r_word, s_word):
+    def _d1(self, r_word, s_word):
         """Evaluate psi of the R-layer on the S-layer, inside S."""
         w_s, s_inner = s_word
         return routed_compose(
@@ -684,23 +663,23 @@ class ExtendedModule:
             r_word,
             s_inner,
             lambda q, args: gamma_along(self.psi, q, args),
-            lambda word: (m_triple, word),
+            lambda word: word,
             outer=(w_s, self.s_op.sigma),
         )
 
-    def _action(self, m_triple, slot, q_triple):
-        """Right S-action on the quotient, through pure representatives."""
-        r, d, label = m_triple
-        (k, dm, lm), s_word = label
 
-        def action_fn(owner, local, factor_triple, p_triple):
-            composed = self.s_op.compose_partial(factor_triple, local, p_triple)
-            return {(factor_triple[1] + p_triple[1], lab): c for lab, c in composed.items()}
+def _extended_action(coeq, s_op, m_triple, slot, q_triple):
+    """Right S-action on M o_R S (the coequalizer `coeq`), through pure representatives."""
+    r, d, label = m_triple
+    (k, dm, lm), s_word = label
 
-        ws = self.coequalizer.word_spaces[k]
-        moved = ws.compose_into_slot(s_word, slot, q_triple[0], q_triple[1], q_triple[2], action_fn)
-        pure = {((k, dm, lm), lab): c for lab, c in moved.items()}
-        return self.coequalizer.project(r + q_triple[0] - 1, d + q_triple[1], pure)
+    def action_fn(owner, local, factor_triple, p_triple):
+        composed = s_op.compose_partial(factor_triple, local, p_triple)
+        return {(factor_triple[1] + p_triple[1], lab): c for lab, c in composed.items()}
+
+    moved = coeq.tails[k].compose_into_slot(s_word, slot, q_triple[0], q_triple[1], q_triple[2], action_fn)
+    pure = {((k, dm, lm), lab): c for lab, c in moved.items()}
+    return coeq.project(r + q_triple[0] - 1, d + q_triple[1], pure)
 
 
 def extension(right_module, psi, arity_bound, check_morphism=True):

@@ -1,8 +1,8 @@
 """Sigma_*-modules: arity-indexed dg-modules with symmetric group actions.
 
 Conventions:
-  * components are indexed by arities n >= 1 (the non-unitary setting:
-    the arity-0 component is always zero);
+  * components are indexed by arities n >= 0; operads and their modules
+    are non-unitary (zero in arity 0), and only Sym(M, A) lives there;
   * symmetric groups act on the RIGHT; generator actions (adjacent
     transpositions s_1..s_{n-1}) are stored, arbitrary permutations act
     through their transposition words;
@@ -14,6 +14,10 @@ Conventions:
 
 Routing semantics for (x (x) w): the tensor x expects inputs in
 consecutive blocks; block position v is fed by global input w^{-1}(v).
+
+`Coequalizer` is the one builder of M o N and Sym(M, A) (whose algebra
+word tails take no inputs, so it sits in arity 0) and, with the (d0 - d1)
+relations of `modules.py`, of M o_R S and Sym_R(M, A).
 """
 
 from __future__ import annotations
@@ -253,6 +257,11 @@ class WordSpace:
 
     # label operations --------------------------------------------------------
 
+    @staticmethod
+    def degree(label):
+        """The degree of a word label, the sum of its factors' degrees."""
+        return sum(t[1] for t in label[1])
+
     def diff_combo(self, label):
         """Koszul differential: sum over factors of the internal diffs."""
         w, inner = label
@@ -446,77 +455,80 @@ def sigma_tensor(m, n, arity_bound):
     return WordSpace(m.field, [m, n], arity_bound).as_sigma()
 
 
-class ComposeResult:
-    """M o N presented as a quotient of the two-level word space.
+class Coequalizer:
+    """(+)_k M(k) (x)_{Sigma_k} T_k, presented as one quotient per key.
 
-    Pure basis labels are (m_triple, word_label) with m_triple =
-    (k, degree, label) in M(k) and word_label a basis label of
-    N^{(x)k}(r).  The quotient identifies (m.s_i) (x) word with
-    m (x) (s_i-factor-permuted word).  `extra_relations` maps
-    (arity, degree) to further relations, combos over the pure labels,
-    quotiented out in the same elimination.
+    The one builder of M o N, M o_R S, Sym(M, A) and Sym_R(M, A).  Pure
+    labels are (m, t), m = (k, degree, label) in M(k) with k in
+    `factor_counts` and t a basis label of the tail space T_k = tail(k):
+    the word space N^{(x)k} for M o N, the words of k algebra letters
+    (`modules.AlgebraWords`, in arity 0) for Sym(M, A).  A tail space
+    gives `component(r)`, `degree(t)`, `diff_combo(t)`, `factor_swap(i,
+    t)` (s_i on its factors, Koszul signed) and, in arity r > 0,
+    `right_act(r, s_i, t)`.  Per key (r, degree), r in `tail_arities`,
+    one Quotient eliminates the Sigma relations (m.s_i; t) - (m; s_i.t)
+    together with `relations(self)[key]`, further combos over the pure
+    labels.  `sigma` is the quotient Sigma-module.
     """
 
-    def __init__(self, field, m, n, arity_bound, extra_relations=None):
-        self.field = field
-        self.left = m
-        self.right = n
-        self.arity_bound = arity_bound
-        self.word_spaces = {}
+    def __init__(self, left, tail, factor_counts, tail_arities, relations=None):
+        self.field = left.field
+        self.left = left
+        self._make_tail = tail
+        self.tails = {}
+        self.factor_counts = [k for k in factor_counts if not left.component(k).is_zero()]
+        for k in self.factor_counts:  # before `relations` reads them
+            self.tail(k)
+        self.tail_arities = tuple(tail_arities)
         self.quotients = {}
-        self._build(extra_relations or {})
+        self._build(relations(self) if relations else {})
 
-    def _build(self, extra_relations):
+    def tail(self, k):
+        """The k-th tail space, built on first use."""
+        if k not in self.tails:
+            self.tails[k] = self._make_tail(k)
+        return self.tails[k]
+
+    def _build(self, relations):
         f = self.field
-        for k in self.left.arities():
-            if k > self.arity_bound:
-                continue
-            self.word_spaces[k] = WordSpace(f, [self.right] * k, self.arity_bound)
         components = {}
-        for r in range(1, self.arity_bound + 1):
+        for r in self.tail_arities:
             by_degree = {}
-            for k, ws in sorted(self.word_spaces.items()):
-                wcomp = ws.component(r)
-                mcomp = self.left.component(k)
-                for dm in mcomp.degrees():
-                    for lm in mcomp.labels(dm):
-                        for dw in wcomp.degrees():
-                            for lw in wcomp.labels(dw):
-                                by_degree.setdefault(dm + dw, []).append(((k, dm, lm), lw))
-            if not by_degree:
-                continue
+            for k in self.factor_counts:
+                tcomp = self.tails[k].component(r)
+                for m in self.left.basis_triples(k):
+                    for dt, t in tcomp.basis_pairs():
+                        by_degree.setdefault(m[1] + dt, []).append((m, t))
             for d in sorted(by_degree):
-                relations = []
-                for (k, dm, lm), lw in by_degree[d]:
-                    ws = self.word_spaces[k]
+                rels = []
+                for (k, dm, lm), t in by_degree[d]:
                     for i in range(1, k):
                         rel = {}
-                        acted_m = self.left.act_adjacent(k, i, dm, lm)
-                        for lm2, cm in acted_m.items():
-                            combo_add(f, rel, ((k, dm, lm2), lw), cm)
-                        for lw2, cw in ws.factor_swap(i, lw).items():
-                            combo_add(f, rel, ((k, dm, lm), lw2), f.neg(cw))
+                        for lm2, cm in self.left.act_adjacent(k, i, dm, lm).items():
+                            combo_add(f, rel, ((k, dm, lm2), t), cm)
+                        for t2, ct in self.tails[k].factor_swap(i, t).items():
+                            combo_add(f, rel, ((k, dm, lm), t2), f.neg(ct))
                         if rel:
-                            relations.append(rel)
-                relations.extend(extra_relations.get((r, d), ()))
-                self.quotients[(r, d)] = Quotient(f, by_degree[d], relations)
+                            rels.append(rel)
+                rels.extend(relations.get((r, d), ()))
+                self.quotients[(r, d)] = Quotient(f, by_degree[d], rels)
             basis = {d: self.quotients[(r, d)].kept for d in sorted(by_degree)}
             components[r] = DgModule.from_rule(f, basis, lambda d, label: self.project(r, d - 1, self.diff_big(label)))
         self.sigma = SigmaModule.from_rule(f, components, self._act)
 
     def _act(self, r, s_i, d, label):
-        (k, dm, lm), lw = label
-        acted = self.word_spaces[k].right_act(r, s_i, lw)
-        return self.project(r, d, {((k, dm, lm), lw2): c for lw2, c in acted.items()})
+        m, t = label
+        acted = self.tails[m[0]].right_act(r, s_i, t)
+        return self.project(r, d, {(m, t2): c for t2, c in acted.items()})
 
     def diff_big(self, label):
-        """d of a pure label, the two-letter word (m, word)."""
-        ws = self.word_spaces[label[0][0]]
+        """d of a pure label, the two-letter word (m, t)."""
+        tail = self.tails[label[0][0]]
 
         def letter_diff(j, x):
             if j == 0:
                 return x[1], self.left.differential_combo(x)
-            return sum(t[1] for t in x[1]), ws.diff_combo(x)
+            return tail.degree(x), tail.diff_combo(x)
 
         return koszul_diff(self.field, label, letter_diff)
 
@@ -526,5 +538,6 @@ class ComposeResult:
 
 
 def compose(m, n, arity_bound):
-    """The composition product M o N of Sigma-modules."""
-    return ComposeResult(m.field, m, n, arity_bound)
+    """The composition product M o N of Sigma-modules, up to `arity_bound`."""
+    factor_counts = [k for k in m.arities() if k <= arity_bound]
+    return Coequalizer(m, lambda k: WordSpace(m.field, [n] * k, arity_bound), factor_counts, range(1, arity_bound + 1))

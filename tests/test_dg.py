@@ -11,7 +11,7 @@ from opbar.fixtures import random_commutative_algebra, random_sigma_module, rand
 from opbar.linalg import CoeffField, combo_add
 from opbar.modules import sym_apply
 from opbar.operads import associative_operad, commutative_operad, stasheff_operad
-from opbar.sigma import WordSpace, compose
+from opbar.sigma import SigmaModule, WordSpace, compose
 from opbar.verify import _fixture_algebras
 
 Q = CoeffField.rationals()
@@ -295,30 +295,30 @@ def _ref_word_space_diff(ws, label):
 
 
 def _ref_sym_diff_big(sym, label):
-    """SymPresentation.diff_big."""
+    """The Sym(M, A) coequalizer's diff_big."""
     f = sym.field
     (n, dm, lm), w = label
     out = {}
-    for lm2, c in sym.sigma.component(n).apply_diff(dm, {lm: f.one()}).items():
+    for lm2, c in sym.left.component(n).apply_diff(dm, {lm: f.one()}).items():
         combo_add(f, out, ((n, dm - 1, lm2), w), c)
     sgn = f.sign(dm)
     degs = [dd for dd, _ in w]
     labs = [ll for _, ll in w]
-    for c, j, l2 in _ref_tensor_diff_terms(f, degs, labs, sym.algebra_module):
+    for c, j, l2 in _ref_tensor_diff_terms(f, degs, labs, sym.tails[n].module):
         w2 = w[:j] + ((degs[j] - 1, l2),) + w[j + 1 :]
         combo_add(f, out, ((n, dm, lm), w2), f.mul(sgn, c))
     return out
 
 
 def _ref_compose_diff_big(cr, label):
-    """ComposeResult.diff_big, over the reference word-space differential."""
+    """The M o N coequalizer's diff_big, over the reference word-space differential."""
     f = cr.field
     (k, dm, lm), lw = label
     out = {}
     for lm2, c in cr.left.component(k).apply_diff(dm, {lm: f.one()}).items():
         combo_add(f, out, ((k, dm - 1, lm2), lw), c)
     sgn = f.sign(dm)
-    for lw2, c in _ref_word_space_diff(cr.word_spaces[k], lw).items():
+    for lw2, c in _ref_word_space_diff(cr.tails[k], lw).items():
         combo_add(f, out, ((k, dm, lm), lw2), f.mul(sgn, c))
     return out
 
@@ -472,18 +472,19 @@ def test_koszul_diff_matches_check_algebra_terms(field):
 
 
 def _sigma_modules(field, seed):
-    """Two random Sigma-modules (zero differentials) and two with differentials:
-    Stasheff's K and its suspension."""
+    """Two random Sigma-modules (zero differentials) and three with differentials:
+    Stasheff's K, its suspension, and D = two_term (x -> y) in arity 1, whose
+    words carry d != 0 on every factor."""
     M, _ = random_sigma_module(field, seed, arity_bound=3)
     N, _ = random_sigma_module(field, seed + 1, arity_bound=3)
     K = stasheff_operad(field, 4).sigma
-    return M, N, K, K.suspend()
+    return M, N, K, K.suspend(), SigmaModule(field, {1: two_term(field)})
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
 def test_koszul_diff_matches_word_spaces(field):
-    M, N, K, sK = _sigma_modules(field, 0)
-    spaces = [([M, N], 4), ([N, N, N], 4), ([M, K], 4), ([K, sK], 5), ([sK, K, sK], 5)]
+    M, N, K, sK, D = _sigma_modules(field, 0)
+    spaces = [([M, N], 4), ([N, N, N], 4), ([M, K], 4), ([K, sK], 5), ([sK, K, sK], 5), ([D, D, D], 3), ([D, K, D], 4)]
     M2, N2 = _sigma_modules(field, 2)[:2]
     for factors, arity_bound in spaces + [([M2, N2], 4), ([N2, M2, N2], 4)]:
         ws = WordSpace(field, factors, arity_bound)
@@ -496,17 +497,20 @@ def test_koszul_diff_matches_word_spaces(field):
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
 def test_koszul_diff_matches_compose_diff_big(field):
-    """On compose-oracle pairs of random Sigma-modules, and on K and its suspension."""
-    M, N, K, sK = _sigma_modules(field, 11)
-    pairs = [(M, N), (K, sK), (sK, K), (M, sK)] + [_sigma_modules(field, seed)[:2] for seed in (13, 15)]
+    """On compose-oracle pairs of random Sigma-modules, on K and its suspension,
+    and on D, whose arity-3 tails carry three factors with d != 0."""
+    M, N, K, sK, D = _sigma_modules(field, 11)
+    pairs = [(M, N), (K, sK), (sK, K), (M, sK), (K, D), (sK, D)]
+    pairs += [_sigma_modules(field, seed)[:2] for seed in (13, 15)]
     for left, right in pairs:
         cr = compose(left, right, 3)
-        for k, ws in cr.word_spaces.items():
+        for k, ws in cr.tails.items():
             for m in left.basis_triples(k):
                 for r in ws.arities():
                     for _, lw in ws.component(r).basis_pairs():
                         label = (m, lw)
                         assert repr(cr.diff_big(label)) == repr(_ref_compose_diff_big(cr, label))
+    compose(associative_operad(field, 3).sigma, D, 3).sigma.check_relations()
 
 
 def test_koszul_diff_matches_sym_diff_big():
@@ -519,8 +523,8 @@ def test_koszul_diff_matches_sym_diff_big():
         sigma = bar_module(operad, 3).right_module.sigma
         for alg in _fixture_algebras(field, kind) + [random_tensor_algebra(field, 1, length_cap=1)]:
             sym = sym_apply(sigma, alg.module, [1, 2, 3])
-            for n in sym.weights:
-                for label in sym._pure_labels(n):
+            for n, words in sym.tails.items():
+                for label in product(sym.left.basis_triples(n), [w for _, w in words.component(0).basis_pairs()]):
                     assert repr(sym.diff_big(label)) == repr(_ref_sym_diff_big(sym, label))
 
 

@@ -1,6 +1,8 @@
+import gc
 import hashlib
 import importlib
 import random
+import weakref
 from itertools import product
 from pathlib import Path
 
@@ -560,26 +562,117 @@ def _count_builds(monkeypatch, module, name):
     return calls
 
 
+def _count_inits(monkeypatch, cls):
+    """Count the constructions of cls and of its subclasses."""
+    calls = []
+    original = cls.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(type(self).__name__)
+        original(self, *args, **kwargs)
+
+    monkeypatch.setattr(cls, "__init__", counted)
+    return calls
+
+
 def test_each_coequalizer_builds_one_quotient_per_key(monkeypatch):
-    sigma_quotients = _count_builds(monkeypatch, opbar.sigma, "Quotient")
-    modules_quotients = _count_builds(monkeypatch, opbar.modules, "Quotient")
-    presentations = _count_builds(monkeypatch, opbar.modules, "SymPresentation")
+    quotients = _count_builds(monkeypatch, opbar.sigma, "Quotient")
+    coequalizers = _count_inits(monkeypatch, opbar.sigma.Coequalizer)
     K = stasheff_operad(Q, 3)
     As = associative_operad(Q, 3)
     M = bar_module(K, 3).right_module
     compose(M.sigma, As.sigma, 3)
-    per_key = len(sigma_quotients) + len(modules_quotients)
-    del sigma_quotients[:], modules_quotients[:]
+    per_key = len(quotients)
+    del quotients[:], coequalizers[:]
     extension(M, eps_to_assoc(K, As), 3, check_morphism=False)
-    # M o_R S: one quotient per (arity, degree) of the pure labels of M o S, as for M o S itself
-    assert len(sigma_quotients) + len(modules_quotients) == per_key
+    # M o_R S: one coequalizer, one quotient per (arity, degree) of the pure labels of M o S, as for M o S itself
+    assert coequalizers == ["Coequalizer"]
+    assert len(quotients) == per_key
     Com = commutative_operad(F2, 3)
     a = trunc_poly(F2)
-    del sigma_quotients[:], modules_quotients[:]
+    del quotients[:]
     sym_apply(Com.sigma, a.module, [1, 2, 3])
-    per_key = len(sigma_quotients) + len(modules_quotients)
-    del sigma_quotients[:], modules_quotients[:], presentations[:]
+    per_key = len(quotients)
+    del quotients[:], coequalizers[:]
     sym_over_operad(operad_right_module(Com), a, Com, [1, 2, 3])
-    # Sym_R(M, A): one SymPresentation, one quotient per degree of the pure labels of Sym(M, A)
-    assert len(presentations) == 1
-    assert len(sigma_quotients) + len(modules_quotients) == per_key
+    # Sym_R(M, A): one coequalizer, one quotient per degree of the pure labels of Sym(M, A)
+    assert coequalizers == ["SymPresentation"]
+    assert len(quotients) == per_key
+
+
+def _guard_d0_d1(monkeypatch):
+    """Per d0 - d1 enumeration, record the collapses, the right-module gamma
+    calls and the evaluations it makes; returns the list of records."""
+    mod = opbar.modules
+    records = []
+    relations, d0, gamma, evaluate = mod._d0_d1_relations, mod._d0, mod.RightModule.gamma, mod.routed_compose
+
+    def counted_relations(*args):
+        records.append({"d0": [], "gamma": 0, "eval": []})
+        return relations(*args)
+
+    def counted_d0(right_module, m_triple, word):
+        records[-1]["d0"].append((right_module, m_triple, word))
+        return d0(right_module, m_triple, word)
+
+    def counted_gamma(self, m_triple, args):
+        records[-1]["gamma"] += 1
+        return gamma(self, m_triple, args)
+
+    def counted_evaluate(field, word, args, *rest, outer=None):
+        records[-1]["eval"].append((word, args, outer and outer[0]))
+        return evaluate(field, word, args, *rest, outer=outer)
+
+    monkeypatch.setattr(mod, "_d0_d1_relations", counted_relations)
+    monkeypatch.setattr(mod, "_d0", counted_d0)
+    monkeypatch.setattr(mod.RightModule, "gamma", counted_gamma)
+    monkeypatch.setattr(mod, "routed_compose", counted_evaluate)
+    return records
+
+
+@pytest.mark.parametrize("suite", ["module-functor", "extension"])
+def test_d0_once_per_m_and_r_word_and_d1_once_per_r_word_and_tail(monkeypatch, suite):
+    from opbar.verify import run_suite
+
+    records = _guard_d0_d1(monkeypatch)
+    assert all(ok for _, ok, _ in run_suite(suite))
+    assert len(records) == {"module-functor": 6, "extension": 4}[suite]
+    for rec in records:
+        # the gamma behind _d0 runs once per distinct (module, m, R-word)
+        assert rec["d0"] and len(set(rec["d0"])) == len(rec["d0"]) == rec["gamma"]
+        # the evaluation runs once per distinct (R-word, tail)
+        assert rec["eval"] and len(set(rec["eval"])) == len(rec["eval"])
+
+
+@pytest.mark.parametrize("field", [F2, Q], ids=repr)
+@pytest.mark.parametrize("make_operad", [associative_operad, stasheff_operad], ids=["As", "K"])
+def test_sym_bar_comparison_with_a_nonzero_algebra_differential(field, make_operad):
+    """Sym_R(B_R, A) = B(A) on a tensor algebra with d != 0 (the module-functor
+    suite's algebras all have d = 0)."""
+    alg = random_tensor_algebra(field, 1, length_cap=1)
+    assert alg.module.diff
+    sym, _, _ = sym_bar_comparison(bar_module(make_operad(field, 3), 3), alg, [1, 2, 3], DegreeWindow(0, 6))
+    assert sym.module.total_dim() == 14
+    assert sym.module.diff
+
+
+def test_coequalizers_and_bar_modules_are_freed_without_the_cycle_collector():
+    K = stasheff_operad(Q, 3)
+    As = associative_operad(Q, 3)
+    M = bar_module(K, 3).right_module
+    alg = _fixture_algebras(Q, "ainf")[0]
+    gc.collect()
+    gc.disable()
+    try:
+        for make in (
+            lambda: bar_module(K, 3),
+            lambda: compose(M.sigma, As.sigma, 3),
+            lambda: extension(M, eps_to_assoc(K, As), 3, check_morphism=False),
+            lambda: sym_over_operad(M, alg, K, [1, 2, 3]),
+        ):
+            obj = make()
+            ref = weakref.ref(obj)
+            del obj
+            assert ref() is None, "a reference cycle keeps the object alive"
+    finally:
+        gc.enable()
