@@ -21,11 +21,16 @@ and the comparison with the bar complex is the signed basis bijection
 
 which the tests verify to be an isomorphism of dg-algebras, matching
 the shuffle product against the Eilenberg-Mac Lane product.
+
+That product is the shuffle map into N(C (x) C) followed by the
+levelwise product, but its table skips N(C (x) C): projecting there
+first changes nothing, since the levelwise product commutes with the
+degeneracies.  One helper, `_shuffle_sum`, holds the sign convention.
 """
 
 from __future__ import annotations
 
-from itertools import combinations
+from itertools import combinations, product
 
 from . import perm
 from .bar import bar, shuffle_word_product, sound_weight_bound
@@ -74,8 +79,6 @@ class SimplicialDgModule:
         for n in range(0, self.dimension_bound):
             for i in range(n + 1):
                 for j in range(n + 1):
-                    if n + 1 > self.dimension_bound:
-                        continue
                     lhs = self.face(n + 1, i).compose(self.degeneracy(n, j))
                     if i < j:
                         if n == 0:
@@ -181,6 +184,22 @@ def coproduct_algebra(algebras):
     Returns (DgAlgebra, injections) where injections[i] maps A_i basis
     labels into the coproduct.
     """
+    module, labels = _coproduct_module(algebras)
+    field = module.field
+    table = {}
+    for left in labels:
+        for right in labels:
+            out = _coproduct_product(field, algebras, left, right)
+            if out:
+                table[(left, right)] = out
+    alg = DgAlgebra(field, "comm", module, {2: table}, name="v".join(a.name for a in algebras))
+    injections = [lambda lab, d, i=i: ((i,), (((d, lab)),)) for i in range(1, len(algebras) + 1)]
+    return alg, injections
+
+
+def _coproduct_module(algebras):
+    """The carrier dg-module of A_1 v ... v A_n, with no product table, and
+    its labels (S, word), subset by subset with S in lexicographic order."""
     if not algebras:
         raise ValueError("need at least one algebra")
     field = algebras[0].field
@@ -190,41 +209,15 @@ def coproduct_algebra(algebras):
         if not a.is_commutative_kind():
             raise NotCommutative("closed-form coproduct needs commutative algebras")
     n = len(algebras)
-    elements = []
-    diff_map = {}
-    subsets = []
-
-    def gen_subsets(start, acc):
-        if acc:
-            subsets.append(tuple(acc))
-        for i in range(start, n + 1):
-            gen_subsets(i + 1, acc + [i])
-
-    gen_subsets(1, [])
-    for S in subsets:
-        words = [()]
-        for i in S:
-            letters = algebras[i - 1].module.basis_pairs()
-            words = [w + (letter,) for w in words for letter in letters]
-        for w in words:
-            label = (S, w)
-            deg = sum(d for d, _ in w)
-            elements.append((label, deg))
+    subsets = sorted(S for k in range(1, n + 1) for S in combinations(range(1, n + 1), k))
+    labels = [(S, w) for S in subsets for w in product(*(algebras[i - 1].module.basis_pairs() for i in S))]
     diff = {}
-    for (S, w), deg in elements:
+    for S, w in labels:
         targets = koszul_diff(field, w, lambda j, x: (x[0], algebras[S[j] - 1].module.differential_combo(x)))
         if targets:
             diff[(S, w)] = {(S, w2): c for w2, c in targets.items()}
-    module = DgModule.from_data(field, elements, diff)
-    table = {}
-    for (S, u), du in elements:
-        for (T, v), dv in elements:
-            out = _coproduct_product(field, algebras, (S, u), (T, v))
-            if out:
-                table[((S, u), (T, v))] = out
-    alg = DgAlgebra(field, "comm", module, {2: table}, name="v".join(a.name for a in algebras))
-    injections = [lambda lab, d, i=i: ((i,), (((d, lab)),)) for i in range(1, n + 1)]
-    return alg, injections
+    elements = [((S, w), sum(d for d, _ in w)) for S, w in labels]
+    return DgModule.from_data(field, elements, diff), labels
 
 
 def _coproduct_product(field, algebras, left, right):
@@ -293,16 +286,9 @@ def simplicial_categorical_bar(algebra, dimension_bound, check=True):
     if not algebra.is_commutative_kind():
         raise NotCommutative("the categorical bar needs a commutative algebra")
     field = algebra.field
-    amod = algebra.module
-    levels = {}
-    level_algebras = {}
-    for n in range(dimension_bound + 1):
-        if n == 0:
-            levels[0] = DgModule.zero(field)
-            continue
-        alg_n, _ = coproduct_algebra([algebra] * n)
-        level_algebras[n] = alg_n
-        levels[n] = alg_n.module
+    levels = {0: DgModule.zero(field)}
+    for n in range(1, dimension_bound + 1):
+        levels[n], _ = _coproduct_module([algebra] * n)
     faces = {}
     degeneracies = {}
     for n in range(1, dimension_bound + 1):
@@ -311,9 +297,7 @@ def simplicial_categorical_bar(algebra, dimension_bound, check=True):
     for n in range(0, dimension_bound):
         for j in range(n + 1):
             degeneracies[(n, j)] = _cat_degeneracy(field, levels, n, j)
-    sx = SimplicialDgModule(field, levels, faces, degeneracies, dimension_bound, check=check)
-    sx.level_algebras = level_algebras
-    return sx
+    return SimplicialDgModule(field, levels, faces, degeneracies, dimension_bound, check=check)
 
 
 def _cat_face(field, algebra, levels, n, i):
@@ -354,10 +338,16 @@ def _cat_degeneracy(field, levels, n, j):
 
     def rule(d, label):
         S, w = label
-        S2 = tuple(x if x <= j else x + 1 for x in S)
-        return {(S2, w): field.one()}
+        return {(_insert_slots(S, (j,)), w): field.one()}
 
     return DgMap.from_rule(src, dst, 0, rule)
+
+
+def _insert_slots(S, indices):
+    """s_j for each j of `indices` in turn on a subset S of {1..n}: the indices past j move up."""
+    for j in indices:
+        S = tuple(x if x <= j else x + 1 for x in S)
+    return S
 
 
 # Eilenberg-Mac Lane ---------------------------------------------------------------
@@ -426,40 +416,43 @@ def eilenberg_maclane(c, d, normalized_c=None, normalized_d=None, normalized_cd=
     d_degree = {n: _degree_index(d.level(n)) for n in range(bound + 1)}
 
     def rule(total_deg, label):
-        (p_lab, q_lab) = label
-        p, x = p_lab
-        q, y = q_lab
+        (p, x), (q, y) = label
         if p + q > bound:
             return {}
         qx = c_degree[p][x]
         qy = d_degree[q][y]
-        total = {}  # the sum over the shuffles in C_{p+q} (x) D_{p+q}, projected once (projection is linear)
-        for mu, nu, parity in _em_shuffles(p, q):
-            xs = {x: field.one()}
-            for k, idx in enumerate(nu):
-                xs = c.degeneracy(p + k, idx).apply(qx, xs)
-            ys = {y: field.sign(parity + p * qy)}  # the shuffle's sign, carried through the linear degeneracies
-            for k, idx in enumerate(mu):
-                ys = d.degeneracy(q + k, idx).apply(qy, ys)
-            combo_map(field, xs, lambda lx: {(lx, ly): cy for ly, cy in ys.items()}, total)
+
+        def term(mu, nu):  # s_nu x (x) s_mu y
+            xs, ys = {x: field.one()}, {y: field.one()}
+            for k, j in enumerate(nu):
+                xs = c.degeneracy(p + k, j).apply(qx, xs)
+            for k, j in enumerate(mu):
+                ys = d.degeneracy(q + k, j).apply(qy, ys)
+            return {(lx, ly): field.mul(cx, cy) for lx, cx in xs.items() for ly, cy in ys.items()}
+
+        # the sum over the shuffles in C_{p+q} (x) D_{p+q}, projected once (projection is linear)
+        total = _shuffle_sum(field, p, q, qy, term)
         return {(p + q, lab): c2 for lab, c2 in cd.project(p + q, qx + qy, total).items()}
 
     return DgMap.from_rule(source, target, 0, rule), nc, nd, cd
 
 
-def _em_shuffles(p, q):
-    """(mu, nu, parity): mu goes to the y-side, nu to the x-side.
+def _shuffle_sum(field, p, q, qy, term):
+    """The sum over (p, q)-shuffles (mu, nu) of (-1)^{sign(mu,nu) + p q_y} term(mu, nu).
 
-    mu lists ascending positions taken by the x-block inside
-    {0..p+q-1}; s_nu and s_mu are applied in ascending index order
-    (the innermost degeneracy first), which respects the level bounds.
+    term(mu, nu) is a combo built from s_nu x and s_mu y, for x of
+    simplicial degree p and y of simplicial degree q, internal degree q_y.
+    mu lists the ascending positions of the x-block inside {0..p+q-1} and
+    nu the rest; s_nu and s_mu are applied in ascending index order (the
+    innermost degeneracy first), which respects the level bounds.
     """
-    out = []
+    total = {}
     for mu in combinations(range(p + q), p):
         nu = tuple(k for k in range(p + q) if k not in mu)
-        parity = sum(mu[a] - a for a in range(len(mu))) % 2
-        out.append((mu, nu, parity))
-    return out
+        sign = field.sign(sum(mu[a] - a for a in range(p)) + p * qy)
+        for label, c in term(mu, nu).items():
+            combo_add(field, total, label, field.mul(sign, c))
+    return total
 
 
 # the categorical bar with its product -------------------------------------------
@@ -477,31 +470,38 @@ class CategoricalBar:
         self.dimension_bound = dimension_bound
 
     def em_product_table(self):
-        """Structure constants of the EM product on the normalized complex."""
+        """Structure constants of the EM product on the normalized complex.
+
+        For u = (p, x), v = (q, y) with p + q within the bound, u.v is the
+        signed shuffle sum of the levelwise products s_nu x . s_mu y in
+        C(A)_{p+q}, projected once into N(C(A)).  The EM map would project
+        s_nu x (x) s_mu y into N(C (x) C) first; that changes nothing, as
+        the levelwise product commutes with the degeneracies (degenerate
+        goes to degenerate).  Keys follow the basis of N (x) N: total
+        degree, then the degree of u, then labels.
+        """
         f = self.field
-        sx = self.simplicial
-        em, nc, nd, cd = eilenberg_maclane(sx, sx, self.normalized, self.normalized)
+        algebras = [self.algebra] * self.dimension_bound
+
+        def entry(du, u, dv, v):
+            (p, (S, x)), (q, (T, y)) = u, v
+
+            def term(mu, nu):  # the levelwise product s_nu u . s_mu v
+                return _coproduct_product(f, algebras, (_insert_slots(S, nu), x), (_insert_slots(T, mu), y))
+
+            total = _shuffle_sum(f, p, q, dv - q, term)
+            return {(p + q, lab): c for lab, c in self.normalized.project(p + q, du + dv - p - q, total).items()}
+
+        degrees = self.module.degrees()
         table = {}
-        src = em.source
-        level_degree = {n: _degree_index(sx.level(n)) for n in sx.level_algebras}
-        for dtot in src.degrees():
-            for (u_lab, v_lab) in src.labels(dtot):
-                out = em.apply(dtot, {(u_lab, v_lab): f.one()})
-                folded = {}
-                for (n, lab), c in out.items():
-                    # levelwise multiplication C(A)_n (x) C(A)_n -> C(A)_n
-                    alg_n = sx.level_algebras.get(n)
-                    if alg_n is None:
-                        continue
-                    (xl, yl) = lab
-                    prod = alg_n.op_apply(2, (xl, yl))
-                    for l3, c3 in prod.items():
-                        q3 = level_degree[n][l3]
-                        for l4, c4 in self.normalized.project(n, q3, {l3: c3}).items():
-                            combo_add(f, folded, (n, l4), f.mul(c, c4))
-                folded = {k: v for k, v in folded.items() if not f.is_zero(v)}
-                if folded:
-                    table[(u_lab, v_lab)] = folded
+        for d in sorted({du + dv for du in degrees for dv in degrees}):
+            for du in degrees:
+                for u in self.module.labels(du):
+                    for v in self.module.labels(d - du):
+                        if u[0] + v[0] <= self.dimension_bound:
+                            out = entry(du, u, d - du, v)
+                            if out:
+                                table[(u, v)] = out
         return table
 
 
@@ -628,7 +628,6 @@ def cat_bar_module_vs_bar_module(cat_mod, bar_mod):
             mat = SparseMatrix.zero(f, ncomp.dim(d), bcomp.dim(d))
             for col, (m, (w, inner)) in enumerate(bcomp.labels(d)):
                 sizes = tuple(t[0] for t in inner)
-                color_of_pos = []
                 acc = 0
                 owner = {}
                 for j, a in enumerate(sizes):
@@ -656,7 +655,8 @@ def bar_cat_comparison(algebra, window, compare_products=True):
     bar word a_1..a_n to (-1)^{sum j |a_j|} times the class of the full
     tensor summand at level n, and verifies: chain iso; and (optionally)
     that the Eilenberg-Mac Lane product corresponds to the shuffle
-    product for words of weight up to 3.  Returns
+    product on every pair of words u, v with |u| + |v| within the
+    weight bound and the product degree in the basis.  Returns
     (bar_complex, categorical, iso).
     """
     f = algebra.field
@@ -683,13 +683,9 @@ def bar_cat_comparison(algebra, window, compare_products=True):
         em_table = cat.em_product_table()
         for du in b.module.degrees():
             for u in b.module.labels(du):
-                if len(u) > 3:
-                    continue
                 for dv in b.module.degrees():
                     for v in b.module.labels(dv):
-                        if len(v) > 3 or len(u) + len(v) > wb:
-                            continue
-                        if du + dv not in b.module.basis:
+                        if len(u) + len(v) > wb or du + dv not in b.module.basis:
                             continue
                         shuffle = shuffle_word_product(f, u, v)
                         shuffle = {w: c for w, c in shuffle.items() if w in b.weight_of}
@@ -699,7 +695,5 @@ def bar_cat_comparison(algebra, window, compare_products=True):
                         cuv = f.mul(cu, cv)
                         rhs = {lab: f.mul(cuv, c) for lab, c in em_table.get((u_img, v_img), {}).items()}
                         if lhs != rhs:
-                            raise AssertionError(
-                                "product mismatch at %r * %r: %r vs %r" % (u, v, lhs, rhs)
-                            )
+                            raise AssertionError("product mismatch at %r * %r: %r vs %r" % (u, v, lhs, rhs))
     return b, cat, iso

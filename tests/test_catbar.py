@@ -1,8 +1,10 @@
 import hashlib
 import random
+import time
 
 import pytest
 
+from opbar import catbar
 from opbar.catbar import (
     CategoricalBar,
     NormalizedComplex,
@@ -19,14 +21,16 @@ from opbar.catbar import (
 )
 from opbar.dg import DegreeWindow, DgMap, DgModule, homology
 from opbar.errors import NotCommutative, SimplicialIdentityViolation
-from opbar.linalg import CoeffField, SparseMatrix
+from opbar.fixtures import random_commutative_algebra
+from opbar.linalg import CoeffField, SparseMatrix, combo_add
 from opbar.modules import DgAlgebra
-from opbar.bar import bar_module
+from opbar.bar import bar_module, sound_weight_bound
 from opbar.operads import commutative_operad
 from opbar.verify import _constant_simplicial
 
 Q = CoeffField.rationals()
 F2 = CoeffField.prime(2)
+F3 = CoeffField.prime(3)
 
 
 def exterior(field, deg=1):
@@ -186,6 +190,11 @@ def test_b_equals_c_fixtures():
     bar_cat_comparison(exterior(F2), DegreeWindow(0, 10))
     bar_cat_comparison(trunc(F2), DegreeWindow(0, 8))
     bar_cat_comparison(trunc(Q), DegreeWindow(0, 10))
+    # odd internal degrees off F2, where the p q_y twist of the EM product
+    # shows; random seed 0 also has d != 0
+    for field in (F3, Q):
+        bar_cat_comparison(two_dim_fixture(field), DegreeWindow(0, 6))
+        bar_cat_comparison(random_commutative_algebra(field, 0), DegreeWindow(0, 5))
 
 
 def test_trivial_product_c_is_tensor_coalgebra():
@@ -213,8 +222,6 @@ def test_categorical_bar_module_dims_and_identity():
 # (exterior and truncated algebras at their sound weight bounds, the
 # two-generator probe at 3, the constant case at 2), each also over the
 # fields the suites leave out, so F2, F3 and Q are all covered.
-
-F3 = CoeffField.prime(3)
 
 _CAT_FIXTURES = {
     "exterior.F2": (lambda: exterior(F2), 5),
@@ -383,3 +390,97 @@ def test_face_and_tensor_factor_maps_are_read_in_one_pass(monkeypatch):
     # the guard sees a map applied to one basis vector
     sx.face(2, 1).apply(2, {((1, 2), ((1, "x"), (1, "x"))): F2.one()})
     assert id(applied[-1]) in watched
+
+
+# --- the EM product table without N(C (x) C) -------------------------------------
+
+
+def _reference_em_table(cat):
+    """The EM product table by the route through N(C (x) C): the shuffle
+    map into N(C (x) C), then each level's coproduct_algebra product, then
+    projection into N(C), one term at a time."""
+    f = cat.field
+    sx = cat.simplicial
+    em, _, _, _ = eilenberg_maclane(sx, sx, cat.normalized, cat.normalized)
+    level_algebras = {n: coproduct_algebra([cat.algebra] * n)[0] for n in range(1, sx.dimension_bound + 1)}
+    table = {}
+    for dtot in em.source.degrees():
+        for (u, v) in em.source.labels(dtot):
+            folded = {}
+            for (n, (xl, yl)), c in em.apply(dtot, {(u, v): f.one()}).items():
+                for l3, c3 in level_algebras[n].op_apply(2, (xl, yl)).items():
+                    q3 = sum(d for d, _ in l3[1])
+                    for l4, c4 in cat.normalized.project(n, q3, {l3: c3}).items():
+                        combo_add(f, folded, (n, l4), f.mul(c, c4))
+            if folded:
+                table[(u, v)] = folded
+    return table
+
+
+def _assert_em_table_matches_reference(cat):
+    got, want = cat.em_product_table(), _reference_em_table(cat)
+    assert repr(got) == repr(want)  # key order, term order and scalar types
+    return got
+
+
+def test_em_table_equals_the_route_through_the_tensor_object(suite_objects):
+    cats, _, _ = suite_objects
+    for name, (cat, _) in cats.items():
+        assert _assert_em_table_matches_reference(cat), name
+
+
+@pytest.mark.parametrize(
+    "make, window",
+    [(lambda: trunc(Q), DegreeWindow(0, 10))]  # commutative-identity's truncQ
+    # seed 0 has d(g1) = g0 and d(g0 g1) = g0 g0: d != 0 on A and on N(C(A)) past the faces
+    + [(lambda f=f: random_commutative_algebra(f, 0), DegreeWindow(0, 5)) for f in (F2, F3, Q)],
+    ids=["truncQ", "random0-F2", "random0-F3", "random0-Q"],
+)
+def test_em_table_equals_the_route_through_the_tensor_object_on_windows(make, window):
+    algebra = make()
+    susp = [d + 1 for d in algebra.module.degrees()]
+    assert _assert_em_table_matches_reference(CategoricalBar(algebra, sound_weight_bound(susp, window)))
+
+
+def test_comparison_scales_to_weight_five():
+    start = time.perf_counter()
+    _, cat, _ = bar_cat_comparison(trunc(F2), DegreeWindow(0, 10))
+    assert time.perf_counter() - start < 2.0
+    assert cat.dimension_bound == 5
+
+
+def test_comparison_builds_no_tensor_object_and_no_level_products(monkeypatch):
+    calls = {"tensor_simplicial": 0, "eilenberg_maclane": 0, "_coproduct_product": 0}
+    normalized, built, during = [], [], []  # during: calls made while building each simplicial object
+
+    def counting(name):
+        fn = getattr(catbar, name)
+
+        def wrapper(*args, **kwargs):
+            calls[name] += 1
+            return fn(*args, **kwargs)
+
+        return wrapper
+
+    for name in calls:
+        monkeypatch.setattr(catbar, name, counting(name))
+    simplicial = catbar.simplicial_categorical_bar
+
+    def building(*args, **kwargs):
+        before = dict(calls)
+        built.append(simplicial(*args, **kwargs))
+        during.append({name: calls[name] - before[name] for name in calls})
+        return built[-1]
+
+    class Recording(NormalizedComplex):
+        def __init__(self, sx):
+            normalized.append(sx)
+            super().__init__(sx)
+
+    monkeypatch.setattr(catbar, "simplicial_categorical_bar", building)
+    monkeypatch.setattr(catbar, "NormalizedComplex", Recording)
+    bar_cat_comparison(trunc(F2), DegreeWindow(0, 8))
+    assert calls["tensor_simplicial"] == calls["eilenberg_maclane"] == 0
+    assert during == [{name: 0 for name in calls}]  # the simplicial object makes no product
+    assert calls["_coproduct_product"] > 0  # the table multiplies levelwise
+    assert normalized == built  # N(C) alone: no N(C (x) C)
