@@ -253,31 +253,6 @@ def _coproduct_product(field, algebras, left, right):
     return out
 
 
-def commutative_coproduct(a, b):
-    """A v B = A (+) B (+) A (x) B with injections and the codiagonal.
-
-    Returns (coproduct DgAlgebra, inject_a, inject_b, fold) where fold
-    is meaningful when a and b are the same algebra: it is the
-    codiagonal A v A -> A given by (x, y, x (x) y) -> (x, y, x y).
-    """
-    alg, _ = coproduct_algebra([a, b])
-
-    def inject_a(d, label):
-        return ((1,), ((d, label),))
-
-    def inject_b(d, label):
-        return ((2,), ((d, label),))
-
-    def fold(label):
-        S, w = label
-        if len(S) == 1:
-            return {w[0]: a.field.one()}
-        (d1, l1), (d2, l2) = w
-        return {(d1 + d2, l3): c for l3, c in a.op_apply(2, (l1, l2)).items()}
-
-    return alg, inject_a, inject_b, fold
-
-
 # the simplicial categorical bar ------------------------------------------------
 
 

@@ -215,12 +215,6 @@ class DgAlgebra:
     def is_commutative_kind(self):
         return self.kind == "comm"
 
-    def suspended_degrees(self):
-        return sorted({d + 1 for d in self.module.degrees()})
-
-    def zero_ops(self):
-        return not self.ops
-
 
 def check_algebra(a, max_arity=None, report=False, partial_range=None):
     """Verify the structure relations of a DgAlgebra.
@@ -363,38 +357,12 @@ def _reachable_words(a, labels_all, top):
     return reachable
 
 
-def evaluate_monomial(alg, word_label, arg_triples):
-    """Evaluate an As-monomial (a permutation word) on algebra elements.
-
-    arg_triples are (degree, label); returns {(degree, label): coeff}.
-    """
-    f = alg.field
-    degs = [d for d, _ in arg_triples]
-    sign = perm.koszul_sign_exponent(degs, perm.inverse(word_label))
-    ordered = [arg_triples[v - 1] for v in word_label]
-    return _iterated_product(alg, ordered, f.sign(sign))
-
-
-def evaluate_com(alg, r, arg_triples):
-    return _iterated_product(alg, list(arg_triples), alg.field.one())
-
-
-def _iterated_product(alg, ordered, coeff):
-    """coeff times the left-nested product of the letters `ordered`; mu_2 has degree 0."""
-    degree, first = ordered[0]
-    cur = {first: coeff}
-    for d, l in ordered[1:]:
-        cur = combo_map(alg.field, cur, lambda lc: alg.op_apply(2, (lc, l)))
-        degree += d
-    return {(degree, lab): c for lab, c in cur.items()}
-
-
 def evaluate_tree(alg, tree, arg_triples):
     """Evaluate a Stasheff-operad basis tree on algebra elements.
 
-    Leaves are matched to arguments by label; the arguments are Koszul
-    reordered into planar position first, then the tree is evaluated
-    bottom-up with the operator tensor sign rule.
+    Leaf k reads the argument arg_triples[k - 1].  The arguments pay the
+    Koszul sign of moving into the planar order of their leaves, and the
+    tree is evaluated bottom-up with the operator tensor sign rule.
     """
     f = alg.field
     if trees.is_leaf(tree):
@@ -404,78 +372,40 @@ def evaluate_tree(alg, tree, arg_triples):
     # letter j moves to the planar position of its leaf
     sigma = tuple(labels.index(j) + 1 for j in range(1, len(labels) + 1))
     sign = f.sign(perm.koszul_sign_exponent(degs, sigma))
-    ordered = [arg_triples[l - 1] for l in labels]
-    shape = trees.relabel(tree, {labels[k]: k + 1 for k in range(len(labels))})
-    out = {}
-    for (d, l), c in _evaluate_shape(alg, shape, ordered).items():
-        combo_add(f, out, (d, l), f.mul(sign, c))
-    return out
+    return {t: f.mul(sign, c) for t, c in _evaluate_shape(alg, tree, arg_triples).items()}
 
 
-def _evaluate_shape(alg, shape, args):
+def _evaluate_shape(alg, node, args):
+    """The value of `node` on the arguments its leaves name, without the reordering sign."""
     f = alg.field
-    if trees.is_leaf(shape):
-        return {args[0]: f.one()}
-    children = shape[1:]
-    blocks = []
-    pos = 0
-    for ch in children:
-        a = trees.arity(ch)
-        blocks.append(args[pos : pos + a])
-        pos += a
-    # operator tensor rule: child operator degrees cross earlier blocks
-    child_results = []
+    if trees.is_leaf(node):
+        return {args[node[1] - 1]: f.one()}
+    children = node[1:]
+    # operator tensor rule: a child's operator degree crosses the arguments of the children before it
     sign = 0
     prefix = 0
-    for ch, block in zip(children, blocks):
-        opdeg = 0 if trees.is_leaf(ch) else trees.degree(ch, alg_degree_map(alg, ch))
-        sign += opdeg * prefix
-        prefix += sum(d for d, _ in block)
-        child_results.append(_evaluate_shape(alg, ch, block))
+    for ch in children:
+        sign += sum(r - 2 for _, r in trees.vertex_word(ch)) * prefix  # the vertex ("mu", r) has degree r - 2
+        prefix += sum(args[l - 1][0] for l in trees.leaf_labels(ch))
     r = len(children)
     out = {}
-
-    def rec(j, acc_triples, coeff):
-        if j == r:
-            for l2, c2 in alg.op_apply(r, tuple(l for _, l in acc_triples)).items():
-                d2 = sum(d for d, _ in acc_triples) + r - 2
-                combo_add(f, out, (d2, l2), f.mul(coeff, c2))
-            return
-        for triple, c in child_results[j].items():
-            rec(j + 1, acc_triples + [triple], f.mul(coeff, c))
-
-    rec(0, [], f.sign(sign))
+    for terms in product(*(_evaluate_shape(alg, ch, args).items() for ch in children)):
+        coeff = f.sign(sign)
+        for _, c in terms:
+            coeff = f.mul(coeff, c)
+        degree = sum(d for (d, _), _ in terms) + r - 2
+        for l2, c2 in alg.op_apply(r, tuple(l for (_, l), _ in terms)).items():
+            combo_add(f, out, (degree, l2), f.mul(coeff, c2))
     return out
-
-
-def alg_degree_map(alg, tree):
-    return {name: name[1] - 2 for name in set(trees.vertex_word(tree))}
 
 
 def evaluate_operad_element(alg, operad, triple, arg_triples):
-    """Dispatch evaluation of an operad basis element on algebra args."""
-    n, d, label = triple
-    if n == 1 and label == operad.unit_label:
-        return {arg_triples[0]: alg.field.one()}
-    kind = operad.name
-    if kind == "As":
-        return evaluate_monomial(alg, label, arg_triples)
-    if kind == "Com":
-        return evaluate_com(alg, n, arg_triples)
-    if kind == "K":
-        return evaluate_tree(alg, label, arg_triples)
-    raise ValueError("no evaluation rule for operad %r" % (kind,))
+    """Evaluate an operad basis element on algebra args.
 
-
-def algebra_suits_operad(alg, operad):
-    """Does this algebra restrict along the canonical maps to `operad`?
-
-    Commutative algebras serve Com, As and K; associative ones serve As
-    and K; A-infinity ones only K.
+    The algebra acts through the canonical morphism K -> operad, so the
+    element acts as any Stasheff tree over it, here its `stasheff_lift`.
     """
-    order = {"comm": 3, "assoc": 2, "ainf": 1}
-    need = {"Com": 3, "As": 2, "K": 1}
-    return order[alg.kind] >= need.get(operad.name, 3)
+    return evaluate_tree(alg, operad.stasheff_lift(triple), arg_triples)
 
 
 # Sym and its quotients ---------------------------------------------------------
@@ -587,7 +517,7 @@ class SymOverOperad:
         self.algebra = algebra
         self.operad = operad
         self.field = right_module.field
-        if not algebra_suits_operad(algebra, operad):
+        if algebra.kind not in operad.algebra_kinds:
             raise AlgebraCheckFailed(
                 "algebra of kind %r cannot be fed to operad %r" % (algebra.kind, operad.name)
             )
@@ -690,7 +620,7 @@ def extension(right_module, psi, arity_bound, check_morphism=True):
 def direct_sum_right_modules(m1, m2):
     """M (+) N with the slotwise action; labels are tagged L/R."""
     f = m1.field
-    if m1.operad is not m2.operad and m1.operad.name != m2.operad.name:
+    if m1.operad is not m2.operad:
         raise ValueError("summands over different operads")
     components = {
         n: m1.sigma.component(n).direct_sum(m2.sigma.component(n))

@@ -53,6 +53,8 @@ class Operad:
     """
 
     name = "operad"
+    # the DgAlgebra kinds that carry an action of this operad, through `stasheff_lift`
+    algebra_kinds = ()
 
     def __init__(self, field, sigma, unit_label):
         self.field = field
@@ -87,6 +89,23 @@ class Operad:
     def basis_triples(self, n):
         return self.sigma.basis_triples(n)
 
+    def stasheff_lift(self, triple):
+        """A Stasheff tree that the canonical morphism K -> self sends to
+        the basis element `triple`.
+
+        An algebra over this operad is a K-algebra through that morphism,
+        so the tree acts on it as the element does.
+        """
+        raise ValueError("no evaluation rule for operad %r" % (self.name,))
+
+
+def _left_comb(labels):
+    """The left comb ((l_1 l_2) l_3) ... of binary Stasheff vertices on the leaves `labels`."""
+    tree = trees.leaf(labels[0])
+    for label in labels[1:]:
+        tree = (("mu", 2), tree, trees.leaf(label))
+    return tree
+
 
 class AssociativeOperad(Operad):
     """As: As(n) is the regular representation, basis = monomial words.
@@ -97,6 +116,7 @@ class AssociativeOperad(Operad):
     """
 
     name = "As"
+    algebra_kinds = ("assoc", "comm")
 
     def __init__(self, field, arity_bound):
         comps = {
@@ -123,11 +143,15 @@ class AssociativeOperad(Operad):
                 out.append(x + t - 1)
         return {tuple(out): self.field.one()}
 
+    def stasheff_lift(self, triple):
+        return _left_comb(triple[2])
+
 
 class CommutativeOperad(Operad):
     """Com: the trivial representation in every arity, degree 0."""
 
     name = "Com"
+    algebra_kinds = ("comm",)
 
     def __init__(self, field, arity_bound):
         comps = {n: DgModule.ground(field, "e") for n in range(1, arity_bound + 1)}
@@ -135,6 +159,9 @@ class CommutativeOperad(Operad):
 
     def compose_basic(self, p_triple, i, q_triple):
         return {"e": self.field.one()}
+
+    def stasheff_lift(self, triple):
+        return _left_comb(range(1, triple[0] + 1))
 
 
 class FreeOperad(Operad):
@@ -346,15 +373,23 @@ def eps_kills_stasheff_differential(field, max_arity):
     return True
 
 
+class StasheffOperad(FreeOperad):
+    """K = (Free(mu_*), d); every algebra kind is a K-algebra."""
+
+    name = "K"
+    algebra_kinds = ("assoc", "comm", "ainf")
+
+    def stasheff_lift(self, triple):
+        return triple[2]
+
+
 def stasheff_operad(field, arity_bound):
     """The chain operad of Stasheff's associahedra, K = (Free(mu_*), d)."""
     if arity_bound < 2:
         raise ValueError("arity_bound must be at least 2")
     generators = {r: [(("mu", r), r - 2)] for r in range(2, arity_bound + 1)}
     gen_diff = {("mu", r): stasheff_generator_diff(field, r) for r in range(2, arity_bound + 1)}
-    op = FreeOperad(field, generators, arity_bound, gen_diff)
-    op.name = "K"
-    return op
+    return StasheffOperad(field, generators, arity_bound, gen_diff)
 
 
 def free_operad(field, generators, arity_bound, gen_diff=None):

@@ -12,7 +12,6 @@ from opbar.catbar import (
     bar_cat_comparison,
     cat_bar_module_vs_bar_module,
     categorical_bar_module,
-    commutative_coproduct,
     coproduct_algebra,
     eilenberg_maclane,
     normalize,
@@ -65,15 +64,6 @@ def test_coproduct_dims_and_zero():
     }
 
 
-def test_codiagonal_restricts_to_product():
-    a = trunc(F2)
-    co, inj_a, inj_b, fold = commutative_coproduct(a, a)
-    # on the A (x) A summand the codiagonal is the product
-    lab = ((1, 2), ((1, "x"), (1, "x")))
-    assert fold(lab) == {(2, "x2"): F2.one()}
-    assert fold(((1,), ((1, "x"),))) == {(1, "x"): F2.one()}
-
-
 def test_simplicial_identities_on_categorical_bar():
     alg = two_dim_fixture(Q)
     simplicial_categorical_bar(alg, 3)  # check=True verifies all identities
@@ -86,6 +76,9 @@ def test_inner_face_is_product():
     # on the A(x)A summand of level 2, d_1 folds via the product
     out = d1.apply(2, {((1, 2), ((1, "x"), (1, "x"))): F2.one()})
     assert out == {((1,), ((2, "x2"),)): F2.one()}
+    # on a singleton summand it is the identity of A, from either copy
+    for S in ((1,), (2,)):
+        assert d1.apply(1, {(S, ((1, "x"),)): F2.one()}) == {((1,), ((1, "x"),)): F2.one()}
 
 
 def test_degeneracies_split_and_normalization_counts():

@@ -10,11 +10,12 @@ import pytest
 
 import opbar.modules
 import opbar.sigma
+from opbar import trees
 from opbar.bar import bar, bar_extension_iso, bar_module, shuffle_product, sym_bar_comparison
 from opbar.dg import DegreeWindow, DgModule, tensor as dg_tensor
-from opbar.errors import InvalidMorphism
+from opbar.errors import AlgebraCheckFailed, InvalidMorphism
 from opbar.fixtures import random_commutative_algebra, random_tensor_algebra
-from opbar.jsonio import algebra_from_json, load_json
+from opbar.jsonio import algebra_from_json, load_json, operad_from_json, operad_to_json
 from opbar.linalg import CoeffField, combo_add
 from opbar.simplicial import normalized_cochains, simplicial_set_from_json
 from opbar.sigma import compose
@@ -26,6 +27,7 @@ from opbar.modules import (
     TensorRightModule,
     check_algebra,
     direct_sum_right_modules,
+    evaluate_operad_element,
     extension,
     module_hom_dimension,
     operad_right_module,
@@ -40,6 +42,7 @@ from opbar.operads import (
     commutative_operad,
     compose_morphisms,
     eps_to_assoc,
+    free_operad,
     identity_morphism,
     stasheff_operad,
     stasheff_sign,
@@ -363,6 +366,146 @@ def test_sym_direct_sum_preservation():
     assert {d: so.module.dim(d) for d in so.module.degrees()} == {
         d: 2 * single.module.dim(d) for d in single.module.degrees()
     }
+
+
+def test_direct_sum_refuses_summands_over_different_operads():
+    """Two free operads share the name "free" but not their generators."""
+    m = operad_right_module(free_operad(Q, {2: [("m", 0)]}, 2))
+    n = operad_right_module(free_operad(Q, {2: [("n", 1)]}, 2))
+    with pytest.raises(ValueError, match="summands over different operads"):
+        direct_sum_right_modules(m, n)
+
+
+def _koszul_reordered(field, word, args):
+    """(sign, letters): the arguments a_1 .. a_n moved into the order
+    a_{w_1} .. a_{w_n}, with (-1)^{|a||b|} for every pair that crosses."""
+    n = len(word)
+    e = sum(args[word[p] - 1][0] * args[word[q] - 1][0] for p in range(n) for q in range(p + 1, n) if word[p] > word[q])
+    return field.sign(e), [args[v - 1] for v in word]
+
+
+def _product(alg, letters, coeff):
+    """coeff times the product x_1 x_2 ... x_n of the letters (degree, label), through mu_2."""
+    f = alg.field
+    cur = {letters[0]: coeff}
+    for d, l in letters[1:]:
+        nxt = {}
+        for (d0, l0), c in cur.items():
+            for l2, c2 in alg.op_apply(2, (l0, l)).items():
+                combo_add(f, nxt, (d0 + d, l2), f.mul(c, c2))
+        cur = nxt
+    return cur
+
+
+def _generators(alg):
+    return [(d, l) for d, l in alg.module.basis_pairs() if len(l) == 1]
+
+
+@pytest.mark.parametrize("field", [F3, Q], ids=repr)
+def test_as_acts_by_koszul_signed_monomials(field):
+    """The word w of As(n) sends a_1 .. a_n to +-a_{w_1} ... a_{w_n}, the
+    Koszul sign of the reordering, in a noncommutative algebra."""
+    alg = random_tensor_algebra(field, 7, length_cap=3)
+    letters = _generators(alg)
+    assert sorted(d for d, _ in letters) == [1, 1, 2]
+    As = associative_operad(field, 3)
+    nonzero = 0
+    for n in (1, 2, 3):
+        for triple in As.basis_triples(n):
+            for args in product(letters, repeat=n):
+                sign, ordered = _koszul_reordered(field, triple[2], args)
+                expect = _product(alg, ordered, sign)
+                assert evaluate_operad_element(alg, As, triple, list(args)) == expect, (triple, args)
+                nonzero += bool(expect)
+    assert nonzero == 3 + 2 * 9 + 6 * 27
+
+
+@pytest.mark.parametrize("field", [F3, Q], ids=repr)
+def test_com_acts_by_the_product_in_argument_order(field):
+    alg = random_commutative_algebra(field, 6, length_cap=3)
+    letters = _generators(alg)
+    assert sorted(d for d, _ in letters) == [1, 2, 3]
+    Com = commutative_operad(field, 3)
+    nonzero = 0
+    for n in (1, 2, 3):
+        for triple in Com.basis_triples(n):
+            for args in product(letters, repeat=n):
+                expect = _product(alg, list(args), field.one())
+                assert evaluate_operad_element(alg, Com, triple, list(args)) == expect, (triple, args)
+                nonzero += bool(expect)
+    assert nonzero > 20
+
+
+def _ainf_fixture(field):
+    """x, y odd and even, mu_2(x, y) = mu_2(y, x) = z, mu_3(x, x, x) = w,
+    mu_2(x, w) = mu_2(w, x) = v: an A-infinity algebra with d = 0."""
+    one = field.one()
+    mod = DgModule.from_data(field, [("x", 1), ("y", 2), ("z", 3), ("w", 4), ("v", 5)])
+    ops = {
+        2: {("x", "y"): {"z": one}, ("y", "x"): {"z": one}, ("x", "w"): {"v": one}, ("w", "x"): {"v": one}},
+        3: {("x", "x", "x"): {"w": one}},
+    }
+    return DgAlgebra(field, "ainf", mod, ops, name="ainf")
+
+
+@pytest.mark.parametrize("field", [F3, Q], ids=repr)
+def test_k_acts_by_its_trees(field):
+    alg = _ainf_fixture(field)
+    assert check_algebra(alg, 5)
+    K = stasheff_operad(field, 4)
+    letters = [(1, "x"), (2, "y")]
+    corollas = 0
+    for r in (2, 3):
+        for triple in K.basis_triples(r):
+            tree = triple[2]
+            if len(trees.vertex_word(tree)) != 1:
+                continue
+            corollas += 1
+            for args in product(letters, repeat=r):
+                sign, ordered = _koszul_reordered(field, trees.leaf_labels(tree), args)
+                degree = sum(d for d, _ in args) + r - 2
+                expect = {
+                    (degree, l): field.mul(sign, c) for l, c in alg.op_apply(r, [l for _, l in ordered]).items()
+                }
+                assert evaluate_operad_element(alg, K, triple, list(args)) == expect, (triple, args)
+    assert corollas == 2 + 6
+    # mu_2 o_2 mu_3: mu_3 passes the odd x in front of it, mu_2 o_1 mu_3 passes nothing
+    x4 = [(1, "x")] * 4
+    mu3 = (("mu", 3), trees.leaf(2), trees.leaf(3), trees.leaf(4))
+    right = (("mu", 2), trees.leaf(1), mu3)
+    left = (("mu", 2), (("mu", 3), trees.leaf(1), trees.leaf(2), trees.leaf(3)), trees.leaf(4))
+    assert evaluate_operad_element(alg, K, (4, 1, right), x4) == {(5, "v"): field.neg(field.one())}
+    assert evaluate_operad_element(alg, K, (4, 1, left), x4) == {(5, "v"): field.one()}
+    # the leaves name the arguments: swapping two odd x's costs a sign
+    swapped = (("mu", 2), trees.leaf(1), (("mu", 3), trees.leaf(3), trees.leaf(2), trees.leaf(4)))
+    assert evaluate_operad_element(alg, K, (4, 1, swapped), x4) == {(5, "v"): field.one()}
+
+
+@pytest.mark.parametrize(
+    "kind, make_operad, name",
+    [("ainf", associative_operad, "As"), ("assoc", commutative_operad, "Com"), ("ainf", commutative_operad, "Com")],
+)
+def test_sym_over_operad_refuses_an_algebra_of_the_wrong_kind(kind, make_operad, name):
+    op = make_operad(Q, 3)
+    alg = DgAlgebra(Q, kind, trunc_poly(Q).module, dict(trunc_poly(Q).ops))
+    with pytest.raises(AlgebraCheckFailed, match="algebra of kind '%s' cannot be fed to operad '%s'" % (kind, name)):
+        sym_over_operad(operad_right_module(op), alg, op, [1, 2, 3])
+
+
+@pytest.mark.parametrize(
+    "make_operad",
+    [
+        lambda: free_operad(Q, {2: [("m", 0)]}, 3),
+        lambda: operad_from_json(operad_to_json(commutative_operad(Q, 3))),
+    ],
+    ids=["free", "table"],
+)
+def test_sym_over_operad_refuses_an_operad_without_an_action(make_operad):
+    """Only As, Com and K act on a DgAlgebra; any other operad is refused
+    before a relation is built, even for a commutative algebra."""
+    op = make_operad()
+    with pytest.raises(AlgebraCheckFailed, match="algebra of kind 'comm' cannot be fed to operad"):
+        sym_over_operad(operad_right_module(op), trunc_poly(Q), op, [1, 2, 3])
 
 
 def test_extension_of_free_module_is_target():
