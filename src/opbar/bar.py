@@ -34,6 +34,10 @@ the same sign: a degree-d word then has weight at most |d|+1 over the
 minimal absolute suspended degree, and `sound_weight_bound` computes
 the cutoff for a requested window.  Mixed-sign inputs require an
 explicit weight bound and raise TruncationUnsound otherwise.
+
+The bar module B_R = B(eta^* R) is built along the morphism eta: K -> R
+that the operad names (`Operad.from_stasheff`), with one word space of
+suspended letters per weight and each b_r operator built once.
 """
 
 from __future__ import annotations
@@ -57,16 +61,8 @@ from .modules import (
     operad_right_module,
     suspend_right_module,
 )
-from .operads import (
-    alpha_to_com,
-    associative_operad,
-    compose_morphisms,
-    eps_to_assoc,
-    identity_morphism,
-    operad_morphism_check,
-    stasheff_operad,
-)
-from .sigma import WordSpace, SigmaModule, routed_compose
+from .operads import compose_morphisms, operad_morphism_check
+from .sigma import SigmaModule, routed_compose
 
 
 def sound_weight_bound(suspended_degrees, window):
@@ -383,25 +379,14 @@ def iterated_bar(algebra, iterations, window, weight_bounds=None, check=True):
 # the bar module ------------------------------------------------------------------
 
 
-def canonical_from_stasheff(operad, k_operad):
-    """The canonical morphism K -> R for R one of K, As, Com."""
-    if operad.name == "K":
-        return identity_morphism(operad)
-    if operad.name == "As":
-        return eps_to_assoc(k_operad, operad)
-    if operad.name == "Com":
-        as_op = associative_operad(operad.field, operad.arity_bound())
-        return compose_morphisms(alpha_to_com(as_op, operad), eps_to_assoc(k_operad, as_op))
-    raise ValueError("no canonical morphism into %r" % (operad.name,))
-
-
 class BarModule:
     """B_R = B(eta^* R): the right R-module of suspended operad words.
 
     Arity components collect all weights (weight <= arity, since every
     letter has arity >= 1); the differential is internal + coderivation,
     with the left Stasheff action given by eta followed by the operad
-    composition.
+    composition.  `tensor_modules[n].words`, over the one suspension of
+    the operad, gives the basis, differential, Sigma- and right action.
     """
 
     def __init__(self, operad, eta, arity_bound, check_eta=True):
@@ -411,14 +396,11 @@ class BarModule:
         self.arity_bound = arity_bound
         if check_eta and not operad_morphism_check(eta, min(arity_bound, eta.source.arity_bound())):
             raise InvalidMorphism("eta: K -> R is not an operad morphism")
-        self.susp_sigma = operad.sigma.suspend()
-        self.word_spaces = {
-            n: WordSpace(self.field, [self.susp_sigma] * n, arity_bound) for n in range(1, arity_bound + 1)
-        }
         self.susp_module = suspend_right_module(operad_right_module(operad))
         self.tensor_modules = {
             n: TensorRightModule([self.susp_module] * n, arity_bound) for n in range(1, arity_bound + 1)
         }
+        self._b_operators = {rr: self._b_operator(rr) for rr in range(2, min(arity_bound, operad.arity_bound()) + 1)}
         self._build()
 
     def _build(self):
@@ -427,7 +409,7 @@ class BarModule:
         for r in range(1, self.arity_bound + 1):
             by_degree = {}
             for n in range(1, r + 1):
-                comp = self.word_spaces[n].component(r)
+                comp = self.tensor_modules[n].words.component(r)
                 for d in comp.degrees():
                     for label in comp.labels(d):
                         by_degree.setdefault(d, []).append((n, label))
@@ -442,7 +424,7 @@ class BarModule:
 
     def _act_adjacent(self, r, s_i, d, label):
         n, word = label
-        return {(n, lab): c for lab, c in self.word_spaces[n].right_act(r, s_i, word).items()}
+        return {(n, lab): c for lab, c in self.tensor_modules[n].words.right_act(r, s_i, word).items()}
 
     # differential ---------------------------------------------------------------
 
@@ -470,12 +452,12 @@ class BarModule:
         """Total differential of a basis element (n, word_label)."""
         f = self.field
         n, word = label
-        ws = self.word_spaces[n]
+        ws = self.tensor_modules[n].words
         out = {}
         for lab2, c in ws.diff_combo(word).items():
             combo_add(f, out, (n, lab2), c)
         for rr in range(2, min(n, self.operad.arity_bound()) + 1):
-            b_op = self._b_operator(rr)
+            b_op = self._b_operators[rr]
             for i in range(1, n - rr + 2):
                 for lab2, c in ws.apply_at(word, i, rr, b_op, 1).items():
                     combo_add(f, out, (n - rr + 1, lab2), c)
@@ -494,16 +476,10 @@ def _tensor_word_action(tensor_modules, m_triple, slot, q_triple):
     return {(n, lab2): c for lab2, c in tensor_modules[n].act_partial((r, d, word), slot, q_triple).items()}
 
 
-def bar_module(operad, arity_bound, eta=None, k_operad=None):
-    """The bar module B_R for R in {K, As, Com} (or explicit eta)."""
-    if eta is None:
-        if operad.name == "K":
-            eta = identity_morphism(operad)
-        else:
-            if k_operad is None:
-                k_operad = stasheff_operad(operad.field, operad.arity_bound())
-            eta = canonical_from_stasheff(operad, k_operad)
-    return BarModule(operad, eta, arity_bound)
+def bar_module(operad, arity_bound):
+    """B_R along R's canonical morphism from K; ValueError, before any
+    building, for an operad that names none."""
+    return BarModule(operad, operad.from_stasheff(), arity_bound)
 
 
 def sym_bar_comparison(bar_mod, algebra, weights, window):
@@ -568,14 +544,15 @@ def bar_extension_iso(bar_mod_r, psi, arity_bound, bar_mod_s=None):
     Both sides are computed independently; the collapse map, defined on
     the kept basis of the coequalizer, is checked to be a chain map and
     bijective in every arity.  Returns (extended, bar_mod_s, iso_blocks)
-    with iso_blocks[(r, d)] its matrix in arity r and degree d.
+    with iso_blocks[(r, d)] its matrix in arity r and degree d.  Raises
+    InvalidMorphism up front when psi is not an operad morphism.
     """
     f = bar_mod_r.field
-    s_op = psi.target
+    # extension() checks psi before it builds anything, so before B_S too
+    ext = extension(bar_mod_r.right_module, psi, arity_bound)
     if bar_mod_s is None:
-        eta_s = compose_morphisms(psi, bar_mod_r.eta)
-        bar_mod_s = BarModule(s_op, eta_s, arity_bound, check_eta=False)
-    ext = extension(bar_mod_r.right_module, psi, arity_bound, check_morphism=False)
+        # psi and eta_R are checked morphisms, so their composite needs no check
+        bar_mod_s = BarModule(psi.target, compose_morphisms(psi, bar_mod_r.eta), arity_bound, check_eta=False)
 
     def evaluate(letter, args):
         """psi of a suspended R-letter, desuspended, composed with its S-arguments."""
@@ -586,7 +563,7 @@ def bar_extension_iso(bar_mod_r, psi, arity_bound, bar_mod_s=None):
         """(bar word of R; s-word) -> bar words of S."""
         (_, _, (n, word_label)), (w_s, s_inner) = pure_label
         return routed_compose(
-            f, word_label, s_inner, evaluate, lambda word: (n, word), outer=(w_s, bar_mod_s.susp_sigma)
+            f, word_label, s_inner, evaluate, lambda word: (n, word), outer=(w_s, bar_mod_s.susp_module.sigma)
         )
 
     iso_blocks = {}

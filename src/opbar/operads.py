@@ -12,6 +12,10 @@ Solving d^2 = 0 through arity 6 leaves exactly two conventions up to a
 global sign; this one is additionally coherent with the suspended
 operators b_r = s . mu_r . (s^{-1})^{(x) r} of the bar coderivation,
 which the bar-module tests enforce.
+
+K, As and Com each name their canonical morphism from K
+(`from_stasheff`) and a Stasheff tree it sends to each basis element
+(`stasheff_lift`); every other operad refuses both by name.
 """
 
 from __future__ import annotations
@@ -98,6 +102,10 @@ class Operad:
         """
         raise ValueError("no evaluation rule for operad %r" % (self.name,))
 
+    def from_stasheff(self):
+        """The canonical morphism K -> self (only K, As and Com name one)."""
+        raise ValueError("operad %r (%s) has no canonical morphism from K" % (self.name, type(self).__name__))
+
 
 def _left_comb(labels):
     """The left comb ((l_1 l_2) l_3) ... of binary Stasheff vertices on the leaves `labels`."""
@@ -146,6 +154,9 @@ class AssociativeOperad(Operad):
     def stasheff_lift(self, triple):
         return _left_comb(triple[2])
 
+    def from_stasheff(self):
+        return eps_to_assoc(stasheff_operad(self.field, self.arity_bound()), self)
+
 
 class CommutativeOperad(Operad):
     """Com: the trivial representation in every arity, degree 0."""
@@ -162,6 +173,10 @@ class CommutativeOperad(Operad):
 
     def stasheff_lift(self, triple):
         return _left_comb(range(1, triple[0] + 1))
+
+    def from_stasheff(self):
+        as_op = associative_operad(self.field, self.arity_bound())
+        return compose_morphisms(alpha_to_com(as_op, self), as_op.from_stasheff())
 
 
 class FreeOperad(Operad):
@@ -381,6 +396,9 @@ class StasheffOperad(FreeOperad):
 
     def stasheff_lift(self, triple):
         return triple[2]
+
+    def from_stasheff(self):
+        return identity_morphism(self)
 
 
 def stasheff_operad(field, arity_bound):

@@ -2,6 +2,7 @@ import gc
 import hashlib
 import importlib
 import random
+import re
 import weakref
 from itertools import product
 from pathlib import Path
@@ -11,7 +12,7 @@ import pytest
 import opbar.modules
 import opbar.sigma
 from opbar import trees
-from opbar.bar import bar, bar_extension_iso, bar_module, shuffle_product, sym_bar_comparison
+from opbar.bar import BarModule, bar, bar_extension_iso, bar_module, shuffle_product, sym_bar_comparison
 from opbar.dg import DegreeWindow, DgModule, tensor as dg_tensor
 from opbar.errors import AlgebraCheckFailed, InvalidMorphism
 from opbar.fixtures import random_commutative_algebra, random_tensor_algebra
@@ -546,9 +547,8 @@ def test_restriction_identity_and_factoring():
     back.check_module(3)
 
 
-def test_invalid_morphism_rejected():
-    As = associative_operad(Q, 3)
-    Com = commutative_operad(Q, 3)
+def _bad_alpha(As, Com):
+    """As -> Com sending arity 2 to 2e: no operad morphism (2e o_1 2e = 4e, not 2e)."""
 
     def bad_rule(triple):
         n, d, label = triple
@@ -558,9 +558,24 @@ def test_invalid_morphism_rejected():
 
     from opbar.operads import OperadMorphism
 
-    bad = OperadMorphism(As, Com, bad_rule)
+    return OperadMorphism(As, Com, bad_rule)
+
+
+def test_invalid_morphism_rejected():
+    As = associative_operad(Q, 3)
+    Com = commutative_operad(Q, 3)
     with pytest.raises(InvalidMorphism):
-        extension(operad_right_module(As), bad, 3)
+        extension(operad_right_module(As), _bad_alpha(As, Com), 3)
+
+
+def test_bar_extension_iso_checks_psi_before_building_b_s(monkeypatch):
+    As = associative_operad(Q, 3)
+    Com = commutative_operad(Q, 3)
+    bm = bar_module(As, 3)
+    built = _count_inits(monkeypatch, BarModule)
+    with pytest.raises(InvalidMorphism):
+        bar_extension_iso(bm, _bad_alpha(As, Com), 3)
+    assert built == []
 
 
 def test_adjunction_dimension_count():
@@ -716,6 +731,79 @@ def _count_inits(monkeypatch, cls):
 
     monkeypatch.setattr(cls, "__init__", counted)
     return calls
+
+
+def _bar_module_parts(bm):
+    """Basis, differential entries and Sigma-action tables of B_R, and its right
+    action on every (m, slot, q) within the arity bound, in their stored order."""
+    operad, sigma = bm.operad, bm.right_module.sigma
+    parts = [(r, _module_parts(sigma.component(r))) for r in sigma.arities()]
+    parts += [(key, [(k, list(v.items())) for k, v in table.items()]) for key, table in sigma.actions.items()]
+    for r in sigma.arities():
+        for m in sigma.basis_triples(r):
+            for s in operad.sigma.arities():
+                if r + s - 1 > bm.arity_bound:
+                    continue
+                for q in operad.basis_triples(s):
+                    for slot in range(1, r + 1):
+                        parts.append((m, slot, q, list(bm.right_module.act_partial(m, slot, q).items())))
+    return parts
+
+
+# sha256 over `_bar_module_parts` of bar_module(R, n), taken from the build
+# that suspended the operad twice and kept two word spaces per weight
+BAR_MODULE_DIGESTS = {
+    "K/Q": "d769a91c6a0d4c5707d22ffbdd57bf518eede5d134af1c0577db70febcae4d3a",
+    "As/F2": "ffb96a4fa8e6adc7d7000a02605181fbeff3e53158f459267fd23c66ad78b223",
+    "Com/F2": "2fb80fd33ef4a71dc350162af39f645bfe4ba697b72a7aaeefd4f3b3c0de6e62",
+    "As/F3": "7223f060fc10d02569f970d9a11854134fcaef6a4ac44ae7b00c231e45c1e72e",
+    "Com/F3": "d3ec3ea8159b10f4fe962a2cf154adc47491217322fd878ea3aed59ec196a3cc",
+    "As/Q": "76863379950da731557b4804e05ba90090ae942ddf9023e15eeb754735e95e68",
+    "Com/Q": "fa2722a224015acf9db72f95ab5aa9f685dd5c7b71633e55efaa1185c7257f39",
+}
+
+
+def test_bar_module_is_pinned():
+    got = {"K/Q": _digest(_bar_module_parts(bar_module(stasheff_operad(Q, 4), 4)))}
+    for field in (F2, F3, Q):
+        got["As/%r" % field] = _digest(_bar_module_parts(bar_module(associative_operad(field, 3), 3)))
+        got["Com/%r" % field] = _digest(_bar_module_parts(bar_module(commutative_operad(field, 3), 3)))
+    assert got == BAR_MODULE_DIGESTS
+
+
+def _count_suspensions(monkeypatch):
+    calls = []
+    suspend = opbar.sigma.SigmaModule.suspend
+
+    def counted(self):
+        calls.append("suspend")
+        return suspend(self)
+
+    monkeypatch.setattr(opbar.sigma.SigmaModule, "suspend", counted)
+    return calls
+
+
+def test_bar_module_suspends_once_and_builds_one_word_space_per_weight(monkeypatch):
+    K = stasheff_operad(Q, 4)
+    words = _count_inits(monkeypatch, opbar.sigma.WordSpace)
+    suspensions = _count_suspensions(monkeypatch)
+    bar_module(K, 4)
+    assert len(words) == 4
+    assert len(suspensions) == 1
+
+
+def test_bar_module_refuses_an_operad_without_a_morphism_from_k(monkeypatch):
+    makers = (stasheff_operad, associative_operad, commutative_operad)
+    imported = [operad_from_json(operad_to_json(make(Q, 3))) for make in makers]
+    assert [op.name for op in imported] == ["K", "As", "Com"]
+    words = _count_inits(monkeypatch, opbar.sigma.WordSpace)
+    suspensions = _count_suspensions(monkeypatch)
+    for op in imported + [free_operad(Q, {2: [("m", 0)]}, 3)]:
+        named = "operad %r (%s) has no canonical morphism from K" % (op.name, type(op).__name__)
+        with pytest.raises(ValueError, match=re.escape(named)):
+            bar_module(op, 3)
+    # refused before any word space or suspension is built
+    assert words == [] and suspensions == []
 
 
 def test_each_coequalizer_builds_one_quotient_per_key(monkeypatch):
