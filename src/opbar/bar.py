@@ -344,7 +344,7 @@ def shuffle_product(bar_complex):
     return DgAlgebra(f, "comm", mod, {2: table}, name="B(%s)" % bar_complex.algebra.name)
 
 
-def iterated_bar(algebra, iterations, window, weight_bounds=None, check=True):
+def iterated_bar(algebra, iterations, window, weight_bounds=None):
     """B^n(A) for commutative A, re-equipped each round via shuffles.
 
     Inner windows are derived from the requested outer window; the
@@ -369,7 +369,7 @@ def iterated_bar(algebra, iterations, window, weight_bounds=None, check=True):
     complexes = []
     for level in range(iterations):
         wb = None if weight_bounds is None else weight_bounds[level]
-        b = bar(cur, windows[level], wb, check=check and level == 0)
+        b = bar(cur, windows[level], wb, check=level == 0)
         complexes.append(b)
         if level < iterations - 1:
             cur = shuffle_product(b)

@@ -6,9 +6,15 @@ non-unital commutative algebras the coproduct has the closed form
     A v B = A (+) B (+) A (x) B,
 
 so level n is the direct sum over nonempty subsets S of {1..n} of the
-tensor products A^{(x)S}.  Outer faces kill index 1 (resp. n), inner
-faces fold neighbours through the codiagonal (= the product on the
-overlap), degeneracies reindex past an inserted zero slot.
+tensor products A^{(x)S}.  One index rule gives every face and
+degeneracy: d_i keeps the indices up to i and moves those past it down
+one, dropping index 1 under d_0 and index n under d_n, and s_j moves the
+indices past j up one.  On C(A) a dropped slot kills the word and the
+two slots an inner face sends to one index fold through the product
+(the codiagonal); on the module version C_R the colors are renamed the
+same way.  `SimplicialDgModule.from_maps` is the one loop that builds
+the maps of every level, and C(A) and C_R always check the simplicial
+identities.
 
 Normalized chains are the quotient by degeneracy images with a
 deterministic complement; the total differential is
@@ -56,6 +62,14 @@ class SimplicialDgModule:
         self.dimension_bound = dimension_bound
         if check:
             self.check_identities()
+
+    @classmethod
+    def from_maps(cls, field, levels, bound, face, degeneracy, check=True):
+        """The object whose d_i and s_j out of level n are face(n, i) and
+        degeneracy(n, j), for every level up to `bound`."""
+        faces = {(n, i): face(n, i) for n in range(1, bound + 1) for i in range(n + 1)}
+        degeneracies = {(n, j): degeneracy(n, j) for n in range(bound) for j in range(n + 1)}
+        return cls(field, levels, faces, degeneracies, bound, check=check)
 
     def level(self, n):
         mod = self.levels.get(n)
@@ -256,72 +270,63 @@ def _coproduct_product(field, algebras, left, right):
 # the simplicial categorical bar ------------------------------------------------
 
 
-def simplicial_categorical_bar(algebra, dimension_bound, check=True):
+def simplicial_categorical_bar(algebra, dimension_bound):
     """C(A)_n = A^{v n} with fold faces and zero-insertion degeneracies."""
     if not algebra.is_commutative_kind():
         raise NotCommutative("the categorical bar needs a commutative algebra")
     field = algebra.field
     levels = {0: DgModule.zero(field)}
-    for n in range(1, dimension_bound + 1):
-        levels[n], _ = _coproduct_module([algebra] * n)
-    faces = {}
-    degeneracies = {}
-    for n in range(1, dimension_bound + 1):
-        for i in range(n + 1):
-            faces[(n, i)] = _cat_face(field, algebra, levels, n, i)
-    for n in range(0, dimension_bound):
-        for j in range(n + 1):
-            degeneracies[(n, j)] = _cat_degeneracy(field, levels, n, j)
-    return SimplicialDgModule(field, levels, faces, degeneracies, dimension_bound, check=check)
+    levels.update((n, _coproduct_module([algebra] * n)[0]) for n in range(1, dimension_bound + 1))
+    return SimplicialDgModule.from_maps(
+        field,
+        levels,
+        dimension_bound,
+        lambda n, i: _slot_map(algebra, levels[n], levels[n - 1], _face_index(n, i)),
+        lambda n, j: _slot_map(algebra, levels[n], levels[n + 1], _degeneracy_index(j)),
+    )
 
 
-def _cat_face(field, algebra, levels, n, i):
-    src = levels[n]
-    dst = levels.get(n - 1)
+def _face_index(n, i):
+    """Where d_i sends an index of 1..n; None where an outer face drops it."""
 
-    def rule(d, label):
-        S, w = label
-        if i == 0:
-            if 1 in S:
-                return {}
-            S2 = tuple(x - 1 for x in S)
-            return {(S2, w): field.one()}
-        if i == n:
-            if n in S:
-                return {}
-            return {(S, w): field.one()}
-        # fold i, i+1
-        if i in S and (i + 1) in S:
-            j = S.index(i)
-            (d1, l1), (d2, l2) = w[j], w[j + 1]
-            prod = algebra.op_apply(2, (l1, l2))
-            S2 = tuple(x if x <= i else x - 1 for x in S if x != i + 1)
-            out = {}
-            for l3, c in prod.items():
-                w2 = w[:j] + ((d1 + d2, l3),) + w[j + 2 :]
-                combo_add(field, out, (S2, w2), c)
-            return out
-        S2 = tuple(x if x <= i else x - 1 for x in S)
-        return {(S2, w): field.one()}
+    def index(x):
+        y = x if x <= i else x - 1
+        return y if 1 <= y < n else None
 
-    return DgMap.from_rule(src, dst, 0, rule)
+    return index
 
 
-def _cat_degeneracy(field, levels, n, j):
-    src = levels[n] if n >= 1 else DgModule.zero(field)
-    dst = levels[n + 1]
+def _degeneracy_index(j):
+    """Where s_j sends an index: the indices past j move up one."""
+    return lambda x: x if x <= j else x + 1
+
+
+def _slot_map(algebra, src, dst, index):
+    """The level map of C(A) sending each slot of (S, word) through `index`:
+    a dropped slot kills the word, two slots on one index fold through mu_2."""
+    field = algebra.field
 
     def rule(d, label):
         S, w = label
-        return {(_insert_slots(S, (j,)), w): field.one()}
+        T = tuple(index(x) for x in S)
+        if None in T:
+            return {}
+        for j in range(len(T) - 1):
+            if T[j] == T[j + 1]:
+                (d1, l1), (d2, l2) = w[j], w[j + 1]
+                out = {}
+                for l3, c in algebra.op_apply(2, (l1, l2)).items():
+                    combo_add(field, out, (T[: j + 1] + T[j + 2 :], w[:j] + ((d1 + d2, l3),) + w[j + 2 :]), c)
+                return out
+        return {(T, w): field.one()}
 
     return DgMap.from_rule(src, dst, 0, rule)
 
 
 def _insert_slots(S, indices):
-    """s_j for each j of `indices` in turn on a subset S of {1..n}: the indices past j move up."""
+    """s_j for each j of `indices` in turn on a subset S of {1..n}."""
     for j in indices:
-        S = tuple(x if x <= j else x + 1 for x in S)
+        S = tuple(map(_degeneracy_index(j), S))
     return S
 
 
@@ -333,17 +338,14 @@ def tensor_simplicial(c, d, dimension_bound=None):
     bound = dimension_bound or min(c.dimension_bound, d.dimension_bound)
     field = c.field
     levels = {n: dg_tensor(c.level(n), d.level(n)) for n in range(bound + 1)}
-    faces = {}
-    degeneracies = {}
-    for n in range(1, bound + 1):
-        for i in range(n + 1):
-            faces[(n, i)] = _tensor_map(field, levels[n], levels[n - 1], c.face(n, i), d.face(n, i))
-    for n in range(0, bound):
-        for j in range(n + 1):
-            degeneracies[(n, j)] = _tensor_map(
-                field, levels[n], levels[n + 1], c.degeneracy(n, j), d.degeneracy(n, j)
-            )
-    return SimplicialDgModule(field, levels, faces, degeneracies, bound, check=False)
+    return SimplicialDgModule.from_maps(
+        field,
+        levels,
+        bound,
+        lambda n, i: _tensor_map(field, levels[n], levels[n - 1], c.face(n, i), d.face(n, i)),
+        lambda n, j: _tensor_map(field, levels[n], levels[n + 1], c.degeneracy(n, j), d.degeneracy(n, j)),
+        check=False,
+    )
 
 
 def _tensor_map(field, src, dst, f_map, g_map):
@@ -436,10 +438,10 @@ def _shuffle_sum(field, p, q, qy, term):
 class CategoricalBar:
     """C(A) = N(C(A)) with the Eilenberg-Mac Lane product."""
 
-    def __init__(self, algebra, dimension_bound, check=True):
+    def __init__(self, algebra, dimension_bound):
         self.algebra = algebra
         self.field = algebra.field
-        self.simplicial = simplicial_categorical_bar(algebra, dimension_bound, check=check)
+        self.simplicial = simplicial_categorical_bar(algebra, dimension_bound)
         self.normalized = NormalizedComplex(self.simplicial)
         self.module = self.normalized.module
         self.dimension_bound = dimension_bound
@@ -489,12 +491,13 @@ class CategoricalBarModule:
     """C_R: normalized chains of the simplicial module R(I^{(+) n}).
 
     Level n is the free R-algebra on n arity-one generators ("colors"),
-    materialized through the composition product; faces fold or kill
-    colors, degeneracies reindex past an inserted color.  Levels are
+    materialized through the composition product; a face or degeneracy
+    recolors through the index rule of the algebra's slots (a dropped
+    color kills, two colors may merge) and projects.  Levels are
     normalized arity by arity.
     """
 
-    def __init__(self, operad, arity_bound, dimension_bound, check=True):
+    def __init__(self, operad, arity_bound, dimension_bound):
         self.operad = operad
         self.field = operad.field
         self.arity_bound = arity_bound
@@ -507,84 +510,49 @@ class CategoricalBarModule:
             )
             self.levels[n] = compose(operad.sigma, colors, arity_bound)
         self.normalized = {}
-        self._normalize(check)
-
-    def _color_map(self, pure_label, mapping):
-        """Relabel colors by mapping (None kills); pure -> pure or None."""
-        (k, dm, lm), (w, inner) = pure_label
-        new_inner = []
-        for (a, d, (tag, j)) in inner:
-            out = mapping.get(j)
-            if out is None:
-                return None
-            new_inner.append((a, d, ("c", out)))
-        return ((k, dm, lm), (w, tuple(new_inner)))
-
-    def _face_map(self, n, i):
-        """d_i on pure labels of level n, valued in level n-1 classes."""
-        if i == 0:
-            mapping = {j: (j - 1 if j > 1 else None) for j in range(1, n + 1)}
-        elif i == n:
-            mapping = {j: (j if j < n else None) for j in range(1, n + 1)}
-        else:
-            mapping = {j: (j if j <= i else j - 1) for j in range(1, n + 1)}
-        return mapping
-
-    def _degeneracy_map(self, n, j):
-        return {k: (k if k <= j else k + 1) for k in range(1, n + 1)}
-
-    def _normalize(self, check):
-        f = self.field
-        for r in range(1, self.arity_bound + 1):
-            levels = {0: DgModule.zero(f)}
-            for n in range(1, self.dimension_bound + 1):
-                levels[n] = self.levels[n].sigma.component(r)
-            faces = {}
-            degeneracies = {}
-            for n in range(1, self.dimension_bound + 1):
-                for i in range(n + 1):
-                    mapping = self._face_map(n, i)
-                    faces[(n, i)] = self._induced(r, n, n - 1, mapping)
-            for n in range(0, self.dimension_bound):
-                for j in range(n + 1):
-                    mapping = self._degeneracy_map(n, j)
-                    degeneracies[(n, j)] = self._induced(r, n, n + 1, mapping)
-            sx = SimplicialDgModule(f, levels, faces, degeneracies, self.dimension_bound, check=check)
+        for r in range(1, arity_bound + 1):
+            components = {0: DgModule.zero(f), **{n: level.sigma.component(r) for n, level in self.levels.items()}}
+            sx = SimplicialDgModule.from_maps(
+                f,
+                components,
+                dimension_bound,
+                lambda n, i: self._recolor(r, components, n, n - 1, _face_index(n, i)),
+                lambda n, j: self._recolor(r, components, n, n + 1, _degeneracy_index(j)),
+            )
             self.normalized[r] = NormalizedComplex(sx)
 
-    def _induced(self, r, n_src, n_dst, mapping):
+    def _recolor(self, r, components, n, m, index):
+        """The arity-r map level n -> level m recoloring x as index(x) (None kills)."""
         f = self.field
-        src = self.levels[n_src].sigma.component(r) if n_src >= 1 else DgModule.zero(f)
-        dst = self.levels[n_dst].sigma.component(r) if n_dst >= 1 else DgModule.zero(f)
-        if n_src < 1 or n_dst < 1:
-            return DgMap(src, dst, 0, {})
 
         def rule(d, label):
-            moved = self._color_map(label, mapping)
-            if moved is None:
-                return {}
-            return self.levels[n_dst].project(r, d, {moved: f.one()})
+            op, (w, inner) = label
+            recolored = []
+            for a, deg, (_, x) in inner:
+                y = index(x)
+                if y is None:
+                    return {}
+                recolored.append((a, deg, ("c", y)))
+            return self.levels[m].project(r, d, {(op, (w, tuple(recolored))): f.one()})
 
-        return DgMap.from_rule(src, dst, 0, rule)
+        return DgMap.from_rule(components[n], components[m], 0, rule)
 
     def level_dims(self, n):
         return self.levels[n].sigma.dims()
 
     def degeneracies_split_injective(self):
         """Every s_j is injective levelwise (free on a summand inclusion)."""
-        for r in range(1, self.arity_bound + 1):
-            for n in range(1, self.dimension_bound):
-                src = self.levels[n].sigma.component(r)
-                for j in range(n + 1):
-                    m = self._induced(r, n, n + 1, self._degeneracy_map(n, j))
-                    for d in src.degrees():
-                        if rank(m.block(d)) != src.dim(d):
-                            return False
-        return True
+        return all(
+            rank(sx.degeneracy(n, j).block(d)) == sx.level(n).dim(d)
+            for sx in (normalized.simplicial for normalized in self.normalized.values())
+            for n in range(1, self.dimension_bound)
+            for j in range(n + 1)
+            for d in sx.level(n).degrees()
+        )
 
 
-def categorical_bar_module(operad, arity_bound, dimension_bound, check=True):
-    return CategoricalBarModule(operad, arity_bound, dimension_bound, check=check)
+def categorical_bar_module(operad, arity_bound, dimension_bound):
+    return CategoricalBarModule(operad, arity_bound, dimension_bound)
 
 
 def cat_bar_module_vs_bar_module(cat_mod, bar_mod):

@@ -124,10 +124,8 @@ def cmd_cochains(args):
     data = load_json(args.input)
     field = parse_field_flag(args.field) if args.field is not None else CoeffField.prime(2)
     space = simplicial_set_from_json(data)
-    cochains = normalized_cochains(space, field)
-    algebra = cochains.algebra()
     if not args.bar:
-        out = algebra_to_json(algebra)
+        out = algebra_to_json(normalized_cochains(space, field).algebra())
         text = dump_json(out, args.output)
         if not args.output:
             print(text)

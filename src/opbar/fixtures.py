@@ -151,7 +151,7 @@ def _generator_diff(field, deg, diff_pairs):
 # random Sigma-modules ----------------------------------------------------------
 
 
-def random_sigma_module(field, seed, arity_bound=4, allow_signs=True):
+def random_sigma_module(field, seed, arity_bound=4):
     """Seeded Sigma-module: direct sums of trivial, sign and regular orbits.
 
     Returns (SigmaModule, description) where description records per
@@ -159,7 +159,7 @@ def random_sigma_module(field, seed, arity_bound=4, allow_signs=True):
     relations hold by construction.
     """
     rng = random.Random(seed)
-    kinds = ["trivial", "regular"] + (["sign"] if allow_signs else [])
+    kinds = ["trivial", "regular", "sign"]
     components = {}
     actions = {}
     description = {}

@@ -178,11 +178,11 @@ def simplicial_set_from_json(data):
 # built-in models ----------------------------------------------------------------
 
 
-def minimal_sphere(n, point="pt", cell="sigma"):
-    """S^n with one vertex and one nondegenerate n-simplex."""
+def minimal_sphere(n):
+    """S^n with one vertex "pt" and one nondegenerate n-simplex "sigma"."""
     word = tuple(range(n - 2, -1, -1))
-    faces = [(word, point) for _ in range(n + 1)]
-    return FiniteSimplicialSet({point: 0, cell: n}, {cell: faces}, point)
+    faces = [(word, "pt") for _ in range(n + 1)]
+    return FiniteSimplicialSet({"pt": 0, "sigma": n}, {"sigma": faces}, "pt")
 
 
 def boundary_of_simplex(n):

@@ -375,16 +375,10 @@ def suite_em(seed=5):
 
 
 def _constant_simplicial(field, module, bound):
-    levels = {n: module for n in range(bound + 1)}
-    faces = {}
-    degeneracies = {}
-    for n in range(1, bound + 1):
-        for i in range(n + 1):
-            faces[(n, i)] = DgMap.identity(module)
-    for n in range(0, bound):
-        for j in range(n + 1):
-            degeneracies[(n, j)] = DgMap.identity(module)
-    return SimplicialDgModule(field, levels, faces, degeneracies, bound)
+    def identity(n, k):
+        return DgMap.identity(module)
+
+    return SimplicialDgModule.from_maps(field, {n: module for n in range(bound + 1)}, bound, identity, identity)
 
 
 def suite_compose_oracle(seed=11, count=20, arity=4):

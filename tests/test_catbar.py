@@ -66,7 +66,7 @@ def test_coproduct_dims_and_zero():
 
 def test_simplicial_identities_on_categorical_bar():
     alg = two_dim_fixture(Q)
-    simplicial_categorical_bar(alg, 3)  # check=True verifies all identities
+    simplicial_categorical_bar(alg, 3)  # raises SimplicialIdentityViolation on any failed identity
 
 
 def test_inner_face_is_product():
@@ -110,6 +110,65 @@ def test_simplicial_identity_violation_detected():
     degeneracies = {(n, j): ident for n in range(2) for j in range(n + 1)}
     with pytest.raises(SimplicialIdentityViolation):
         SimplicialDgModule(Q, levels, faces, degeneracies, 2)
+
+
+def _then(*maps):
+    """The composite of index maps, the last applied first; None propagates."""
+
+    def composite(x):
+        for m in reversed(maps):
+            if x is None:
+                return None
+            x = m(x)
+        return x
+
+    return composite
+
+
+def test_index_rule_satisfies_the_simplicial_identities():
+    d, s = catbar._face_index, catbar._degeneracy_index
+    checked = 0
+    for n in range(7):
+
+        def agree(f, g):
+            return [f(x) for x in range(1, n + 1)] == [g(x) for x in range(1, n + 1)]
+
+        for j in range(n + 1):  # d_i d_j = d_{j-1} d_i out of level n, i < j
+            for i in range(j):
+                assert agree(_then(d(n - 1, i), d(n, j)), _then(d(n - 1, j - 1), d(n, i))), (n, i, j)
+                checked += 1
+        for j in range(n + 1):  # d_i s_j out of level n
+            for i in range(n + 2):
+                if i < j:
+                    rhs = _then(s(j - 1), d(n, i))
+                elif i in (j, j + 1):
+                    rhs = _then()
+                else:
+                    rhs = _then(s(j), d(n, i - 1))
+                assert agree(_then(d(n + 1, i), s(j)), rhs), (n, i, j)
+                checked += 1
+        for j in range(n + 1):  # s_i s_j = s_{j+1} s_i out of level n, i <= j
+            for i in range(j + 1):
+                assert agree(_then(s(i), s(j)), _then(s(j + 1), s(i))), (n, i, j)
+                checked += 1
+    assert checked == 308
+    # the outer faces drop an index, an inner face sends i and i+1 to i
+    assert [d(3, 0)(x) for x in (1, 2, 3)] == [None, 1, 2]
+    assert [d(3, 3)(x) for x in (1, 2, 3)] == [1, 2, None]
+    assert [d(3, 1)(x) for x in (1, 2, 3)] == [1, 1, 2]
+
+
+def test_a_face_rule_that_breaks_an_identity_is_refused(monkeypatch):
+    face_index = catbar._face_index
+
+    def broken(n, i):  # d_0 out of level 2 acts as d_1
+        return face_index(n, 1 if (n, i) == (2, 0) else i)
+
+    monkeypatch.setattr(catbar, "_face_index", broken)
+    with pytest.raises(SimplicialIdentityViolation, match="d_0 d_1 at level 3"):
+        simplicial_categorical_bar(two_dim_fixture(Q), 3)
+    with pytest.raises(SimplicialIdentityViolation, match="d_0 d_1 at level 3"):
+        categorical_bar_module(commutative_operad(Q, 2), 2, 3)
 
 
 def test_simplicial_circle_homology():

@@ -1,4 +1,5 @@
-"""Every name a `src/opbar` module imports is used in that module.
+"""Every name a `src/opbar` module imports is used in that module, and
+every private definition is used somewhere in the package.
 
 An import left behind by a refactor costs load time in every process and
 hides which modules really depend on each other.  The check reads each
@@ -6,6 +7,10 @@ module with the stdlib `ast` module: a name counts as used when it is
 read anywhere in the module (a function-local import included), and a
 name listed in the module's `__all__` counts as used, so the package's
 re-exports pass.
+
+A private function, class or method (one underscore, not a dunder) is
+not part of the API, so one that no module of the package refers to, by
+name or as an attribute, is a dead helper.
 """
 
 import ast
@@ -43,3 +48,33 @@ def test_the_check_flags_an_unused_import():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_every_import_is_used(path):
     assert unused_imports(path.read_text()) == []
+
+
+def unreferenced_private_definitions(sources):
+    """The private functions, classes and methods defined in `sources`
+    (path -> source) that none of them refers to, as (path, line, name)."""
+    defined = []
+    referenced = set()
+    for path, source in sources.items():
+        for node in ast.walk(ast.parse(source)):
+            if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                if node.name.startswith("_") and not node.name.startswith("__"):
+                    defined.append((path, node.lineno, node.name))
+            elif isinstance(node, ast.Name):
+                referenced.add(node.id)
+            elif isinstance(node, ast.Attribute):
+                referenced.add(node.attr)
+    return [d for d in defined if d[2] not in referenced]
+
+
+def test_the_check_flags_an_unreferenced_private_definition():
+    sources = {
+        "a.py": "def _used():\n    pass\ndef _dead():\n    pass\nclass _Dead:\n    def _method(self):\n        pass\n",
+        "b.py": "from .a import _used\n_used()\nx._method()\ndef __dunder__():\n    pass\n",
+    }
+    assert unreferenced_private_definitions(sources) == [("a.py", 3, "_dead"), ("a.py", 5, "_Dead")]
+
+
+def test_every_private_definition_is_referenced():
+    sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
+    assert unreferenced_private_definitions(sources) == []

@@ -140,6 +140,37 @@ def test_cli_cochains_loop_table(tmp_path):
     assert report["provenance"]["exact_in_window"] is True
 
 
+@pytest.mark.parametrize(
+    "argv, code, stderr, builds",
+    [
+        (["--field", "F2", "--max-degree", "8"], 0, "", 1),
+        (
+            ["--max-degree", "4", "--iterations", "2"],
+            2,
+            "error: NotCommutative: the iterated bar of a cochain algebra needs a strictly commutative model; "
+            "supply one as a commutative algebra instead\n",
+            0,
+        ),
+    ],
+    ids=["bar", "iterations-2"],
+)
+def test_cli_cochains_bar_builds_the_cochain_algebra_at_most_once(monkeypatch, capsys, argv, code, stderr, builds):
+    from opbar import simplicial
+    from opbar.cli import main
+
+    built = []
+    build = simplicial.CochainAlgebra._build
+
+    def counting(self):
+        built.append(self)
+        build(self)
+
+    monkeypatch.setattr(simplicial.CochainAlgebra, "_build", counting)
+    assert main(["cochains", "--input", str(DATA / "s2_minimal.json"), "--bar", *argv]) == code
+    assert capsys.readouterr().err == stderr
+    assert len(built) == builds
+
+
 def test_cli_cochains_export_trivial_cohomology():
     r = run_cli("cochains", "--input", "data/delta1.json", "--field", "Q")
     assert r.returncode == 0
