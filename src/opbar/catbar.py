@@ -43,7 +43,6 @@ from .bar import bar, shuffle_word_product, sound_weight_bound
 from .dg import DegreeWindow, DgMap, DgModule, koszul_diff, tensor as dg_tensor
 from .errors import FieldMismatch, NotCommutative, SimplicialIdentityViolation
 from .linalg import Quotient, SparseMatrix, combo_add, combo_map, rank
-from .modules import DgAlgebra
 from .sigma import SigmaModule, compose
 
 
@@ -188,27 +187,6 @@ def normalize(simplicial):
 
 
 # coproducts of commutative algebras -------------------------------------------
-
-
-def coproduct_algebra(algebras):
-    """The coproduct A_1 v ... v A_n of non-unital commutative algebras.
-
-    Carrier basis: (S, word) for nonempty S = (i_1 < ... < i_k) and
-    word a tuple of (degree, label) letters, letter j from A_{i_j}.
-    Returns (DgAlgebra, injections) where injections[i] maps A_i basis
-    labels into the coproduct.
-    """
-    module, labels = _coproduct_module(algebras)
-    field = module.field
-    table = {}
-    for left in labels:
-        for right in labels:
-            out = _coproduct_product(field, algebras, left, right)
-            if out:
-                table[(left, right)] = out
-    alg = DgAlgebra(field, "comm", module, {2: table}, name="v".join(a.name for a in algebras))
-    injections = [lambda lab, d, i=i: ((i,), (((d, lab)),)) for i in range(1, len(algebras) + 1)]
-    return alg, injections
 
 
 def _coproduct_module(algebras):

@@ -30,7 +30,8 @@ default, which pins the conventions in practice; `tensor`,
 `suspension`, `direct_sum` and the word spaces of `sigma.py` build
 with check=False.  A module records that its check passed, so d^2 = 0
 is checked once per module: `homology` re-checks only the blocks of
-modules built unchecked.
+modules built unchecked, and clears (see `_cleared_ranks`) only the
+blocks of modules whose check passed.
 """
 
 from __future__ import annotations
@@ -436,20 +437,50 @@ def homology(a, window=None):
 
     With `window` given, degrees are restricted to it; the module is
     zero outside its basis support, so boundary degrees are exact too.
+
+    A module whose d^2 = 0 was checked is ranked by clearing (`_cleared_ranks`);
+    any other module ranks each block on its own, and `homology_dimension`
+    checks d^2 = 0 on each pair of blocks it reads.
     """
-    out = {}
     w = a.window()
     if w is None:
         return {d: 0 for d in window} if window else {}
     degrees = list(window) if window is not None else list(w)
+    if a.d_squared_checked:
+        ranks = _cleared_ranks(a, degrees[0], degrees[-1])
+        return {d: a.dim(d) - ranks[d] - ranks[d + 1] for d in degrees}
+    out = {}
     ranks = {}  # each block borders two degrees; rank it once
     for d in degrees:
         for k in (d, d + 1):
             if k not in ranks:
                 block = a.diff_block(k)
                 ranks[k] = rank(block) if block.entries else 0
-        if a.d_squared_checked:
-            out[d] = a.dim(d) - ranks[d] - ranks[d + 1]
-        else:
-            out[d] = homology_dimension(a.diff_block(d + 1), a.diff_block(d), ranks[d + 1], ranks[d])
+        out[d] = homology_dimension(a.diff_block(d + 1), a.diff_block(d), ranks[d + 1], ranks[d])
     return out
+
+
+def _cleared_ranks(a, lo, hi):
+    """{k: rank d_k} for lo <= k <= hi + 1, by clearing; needs d^2 = 0.
+
+    The blocks are ranked in sequence, each by one `rank` call, starting
+    from the end whose first block feeds fewer vectors.  Going up
+    (dim C_{lo-1} <= dim C_{hi+1}) the rows are eliminated, and the rows
+    of d_k at the pivot columns of d_{k-1} are skipped; going down the
+    columns are, and the columns of d_k at the pivot rows of d_{k+1} are
+    skipped.  Why no rank changes, going up (down is the transpose): an
+    echelon row v of d_{k-1} is a combination of its rows with lowest
+    entry at its pivot c, and v d_k = 0 since d_{k-1} d_k = 0, so row c
+    of d_k lies in the span of the rows past c.  By induction from the
+    highest pivot down, every skipped row lies in the span of the rows
+    fed.  After clearing, only homology classes reduce to zero.
+    """
+    up = a.dim(lo - 1) <= a.dim(hi + 1)
+    cleared = set()
+    ranks = {}
+    for k in range(lo, hi + 2) if up else range(hi + 1, lo - 1, -1):
+        block = a.diff_block(k)
+        pivots = set()
+        ranks[k] = rank(block, skip=cleared, columns=not up, pivots=pivots) if block.entries else 0
+        cleared = pivots
+    return ranks

@@ -15,7 +15,11 @@ Elimination uses a fixed pivot order (rows fed lowest first, each
 reduced lowest column first) so kernels, solutions and quotient bases
 are reproducible bit-for-bit across runs.  `rank` alone feeds the rows
 last first: a count does not depend on pivot order, and on bar
-differentials that order leaves far less fill-in.  The eliminations
+differentials that order leaves far less fill-in.  `rank` is also the
+one step of clearing (`dg.homology`): it can feed the columns instead,
+skip the rows or columns that the previous differential's pivots show
+to lie in the span of the rest (sound only where d^2 = 0), never
+building them, and hand its own pivots on to the next.  The eliminations
 that hand out a basis or pivot order (`rref`, `kernel_basis`, `solve`,
 `quotient_data` and the homotopy retract) keep lowest row first.  Every
 elimination runs through one `Echelon`, whose row representation
@@ -326,10 +330,18 @@ class SparseMatrix:
         if same and (self.rows != other.rows or self.cols != other.cols):
             raise ValueError("shape mismatch")
 
-    def to_rows(self):
+    def to_rows(self, skip=(), columns=False):
+        """{row: {col: scalar}} over the nonzero rows not in `skip`; with
+        `columns`, {col: {row: scalar}} over the nonzero columns not in `skip`."""
         rows = {}
-        for (i, j), v in self.entries.items():
-            rows.setdefault(i, {})[j] = v
+        if columns:
+            for (j, i), v in self.entries.items():
+                if i not in skip:
+                    rows.setdefault(i, {})[j] = v
+        else:
+            for (i, j), v in self.entries.items():
+                if i not in skip:
+                    rows.setdefault(i, {})[j] = v
         return rows
 
     def __repr__(self):
@@ -583,11 +595,13 @@ def echelon(field):
     return _FpEchelon(field.p)
 
 
-def _matrix_echelon(m, target=None, last_first=False):
+def _matrix_echelon(m, target=None, last_first=False, skip=(), columns=False):
     """Echelon of the nonzero rows of a SparseMatrix, fed lowest row first
     (highest first with `last_first`); with `target` ({row: scalar}), of
-    the augmented matrix [m | target]."""
-    rows = m.to_rows()
+    the augmented matrix [m | target].  With `columns`, of its columns
+    (the rows of the transpose).  The rows (columns) indexed in `skip`
+    are neither built nor fed."""
+    rows = m.to_rows(skip, columns)
     for i, t in (target or {}).items():
         rows.setdefault(i, {})[m.cols] = t
     e = echelon(m.field)
@@ -605,13 +619,26 @@ def rref(m):
     return _matrix_echelon(m).rref()
 
 
-def rank(m):
+def rank(m, skip=(), columns=False, pivots=None):
     """Rank over the field, by deterministic Gaussian elimination.
 
     The rows are fed last first: a count does not depend on pivot order,
-    and on bar differentials this order leaves far less fill-in.
+    and on bar differentials this order leaves far less fill-in.  With
+    `columns` the columns are fed instead, last first.
+
+    Clearing: the rows (columns) indexed in `skip` are never built or
+    fed, so the result is the rank only if each of them lies in the span
+    of the others.  `pivots`, a set, receives the pivot of every echelon
+    vector: the lowest column of each reduced row (the lowest row of each
+    reduced column).  Where d_{k-1} d_k = 0, the rows of d_k at the pivot
+    columns of d_{k-1} are such rows, and the columns of d_{k-1} at the
+    pivot rows of d_k (fed by columns) are such columns; `dg.homology`
+    hands them on from one block to the next.
     """
-    return len(_matrix_echelon(m, last_first=True))
+    e = _matrix_echelon(m, last_first=True, skip=skip, columns=columns)
+    if pivots is not None:
+        pivots.update(e.pivots)
+    return len(e)
 
 
 def kernel_basis(m):

@@ -50,12 +50,31 @@ class RightModule:
         self.operad = operad
         self.action_fn = action_fn
         self.name = name
+        self._collapsed = {}  # (m, R-word) -> collapse(m, R-word)
 
     def act_partial(self, m_triple, slot, q_triple):
         return self.action_fn(m_triple, slot, q_triple)
 
     def gamma(self, m_triple, args):
         return gamma_partial(self.field, self.act_partial, m_triple, args)
+
+    def collapse(self, m_triple, word):
+        """Collapse the operad layer `word` (an R-word label) into m by the
+        right action, as a combo over M(b): the d0 of a coequalizer.
+
+        Memoised on the module, since every coequalizer built on it
+        collapses the same pairs; callers only read the combo.
+        """
+        key = (m_triple, word)
+        out = self._collapsed.get(key)
+        if out is None:
+            w_r, inner = word
+            b = sum(t[0] for t in inner)
+            dmb = m_triple[1] + sum(t[1] for t in inner)
+            composed = {lab: c for (_, _, lab), c in self.gamma(m_triple, list(inner)).items()}
+            acted = self.sigma.act_perm_combo(b, w_r, dmb, composed)
+            out = self._collapsed[key] = {(b, dmb, lab): c for lab, c in acted.items()}
+        return out
 
     def component(self, n):
         return self.sigma.component(n)
@@ -462,25 +481,16 @@ def sym_apply(sigma, algebra_module, weights):
     return SymPresentation(sigma, algebra_module, weights)
 
 
-def _d0(right_module, m_triple, word):
-    """Collapse the operad layer `word` into m by the right action, as a combo over M(b)."""
-    w_r, inner = word
-    b = sum(t[0] for t in inner)
-    dmb = m_triple[1] + sum(t[1] for t in inner)
-    composed = {lab: c for (_, _, lab), c in right_module.gamma(m_triple, list(inner)).items()}
-    acted = right_module.sigma.act_perm_combo(b, w_r, dmb, composed)
-    return {(b, dmb, lab): c for lab, c in acted.items()}
-
-
 def _d0_d1_relations(coeq, right_module, r_sigma, r_bound, evaluate):
     """d0 - d1 on every pure three-level word (m; R-word; tail), keyed as in `coeq`.
 
     The coequalizer arrows of Sym_R(M, A) and M o_R S: d0 collapses the
-    R-word into m by the right action, d1 = `evaluate(R-word, tail)`
-    evaluates it on the tail (a combo over tails).  The R-words come from
-    one word space per factor count n and the tails from `coeq.tail(b)`.
-    d0 runs once per (m; R-word) and is dropped with its R-word; d1 runs
-    once per (R-word; tail), and m enters its terms only as the label.
+    R-word into m by the right action (`RightModule.collapse`), d1 =
+    `evaluate(R-word, tail)` evaluates it on the tail (a combo over
+    tails).  The R-words come from one word space per factor count n and
+    the tails from `coeq.tail(b)`.  d0 runs once per (m; R-word) on each
+    right module, memoised there across coequalizers; d1 runs once per
+    (R-word; tail), and m enters its terms only as the label.
     """
     f = coeq.field
     relations = {}
@@ -490,7 +500,7 @@ def _d0_d1_relations(coeq, right_module, r_sigma, r_bound, evaluate):
         for b in range(n, r_bound + 1):
             tails = coeq.tail(b)
             for dr, lr in r_words.component(b).basis_pairs():
-                collapsed = [(m, _d0(right_module, m, lr)) for m in m_triples]
+                collapsed = [(m, right_module.collapse(m, lr)) for m in m_triples]
                 for r in coeq.tail_arities:
                     for dt, t in tails.component(r).basis_pairs():
                         evaluated = evaluate(lr, t)

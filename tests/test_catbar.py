@@ -9,10 +9,11 @@ from opbar.catbar import (
     CategoricalBar,
     NormalizedComplex,
     SimplicialDgModule,
+    _coproduct_module,
+    _coproduct_product,
     bar_cat_comparison,
     cat_bar_module_vs_bar_module,
     categorical_bar_module,
-    coproduct_algebra,
     eilenberg_maclane,
     normalize,
     simplicial_categorical_bar,
@@ -45,6 +46,29 @@ def trunc(field):
         {2: {("x", "x"): {"x2": field.one()}}},
         name="trunc",
     )
+
+
+def coproduct_algebra(algebras):
+    """The coproduct A_1 v ... v A_n of non-unital commutative algebras,
+    with its whole product table: the oracle of the EM product table and
+    of `koszul_diff` on the coproduct words.
+
+    Carrier basis: (S, word) for nonempty S = (i_1 < ... < i_k) and word a
+    tuple of (degree, label) letters, letter j from A_{i_j}.  Returns
+    (DgAlgebra, injections) where injections[i] maps A_i basis labels into
+    the coproduct.
+    """
+    module, labels = _coproduct_module(algebras)
+    field = module.field
+    table = {}
+    for left in labels:
+        for right in labels:
+            out = _coproduct_product(field, algebras, left, right)
+            if out:
+                table[(left, right)] = out
+    alg = DgAlgebra(field, "comm", module, {2: table}, name="v".join(a.name for a in algebras))
+    injections = [lambda lab, d, i=i: ((i,), (((d, lab)),)) for i in range(1, len(algebras) + 1)]
+    return alg, injections
 
 
 def two_dim_fixture(field):

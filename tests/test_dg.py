@@ -1,21 +1,26 @@
+import random
 from itertools import product
+from pathlib import Path
 
 import pytest
 
 from opbar import perm
-from opbar.bar import bar_module
-from opbar.catbar import coproduct_algebra
+from opbar.bar import bar, bar_module, iterated_bar
 from opbar.dg import DegreeWindow, DgMap, DgModule, dg_tensor_swap, homology, koszul_diff, suspension, tensor
 from opbar.errors import CompositionNotZero, FieldMismatch
 from opbar.fixtures import random_commutative_algebra, random_sigma_module, random_tensor_algebra
-from opbar.linalg import CoeffField, combo_add
+from opbar.jsonio import algebra_from_json, load_json
+from opbar.linalg import CoeffField, SparseMatrix, combo_add
 from opbar.modules import sym_apply
 from opbar.operads import associative_operad, commutative_operad, stasheff_operad
 from opbar.sigma import SigmaModule, WordSpace, compose
 from opbar.verify import _fixture_algebras
+from test_catbar import coproduct_algebra
 
 Q = CoeffField.rationals()
 F2 = CoeffField.prime(2)
+FIELDS = [F2, CoeffField.prime(3), Q]
+DATA = Path(__file__).resolve().parent.parent / "data"
 
 
 def two_term(field=Q):
@@ -191,14 +196,133 @@ def test_homology_ranks_each_nonzero_block_once(monkeypatch):
     ranked = []
     real_rank = opbar.linalg.rank
 
-    def counting_rank(block):
+    def counting_rank(block, *args, **kwargs):
         ranked.append(block)
-        return real_rank(block)
+        return real_rank(block, *args, **kwargs)
 
     monkeypatch.setattr(opbar.linalg, "rank", counting_rank)
     monkeypatch.setattr(opbar.dg, "rank", counting_rank)
     assert homology(m) == {0: 0, 1: 0, 2: 0, 3: 0}
     assert sorted(id(b) for b in ranked) == sorted(id(m.diff_block(d)) for d in (1, 2, 3))
+
+
+def _random_complex(field, seed, lo, hi):
+    """A seeded complex on degrees lo..hi with d^2 = 0 and known homology.
+
+    Each degree k holds h_k homology classes, e_k vectors that d maps onto
+    the b_{k-1} boundaries of degree k-1 (e_k = b_{k-1}) and b_k
+    boundaries; seeded elementary changes of basis (d_k E and E^-1 d_{k+1}
+    for each column operation E on C_k) then scramble every block.
+    Returns (basis, {degree: dense block}, {degree: h_k}).
+    """
+    rng = random.Random(seed)
+    b = {k: rng.randint(0, 3) if lo <= k < hi else 0 for k in range(lo - 1, hi + 1)}
+    h = {k: rng.randint(0, 2) for k in range(lo, hi + 1)}
+    dims = {k: b[k - 1] + h[k] + b[k] for k in range(lo, hi + 1)}
+    one, zero = field.one(), field.zero()
+    blocks = {}
+    for k in range(lo + 1, hi + 1):
+        m = [[zero] * dims[k] for _ in range(dims[k - 1])]
+        for t in range(b[k - 1]):  # the t-th e of C_k onto the t-th b of C_{k-1}
+            m[b[k - 2] + h[k - 1] + t][t] = one
+        blocks[k] = m
+    for k in range(lo, hi + 1):
+        for _ in range(3 * dims[k]):
+            i, j = rng.randrange(dims[k]), rng.randrange(dims[k])
+            c = field.of_int(rng.randint(1, 4))
+            if i == j or field.is_zero(c):
+                continue
+            for row in blocks.get(k, ()):  # column i += c column j
+                row[i] = field.add(row[i], field.mul(c, row[j]))
+            if k + 1 in blocks:  # row j -= c row i
+                up = blocks[k + 1]
+                up[j] = [field.sub(x, field.mul(c, y)) for x, y in zip(up[j], up[i])]
+    basis = {k: tuple("c%d_%d" % (k, i) for i in range(dims[k])) for k in range(lo, hi + 1)}
+    return basis, blocks, h
+
+
+def _sparse(field, dense):
+    return SparseMatrix(field, len(dense), len(dense[0]) if dense else 0,
+                        {(i, j): v for i, row in enumerate(dense) for j, v in enumerate(row) if not field.is_zero(v)})
+
+
+def _spy_rank(monkeypatch):
+    """Record (args, kwargs) past the block of every `rank` call that `homology` makes."""
+    import opbar.dg
+
+    calls = []
+    real_rank = opbar.dg.rank
+
+    def spying_rank(block, *args, **kwargs):
+        calls.append((args, kwargs))
+        return real_rank(block, *args, **kwargs)
+
+    monkeypatch.setattr(opbar.dg, "rank", spying_rank)
+    return calls
+
+
+def _directions(calls):
+    return {kwargs.get("columns", False) for _, kwargs in calls}
+
+
+def _unchecked_copy(m):
+    """The same blocks in a module whose d^2 was never checked: `homology`
+    ranks each block alone and reads each pair through homology_dimension."""
+    return DgModule(m.field, m.basis, m.diff, check=False)
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_clearing_matches_known_homology_on_scrambled_complexes(field, monkeypatch):
+    calls = _spy_rank(monkeypatch)
+    for seed in range(40):
+        basis, blocks, h = _random_complex(field, seed, 0, 5)
+        m = DgModule(field, basis, {k: _sparse(field, d) for k, d in blocks.items()})
+        assert m.d_squared_checked
+        for window in (DegreeWindow(0, 5), DegreeWindow(1, 4), DegreeWindow(2, 5), DegreeWindow(0, 3)):
+            want = {d: h[d] for d in window}
+            assert homology(m, window) == want, (seed, window)
+            assert homology(_unchecked_copy(m), window) == want, (seed, window)
+    assert _directions(calls) == {False, True}  # both directions ran
+
+
+@pytest.mark.parametrize("field", FIELDS, ids=repr)
+def test_clearing_matches_per_block_ranks_on_seeded_bars(field, monkeypatch):
+    calls = _spy_rank(monkeypatch)
+    for seed in range(6):
+        for algebra in (random_tensor_algebra(field, seed, 3, 3), random_commutative_algebra(field, seed, 3, 3)):
+            m = bar(algebra, DegreeWindow(0, 9)).module
+            assert m.d_squared_checked
+            w = m.window()
+            # the module's own window starts at the zero block (rows, upward);
+            # one degree past its top, the zero block is at the other end (columns, downward)
+            for window in (w, DegreeWindow(w.lo + 1, w.hi + 1)):
+                assert homology(m, window) == homology(_unchecked_copy(m), window), (seed, window)
+    assert _directions(calls) == {False, True}
+
+
+def test_clearing_runs_downward_on_a_cochain_side_bar(monkeypatch):
+    algebra = algebra_from_json(load_json(str(DATA / "lambda_x3_f2.json")), None)[0]
+    m = iterated_bar(algebra, 2, DegreeWindow(-13, -1))[-1].module
+    assert m.dim(-14) > m.dim(0) == 0
+    window = DegreeWindow(-13, -1)
+    per_block = homology(_unchecked_copy(m), window)
+    calls = _spy_rank(monkeypatch)
+    assert homology(m, window) == per_block
+    assert calls and _directions(calls) == {True}  # every block by columns
+    # F_2[x_1, x_3, x_7] through degree 13: the solutions of a + 3b + 7c = n
+    assert per_block == {-n: sum(1 for b in range(5) for c in range(2) if 3 * b + 7 * c <= n) for n in range(1, 14)}
+
+
+def test_homology_of_an_unchecked_module_never_clears(monkeypatch):
+    # d^2 != 0: the clearing argument fails, and homology must refuse, not clear
+    bad = DgModule.from_data(Q, [("a", 2), ("b", 1), ("c", 0)], {"a": {"b": Q.one()}, "b": {"c": Q.one()}}, check=False)
+    calls = _spy_rank(monkeypatch)
+    with pytest.raises(CompositionNotZero):
+        homology(bad)
+    assert not bad.d_squared_checked
+    # an unchecked module with d^2 = 0 takes the same per-block path
+    assert homology(_unchecked_copy(two_term())) == {0: 0, 1: 0}
+    assert calls and all(call == ((), {}) for call in calls)  # no skip, columns or pivots
 
 
 def test_homology_skips_the_d_squared_check_made_at_construction(monkeypatch):
@@ -234,7 +358,6 @@ def test_homology_skips_the_d_squared_check_made_at_construction(monkeypatch):
 # differential was routed through `koszul_diff`; outputs must agree in repr,
 # the order of terms included.
 
-FIELDS = [CoeffField.prime(2), CoeffField.prime(3), Q]
 
 
 def _entries(mod):
@@ -324,7 +447,7 @@ def _ref_compose_diff_big(cr, label):
 
 
 def _ref_coproduct_diff(algebras, elements):
-    """The differential loop of catbar.coproduct_algebra."""
+    """The differential loop of the coproduct (`test_catbar.coproduct_algebra`)."""
     field = algebras[0].field
     diff = {}
     for (S, w), deg in elements:

@@ -544,6 +544,35 @@ def test_matmul_rejects_shape_and_field_mismatch():
         SparseMatrix.identity(CoeffField.prime(3), 2).matmul(SparseMatrix.identity(CoeffField.prime(5), 2))
 
 
+@pytest.mark.parametrize("field", _ORACLE_FIELDS, ids=repr)
+def test_rank_pivots_and_clearing(field):
+    # `pivots` receives the lowest entry of each echelon vector: the pivot
+    # columns of the rref by rows, the pivot rows of the transpose's rref by
+    # columns.  For E with D E = 0, the rows of E at D's pivot columns and
+    # the columns of D at E's pivot rows can be skipped without changing a rank.
+    rng = random.Random("clearing-%r" % field)
+    for rows, cols in _SHAPES * 2:
+        d = _random_matrix(field, rng, rows, cols)
+        by_rows, by_cols = set(), set()
+        r = rank(d, pivots=by_rows)
+        assert r == rank(d, columns=True, pivots=by_cols) == rank(d.transpose())
+        assert sorted(by_rows) == _dense_rref(field.p, _dense(d), cols)[0]
+        assert sorted(by_cols) == _dense_rref(field.p, _dense(d.transpose()), rows)[0]
+        # E: seeded combinations of a kernel basis of D, so D E = 0
+        ker = kernel_basis(d)
+        e = SparseMatrix(field, cols, rng.randint(1, 2 * len(ker) + 1))
+        for j in range(e.cols):
+            for v in rng.sample(ker, min(len(ker), rng.randint(0, 3))):
+                c = field.of_int(rng.randint(1, 4))
+                for i, x in v.items():
+                    e.add_to(i, j, field.mul(c, x))
+        assert d.matmul(e).is_zero()
+        e_pivots = set()
+        assert rank(e, skip=by_rows) == rank(e, columns=True, pivots=e_pivots) == rank(e)
+        assert rank(d, skip=e_pivots, columns=True) == r
+        assert rank(e, skip=range(e.rows)) == rank(e, skip=range(e.cols), columns=True) == 0
+
+
 # --- rank does not depend on the order rows are fed in ------------------------
 
 

@@ -832,19 +832,21 @@ def test_each_coequalizer_builds_one_quotient_per_key(monkeypatch):
 
 
 def _guard_d0_d1(monkeypatch):
-    """Per d0 - d1 enumeration, record the collapses, the right-module gamma
-    calls and the evaluations it makes; returns the list of records."""
+    """Per d0 - d1 enumeration, record the collapses it asks for, the
+    right-module gamma calls and the evaluations it makes; returns the list
+    of records."""
     mod = opbar.modules
     records = []
-    relations, d0, gamma, evaluate = mod._d0_d1_relations, mod._d0, mod.RightModule.gamma, mod.routed_compose
+    relations, collapse, gamma, evaluate = (
+        mod._d0_d1_relations, mod.RightModule.collapse, mod.RightModule.gamma, mod.routed_compose)
 
     def counted_relations(*args):
         records.append({"d0": [], "gamma": 0, "eval": []})
         return relations(*args)
 
-    def counted_d0(right_module, m_triple, word):
-        records[-1]["d0"].append((right_module, m_triple, word))
-        return d0(right_module, m_triple, word)
+    def counted_collapse(self, m_triple, word):
+        records[-1]["d0"].append((self, m_triple, word))
+        return collapse(self, m_triple, word)
 
     def counted_gamma(self, m_triple, args):
         records[-1]["gamma"] += 1
@@ -855,7 +857,7 @@ def _guard_d0_d1(monkeypatch):
         return evaluate(field, word, args, *rest, outer=outer)
 
     monkeypatch.setattr(mod, "_d0_d1_relations", counted_relations)
-    monkeypatch.setattr(mod, "_d0", counted_d0)
+    monkeypatch.setattr(mod.RightModule, "collapse", counted_collapse)
     monkeypatch.setattr(mod.RightModule, "gamma", counted_gamma)
     monkeypatch.setattr(mod, "routed_compose", counted_evaluate)
     return records
@@ -869,10 +871,15 @@ def test_d0_once_per_m_and_r_word_and_d1_once_per_r_word_and_tail(monkeypatch, s
     assert all(ok for _, ok, _ in run_suite(suite))
     assert len(records) == {"module-functor": 6, "extension": 4}[suite]
     for rec in records:
-        # the gamma behind _d0 runs once per distinct (module, m, R-word)
-        assert rec["d0"] and len(set(rec["d0"])) == len(rec["d0"]) == rec["gamma"]
+        # each enumeration asks once per (module, m, R-word) for its collapse
+        assert rec["d0"] and len(set(rec["d0"])) == len(rec["d0"])
         # the evaluation runs once per distinct (R-word, tail)
         assert rec["eval"] and len(set(rec["eval"])) == len(rec["eval"])
+    # the gamma behind a collapse runs once per distinct (module, m, R-word)
+    # over the whole suite: coequalizers on one module share its collapses
+    asked = [key for rec in records for key in rec["d0"]]
+    assert sum(rec["gamma"] for rec in records) == len(set(asked))
+    assert (len(asked), len(set(asked))) == {"module-functor": (1214, 607), "extension": (900, 900)}[suite]
 
 
 @pytest.mark.parametrize("field", [F2, Q], ids=repr)
