@@ -389,12 +389,12 @@ class BarModule:
     the operad, gives the basis, differential, Sigma- and right action.
     """
 
-    def __init__(self, operad, eta, arity_bound, check_eta=True):
+    def __init__(self, operad, eta, arity_bound):
         self.operad = operad
         self.eta = eta
         self.field = operad.field
         self.arity_bound = arity_bound
-        if check_eta and not operad_morphism_check(eta, min(arity_bound, eta.source.arity_bound())):
+        if not operad_morphism_check(eta, min(arity_bound, eta.source.arity_bound())):
             raise InvalidMorphism("eta: K -> R is not an operad morphism")
         self.susp_module = suspend_right_module(operad_right_module(operad))
         self.tensor_modules = {
@@ -551,8 +551,8 @@ def bar_extension_iso(bar_mod_r, psi, arity_bound, bar_mod_s=None):
     # extension() checks psi before it builds anything, so before B_S too
     ext = extension(bar_mod_r.right_module, psi, arity_bound)
     if bar_mod_s is None:
-        # psi and eta_R are checked morphisms, so their composite needs no check
-        bar_mod_s = BarModule(psi.target, compose_morphisms(psi, bar_mod_r.eta), arity_bound, check_eta=False)
+        # psi and eta_R are recorded by their checks, so their composite is too: B_S checks nothing again
+        bar_mod_s = BarModule(psi.target, compose_morphisms(psi, bar_mod_r.eta), arity_bound)
 
     def evaluate(letter, args):
         """psi of a suspended R-letter, desuspended, composed with its S-arguments."""

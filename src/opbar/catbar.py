@@ -347,7 +347,7 @@ def _tensor_map(field, src, dst, f_map, g_map):
     return DgMap.from_rule(src, dst, 0, rule)
 
 
-def eilenberg_maclane(c, d, normalized_c=None, normalized_d=None, normalized_cd=None, bound=None):
+def eilenberg_maclane(c, d, bound=None):
     """The shuffle map N(C) (x) N(D) -> N(C (x) D).
 
     On x (x) y with x of bidegree (p, internal q_x) and y of bidegree
@@ -362,9 +362,9 @@ def eilenberg_maclane(c, d, normalized_c=None, normalized_d=None, normalized_cd=
     """
     field = c.field
     bound = bound or min(c.dimension_bound, d.dimension_bound)
-    nc = normalized_c or NormalizedComplex(c)
-    nd = normalized_d or NormalizedComplex(d)
-    cd = normalized_cd or NormalizedComplex(tensor_simplicial(c, d, bound))
+    nc = NormalizedComplex(c)
+    nd = NormalizedComplex(d)
+    cd = NormalizedComplex(tensor_simplicial(c, d, bound))
     source = dg_tensor(nc.module, nd.module)
     target = cd.module
     c_degree = {n: _degree_index(c.level(n)) for n in range(bound + 1)}
@@ -569,16 +569,16 @@ def cat_bar_module_vs_bar_module(cat_mod, bar_mod):
     return True
 
 
-def bar_cat_comparison(algebra, window, compare_products=True):
+def bar_cat_comparison(algebra, window):
     """B(A) vs N(C(A)): the signed basis bijection, as dg-algebras.
 
     Builds both sides at the sound weight bound for `window`, maps the
     bar word a_1..a_n to (-1)^{sum j |a_j|} times the class of the full
-    tensor summand at level n, and verifies: chain iso; and (optionally)
-    that the Eilenberg-Mac Lane product corresponds to the shuffle
-    product on every pair of words u, v with |u| + |v| within the
-    weight bound and the product degree in the basis.  Returns
-    (bar_complex, categorical, iso).
+    tensor summand at level n, and verifies: chain iso; and that the
+    Eilenberg-Mac Lane product corresponds to the shuffle product on
+    every pair of words u, v with |u| + |v| within the weight bound and
+    the product degree in the basis.  Returns (bar_complex, categorical,
+    iso).
     """
     f = algebra.field
     susp = [d + 1 for d in algebra.module.degrees()]
@@ -600,21 +600,20 @@ def bar_cat_comparison(algebra, window, compare_products=True):
         raise AssertionError("bar -> categorical bar comparison is not a chain map")
     if not iso.is_iso():
         raise AssertionError("bar -> categorical bar comparison is not bijective")
-    if compare_products:
-        em_table = cat.em_product_table()
-        for du in b.module.degrees():
-            for u in b.module.labels(du):
-                for dv in b.module.degrees():
-                    for v in b.module.labels(dv):
-                        if len(u) + len(v) > wb or du + dv not in b.module.basis:
-                            continue
-                        shuffle = shuffle_word_product(f, u, v)
-                        shuffle = {w: c for w, c in shuffle.items() if w in b.weight_of}
-                        lhs = combo_map(f, shuffle, lambda w: iso_rule(du + dv, w))
-                        ((u_img, cu),) = iso_rule(du, u).items()
-                        ((v_img, cv),) = iso_rule(dv, v).items()
-                        cuv = f.mul(cu, cv)
-                        rhs = {lab: f.mul(cuv, c) for lab, c in em_table.get((u_img, v_img), {}).items()}
-                        if lhs != rhs:
-                            raise AssertionError("product mismatch at %r * %r: %r vs %r" % (u, v, lhs, rhs))
+    em_table = cat.em_product_table()
+    for du in b.module.degrees():
+        for u in b.module.labels(du):
+            for dv in b.module.degrees():
+                for v in b.module.labels(dv):
+                    if len(u) + len(v) > wb or du + dv not in b.module.basis:
+                        continue
+                    shuffle = shuffle_word_product(f, u, v)
+                    shuffle = {w: c for w, c in shuffle.items() if w in b.weight_of}
+                    lhs = combo_map(f, shuffle, lambda w: iso_rule(du + dv, w))
+                    ((u_img, cu),) = iso_rule(du, u).items()
+                    ((v_img, cv),) = iso_rule(dv, v).items()
+                    cuv = f.mul(cu, cv)
+                    rhs = {lab: f.mul(cuv, c) for lab, c in em_table.get((u_img, v_img), {}).items()}
+                    if lhs != rhs:
+                        raise AssertionError("product mismatch at %r * %r: %r vs %r" % (u, v, lhs, rhs))
     return b, cat, iso

@@ -28,10 +28,10 @@ would only slow it.
 `DgModule.from_rule`, `from_data` and the constructor check d^2 = 0 by
 default, which pins the conventions in practice; `tensor`,
 `suspension`, `direct_sum` and the word spaces of `sigma.py` build
-with check=False.  A module records that its check passed, so d^2 = 0
-is checked once per module: `homology` re-checks only the blocks of
-modules built unchecked, and clears (see `_cleared_ranks`) only the
-blocks of modules whose check passed.
+with check=False.  A module records that its check passed
+(`d_squared_checked`), so d^2 = 0 is checked once per module:
+`homology` checks a module that has no record, and then ranks every
+module by clearing (see `_cleared_ranks`), which needs d^2 = 0.
 """
 
 from __future__ import annotations
@@ -39,7 +39,7 @@ from __future__ import annotations
 from functools import cached_property
 
 from .errors import CompositionNotZero, FieldMismatch
-from .linalg import SparseMatrix, combo_add, homology_dimension, rank
+from .linalg import SparseMatrix, combo_add, rank
 
 
 class DegreeWindow:
@@ -407,10 +407,8 @@ def tensor(a, b, window=None):
     return DgModule.from_rule(field, basis, rule, check=False)
 
 
-def dg_tensor_swap(a, b, ab=None, ba=None):
+def dg_tensor_swap(a, b):
     """The symmetry chain isomorphism a(x)b -> b(x)a with Koszul signs."""
-    ab = ab if ab is not None else tensor(a, b)
-    ba = ba if ba is not None else tensor(b, a)
     field = a.field
 
     degree_of_a = {l: d for d in a.degrees() for l in a.labels(d)}
@@ -421,7 +419,7 @@ def dg_tensor_swap(a, b, ab=None, ba=None):
         sgn = field.sign(degree_of_a[x] * degree_of_b[y])
         return {(y, x): sgn}
 
-    return DgMap.from_rule(ab, ba, 0, rule)
+    return DgMap.from_rule(tensor(a, b), tensor(b, a), 0, rule)
 
 
 def suspension(a):
@@ -438,26 +436,18 @@ def homology(a, window=None):
     With `window` given, degrees are restricted to it; the module is
     zero outside its basis support, so boundary degrees are exact too.
 
-    A module whose d^2 = 0 was checked is ranked by clearing (`_cleared_ranks`);
-    any other module ranks each block on its own, and `homology_dimension`
-    checks d^2 = 0 on each pair of blocks it reads.
+    The blocks are ranked by clearing (`_cleared_ranks`), which needs
+    d^2 = 0; a module without that record (`d_squared_checked`) is
+    checked first, and CompositionNotZero is raised before any rank.
     """
     w = a.window()
     if w is None:
         return {d: 0 for d in window} if window else {}
     degrees = list(window) if window is not None else list(w)
-    if a.d_squared_checked:
-        ranks = _cleared_ranks(a, degrees[0], degrees[-1])
-        return {d: a.dim(d) - ranks[d] - ranks[d + 1] for d in degrees}
-    out = {}
-    ranks = {}  # each block borders two degrees; rank it once
-    for d in degrees:
-        for k in (d, d + 1):
-            if k not in ranks:
-                block = a.diff_block(k)
-                ranks[k] = rank(block) if block.entries else 0
-        out[d] = homology_dimension(a.diff_block(d + 1), a.diff_block(d), ranks[d + 1], ranks[d])
-    return out
+    if not a.d_squared_checked:
+        a.check_differential()
+    ranks = _cleared_ranks(a, degrees[0], degrees[-1])
+    return {d: a.dim(d) - ranks[d] - ranks[d + 1] for d in degrees}
 
 
 def _cleared_ranks(a, lo, hi):

@@ -657,23 +657,18 @@ def kernel_basis(m):
     return list(basis.values())
 
 
-def homology_dimension(d_in, d_out, rank_in=None, rank_out=None):
+def homology_dimension(d_in, d_out):
     """dim ker(d_out) - rank(d_in) for consecutive differentials.
 
     `d_in` maps into the middle space, `d_out` maps out of it; the
     composite d_out @ d_in must vanish (checked), otherwise the sign
-    conventions upstream are broken.  A caller that already knows the
-    rank of either block passes it as `rank_in` / `rank_out`.
+    conventions upstream are broken.
     """
     if d_in.rows != d_out.cols:
         raise ValueError("d_in lands in a %d-space but d_out starts from a %d-space" % (d_in.rows, d_out.cols))
     if not d_out.matmul(d_in).is_zero():
         raise CompositionNotZero("d_out . d_in != 0")
-    if rank_out is None:
-        rank_out = rank(d_out)
-    if rank_in is None:
-        rank_in = rank(d_in)
-    return (d_out.cols - rank_out) - rank_in
+    return (d_out.cols - rank(d_out)) - rank(d_in)
 
 
 def solve(m, target):

@@ -572,14 +572,14 @@ class ExtendedModule:
     eliminated together.  `sigma` and `module` are read off it.
     """
 
-    def __init__(self, right_module, psi, arity_bound, check_morphism=True):
+    def __init__(self, right_module, psi, arity_bound):
         self.field = right_module.field
         self.left = right_module
         self.psi = psi
         self.r_op = psi.source
         self.s_op = psi.target
         bound = min(arity_bound, self.r_op.arity_bound(), self.s_op.arity_bound())
-        if check_morphism and not operad_morphism_check(psi, bound):
+        if not operad_morphism_check(psi, bound):
             raise InvalidMorphism("psi is not an operad morphism")
         self.arity_bound = arity_bound
         f, s_op = self.field, self.s_op
@@ -622,9 +622,9 @@ def _extended_action(coeq, s_op, m_triple, slot, q_triple):
     return coeq.project(r + q_triple[0] - 1, d + q_triple[1], pure)
 
 
-def extension(right_module, psi, arity_bound, check_morphism=True):
+def extension(right_module, psi, arity_bound):
     """Extension of structure psi_! M = M o_R S along psi: R -> S."""
-    return ExtendedModule(right_module, psi, arity_bound, check_morphism)
+    return ExtendedModule(right_module, psi, arity_bound)
 
 
 def direct_sum_right_modules(m1, m2):
@@ -732,9 +732,9 @@ def module_hom_dimension(m, n, arity_bound=None):
     return len(kept)
 
 
-def restriction(right_module_over_s, psi, check_morphism=True):
+def restriction(right_module_over_s, psi):
     """Restriction of structure: same module, action through psi."""
-    if check_morphism and not operad_morphism_check(psi):
+    if not operad_morphism_check(psi):
         raise InvalidMorphism("psi is not an operad morphism")
     s_module = right_module_over_s
     field = s_module.field

@@ -16,11 +16,16 @@ which the bar-module tests enforce.
 K, As and Com each name their canonical morphism from K
 (`from_stasheff`) and a Stasheff tree it sends to each basis element
 (`stasheff_lift`); every other operad refuses both by name.
+
+A morphism records the arity bound its check passed (`checked_through`),
+so none is checked twice; As and K refuse, before building anything, a
+component of more than `MAX_COMPONENT_BASIS` elements.
 """
 
 from __future__ import annotations
 
 from itertools import permutations as _permutations, product
+from math import comb, factorial
 
 from . import perm, trees
 from .dg import DgModule
@@ -401,10 +406,29 @@ class StasheffOperad(FreeOperad):
         return identity_morphism(self)
 
 
+MAX_COMPONENT_BASIS = 50_000  # As(8) and K(5) fit, As(9) and K(6) do not
+
+
+def little_schroder(n):
+    """Planar trees with n >= 2 leaves and no unary vertex, 1, 3, 11, 45, ..., summed over their vertex count k."""
+    return sum(comb(n - 2, k - 1) * comb(n + k - 1, k - 1) // k for k in range(1, n))
+
+
+def _refuse_large_components(name, arity_bound, size):
+    """ArityBoundExceeded at the first arity n <= arity_bound with size(n) > MAX_COMPONENT_BASIS."""
+    for n in range(2, arity_bound + 1):
+        if size(n) > MAX_COMPONENT_BASIS:
+            raise ArityBoundExceeded(
+                "%s(%d) would have %d basis elements, over the limit of %d: arity bound %d is too large"
+                % (name, n, size(n), MAX_COMPONENT_BASIS, arity_bound)
+            )
+
+
 def stasheff_operad(field, arity_bound):
     """The chain operad of Stasheff's associahedra, K = (Free(mu_*), d)."""
     if arity_bound < 2:
         raise ValueError("arity_bound must be at least 2")
+    _refuse_large_components("K", arity_bound, lambda n: factorial(n) * little_schroder(n))
     generators = {r: [(("mu", r), r - 2)] for r in range(2, arity_bound + 1)}
     gen_diff = {("mu", r): stasheff_generator_diff(field, r) for r in range(2, arity_bound + 1)}
     return StasheffOperad(field, generators, arity_bound, gen_diff)
@@ -418,6 +442,7 @@ def free_operad(field, generators, arity_bound, gen_diff=None):
 
 
 def associative_operad(field, arity_bound):
+    _refuse_large_components("As", arity_bound, factorial)
     return AssociativeOperad(field, arity_bound)
 
 
@@ -456,7 +481,8 @@ class OperadMorphism:
     """Arity-indexed family of chain maps between operads.
 
     `rule(triple)` returns {label: coeff} in the target component of the
-    same arity and degree.
+    same arity and degree.  `checked_through` is the arity bound through
+    which it is known to be an operad morphism (0: not known).
     """
 
     def __init__(self, source, target, rule, name="morphism"):
@@ -464,13 +490,16 @@ class OperadMorphism:
         self.target = target
         self.rule = rule
         self.name = name
+        self.checked_through = 0
 
     def apply_triple(self, triple):
         return {k: v for k, v in self.rule(triple).items() if not self.source.field.is_zero(v)}
 
 
 def identity_morphism(op):
-    return OperadMorphism(op, op, lambda triple: {triple[2]: op.field.one()}, name="id")
+    identity = OperadMorphism(op, op, lambda triple: {triple[2]: op.field.one()}, name="id")
+    identity.checked_through = op.arity_bound()
+    return identity
 
 
 def eps_to_assoc(k_operad, as_operad):
@@ -499,23 +528,35 @@ def alpha_to_com(as_operad, com_operad):
 
 
 def compose_morphisms(g, f):
-    """g after f."""
+    """g after f; recorded through the smaller record when g starts from the very operad f lands in."""
 
     def rule(triple):
         n, d, _ = triple
         return combo_map(f.source.field, f.apply_triple(triple), lambda label: g.apply_triple((n, d, label)))
 
-    return OperadMorphism(f.source, g.target, rule, name="%s.%s" % (g.name, f.name))
+    composite = OperadMorphism(f.source, g.target, rule, name="%s.%s" % (g.name, f.name))
+    if g.source is f.target:
+        composite.checked_through = min(g.checked_through, f.checked_through)
+    return composite
 
 
 def operad_morphism_check(f, arity_bound=None, report=False):
     """True iff f commutes with units, differentials, actions and o_i.
 
-    With report=True returns (ok, list of failure strings).
+    A pass is recorded on f, and a bound its record covers returns at
+    once.  With report=True returns (ok, list of failure strings).
     """
+    bound = arity_bound or min(f.source.arity_bound(), f.target.arity_bound())
+    failures = [] if f.checked_through >= bound else _morphism_failures(f, bound)
+    if not failures:
+        f.checked_through = max(f.checked_through, bound)
+    return (not failures, failures) if report else not failures
+
+
+def _morphism_failures(f, bound):
+    """The relations of an operad morphism that f breaks through arity `bound`, as strings."""
     src, dst = f.source, f.target
     field = src.field
-    bound = arity_bound or min(src.arity_bound(), dst.arity_bound())
     failures = []
 
     unit_img = f.apply_triple(src.unit_triple())
@@ -559,8 +600,7 @@ def operad_morphism_check(f, arity_bound=None, report=False):
                         )
                         if lhs != rhs:
                             failures.append("composition fails at %r o_%d %r" % (p, i, q))
-    ok = not failures
-    return (ok, failures) if report else ok
+    return failures
 
 
 # structural checks -----------------------------------------------------------

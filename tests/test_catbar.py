@@ -274,7 +274,7 @@ def test_b_equals_c_fixtures():
 
 
 def test_trivial_product_c_is_tensor_coalgebra():
-    b, cat, iso = bar_cat_comparison(exterior(Q, 2), DegreeWindow(0, 9), compare_products=False)
+    b, cat, iso = bar_cat_comparison(exterior(Q, 2), DegreeWindow(0, 9))
     dims_c = {d: cat.module.dim(d) for d in cat.module.degrees()}
     assert dims_c == {d: b.module.dim(d) for d in b.module.degrees()}
     assert cat.module.diff == {}
@@ -477,7 +477,7 @@ def _reference_em_table(cat):
     projection into N(C), one term at a time."""
     f = cat.field
     sx = cat.simplicial
-    em, _, _, _ = eilenberg_maclane(sx, sx, cat.normalized, cat.normalized)
+    em, _, _, _ = eilenberg_maclane(sx, sx)
     level_algebras = {n: coproduct_algebra([cat.algebra] * n)[0] for n in range(1, sx.dimension_bound + 1)}
     table = {}
     for dtot in em.source.degrees():

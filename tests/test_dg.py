@@ -10,7 +10,7 @@ from opbar.dg import DegreeWindow, DgMap, DgModule, dg_tensor_swap, homology, ko
 from opbar.errors import CompositionNotZero, FieldMismatch
 from opbar.fixtures import random_commutative_algebra, random_sigma_module, random_tensor_algebra
 from opbar.jsonio import algebra_from_json, load_json
-from opbar.linalg import CoeffField, SparseMatrix, combo_add
+from opbar.linalg import CoeffField, SparseMatrix, combo_add, rank
 from opbar.modules import sym_apply
 from opbar.operads import associative_operad, commutative_operad, stasheff_operad
 from opbar.sigma import SigmaModule, WordSpace, compose
@@ -125,7 +125,7 @@ def test_swap_is_chain_iso_and_involution():
         {"c": {"b": Q.of_int(3)}},
     )
     ab = tensor(m, m)
-    sw = dg_tensor_swap(m, m, ab, ab)
+    sw = dg_tensor_swap(m, m)
     assert sw.is_chain_map()
     assert sw.is_iso()
     twice = sw.compose(sw)
@@ -265,10 +265,10 @@ def _directions(calls):
     return {kwargs.get("columns", False) for _, kwargs in calls}
 
 
-def _unchecked_copy(m):
-    """The same blocks in a module whose d^2 was never checked: `homology`
-    ranks each block alone and reads each pair through homology_dimension."""
-    return DgModule(m.field, m.basis, m.diff, check=False)
+def _per_block_homology(m, window):
+    """The oracle for `homology`: dim C_d - rank d_d - rank d_{d+1}, each
+    block ranked on its own by `linalg.rank`, with no clearing."""
+    return {d: m.dim(d) - rank(m.diff_block(d)) - rank(m.diff_block(d + 1)) for d in window}
 
 
 @pytest.mark.parametrize("field", FIELDS, ids=repr)
@@ -280,8 +280,7 @@ def test_clearing_matches_known_homology_on_scrambled_complexes(field, monkeypat
         assert m.d_squared_checked
         for window in (DegreeWindow(0, 5), DegreeWindow(1, 4), DegreeWindow(2, 5), DegreeWindow(0, 3)):
             want = {d: h[d] for d in window}
-            assert homology(m, window) == want, (seed, window)
-            assert homology(_unchecked_copy(m), window) == want, (seed, window)
+            assert homology(m, window) == want == _per_block_homology(m, window), (seed, window)
     assert _directions(calls) == {False, True}  # both directions ran
 
 
@@ -296,7 +295,7 @@ def test_clearing_matches_per_block_ranks_on_seeded_bars(field, monkeypatch):
             # the module's own window starts at the zero block (rows, upward);
             # one degree past its top, the zero block is at the other end (columns, downward)
             for window in (w, DegreeWindow(w.lo + 1, w.hi + 1)):
-                assert homology(m, window) == homology(_unchecked_copy(m), window), (seed, window)
+                assert homology(m, window) == _per_block_homology(m, window), (seed, window)
     assert _directions(calls) == {False, True}
 
 
@@ -305,7 +304,7 @@ def test_clearing_runs_downward_on_a_cochain_side_bar(monkeypatch):
     m = iterated_bar(algebra, 2, DegreeWindow(-13, -1))[-1].module
     assert m.dim(-14) > m.dim(0) == 0
     window = DegreeWindow(-13, -1)
-    per_block = homology(_unchecked_copy(m), window)
+    per_block = _per_block_homology(m, window)
     calls = _spy_rank(monkeypatch)
     assert homology(m, window) == per_block
     assert calls and _directions(calls) == {True}  # every block by columns
@@ -313,16 +312,18 @@ def test_clearing_runs_downward_on_a_cochain_side_bar(monkeypatch):
     assert per_block == {-n: sum(1 for b in range(5) for c in range(2) if 3 * b + 7 * c <= n) for n in range(1, 14)}
 
 
-def test_homology_of_an_unchecked_module_never_clears(monkeypatch):
-    # d^2 != 0: the clearing argument fails, and homology must refuse, not clear
+def test_homology_checks_an_unchecked_module_before_it_clears(monkeypatch):
+    # d^2 != 0: the clearing argument fails, and homology must refuse before any rank
     bad = DgModule.from_data(Q, [("a", 2), ("b", 1), ("c", 0)], {"a": {"b": Q.one()}, "b": {"c": Q.one()}}, check=False)
     calls = _spy_rank(monkeypatch)
     with pytest.raises(CompositionNotZero):
         homology(bad)
-    assert not bad.d_squared_checked
-    # an unchecked module with d^2 = 0 takes the same per-block path
-    assert homology(_unchecked_copy(two_term())) == {0: 0, 1: 0}
-    assert calls and all(call == ((), {}) for call in calls)  # no skip, columns or pivots
+    assert not bad.d_squared_checked and calls == []
+    # an unchecked module with d^2 = 0 gets the record and is cleared
+    good = DgModule.from_data(Q, [("y", 0), ("x", 1)], {"x": {"y": Q.one()}}, check=False)
+    assert homology(good) == {0: 0, 1: 0}
+    assert good.d_squared_checked
+    assert calls and all("pivots" in kwargs for _, kwargs in calls)
 
 
 def test_homology_skips_the_d_squared_check_made_at_construction(monkeypatch):

@@ -11,6 +11,9 @@ re-exports pass.
 A private function, class or method (one underscore, not a dunder) is
 not part of the API, so one that no module of the package refers to, by
 name or as an attribute, is a dead helper.
+
+A parameter named `check` or `check_*` lets a caller skip a check; only
+the functions on `CHECK_SWITCHES` may take one.
 """
 
 import ast
@@ -78,3 +81,50 @@ def test_the_check_flags_an_unreferenced_private_definition():
 def test_every_private_definition_is_referenced():
     sources = {path.name: path.read_text() for path in sorted(SRC.glob("*.py"))}
     assert unreferenced_private_definitions(sources) == []
+
+
+# A check switch is a parameter that lets a caller skip a check.  The ones left
+# are those whose callers in the package need both values: a module or complex
+# built from data already checked, or a big word space checked another way.
+CHECK_SWITCHES = {
+    "bar.py": {"BarComplex.__init__", "bar"},
+    "catbar.py": {"SimplicialDgModule.__init__", "SimplicialDgModule.from_maps"},
+    "dg.py": {"DgModule.__init__", "DgModule.from_rule", "DgModule.from_data"},
+    "sigma.py": {"SigmaModule.__init__"},
+    "simplicial.py": {"FiniteSimplicialSet.__init__"},
+}
+
+
+def check_switches(source):
+    """The functions of `source` with a parameter named `check` or `check_*`,
+    by qualified name (Class.method for methods, nested names dotted)."""
+    found = set()
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, ast.ClassDef):
+                visit(child, prefix + child.name + ".")
+            elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                args = child.args
+                names = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
+                if any(name == "check" or name.startswith("check_") for name in names):
+                    found.add(prefix + child.name)
+                visit(child, prefix + child.name + ".")
+
+    visit(ast.parse(source), "")
+    return found
+
+
+def test_the_check_flags_a_check_switch():
+    source = (
+        "def check_thing(x):\n    pass\n"
+        "def build(x, check=True):\n    def inner(check_more=False):\n        pass\n"
+        "class M:\n    def __init__(self, data, *, check_eta=True):\n        pass\n"
+        "    def apply(self, checked=True, check=None):\n        pass\n"
+    )
+    assert check_switches(source) == {"build", "build.inner", "M.__init__", "M.apply"}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_check_switch_beyond_the_allowlist(path):
+    assert check_switches(path.read_text()) == CHECK_SWITCHES.get(path.name, set())

@@ -203,6 +203,45 @@ def test_cli_verify_suite():
     assert "all 4 checks passed" in r.stdout
 
 
+@pytest.fixture
+def small_operad_builds(monkeypatch):
+    """Builds of As or K with an arity bound above 5 fail instead of running:
+    As(9) and K(6) would take seconds and hundreds of megabytes."""
+    from opbar.operads import AssociativeOperad, FreeOperad
+
+    for cls, position in ((AssociativeOperad, 0), (FreeOperad, 1)):
+
+        def init(self, field, *args, real=cls.__init__, position=position):
+            assert args[position] <= 5, "unguarded build at arity bound %d" % args[position]
+            real(self, field, *args)
+
+        monkeypatch.setattr(cls, "__init__", init)
+
+
+@pytest.mark.parametrize("builtin, name, size", [("As", "As(9)", 362880), ("K", "K(6)", 141840)])
+def test_cli_export_refuses_an_arity_bound_too_large_to_build(small_operad_builds, capsys, builtin, name, size):
+    from opbar.cli import main
+
+    assert main(["export", "--builtin", builtin, "--arity-bound", "30"]) == 2
+    out, err = capsys.readouterr()
+    assert out == ""
+    assert err == (
+        "error: ArityBoundExceeded: %s would have %d basis elements, over the limit of 50000: "
+        "arity bound 30 is too large\n" % (name, size)
+    )
+
+
+def test_cli_verify_names_the_refused_arity_bound(small_operad_builds, capsys):
+    from opbar.cli import main
+
+    assert main(["verify", "--suite", "bar-module", "--arity-bound", "30"]) == 1
+    out, err = capsys.readouterr()
+    (line,) = [line for line in out.splitlines() if line.startswith("bar_module.B_K.d_squared")]
+    assert line.split()[1:3] == ["FAIL", "ArityBoundExceeded:"]
+    assert "K(6) would have 141840 basis elements, over the limit of 50000" in line
+    assert err == "FAILED: bar_module.B_K.d_squared\n"
+
+
 def test_cli_export_builtin():
     r = run_cli("export", "--builtin", "K", "--arity-bound", "2", "--field", "Q")
     assert r.returncode == 0

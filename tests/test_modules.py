@@ -45,9 +45,11 @@ from opbar.operads import (
     eps_to_assoc,
     free_operad,
     identity_morphism,
+    operad_morphism_check,
     stasheff_operad,
     stasheff_sign,
 )
+from test_operads import spy_full_morphism_checks
 
 ROOT = Path(__file__).resolve().parent.parent
 Q = CoeffField.rationals()
@@ -566,6 +568,35 @@ def test_invalid_morphism_rejected():
     Com = commutative_operad(Q, 3)
     with pytest.raises(InvalidMorphism):
         extension(operad_right_module(As), _bad_alpha(As, Com), 3)
+    with pytest.raises(InvalidMorphism):
+        restriction(operad_right_module(Com), _bad_alpha(As, Com))
+    with pytest.raises(InvalidMorphism, match="eta: K -> R is not an operad morphism"):
+        BarModule(Com, _bad_alpha(As, Com), 3)
+
+
+def test_a_composite_with_an_unrecorded_non_morphism_is_refused():
+    K = stasheff_operad(Q, 3)
+    As = associative_operad(Q, 3)
+    Com = commutative_operad(Q, 3)
+    eps = eps_to_assoc(K, As)
+    assert operad_morphism_check(eps)
+    bad_eta = compose_morphisms(_bad_alpha(As, Com), eps)
+    assert bad_eta.checked_through == 0
+    with pytest.raises(InvalidMorphism):
+        BarModule(Com, bad_eta, 3)
+    with pytest.raises(InvalidMorphism):
+        extension(operad_right_module(K), bad_eta, 3)
+    with pytest.raises(InvalidMorphism):
+        restriction(operad_right_module(Com), bad_eta)
+    assert bad_eta.checked_through == 0
+
+
+def test_a_bar_module_checks_only_an_unrecorded_eta(monkeypatch):
+    checked = spy_full_morphism_checks(monkeypatch)
+    bar_module(stasheff_operad(Q, 4), 4)
+    assert checked == []  # eta is the identity of K
+    bar_module(associative_operad(Q, 4), 4)
+    assert checked == ["eps"]
 
 
 def test_bar_extension_iso_checks_psi_before_building_b_s(monkeypatch):
@@ -588,7 +619,7 @@ def test_adjunction_dimension_count():
     N = operad_right_module(Com)
     lhs_module = extension(M, alpha, 2).module
     lhs = module_hom_dimension(lhs_module, N, 2)
-    rhs = module_hom_dimension(M, restriction(N, alpha, check_morphism=False), 2)
+    rhs = module_hom_dimension(M, restriction(N, alpha), 2)
     assert lhs == rhs == 1
 
 
@@ -815,7 +846,7 @@ def test_each_coequalizer_builds_one_quotient_per_key(monkeypatch):
     compose(M.sigma, As.sigma, 3)
     per_key = len(quotients)
     del quotients[:], coequalizers[:]
-    extension(M, eps_to_assoc(K, As), 3, check_morphism=False)
+    extension(M, eps_to_assoc(K, As), 3)
     # M o_R S: one coequalizer, one quotient per (arity, degree) of the pure labels of M o S, as for M o S itself
     assert coequalizers == ["Coequalizer"]
     assert len(quotients) == per_key
@@ -905,7 +936,7 @@ def test_coequalizers_and_bar_modules_are_freed_without_the_cycle_collector():
         for make in (
             lambda: bar_module(K, 3),
             lambda: compose(M.sigma, As.sigma, 3),
-            lambda: extension(M, eps_to_assoc(K, As), 3, check_morphism=False),
+            lambda: extension(M, eps_to_assoc(K, As), 3),
             lambda: sym_over_operad(M, alg, K, [1, 2, 3]),
         ):
             obj = make()

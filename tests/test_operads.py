@@ -1,8 +1,11 @@
 import copy
+from math import factorial
 
 import pytest
 
+import opbar.operads
 from opbar import trees
+from opbar.errors import ArityBoundExceeded
 from opbar.jsonio import operad_from_json, operad_to_json
 from opbar.linalg import CoeffField
 from opbar.operads import (
@@ -15,6 +18,7 @@ from opbar.operads import (
     eps_kills_stasheff_differential,
     eps_to_assoc,
     identity_morphism,
+    little_schroder,
     operad_morphism_check,
     stasheff_d_squared_vanishes,
     stasheff_generator_diff,
@@ -114,9 +118,10 @@ def test_morphisms():
     Com = commutative_operad(Q, 4)
     eps = eps_to_assoc(K, As)
     alpha = alpha_to_com(As, Com)
+    # the composite first, while neither factor is recorded, so it is checked in full
+    assert operad_morphism_check(compose_morphisms(alpha, eps), 4)
     assert operad_morphism_check(eps, 4)
     assert operad_morphism_check(alpha, 4)
-    assert operad_morphism_check(compose_morphisms(alpha, eps), 4)
     assert operad_morphism_check(identity_morphism(As), 4)
     assert eps_kills_stasheff_differential(Q, 7)
 
@@ -130,6 +135,75 @@ def test_eta_sends_higher_generators_to_zero():
     mu3 = trees.corolla(("mu", 3), 3)
     assert eta.apply_triple((2, 0, mu2)) == {"e": Q.one()}
     assert eta.apply_triple((3, 1, mu3)) == {}
+
+
+def spy_full_morphism_checks(monkeypatch):
+    """The morphisms that `operad_morphism_check` checks relation by relation, by name."""
+    checked = []
+    real = opbar.operads._morphism_failures
+
+    def spying(f, bound):
+        checked.append(f.name)
+        return real(f, bound)
+
+    monkeypatch.setattr(opbar.operads, "_morphism_failures", spying)
+    return checked
+
+
+def test_identity_is_recorded_and_never_checked(monkeypatch):
+    checked = spy_full_morphism_checks(monkeypatch)
+    for op in (stasheff_operad(Q, 4), associative_operad(Q, 3)):
+        identity = identity_morphism(op)
+        assert identity.checked_through == op.arity_bound()
+        assert operad_morphism_check(identity)
+        assert operad_morphism_check(identity, 2, report=True) == (True, [])
+    assert checked == []
+
+
+def test_a_passing_check_is_recorded_and_covers_lower_bounds(monkeypatch):
+    K = stasheff_operad(Q, 4)
+    As = associative_operad(Q, 4)
+    eps = eps_to_assoc(K, As)
+    assert eps.checked_through == 0
+    checked = spy_full_morphism_checks(monkeypatch)
+    assert operad_morphism_check(eps, 3)
+    assert eps.checked_through == 3
+    assert operad_morphism_check(eps, 2) and operad_morphism_check(eps, 3, report=True) == (True, [])
+    assert checked == ["eps"]
+    # a higher bound than the record is checked again, and recorded
+    assert operad_morphism_check(eps)
+    assert eps.checked_through == 4 and checked == ["eps", "eps"]
+
+
+def test_a_composite_of_recorded_morphisms_is_recorded(monkeypatch):
+    K = stasheff_operad(Q, 4)
+    As = associative_operad(Q, 4)
+    Com = commutative_operad(Q, 4)
+    eps, alpha = eps_to_assoc(K, As), alpha_to_com(As, Com)
+    assert compose_morphisms(alpha, eps).checked_through == 0
+    assert operad_morphism_check(eps, 4) and operad_morphism_check(alpha, 3)
+    checked = spy_full_morphism_checks(monkeypatch)
+    eta = compose_morphisms(alpha, eps)
+    assert eta.checked_through == 3  # the smaller of the two records
+    assert compose_morphisms(identity_morphism(Com), eta).checked_through == 3
+    assert operad_morphism_check(eta, 3) and checked == []
+    # g must start from the very operad f lands in: an equal copy of As is not enough
+    other_alpha = alpha_to_com(associative_operad(Q, 4), Com)
+    assert operad_morphism_check(other_alpha)
+    assert compose_morphisms(other_alpha, eps).checked_through == 0
+
+
+def test_a_failed_check_records_nothing():
+    K = stasheff_operad(Q, 3)
+    As = associative_operad(Q, 3)
+    eps = eps_to_assoc(K, As)
+    bad = OperadMorphism(K, As, lambda triple: {} if triple[0] == 3 else eps.apply_triple(triple))
+    assert not operad_morphism_check(bad, 3)
+    assert bad.checked_through == 0
+    # still refused on a second look: the failure was not turned into a record
+    ok, failures = operad_morphism_check(bad, 3, report=True)
+    assert not ok and failures
+    assert operad_morphism_check(bad, 2) and bad.checked_through == 2
 
 
 def test_broken_morphism_detected():
@@ -239,3 +313,30 @@ def test_check_operad_checks_the_derivation_law_of_an_import():
     mutant = operad_from_json(data)
     with pytest.raises(ValueError, match="derivation"):
         check_operad(mutant, 4)
+
+
+def test_component_sizes_in_closed_form():
+    assert [little_schroder(n) for n in range(2, 10)] == [1, 3, 11, 45, 197, 903, 4279, 20793]
+    K = stasheff_operad(Q, 5)
+    As = associative_operad(Q, 5)
+    for n in range(2, 6):
+        assert K.component(n).total_dim() == factorial(n) * little_schroder(n)
+        assert As.component(n).total_dim() == factorial(n)
+
+
+@pytest.mark.parametrize(
+    "build, fits, refused, size",
+    [(associative_operad, 8, 9, "362880"), (stasheff_operad, 5, 6, "141840")],
+    ids=["As", "K"],
+)
+def test_a_component_over_the_limit_is_refused_before_anything_is_built(monkeypatch, build, fits, refused, size):
+    def no_building(*args, **kwargs):
+        raise AssertionError("an operad was built")
+
+    for cls in (opbar.operads.AssociativeOperad, opbar.operads.FreeOperad):
+        monkeypatch.setattr(cls, "__init__", no_building)
+    for bound in (refused, 30, 10**9):
+        with pytest.raises(ArityBoundExceeded, match="%s basis elements, over the limit of 50000" % size):
+            build(Q, bound)
+    with pytest.raises(AssertionError, match="an operad was built"):  # the largest bound that fits goes on
+        build(Q, fits)
