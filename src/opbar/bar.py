@@ -96,11 +96,12 @@ def desuspension_parity(susp_degs):
 class BarComplex:
     """B(A), truncated to a weight bound and a degree window."""
 
-    def __init__(self, algebra, window, weight_bound=None, check=True):
+    def __init__(self, algebra, window, weight_bound=None):
         self.algebra = algebra
         self.field = algebra.field
         self.window = window
-        if check:
+        # an algebra whose record covers every relation its operations enter is not checked again
+        if algebra.checked_through < algebra.max_op_arity() + 1:
             ok, diags = check_algebra(algebra, report=True)
             if not ok:
                 raise AlgebraCheckFailed("; ".join(diags[:3]))
@@ -289,8 +290,8 @@ class BarComplex:
         return True
 
 
-def bar(algebra, window, weight_bound=None, check=True):
-    return BarComplex(algebra, window, weight_bound, check=check)
+def bar(algebra, window, weight_bound=None):
+    return BarComplex(algebra, window, weight_bound)
 
 
 def bar_filtration_layer(bar_complex, n):
@@ -323,7 +324,8 @@ def shuffle_product(bar_complex):
 
     Returns a DgAlgebra whose carrier is the bar complex; products whose
     degree falls outside the carrier support are omitted (they are never
-    needed at the sound weight bound).
+    needed at the sound weight bound).  It is recorded as checked through
+    arity 3: B(A) of a commutative A, which `bar` checked, is commutative.
     """
     if not bar_complex.algebra.is_commutative_kind():
         raise NotCommutative("shuffle product requires a commutative source algebra")
@@ -341,7 +343,9 @@ def shuffle_product(bar_complex):
                     prod = {w: c for w, c in shuffle_word_product(f, u, v).items() if w in words}
                     if prod:
                         table[(u, v)] = prod
-    return DgAlgebra(f, "comm", mod, {2: table}, name="B(%s)" % bar_complex.algebra.name)
+    out = DgAlgebra(f, "comm", mod, {2: table}, name="B(%s)" % bar_complex.algebra.name)
+    out.checked_through = 3
+    return out
 
 
 def iterated_bar(algebra, iterations, window, weight_bounds=None):
@@ -369,7 +373,7 @@ def iterated_bar(algebra, iterations, window, weight_bounds=None):
     complexes = []
     for level in range(iterations):
         wb = None if weight_bounds is None else weight_bounds[level]
-        b = bar(cur, windows[level], wb, check=level == 0)
+        b = bar(cur, windows[level], wb)
         complexes.append(b)
         if level < iterations - 1:
             cur = shuffle_product(b)
@@ -482,12 +486,12 @@ def bar_module(operad, arity_bound):
     return BarModule(operad, operad.from_stasheff(), arity_bound)
 
 
-def sym_bar_comparison(bar_mod, algebra, weights, window):
+def sym_bar_comparison(bar_mod, algebra, weights):
     """Construct Sym_R(B_R, A) -> B(A) and verify it is a chain iso.
 
-    Returns (sym_object, bar_complex, iso_blocks) and raises if the map
-    fails to kill the coequalizer relations, fails to be a chain map, or
-    fails to be bijective within the window.
+    Returns (sym_object, bar_complex, iso).  Raises AssertionError if
+    the map fails to kill the coequalizer relations, and NotAnIsomorphism
+    if it is not a chain map or not bijective in every degree.
     """
     f = bar_mod.field
     op = bar_mod.operad
@@ -496,7 +500,7 @@ def sym_bar_comparison(bar_mod, algebra, weights, window):
     maxw = max(weights)
     susp = [d + 1 for d in algebra.module.degrees()]
     full = DegreeWindow(min(min(susp), maxw * min(susp)), max(max(susp), maxw * max(susp)))
-    target = bar(algebra, full, weight_bound=maxw, check=False)
+    target = bar(algebra, full, weight_bound=maxw)
 
     def evaluate(letter, args):
         """A suspended operad letter, desuspended, evaluated on A."""
@@ -508,34 +512,14 @@ def sym_bar_comparison(bar_mod, algebra, weights, window):
         (_, _, (_, word_label)), a_word = pure_label
         return routed_compose(f, word_label, a_word, evaluate, lambda word: word)
 
-    # relations die under the map
-    blocks = {}
-    t_index = {d: {wd: i for i, wd in enumerate(target.module.labels(d))} for d in target.module.degrees()}
+    # relations die under the map: each pure label maps as its projection does
     for (_, d), quotient in sym.sym.quotients.items():
-        mat = SparseMatrix.zero(f, target.module.dim(d), len(quotient.kept))
-        for a, kept_label in enumerate(quotient.kept):
-            for wd, c in collapse(kept_label).items():
-                if wd not in t_index.get(d, {}):
-                    raise AssertionError("image word %r missing from target at degree %d" % (wd, d))
-                mat.add_to(t_index[d][wd], a, c)
-        blocks[d] = mat
-        # relation check: non-kept pure labels must map consistently
         for lab in quotient.labels:
             image = {k: v for k, v in collapse(lab).items() if not f.is_zero(v)}
             if image != combo_map(f, sym.sym.project(0, d, {lab: f.one()}), collapse):
                 raise AssertionError("comparison map does not descend to the coequalizer at %r" % (lab,))
-    # chain map + iso on the window
-    iso = DgMap(sym.module, target.module, 0, blocks)
-    if not iso.is_chain_map():
-        raise AssertionError("Sym_R(B_R, A) -> B(A) is not a chain map")
-    for d in window:
-        if sym.module.dim(d) != target.module.dim(d):
-            raise AssertionError(
-                "dimension mismatch at degree %d: %d vs %d" % (d, sym.module.dim(d), target.module.dim(d))
-            )
-    if not iso.is_iso():
-        raise AssertionError("Sym_R(B_R, A) -> B(A) is not bijective")
-    return sym, target, iso
+    iso = DgMap.from_rule(sym.module, target.module, 0, lambda d, label: collapse(label))
+    return sym, target, iso.require_iso("Sym_R(B_R, A) -> B(A)")
 
 
 def bar_extension_iso(bar_mod_r, psi, arity_bound, bar_mod_s=None):
@@ -570,10 +554,7 @@ def bar_extension_iso(bar_mod_r, psi, arity_bound, bar_mod_s=None):
     for r in ext.sigma.arities():
         comp = ext.sigma.component(r)
         iso = DgMap.from_rule(comp, bar_mod_s.component(r), 0, lambda d, lab: collapse(lab))
+        iso.require_iso("B_R o_R S -> B_S in arity %d" % r)
         for d in comp.degrees():
             iso_blocks[(r, d)] = iso.block(d)
-        if not iso.is_iso():
-            raise AssertionError("collapse map not bijective at arity %d" % r)
-        if not iso.is_chain_map():
-            raise AssertionError("collapse map not a chain map at arity %d" % r)
     return ext, bar_mod_s, iso_blocks

@@ -189,7 +189,7 @@ def cmd_verify(args):
 
 
 def cmd_export(args):
-    from .operads import associative_operad, commutative_operad, stasheff_operad
+    from .operads import associative_operad, commutative_operad, refuse_large_table, stasheff_operad
 
     field = parse_field_flag(args.field) if args.field is not None else CoeffField.rationals()
     bound = args.arity_bound if args.arity_bound is not None else 3
@@ -197,6 +197,7 @@ def cmd_export(args):
         builders = {"K": stasheff_operad, "As": associative_operad, "Com": commutative_operad}
         if args.builtin not in builders:
             raise OpbarError("unknown builtin %r (K, As, Com)" % (args.builtin,))
+        refuse_large_table(args.builtin, bound)
         op = builders[args.builtin](field, bound)
         data = operad_to_json(op, bound)
     elif args.input:

@@ -32,13 +32,14 @@ with check=False.  A module records that its check passed
 (`d_squared_checked`), so d^2 = 0 is checked once per module:
 `homology` checks a module that has no record, and then ranks every
 module by clearing (see `_cleared_ranks`), which needs d^2 = 0.
+Every comparison isomorphism is certified by `DgMap.require_iso`.
 """
 
 from __future__ import annotations
 
 from functools import cached_property
 
-from .errors import CompositionNotZero, FieldMismatch
+from .errors import CompositionNotZero, FieldMismatch, NotAnIsomorphism
 from .linalg import SparseMatrix, combo_add, rank
 
 
@@ -346,6 +347,14 @@ class DgMap:
             if rank(self.block(d)) != self.source.dim(d):
                 return False
         return True
+
+    def require_iso(self, what):
+        """self if it is a chain map and bijective in every degree; NotAnIsomorphism naming `what` otherwise."""
+        if not self.is_chain_map():
+            raise NotAnIsomorphism("%s is not a chain map" % what)
+        if not self.is_iso():
+            raise NotAnIsomorphism("%s is not bijective" % what)
+        return self
 
     def __eq__(self, other):
         if not isinstance(other, DgMap) or self.degree != other.degree:

@@ -38,6 +38,10 @@ class NotCommutative(OpbarError):
     """A commutative-only construction was fed a non-commutative algebra."""
 
 
+class NotAnIsomorphism(OpbarError):
+    """A comparison map is not a chain map, or not bijective."""
+
+
 class SimplicialIdentityViolation(OpbarError):
     """Face/degeneracy data violates the simplicial identities."""
 

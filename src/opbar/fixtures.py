@@ -196,7 +196,7 @@ def random_sigma_module(field, seed, arity_bound=4):
                     }
             if table:
                 actions[(n, i)] = table
-    return SigmaModule(field, components, actions, check=True), description
+    return SigmaModule(field, components, actions).check_relations(), description
 
 
 def compose_dims_oracle(field, m_sigma, n_sigma, arity_bound):

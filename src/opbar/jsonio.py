@@ -315,7 +315,10 @@ def operad_from_json(data):
         n, i = _member(a, "arity", int, at), _member(a, "transposition", int, at)
         src = operation(a, "source", at)
         actions.setdefault((n, i), {})[(degree_of[src], src)] = output(a, at)
-    sigma = SigmaModule(f, comps, actions, check=False)
+    try:
+        sigma = SigmaModule(f, comps, actions).check_relations()
+    except ValueError as exc:
+        raise MalformedInput("actions: %s" % exc) from None
     table = {}
     for entry, at in _objects(data, "compositions", "", ()):
         p, i, q = operation(entry, "p", at), _member(entry, "slot", int, at), operation(entry, "q", at)

@@ -202,7 +202,8 @@ class DgAlgebra:
     Structure constants are stored for the generating operations:
     `ops[r]` maps r-tuples of basis labels to {label: coeff}; the output
     degree is (sum of input degrees) + r - 2.  Associative and
-    commutative algebras use only r = 2.
+    commutative algebras use only r = 2.  `checked_through` is the arity
+    bound through which `check_algebra` passed (0 at first).
     """
 
     def __init__(self, field, kind, module, ops, name="A"):
@@ -213,6 +214,7 @@ class DgAlgebra:
         self.module = module
         self.ops = {r: dict(table) for r, table in ops.items() if table}
         self.name = name
+        self.checked_through = 0
         self._degree_of = {}
         for d in module.degrees():
             for l in module.labels(d):
@@ -248,6 +250,9 @@ def check_algebra(a, max_arity=None, report=False, partial_range=None):
     inputs or outputs would leave the closed interval (lo, hi) are
     skipped instead of failed (the data beyond the truncation is
     unknown, not zero).
+
+    A passing check without `partial_range` records its arity bound on
+    `a` (`checked_through`); the record is never read here.
 
     The relations are checked only on the words `_reachable_words`
     derives from the stored tables: the words on which at least one term
@@ -327,6 +332,8 @@ def check_algebra(a, max_arity=None, report=False, partial_range=None):
                     ok = False
                     return (ok, diags) if report else ok
     ok = not diags
+    if ok and partial_range is None:
+        a.checked_through = max(a.checked_through, top)
     return (ok, diags) if report else ok
 
 

@@ -19,7 +19,8 @@ K, As and Com each name their canonical morphism from K
 
 A morphism records the arity bound its check passed (`checked_through`),
 so none is checked twice; As and K refuse, before building anything, a
-component of more than `MAX_COMPONENT_BASIS` elements.
+component of more than `MAX_COMPONENT_BASIS` elements, and an export
+refuses a composition table of more than `MAX_TABLE_ENTRIES` entries.
 """
 
 from __future__ import annotations
@@ -171,7 +172,7 @@ class CommutativeOperad(Operad):
 
     def __init__(self, field, arity_bound):
         comps = {n: DgModule.ground(field, "e") for n in range(1, arity_bound + 1)}
-        super().__init__(field, SigmaModule(field, comps, {}, check=False), "e")
+        super().__init__(field, SigmaModule(field, comps), "e")
 
     def compose_basic(self, p_triple, i, q_triple):
         return {"e": self.field.one()}
@@ -312,8 +313,14 @@ def stasheff_d_squared_vanishes(field, max_arity):
     """Symbolic check that d(d(mu_r)) = 0 for r <= max_arity.
 
     Works on tree combinations directly (no operad materialization), so
-    arity 7 runs in well under a second.
+    arity 7 runs in well under a second; above MAX_STASHEFF_CHECK_ARITY
+    it raises ArityBoundExceeded before any grafting.
     """
+    if max_arity > MAX_STASHEFF_CHECK_ARITY:
+        raise ArityBoundExceeded(
+            "the symbolic d^2 check stops at arity %d: arity bound %d is too large"
+            % (MAX_STASHEFF_CHECK_ARITY, max_arity)
+        )
     return _d_squared_vanishes(field, max_arity, stasheff_sign)
 
 
@@ -407,6 +414,8 @@ class StasheffOperad(FreeOperad):
 
 
 MAX_COMPONENT_BASIS = 50_000  # As(8) and K(5) fit, As(9) and K(6) do not
+MAX_TABLE_ENTRIES = 100_000  # the composition tables of As(7), K(5) and Com(83) fit
+MAX_STASHEFF_CHECK_ARITY = 16  # about a second for the symbolic d^2 check, whose work grows about as arity^5.5
 
 
 def little_schroder(n):
@@ -414,8 +423,12 @@ def little_schroder(n):
     return sum(comb(n - 2, k - 1) * comb(n + k - 1, k - 1) // k for k in range(1, n))
 
 
-def _refuse_large_components(name, arity_bound, size):
-    """ArityBoundExceeded at the first arity n <= arity_bound with size(n) > MAX_COMPONENT_BASIS."""
+_BASIS_SIZES = {"K": lambda n: factorial(n) * little_schroder(n) if n > 1 else 1, "As": factorial, "Com": lambda n: 1}
+
+
+def _refuse_large_components(name, arity_bound):
+    """ArityBoundExceeded at the first arity n <= arity_bound with more than MAX_COMPONENT_BASIS basis elements."""
+    size = _BASIS_SIZES[name]
     for n in range(2, arity_bound + 1):
         if size(n) > MAX_COMPONENT_BASIS:
             raise ArityBoundExceeded(
@@ -424,11 +437,29 @@ def _refuse_large_components(name, arity_bound, size):
             )
 
 
+def refuse_large_table(name, arity_bound):
+    """ArityBoundExceeded, before anything is built, if the exported composition table
+    of the built-in operad `name` would pass MAX_TABLE_ENTRIES entries: one per p o_i q,
+    so sum_{s+t=n+1} |P(s)| |P(t)| s land in arity n.  As and K first refuse a component
+    as `associative_operad` and `stasheff_operad` do."""
+    if name != "Com":
+        _refuse_large_components(name, arity_bound)
+    size = _BASIS_SIZES[name]
+    entries = 0
+    for n in range(1, arity_bound + 1):
+        entries += sum(size(s) * size(n + 1 - s) * s for s in range(1, n + 1))
+        if entries > MAX_TABLE_ENTRIES:
+            raise ArityBoundExceeded(
+                "the composition table of %s through arity %d would have %d entries, over the limit of %d: "
+                "arity bound %d is too large" % (name, n, entries, MAX_TABLE_ENTRIES, arity_bound)
+            )
+
+
 def stasheff_operad(field, arity_bound):
     """The chain operad of Stasheff's associahedra, K = (Free(mu_*), d)."""
     if arity_bound < 2:
         raise ValueError("arity_bound must be at least 2")
-    _refuse_large_components("K", arity_bound, lambda n: factorial(n) * little_schroder(n))
+    _refuse_large_components("K", arity_bound)
     generators = {r: [(("mu", r), r - 2)] for r in range(2, arity_bound + 1)}
     gen_diff = {("mu", r): stasheff_generator_diff(field, r) for r in range(2, arity_bound + 1)}
     return StasheffOperad(field, generators, arity_bound, gen_diff)
@@ -442,7 +473,7 @@ def free_operad(field, generators, arity_bound, gen_diff=None):
 
 
 def associative_operad(field, arity_bound):
-    _refuse_large_components("As", arity_bound, factorial)
+    _refuse_large_components("As", arity_bound)
     return AssociativeOperad(field, arity_bound)
 
 

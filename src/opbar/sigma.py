@@ -36,15 +36,14 @@ class SigmaModule:
     `actions` maps (n, i) to {(degree, label): {label2: coeff}}; entries
     missing from the map act as the identity on that basis element.
     Actions of built-in objects are signed basis permutations; computed
-    quotients may carry general invertible matrices.
+    quotients may carry general invertible matrices.  The relations are
+    not checked at construction; call check_relations() for that.
     """
 
-    def __init__(self, field, components, actions=None, check=True):
+    def __init__(self, field, components, actions=None):
         self.field = field
         self.components = {n: c for n, c in components.items() if not c.is_zero()}
         self.actions = actions or {}
-        if check:
-            self.check_relations()
 
     @staticmethod
     def from_rule(field, components, act):
@@ -52,7 +51,6 @@ class SigmaModule:
 
         s_i is the adjacent transposition (i i+1) of 1..n as a
         permutation; images equal to the label itself are not stored.
-        The relations are not checked; call check_relations() for that.
         """
         one = field.one()
         actions = {}
@@ -67,7 +65,7 @@ class SigmaModule:
                             table[(d, label)] = out
                 if table:
                     actions[(n, i)] = table
-        return SigmaModule(field, components, actions, check=False)
+        return SigmaModule(field, components, actions)
 
     def arities(self):
         return sorted(self.components)
@@ -138,31 +136,25 @@ class SigmaModule:
                 (d + 1, ("s", label)): {("s", l2): c for l2, c in out.items()}
                 for (d, label), out in table.items()
             }
-        return SigmaModule(self.field, comps, actions, check=False)
+        return SigmaModule(self.field, comps, actions)
 
     def check_relations(self):
-        """Involution, braid and commutation relations; action vs diff."""
+        """Involution, braid and commutation relations; action vs diff.  Returns self."""
         one = self.field.one()
         for n, comp in self.components.items():
             gens = list(range(1, n))
-            for d in comp.degrees():
-                for label in comp.labels(d):
-                    for i in gens:
-                        if self._act_word(n, (i, i), d, {label: one}) != {label: one}:
-                            raise ValueError("s_%d^2 != 1 on %r (arity %d)" % (i, label, n))
+            for d, label in comp.basis_pairs():
+                for i in gens:
+                    if self._act_word(n, (i, i), d, {label: one}) != {label: one}:
+                        raise ValueError("s_%d^2 != 1 on %r (arity %d)" % (i, label, n))
             for i in gens:
-                for j in gens:
-                    if j <= i:
-                        continue
+                for j in range(i + 1, n):
                     word_a = [i, j, i] if j == i + 1 else [i, j]
                     word_b = [j, i, j] if j == i + 1 else [j, i]
-                    for d in comp.degrees():
-                        for label in comp.labels(d):
-                            x = {label: one}
-                            if self._act_word(n, word_a, d, x) != self._act_word(n, word_b, d, x):
-                                raise ValueError(
-                                    "braid/commutation failure at s_%d,s_%d (arity %d)" % (i, j, n)
-                                )
+                    for d, label in comp.basis_pairs():
+                        x = {label: one}
+                        if self._act_word(n, word_a, d, x) != self._act_word(n, word_b, d, x):
+                            raise ValueError("braid/commutation failure at s_%d,s_%d (arity %d)" % (i, j, n))
             # action commutes with the differential
             for i in gens:
                 for d in list(comp.diff):
@@ -171,6 +163,7 @@ class SigmaModule:
                         rhs = self._act_word(n, (i,), d - 1, comp.apply_diff(d, {label: one}))
                         if lhs != rhs:
                             raise ValueError("action does not commute with diff (arity %d)" % n)
+        return self
 
     def __repr__(self):
         return "SigmaModule(%r, arities %s)" % (self.field, self.arities())
@@ -178,7 +171,7 @@ class SigmaModule:
 
 def unit_sigma(field, label="1"):
     """The composition unit I: k in arity 1, degree 0."""
-    return SigmaModule(field, {1: DgModule.ground(field, label)}, {}, check=False)
+    return SigmaModule(field, {1: DgModule.ground(field, label)})
 
 
 # ---------------------------------------------------------------------------

@@ -36,10 +36,10 @@ class FiniteSimplicialSet:
 
     `simplices` maps name -> dimension; `face_data` maps name -> list
     of dim+1 simplex expressions (word, name); `basepoint` is a
-    0-simplex name.
+    0-simplex name.  The face identities are checked at construction.
     """
 
-    def __init__(self, simplices, face_data, basepoint, check=True):
+    def __init__(self, simplices, face_data, basepoint):
         self.dim_of = dict(simplices)
         self.faces_of = {k: list(v) for k, v in face_data.items()}
         self.basepoint = basepoint
@@ -57,8 +57,7 @@ class FiniteSimplicialSet:
                     raise ValueError("face of %r names no simplex: %r" % (name, expr))
                 if self.dim_of[core] + len(w) != dim - 1:
                     raise ValueError("face of %r has wrong dimension: %r" % (name, expr))
-        if check:
-            self.check_identities()
+        self.check_identities()
 
     def dimension(self):
         return max(self.dim_of.values())

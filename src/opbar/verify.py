@@ -161,7 +161,7 @@ def suite_module_functor(arity=3, max_weight=3):
         bm = bar_module(operad, arity)
         for alg in algebras:
             def one(bm=bm, alg=alg, rname=rname):
-                sym, target, iso = sym_bar_comparison(bm, alg, weights, DegreeWindow(0, 6))
+                sym, target, iso = sym_bar_comparison(bm, alg, weights)
                 return True, "%s / %s: %d basis elements matched" % (
                     rname,
                     alg.name,
@@ -364,11 +364,7 @@ def suite_em(seed=5):
         alg = DgAlgebra(Q, "comm", DgModule.from_data(Q, [("x", 1)]), {2: {}}, name="c")
         sx = simplicial_categorical_bar(alg, 2)
         const = _constant_simplicial(Q, DgModule.ground(Q, "k"), 2)
-        em, nc, nd, cd = eilenberg_maclane(const, sx, bound=2)
-        if not em.is_chain_map():
-            return False, "not a chain map"
-        if not em.is_iso():
-            return False, "not an isomorphism"
+        eilenberg_maclane(const, sx, bound=2)[0].require_iso("EM on constant (x) C(A)")
         return True, "constant (x) C(A): canonical isomorphism"
 
     return _run([("em.chain_map", chain_map), ("em.constant_iso", constant_case)])

@@ -1,5 +1,6 @@
 import gc
 import hashlib
+import sys
 import weakref
 from itertools import product
 from pathlib import Path
@@ -102,6 +103,66 @@ def test_algebra_guard():
     )
     with pytest.raises(AlgebraCheckFailed):
         bar(bad, DegreeWindow(0, 6))
+
+
+def _counted_algebra_checks(monkeypatch):
+    """The names of the algebras `bar` and the transfer check, in call order."""
+    calls = []
+    # `import opbar.bar` gives the function the package re-exports, not the module
+    for module in (sys.modules["opbar.bar"], sys.modules["opbar.transfer"]):
+
+        def counted(a, *args, real=module.check_algebra, **kwargs):
+            calls.append(a.name)
+            return real(a, *args, **kwargs)
+
+        monkeypatch.setattr(module, "check_algebra", counted)
+    return calls
+
+
+def test_bar_checks_an_algebra_once(monkeypatch):
+    calls = _counted_algebra_checks(monkeypatch)
+    alg = trunc_f2()
+    bar(alg, DegreeWindow(0, 6))
+    bar(alg, DegreeWindow(0, 8))
+    assert calls == ["trunc"]
+    assert alg.checked_through == 3
+    # B(A) is recorded by the shuffle product, so B^2(A) checks only A
+    iterated_bar(exterior(F2), 2, DegreeWindow(0, 6))
+    assert calls == ["trunc", "ext"]
+
+
+def test_the_transfer_check_covers_the_bar(monkeypatch, capsys):
+    from opbar.cli import main
+
+    calls = _counted_algebra_checks(monkeypatch)
+    path = str(Path(__file__).resolve().parent.parent / "data" / "s2_boundary.json")
+    assert main(["cochains", "--input", path, "--bar", "--field", "F2", "--max-degree", "6"]) == 0
+    assert len(calls) == 1
+
+
+def test_a_failed_or_partial_check_records_nothing():
+    # x.y is stored and y.x is not: commutativity fails
+    bad = DgAlgebra(
+        Q, "comm", DgModule.from_data(Q, [("x", 2), ("y", 2), ("z", 4)]), {2: {("x", "y"): {"z": Q.one()}}}
+    )
+    assert not check_algebra(bad) and bad.checked_through == 0
+    alg = trunc_f2()
+    assert check_algebra(alg, 4, partial_range=(0, 6)) and alg.checked_through == 0
+    assert check_algebra(alg, 4) and alg.checked_through == 4
+    assert check_algebra(alg, 3) and alg.checked_through == 4
+
+
+def test_check_algebra_checks_a_recorded_algebra_again():
+    alg = DgAlgebra(Q, "comm", DgModule.from_data(Q, [("x", 2), ("x2", 4)]), {2: {("x", "x"): {"x2": Q.one()}}})
+    b = bar(alg, DegreeWindow(0, 8))
+    sh = shuffle_product(b)
+    prange = (b.window.lo - 1, b.window.hi + 1)
+    assert sh.checked_through == 3 and check_algebra(sh, 3, partial_range=prange)
+    table = sh.ops[2]
+    u, v = next(key for key, out in table.items() if key[0] != key[1] and out)
+    w, c = next(iter(table[(u, v)].items()))
+    table[(u, v)][w] = Q.mul(Q.of_int(2), c)  # u.v no longer equals +-v.u
+    assert not check_algebra(sh, 3, partial_range=prange)
 
 
 def test_exterior_tor_pattern():
@@ -539,13 +600,13 @@ def test_bar_module_assoc_coderivation_drops_weight_by_one():
 
 def test_sym_bar_comparison_all_three():
     Com = commutative_operad(F2, 3)
-    sym_bar_comparison(bar_module(Com, 3), exterior(F2), [1, 2, 3], DegreeWindow(0, 6))
+    sym_bar_comparison(bar_module(Com, 3), exterior(F2), [1, 2, 3])
     As = associative_operad(F2, 3)
     a_assoc = DgAlgebra(F2, "assoc", trunc_f2().module, dict(trunc_f2().ops))
-    sym_bar_comparison(bar_module(As, 3), a_assoc, [1, 2, 3], DegreeWindow(0, 6))
+    sym_bar_comparison(bar_module(As, 3), a_assoc, [1, 2, 3])
     K = stasheff_operad(Q, 3)
     a_k = DgAlgebra(Q, "ainf", DgModule.from_data(Q, [("a", 1), ("b", 2)]), {2: {("a", "a"): {"b": Q.one()}}})
-    sym_bar_comparison(bar_module(K, 3), a_k, [1, 2, 3], DegreeWindow(0, 6))
+    sym_bar_comparison(bar_module(K, 3), a_k, [1, 2, 3])
 
 
 def test_bar_extension_isos():

@@ -195,6 +195,15 @@ def test_a_face_rule_that_breaks_an_identity_is_refused(monkeypatch):
         categorical_bar_module(commutative_operad(Q, 2), 2, 3)
 
 
+def test_a_levelwise_tensor_with_a_broken_face_is_refused():
+    sx = simplicial_categorical_bar(two_dim_fixture(Q), 2)
+    d0 = sx.faces[(2, 0)]
+    # d_0 out of level 2 doubled after the check: the tensor has d_0 s_0 = 4 on level 1
+    sx.faces[(2, 0)] = DgMap(d0.source, d0.target, 0, {d: m.scale(Q.of_int(2)) for d, m in d0.blocks.items()})
+    with pytest.raises(SimplicialIdentityViolation, match="d_0 s_0 at level 1"):
+        tensor_simplicial(sx, sx)
+
+
 def test_simplicial_circle_homology():
     # k[S^1]: level n has dims n+1; H = (1, 1)
     field = Q

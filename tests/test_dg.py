@@ -7,7 +7,7 @@ import pytest
 from opbar import perm
 from opbar.bar import bar, bar_module, iterated_bar
 from opbar.dg import DegreeWindow, DgMap, DgModule, dg_tensor_swap, homology, koszul_diff, suspension, tensor
-from opbar.errors import CompositionNotZero, FieldMismatch
+from opbar.errors import CompositionNotZero, FieldMismatch, NotAnIsomorphism
 from opbar.fixtures import random_commutative_algebra, random_sigma_module, random_tensor_algebra
 from opbar.jsonio import algebra_from_json, load_json
 from opbar.linalg import CoeffField, SparseMatrix, combo_add, rank
@@ -310,6 +310,19 @@ def test_clearing_runs_downward_on_a_cochain_side_bar(monkeypatch):
     assert calls and _directions(calls) == {True}  # every block by columns
     # F_2[x_1, x_3, x_7] through degree 13: the solutions of a + 3b + 7c = n
     assert per_block == {-n: sum(1 for b in range(5) for c in range(2) if 3 * b + 7 * c <= n) for n in range(1, 14)}
+
+
+def test_require_iso_names_the_map_it_refuses():
+    m = DgModule.from_data(Q, [("x", 1), ("y", 0)], {"x": {"y": Q.one()}})
+    identity = DgMap.identity(m)
+    assert identity.require_iso("the identity") is identity
+    # the identity in degree 1 only: d f(x) = y but f(d x) = 0
+    with pytest.raises(NotAnIsomorphism, match="^probe is not a chain map$"):
+        DgMap(m, m, 0, {1: identity.block(1)}).require_iso("probe")
+    zero = DgMap(m, m, 0, {})
+    assert zero.is_chain_map()
+    with pytest.raises(NotAnIsomorphism, match="^probe is not bijective$"):
+        zero.require_iso("probe")
 
 
 def test_homology_checks_an_unchecked_module_before_it_clears(monkeypatch):

@@ -84,14 +84,10 @@ def test_every_private_definition_is_referenced():
 
 
 # A check switch is a parameter that lets a caller skip a check.  The ones left
-# are those whose callers in the package need both values: a module or complex
-# built from data already checked, or a big word space checked another way.
+# are the dg-module constructors': tensor products, suspensions and word spaces
+# are built from data already checked, and a module records its d^2 check.
 CHECK_SWITCHES = {
-    "bar.py": {"BarComplex.__init__", "bar"},
-    "catbar.py": {"SimplicialDgModule.__init__", "SimplicialDgModule.from_maps"},
     "dg.py": {"DgModule.__init__", "DgModule.from_rule", "DgModule.from_data"},
-    "sigma.py": {"SigmaModule.__init__"},
-    "simplicial.py": {"FiniteSimplicialSet.__init__"},
 }
 
 

@@ -11,7 +11,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from opbar.dg import DgModule
-from opbar.errors import MalformedInput
+from opbar.errors import ArityBoundExceeded, MalformedInput
 from opbar.jsonio import (
     algebra_from_json,
     algebra_to_json,
@@ -25,7 +25,16 @@ from opbar.jsonio import (
 )
 from opbar.linalg import CoeffField
 from opbar.modules import DgAlgebra, check_algebra
-from opbar.operads import check_operad, commutative_operad, stasheff_operad
+from opbar.operads import (
+    AssociativeOperad,
+    CommutativeOperad,
+    FreeOperad,
+    associative_operad,
+    check_operad,
+    commutative_operad,
+    refuse_large_table,
+    stasheff_operad,
+)
 
 Q = CoeffField.rationals()
 F2 = CoeffField.prime(2)
@@ -83,6 +92,16 @@ def test_operad_round_trip():
         }
 
 
+def _scale_the_binary_action_of_as3(data):
+    """Turn `data` into an As(3) export whose arity-2 action is scaled by 2, so s_1^2 != 1."""
+    data.clear()
+    data.update(operad_to_json(associative_operad(Q, 3), 3))
+    for action in data["actions"]:
+        if action["arity"] == 2:
+            for out in action["output"]:
+                out["coeff"] = "2"
+
+
 @pytest.mark.parametrize(
     "mutate, message",
     [
@@ -93,8 +112,9 @@ def test_operad_round_trip():
             "components[1].basis names 'a1_d0_0', which arity 1 already uses",
         ),
         (lambda d: d["components"][1].update(arity=1), "components[1].arity: arity 1 is given twice"),
+        (_scale_the_binary_action_of_as3, "actions: s_1^2 != 1 on 'a2_d0_0' (arity 2)"),
     ],
-    ids=["component-without-arity", "components-object", "name-in-two-components", "arity-twice"],
+    ids=["component-without-arity", "components-object", "name-in-two-components", "arity-twice", "scaled-action"],
 )
 def test_operad_from_json_rejects_bad_shapes(mutate, message):
     data = operad_to_json(commutative_operad(Q, 2), 2)
@@ -229,6 +249,53 @@ def test_cli_export_refuses_an_arity_bound_too_large_to_build(small_operad_build
         "error: ArityBoundExceeded: %s would have %d basis elements, over the limit of 50000: "
         "arity bound 30 is too large\n" % (name, size)
     )
+
+
+@pytest.mark.parametrize(
+    "builtin, fits, refused, entries", [("As", 7, (8,), 587367), ("Com", 83, (84, 10**9), 102340)], ids=["As", "Com"]
+)
+def test_cli_export_refuses_a_composition_table_over_the_limit(monkeypatch, capsys, builtin, fits, refused, entries):
+    from opbar.cli import main
+
+    def no_building(*args, **kwargs):
+        raise AssertionError("an operad was built")
+
+    for cls in (AssociativeOperad, CommutativeOperad, FreeOperad):
+        monkeypatch.setattr(cls, "__init__", no_building)
+    for bound in refused:
+        assert main(["export", "--builtin", builtin, "--arity-bound", str(bound)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert err == (
+            "error: ArityBoundExceeded: the composition table of %s through arity %d would have %d entries, "
+            "over the limit of 100000: arity bound %d is too large\n" % (builtin, refused[0], entries, bound)
+        )
+    # the largest bound that fits goes on to the build
+    with pytest.raises(AssertionError, match="an operad was built"):
+        main(["export", "--builtin", builtin, "--arity-bound", str(fits)])
+
+
+def test_the_k_export_is_limited_by_its_components_first():
+    refuse_large_table("K", 5)  # 38,127 entries
+    with pytest.raises(ArityBoundExceeded, match="K\\(6\\) would have 141840 basis elements"):
+        refuse_large_table("K", 6)
+
+
+def test_cli_verify_refuses_a_stasheff_bound_it_cannot_check(monkeypatch, capsys):
+    from opbar import operads
+    from opbar.cli import main
+
+    def unguarded(*args):
+        raise AssertionError("the symbolic d^2 check ran")
+
+    monkeypatch.setattr(operads, "_d_squared_vanishes", unguarded)
+    assert main(["verify", "--suite", "stasheff", "--arity-bound", "17"]) == 1
+    out, err = capsys.readouterr()
+    (line,) = [line for line in out.splitlines() if line.startswith("stasheff.d_squared")]
+    assert line.split()[1:] == (
+        "FAIL ArityBoundExceeded: the symbolic d^2 check stops at arity 16: arity bound 17 is too large".split()
+    )
+    assert err == "FAILED: stasheff.d_squared\n"
 
 
 def test_cli_verify_names_the_refused_arity_bound(small_operad_builds, capsys):

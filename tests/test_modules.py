@@ -732,7 +732,7 @@ def test_sym_over_operad_is_pinned():
     ):
         bm = bar_module(operad, 3)
         for alg in algebras:
-            sym, _, _ = sym_bar_comparison(bm, alg, [1, 2, 3], DegreeWindow(0, 6))
+            sym, _, _ = sym_bar_comparison(bm, alg, [1, 2, 3])
             got["%s/%s" % (rname, alg.name)] = _digest(_module_parts(sym.module))
     assert got == SYM_DIGESTS
 
@@ -920,7 +920,7 @@ def test_sym_bar_comparison_with_a_nonzero_algebra_differential(field, make_oper
     suite's algebras all have d = 0)."""
     alg = random_tensor_algebra(field, 1, length_cap=1)
     assert alg.module.diff
-    sym, _, _ = sym_bar_comparison(bar_module(make_operad(field, 3), 3), alg, [1, 2, 3], DegreeWindow(0, 6))
+    sym, _, _ = sym_bar_comparison(bar_module(make_operad(field, 3), 3), alg, [1, 2, 3])
     assert sym.module.total_dim() == 14
     assert sym.module.diff
 

@@ -5,7 +5,7 @@ import pytest
 
 import opbar.operads
 from opbar import trees
-from opbar.errors import ArityBoundExceeded
+from opbar.errors import ArityBoundExceeded, MalformedInput
 from opbar.jsonio import operad_from_json, operad_to_json
 from opbar.linalg import CoeffField
 from opbar.operads import (
@@ -88,6 +88,18 @@ def test_stasheff_derivative_small():
 def test_stasheff_d_squared_arity7():
     assert stasheff_d_squared_vanishes(Q, 7)
     assert stasheff_d_squared_vanishes(F2, 7)
+
+
+def test_the_symbolic_d_squared_check_refuses_a_large_arity_before_grafting(monkeypatch):
+    def unguarded(*args):
+        raise AssertionError("the symbolic d^2 check ran")
+
+    monkeypatch.setattr(opbar.operads, "_d_squared_vanishes", unguarded)
+    for bound in (17, 10**9):
+        with pytest.raises(ArityBoundExceeded, match="stops at arity 16: arity bound %d is too large" % bound):
+            stasheff_d_squared_vanishes(Q, bound)
+    with pytest.raises(AssertionError, match="ran"):  # the largest bound allowed goes on
+        stasheff_d_squared_vanishes(Q, 16)
 
 
 def test_sign_convention_unique_up_to_global_sign():
@@ -276,8 +288,14 @@ def test_check_operad_rejects_one_entry_mutants(build, field):
 
 def test_check_operad_rejects_a_dropped_action():
     data = operad_to_json(associative_operad(Q, 3), 3)
-    del data["actions"][0]
-    with pytest.raises(ValueError):
+    # one dropped entry of s_1 breaks s_1^2 = 1, which the import refuses
+    broken = copy.deepcopy(data)
+    del broken["actions"][0]
+    with pytest.raises(MalformedInput, match=r"s_1\^2 != 1"):
+        operad_from_json(broken)
+    # with the whole arity-2 action dropped the import holds a Sigma-module, but not an operad
+    data["actions"] = [a for a in data["actions"] if a["arity"] != 2]
+    with pytest.raises(ValueError, match="equivariance fails"):
         check_operad(operad_from_json(data), 3)
 
 

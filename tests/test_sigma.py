@@ -18,20 +18,20 @@ F2 = CoeffField.prime(2)
 
 def com_like(field, bound=3):
     comps = {n: DgModule.ground(field, ("e", n)) for n in range(1, bound + 1)}
-    return SigmaModule(field, comps, {}, check=True)
+    return SigmaModule(field, comps, {}).check_relations()
 
 
 def sign_mod(field):
     comps = {2: DgModule.from_data(field, [("x", 1)])}
     act = {(2, 1): {(1, "x"): {"x": field.of_int(-1)}}}
-    return SigmaModule(field, comps, act, check=True)
+    return SigmaModule(field, comps, act).check_relations()
 
 
 def test_relations_catch_bad_action():
     comps = {2: DgModule.from_data(Q, [("x", 0)])}
     act = {(2, 1): {(0, "x"): {"x": Q.of_int(2)}}}  # not an involution
     with pytest.raises(ValueError):
-        SigmaModule(Q, comps, act, check=True)
+        SigmaModule(Q, comps, act).check_relations()
     with pytest.raises(ValueError):
         SigmaModule.from_rule(Q, comps, lambda n, s_i, d, label: {"x": Q.of_int(2)}).check_relations()
 
