@@ -7,7 +7,7 @@ the categorical bar construction, and normalized cochain algebras of
 finite simplicial sets.
 """
 
-from .dg import DegreeWindow, DgMap, DgModule, dg_tensor_swap, homology, suspension, tensor
+from .dg import DegreeWindow, DgMap, DgModule, homology, suspension, tensor
 from .linalg import CoeffField, SparseMatrix, homology_dimension, kernel_basis, rank
 from .modules import DgAlgebra, check_algebra
 from .bar import bar, bar_module, iterated_bar, shuffle_product
@@ -24,7 +24,6 @@ __all__ = [
     "tensor",
     "suspension",
     "homology",
-    "dg_tensor_swap",
     "DgAlgebra",
     "check_algebra",
     "bar",

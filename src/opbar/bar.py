@@ -215,9 +215,9 @@ class BarComplex:
         terms = self._b_terms[chunk] = tuple(terms)
         return terms
 
-    def _coded_diff(self, w, bar_part=True):
+    def _coded_diff(self, w):
         """The differential of a coded word, as {coded word: coeff}: the internal
-        part letter by letter, then (with `bar_part`) each b_r at every position,
+        part letter by letter, then each b_r at every position,
         r ascending, each term signed by its suspended prefix and summed in as
         `combo_add` would."""
         p = self.field.p
@@ -226,7 +226,7 @@ class BarComplex:
         get = out.get
         n = len(w)
         # r = 0 stands for the internal part, whose pieces are single letters
-        for r in self._arities if bar_part else (0,):
+        for r in self._arities:
             k = r or 1
             if k > n:
                 break
@@ -264,40 +264,9 @@ class BarComplex:
     def homology(self, window=None):
         return homology(self.module, window or self.window)
 
-    def filtration_layer(self, n):
-        """The subcomplex of words of weight <= n."""
-
-        def rule(d, word):
-            out = self.diff_word(word) if d >= self.window.lo else {}
-            if any(len(word2) > n for word2 in out):
-                raise AssertionError("filtration not closed under the differential")
-            return out
-
-        basis = {d: tuple(w for w in self.module.labels(d) if len(w) <= n) for d in self.module.degrees()}
-        return DgModule.from_rule(self.field, basis, rule)
-
-    def layer_quotient_matches_tensor_power(self, n):
-        """B_{<=n}/B_{<=n-1} carries the internal differential only."""
-        for d in self.module.degrees():
-            for word in self.module.labels(d):
-                if len(word) != n:
-                    continue
-                w = tuple(map(self._code.__getitem__, word))
-                internal = self._coded_diff(w, bar_part=False)
-                for w2, c in self._coded_diff(w).items():
-                    if len(w2) == n and internal.get(w2) != c:
-                        return False
-        return True
-
 
 def bar(algebra, window, weight_bound=None):
     return BarComplex(algebra, window, weight_bound)
-
-
-def bar_filtration_layer(bar_complex, n):
-    if n > bar_complex.weight_bound:
-        raise ValueError("layer %d beyond weight bound %d" % (n, bar_complex.weight_bound))
-    return bar_complex.filtration_layer(n)
 
 
 # shuffle product ---------------------------------------------------------------

@@ -42,7 +42,7 @@ from . import perm
 from .bar import bar, shuffle_word_product, sound_weight_bound
 from .dg import DegreeWindow, DgMap, DgModule, koszul_diff, tensor as dg_tensor
 from .errors import FieldMismatch, NotCommutative, SimplicialIdentityViolation
-from .linalg import Quotient, combo_add, combo_map, rank
+from .linalg import Quotient, combo_add, combo_map
 from .sigma import SigmaModule, compose
 
 
@@ -173,11 +173,6 @@ class NormalizedComplex:
     def project(self, n, q, combo):
         """Project a level-n internal-degree-q combo to kept labels."""
         return Quotient.project_in(self.field, self.quotients, (n, q), combo)
-
-
-def normalize(simplicial):
-    """The normalized total complex of a simplicial dg-module."""
-    return NormalizedComplex(simplicial).module
 
 
 # coproducts of commutative algebras -------------------------------------------
@@ -505,19 +500,6 @@ class CategoricalBarModule:
             return self.levels[m].project(r, d, {(op, (w, tuple(recolored))): f.one()})
 
         return DgMap.from_rule(components[n], components[m], 0, rule)
-
-    def level_dims(self, n):
-        return self.levels[n].sigma.dims()
-
-    def degeneracies_split_injective(self):
-        """Every s_j is injective levelwise (free on a summand inclusion)."""
-        return all(
-            rank(sx.degeneracy(n, j).block(d)) == sx.level(n).dim(d)
-            for sx in (normalized.simplicial for normalized in self.normalized.values())
-            for n in range(1, self.dimension_bound)
-            for j in range(n + 1)
-            for d in sx.level(n).degrees()
-        )
 
 
 def categorical_bar_module(operad, arity_bound, dimension_bound):

@@ -27,9 +27,9 @@ loop is the hot path of every bar table, and a callback per letter
 would only slow it.
 `DgModule.from_rule`, `from_data` and the constructor check d^2 = 0 by
 default, which pins the conventions in practice; `tensor`,
-`suspension`, `direct_sum` and the word spaces of `sigma.py` build
-with check=False.  A module records that its check passed
-(`d_squared_checked`), so d^2 = 0 is checked once per module:
+`suspension` and the word spaces of `sigma.py` build with check=False.
+A module records that its check passed (`d_squared_checked`), so
+d^2 = 0 is checked once per module:
 `homology` checks a module that has no record, and then ranks every
 module by clearing (see `_cleared_ranks`), which needs d^2 = 0.
 Every comparison isomorphism is certified by `DgMap.require_iso`.
@@ -210,23 +210,6 @@ class DgModule:
             if src not in degree_of:
                 raise ValueError("differential given for unknown label %r" % (src,))
         return DgModule.from_rule(field, basis, lambda d, label: diff_map.get(label, {}), check)
-
-    def direct_sum(self, other):
-        if self.field != other.field:
-            raise FieldMismatch("direct_sum over different fields")
-        basis = {}
-        for d in sorted(set(self.basis) | set(other.basis)):
-            basis[d] = tuple(("L", l) for l in self.labels(d)) + tuple(("R", l) for l in other.labels(d))
-        diff = {}
-        for d in sorted(set(self.diff) | set(other.diff)):
-            m = SparseMatrix.zero(self.field, self.dim(d - 1) + other.dim(d - 1), self.dim(d) + other.dim(d))
-            for (i, j), v in self.diff_block(d).entries.items():
-                m.add_to(i, j, v)
-            off_r, off_c = self.dim(d - 1), self.dim(d)
-            for (i, j), v in other.diff_block(d).entries.items():
-                m.add_to(i + off_r, j + off_c, v)
-            diff[d] = m
-        return DgModule(self.field, basis, diff, check=False)
 
     def __repr__(self):
         w = self.window()
@@ -414,21 +397,6 @@ def tensor(a, b, window=None):
         return koszul_diff(field, label, lambda j, x: (degrees[j], diffs[j][(degrees[j], x)]))
 
     return DgModule.from_rule(field, basis, rule, check=False)
-
-
-def dg_tensor_swap(a, b):
-    """The symmetry chain isomorphism a(x)b -> b(x)a with Koszul signs."""
-    field = a.field
-
-    degree_of_a = {l: d for d in a.degrees() for l in a.labels(d)}
-    degree_of_b = {l: d for d in b.degrees() for l in b.labels(d)}
-
-    def rule(d, label):
-        x, y = label
-        sgn = field.sign(degree_of_a[x] * degree_of_b[y])
-        return {(y, x): sgn}
-
-    return DgMap.from_rule(tensor(a, b), tensor(b, a), 0, rule)
 
 
 def suspension(a):

@@ -191,23 +191,6 @@ def algebra_from_json(data, field=None):
     return DgAlgebra(f, _KIND_BY_OPERAD[operad_name], module, ops, name=name), f
 
 
-def simplicial_to_json(space):
-    out = {"simplices": [], "basepoint": space.basepoint}
-    for name in sorted(space.dim_of, key=lambda n: (space.dim_of[n], n)):
-        entry = {"name": name, "dim": space.dim_of[name]}
-        if space.dim_of[name] > 0:
-            entry["faces"] = [_face_expr(w, core) for (w, core) in space.faces_of[name]]
-        out["simplices"].append(entry)
-    return out
-
-
-def _face_expr(word, core):
-    text = core
-    for j in reversed(word):
-        text = "s%d(%s)" % (j, text)
-    return text
-
-
 def operad_to_json(operad, arity_bound=None):
     """Mirror of the Sigma-module plus the full composition table.
 
@@ -277,7 +260,7 @@ def operad_to_json(operad, arity_bound=None):
 
 def operad_from_json(data):
     """An operad from `operad_to_json` output; a component without a differential has d = 0."""
-    from .operads import TableOperad
+    from .operads import TableOperad, check_operad
     from .sigma import SigmaModule
 
     f = field_from_json(_member(data, "field", None), "field")
@@ -324,7 +307,12 @@ def operad_from_json(data):
         p, i, q = operation(entry, "p", at), _member(entry, "slot", int, at), operation(entry, "q", at)
         table[(arity_of[p], p, i, arity_of[q], q)] = output(entry, at)
     unit = operation(data, "unit", "")
-    return TableOperad(f, sigma, unit, table, name=_member(data, "name", str, "", "table"))
+    op = TableOperad(f, sigma, unit, table, name=_member(data, "name", str, "", "table"))
+    try:
+        check_operad(op)
+    except ValueError as exc:
+        raise MalformedInput("operad laws: %s" % exc) from None
+    return op
 
 
 def bar_to_json(bar_complex):

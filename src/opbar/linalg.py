@@ -257,11 +257,6 @@ class SparseMatrix:
     def __hash__(self):
         raise TypeError("SparseMatrix is mutable; not hashable")
 
-    def transpose(self):
-        m = SparseMatrix(self.field, self.cols, self.rows)
-        m.entries = {(j, i): v for (i, j), v in self.entries.items()}
-        return m
-
     def scale(self, c):
         f = self.field
         m = SparseMatrix(f, self.rows, self.cols)
@@ -320,9 +315,6 @@ class SparseMatrix:
             nv = f.mul(v, w) if cur is None else f.add(cur, f.mul(v, w))
             out[i] = nv
         return {i: v for i, v in out.items() if not f.is_zero(v)}
-
-    def column(self, j):
-        return {i: v for (i, jj), v in self.entries.items() if jj == j}
 
     def _check_shape(self, other, same=False):
         if self.field != other.field:

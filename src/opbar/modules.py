@@ -32,9 +32,9 @@ from itertools import product
 from . import perm, trees
 from .dg import DgModule, koszul_diff
 from .errors import AlgebraCheckFailed, InvalidMorphism
-from .linalg import combo_add, combo_map, quotient_data
+from .linalg import combo_add, combo_map
 from .operads import gamma_partial, operad_morphism_check, stasheff_sign
-from .sigma import Coequalizer, SigmaModule, WordSpace, routed_compose
+from .sigma import Coequalizer, WordSpace, routed_compose
 
 
 class RightModule:
@@ -188,9 +188,6 @@ class TensorRightModule:
             return out
 
         return self.words.compose_into_slot(label, slot, q_triple[0], q_triple[1], q_triple[2], action_fn)
-
-    def as_right_module(self):
-        return RightModule(self.field, self.words.as_sigma(), self.operad, self.act_partial)
 
 
 # algebras --------------------------------------------------------------------
@@ -483,11 +480,6 @@ class SymPresentation(Coequalizer):
         self.module = self.sigma.component(0)
 
 
-def sym_apply(sigma, algebra_module, weights):
-    """The symmetric-tensor functor Sym(M, E) on explicit weights."""
-    return SymPresentation(sigma, algebra_module, weights)
-
-
 def _d0_d1_relations(coeq, right_module, r_sigma, r_bound, evaluate):
     """d0 - d1 on every pure three-level word (m; R-word; tail), keyed as in `coeq`.
 
@@ -555,10 +547,6 @@ class SymOverOperad:
             lambda q, args: evaluate_operad_element(self.algebra, self.operad, q, args),
             lambda letters: letters,
         )
-
-
-def sym_over_operad(right_module, algebra, operad, weights):
-    return SymOverOperad(right_module, algebra, operad, weights)
 
 
 # extension / restriction -------------------------------------------------------
@@ -632,111 +620,6 @@ def _extended_action(coeq, s_op, m_triple, slot, q_triple):
 def extension(right_module, psi, arity_bound):
     """Extension of structure psi_! M = M o_R S along psi: R -> S."""
     return ExtendedModule(right_module, psi, arity_bound)
-
-
-def direct_sum_right_modules(m1, m2):
-    """M (+) N with the slotwise action; labels are tagged L/R."""
-    f = m1.field
-    if m1.operad is not m2.operad:
-        raise ValueError("summands over different operads")
-    components = {
-        n: m1.sigma.component(n).direct_sum(m2.sigma.component(n))
-        for n in sorted(set(m1.sigma.arities()) | set(m2.sigma.arities()))
-    }
-
-    def act(n, s_i, d, label):
-        tag, l = label
-        src = m1 if tag == "L" else m2
-        return {(tag, l2): c for l2, c in src.sigma.act_perm_combo(n, s_i, d, {l: f.one()}).items()}
-
-    sigma = SigmaModule.from_rule(f, components, act)
-
-    def action(m_triple, slot, q_triple):
-        n, d, (tag, label) = m_triple
-        src = m1 if tag == "L" else m2
-        return {(tag, l2): c for l2, c in src.act_partial((n, d, label), slot, q_triple).items()}
-
-    return RightModule(f, sigma, m1.operad, action, name="%s(+)%s" % (m1.name, m2.name))
-
-
-def module_hom_dimension(m, n, arity_bound=None):
-    """dim of the space of degree-0 right-module chain maps M -> N.
-
-    Unknowns are the matrix entries per (arity, degree); constraints:
-    symmetric-group equivariance, commutation with differentials, and
-    compatibility with the operad action.  Solved by exact elimination.
-    """
-    f = m.field
-    bound = arity_bound or min(m.sigma.arity_bound(), n.sigma.arity_bound())
-    unknowns = []
-    index = {}
-    for a in range(1, bound + 1):
-        mc, nc = m.sigma.component(a), n.sigma.component(a)
-        for d in mc.degrees():
-            for lm in mc.labels(d):
-                for ln in nc.labels(d):
-                    index[(a, d, lm, ln)] = len(unknowns)
-                    unknowns.append((a, d, lm, ln))
-    relations = []
-
-    def add_relation(coeffs):
-        vec = {}
-        for key, c in coeffs.items():
-            if key not in index:
-                return False  # forced term outside the unknown space: inconsistent row
-            vec[index[key]] = c
-        if vec:
-            relations.append(vec)
-        return True
-
-    for a in range(1, bound + 1):
-        mc, nc = m.sigma.component(a), n.sigma.component(a)
-        for d in mc.degrees():
-            for lm in mc.labels(d):
-                # equivariance per generator: f(x.s_i) = f(x).s_i
-                for i in range(1, a):
-                    lhs = m.sigma.act_adjacent(a, i, d, lm)
-                    for ln in nc.labels(d):
-                        coeffs = {}
-                        for lm2, c in lhs.items():
-                            combo_add(f, coeffs, (a, d, lm2, ln), c)
-                        for ln2 in nc.labels(d):
-                            out = n.sigma.act_adjacent(a, i, d, ln2)
-                            c = out.get(ln)
-                            if c is not None:
-                                combo_add(f, coeffs, (a, d, lm, ln2), f.neg(c))
-                        add_relation(coeffs)
-                # chain map: f(dx) = d(f(x))
-                for ln in nc.labels(d - 1):
-                    coeffs = {}
-                    for lm2, c in mc.apply_diff(d, {lm: f.one()}).items():
-                        combo_add(f, coeffs, (a, d - 1, lm2, ln), c)
-                    for ln2 in nc.labels(d):
-                        c = nc.apply_diff(d, {ln2: f.one()}).get(ln)
-                        if c is not None:
-                            combo_add(f, coeffs, (a, d, lm, ln2), f.neg(c))
-                    add_relation(coeffs)
-                # module action: f(x o_i q) = f(x) o_i q
-                for s in m.operad.sigma.arities():
-                    if a + s - 1 > bound:
-                        continue
-                    for q in m.operad.basis_triples(s):
-                        for i in range(1, a + 1):
-                            acted = m.act_partial((a, d, lm), i, q)
-                            a2, d2 = a + s - 1, d + q[1]
-                            for ln in n.sigma.component(a2).labels(d2):
-                                coeffs = {}
-                                for lm2, c in acted.items():
-                                    combo_add(f, coeffs, (a2, d2, lm2, ln), c)
-                                for ln2 in n.sigma.component(a).labels(d):
-                                    c = n.act_partial((a, d, ln2), i, q).get(ln)
-                                    if c is not None:
-                                        combo_add(f, coeffs, (a, d, lm, ln2), f.neg(c))
-                                add_relation(coeffs)
-    if not unknowns:
-        return 0
-    kept, _ = quotient_data(f, len(unknowns), relations)
-    return len(kept)
 
 
 def restriction(right_module_over_s, psi):

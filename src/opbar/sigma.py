@@ -169,11 +169,6 @@ class SigmaModule:
         return "SigmaModule(%r, arities %s)" % (self.field, self.arities())
 
 
-def unit_sigma(field, label="1"):
-    """The composition unit I: k in arity 1, degree 0."""
-    return SigmaModule(field, {1: DgModule.ground(field, label)})
-
-
 # ---------------------------------------------------------------------------
 # word spaces: tensor powers / products of Sigma-modules
 

@@ -199,21 +199,6 @@ def boundary_of_simplex(n):
     return FiniteSimplicialSet(simplices, face_data, _vname((0,)))
 
 
-def standard_simplex(n):
-    """Delta^n as a finite simplicial set (contractible)."""
-    simplices = {}
-    face_data = {}
-    for k in range(n + 1):
-        for verts in combinations(range(n + 1), k + 1):
-            simplices[_vname(verts)] = k
-    for name in list(simplices):
-        verts = _vparse(name)
-        if len(verts) == 1:
-            continue
-        face_data[name] = [((), _vname(verts[:i] + verts[i + 1 :])) for i in range(len(verts))]
-    return FiniteSimplicialSet(simplices, face_data, _vname((0,)))
-
-
 def _vname(verts):
     return "v" + "".join(str(v) for v in verts)
 

@@ -7,7 +7,7 @@ from pathlib import Path
 
 import pytest
 
-from opbar.dg import DegreeWindow, DgModule, homology
+from opbar.dg import DegreeWindow, DgModule, homology, koszul_diff
 from opbar.errors import AlgebraCheckFailed, NotCommutative, TruncationUnsound
 from opbar.fixtures import random_commutative_algebra, random_tensor_algebra
 from opbar.jsonio import algebra_from_json, bar_to_json, dump_json, load_json
@@ -17,7 +17,6 @@ from opbar.modules import DgAlgebra, check_algebra
 from opbar.bar import (
     bar,
     bar_extension_iso,
-    bar_filtration_layer,
     bar_module,
     desuspension_parity,
     iterated_bar,
@@ -441,20 +440,53 @@ def test_enumeration_matches_a_plain_filter():
     assert words == 3585
 
 
+def filtration_layer(b, n):
+    """The subcomplex B_{<=n} of the bar complex `b`: its words of weight <= n."""
+    if n > b.weight_bound:
+        raise ValueError("layer %d beyond weight bound %d" % (n, b.weight_bound))
+
+    def rule(d, word):
+        out = b.diff_word(word) if d >= b.window.lo else {}
+        if any(len(word2) > n for word2 in out):
+            raise AssertionError("filtration not closed under the differential")
+        return out
+
+    basis = {d: tuple(w for w in b.module.labels(d) if len(w) <= n) for d in b.module.degrees()}
+    return DgModule.from_rule(b.field, basis, rule)
+
+
+def layer_quotient_matches_tensor_power(b, n):
+    """B_{<=n}/B_{<=n-1} carries the internal differential only: on each word
+    of weight n, the weight-n part of d is d(s a) = -s(d a) with Koszul signs."""
+    f, amod = b.field, b.algebra.module
+
+    def letter_diff(_, letter):
+        d, label = letter
+        return d + 1, {(d - 1, l2): f.neg(c) for l2, c in amod.apply_diff(d, {label: f.one()}).items()}
+
+    for d in b.module.degrees():
+        for word in b.module.labels(d):
+            if len(word) == n:
+                top = {w2: c for w2, c in b.diff_word(word).items() if len(w2) == n}
+                if top != koszul_diff(f, word, letter_diff):
+                    return False
+    return True
+
+
 def test_filtration_layers():
     b = bar(trunc_f2(), DegreeWindow(0, 8))
-    layer1 = bar_filtration_layer(b, 1)
+    layer1 = filtration_layer(b, 1)
     # B_{<=1} = Sigma A with the internal differential only
     assert {d: layer1.dim(d) for d in layer1.degrees()} == {2: 1, 3: 1}
-    full = bar_filtration_layer(b, b.weight_bound)
+    full = filtration_layer(b, b.weight_bound)
     assert {d: full.dim(d) for d in full.degrees()} == {
         d: b.module.dim(d) for d in b.module.degrees()
     }
     with pytest.raises(ValueError):
-        bar_filtration_layer(b, b.weight_bound + 1)
+        filtration_layer(b, b.weight_bound + 1)
     # associated graded carries the internal differential only
     for n in range(1, b.weight_bound + 1):
-        assert b.layer_quotient_matches_tensor_power(n)
+        assert layer_quotient_matches_tensor_power(b, n)
 
 
 def test_shuffle_term_counts():

@@ -6,12 +6,12 @@ import pytest
 
 from opbar import perm
 from opbar.bar import bar, bar_module, iterated_bar
-from opbar.dg import DegreeWindow, DgMap, DgModule, dg_tensor_swap, homology, koszul_diff, suspension, tensor
+from opbar.dg import DegreeWindow, DgMap, DgModule, homology, koszul_diff, suspension, tensor
 from opbar.errors import CompositionNotZero, FieldMismatch, NotAnIsomorphism
 from opbar.fixtures import random_commutative_algebra, random_sigma_module, random_tensor_algebra
 from opbar.jsonio import algebra_from_json, load_json
 from opbar.linalg import CoeffField, SparseMatrix, combo_add, rank
-from opbar.modules import sym_apply
+from opbar.modules import SymPresentation
 from opbar.operads import associative_operad, commutative_operad, stasheff_operad
 from opbar.sigma import SigmaModule, WordSpace, compose
 from opbar.verify import _fixture_algebras
@@ -118,6 +118,21 @@ def test_homology_exterior_generator():
     assert homology(m, DegreeWindow(0, 1)) == {0: 1, 1: 1}
 
 
+def dg_tensor_swap(a, b):
+    """The symmetry chain isomorphism a(x)b -> b(x)a with Koszul signs."""
+    field = a.field
+
+    degree_of_a = {l: d for d in a.degrees() for l in a.labels(d)}
+    degree_of_b = {l: d for d in b.degrees() for l in b.labels(d)}
+
+    def rule(d, label):
+        x, y = label
+        sgn = field.sign(degree_of_a[x] * degree_of_b[y])
+        return {(y, x): sgn}
+
+    return DgMap.from_rule(tensor(a, b), tensor(b, a), 0, rule)
+
+
 def test_swap_is_chain_iso_and_involution():
     m = DgModule.from_data(
         Q,
@@ -165,9 +180,28 @@ def test_suspension_commutes_with_homology():
         assert hs[d + 1] == v
 
 
+def direct_sum(a, b):
+    """a (+) b with the blockwise differential; labels are tagged L/R."""
+    if a.field != b.field:
+        raise FieldMismatch("direct_sum over different fields")
+    basis = {}
+    for d in sorted(set(a.basis) | set(b.basis)):
+        basis[d] = tuple(("L", l) for l in a.labels(d)) + tuple(("R", l) for l in b.labels(d))
+    diff = {}
+    for d in sorted(set(a.diff) | set(b.diff)):
+        m = SparseMatrix.zero(a.field, a.dim(d - 1) + b.dim(d - 1), a.dim(d) + b.dim(d))
+        for (i, j), v in a.diff_block(d).entries.items():
+            m.add_to(i, j, v)
+        off_r, off_c = a.dim(d - 1), a.dim(d)
+        for (i, j), v in b.diff_block(d).entries.items():
+            m.add_to(i + off_r, j + off_c, v)
+        diff[d] = m
+    return DgModule(a.field, basis, diff, check=False)
+
+
 def test_direct_sum():
     m = two_term()
-    s = m.direct_sum(m)
+    s = direct_sum(m, m)
     assert s.dim(0) == 2 and s.dim(1) == 2
     assert homology(s) == {0: 0, 1: 0}
 
@@ -659,7 +693,7 @@ def test_koszul_diff_matches_sym_diff_big():
     ]:
         sigma = bar_module(operad, 3).right_module.sigma
         for alg in _fixture_algebras(field, kind) + [random_tensor_algebra(field, 1, length_cap=1)]:
-            sym = sym_apply(sigma, alg.module, [1, 2, 3])
+            sym = SymPresentation(sigma, alg.module, [1, 2, 3])
             for n, words in sym.tails.items():
                 for label in product(sym.left.basis_triples(n), [w for _, w in words.component(0).basis_pairs()]):
                     assert repr(sym.diff_big(label)) == repr(_ref_sym_diff_big(sym, label))

@@ -1,5 +1,7 @@
-"""Every name a `src/opbar` module imports is used in that module, and
-every private definition is used somewhere in the package.
+"""Every name a `src/opbar` module imports is used in that module, every
+private definition is used somewhere in the package, and every public
+definition is reached by the package, the benchmark or a listed entry
+point.
 
 An import left behind by a refactor costs load time in every process and
 hides which modules really depend on each other.  The check reads each
@@ -14,14 +16,24 @@ name or as an attribute, is a dead helper.
 
 A parameter named `check` or `check_*` lets a caller skip a check; only
 the functions on `CHECK_SWITCHES` may take one.
+
+A public function, class or method that no module of the package reads
+outside its own definition is test-only code: a wrapper the tests can do
+without, or a test oracle that belongs in the test that uses it.  It may
+stay only when the benchmark names it (the tracer's `SPANS` and
+`COUNTS`, or a name `perfbench/workloads.py` reads) or when it sits on
+`ENTRY_POINTS`, the library entry points no command reaches.
 """
 
 import ast
+import importlib
+from collections import Counter
 from pathlib import Path
 
 import pytest
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "opbar"
+PERFBENCH = SRC.parent.parent / "perfbench"
 
 
 def unused_imports(source):
@@ -124,3 +136,89 @@ def test_the_check_flags_a_check_switch():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_check_switch_beyond_the_allowlist(path):
     assert check_switches(path.read_text()) == CHECK_SWITCHES.get(path.name, set())
+
+
+def _reads(node):
+    """Every name read in `node`, by name or as an attribute, with repeats;
+    a name imported under another name is read through its alias."""
+    for n in ast.walk(node):
+        if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Load):
+            yield n.id
+        elif isinstance(n, ast.Attribute) and isinstance(n.ctx, ast.Load):
+            yield n.attr
+        elif isinstance(n, ast.alias) and n.asname:
+            yield n.name
+
+
+def unreferenced_public_definitions(sources, allowed):
+    """The public top-level functions and classes, and the public methods of
+    top-level classes, defined in `sources` (path -> source) that no source
+    reads outside the definition itself and whose name is not in `allowed`,
+    as (path, line, name); a method is named Class.method."""
+    kinds = (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)
+    reads = Counter()
+    defined = []
+    for path, source in sources.items():
+        tree = ast.parse(source)
+        reads.update(_reads(tree))
+        for node in tree.body:
+            if not isinstance(node, kinds):
+                continue
+            members = [m for m in node.body if isinstance(m, kinds)] if isinstance(node, ast.ClassDef) else []
+            for prefix, d in [("", node)] + [(node.name + ".", m) for m in members]:
+                if not d.name.startswith("_") and d.name not in allowed:
+                    defined.append((path, d.lineno, prefix + d.name, d))
+    return [
+        (path, line, name)
+        for path, line, name, d in defined
+        if reads[d.name] == sum(1 for read in _reads(d) if read == d.name)
+    ]
+
+
+# Public names no command reaches that stay as library entry points.
+ENTRY_POINTS = {
+    "operad_from_json": "jsonio: the import of `operad_to_json`'s format; no command reads operad JSON",
+    "restriction": "modules: the paper's restriction of structure psi^*, in the README's feature list",
+}
+
+
+def benchmark_pins(monkeypatch):
+    """The names the benchmark reaches in the package: each part of every
+    name the tracer wraps, and every name `perfbench/workloads.py` reads."""
+    monkeypatch.syspath_prepend(str(PERFBENCH))
+    tracer = importlib.import_module("tracer")
+    pins = {part for _, name, _ in tracer.SPANS + tracer.COUNTS for part in name.split(".")}
+    return pins | set(_reads(ast.parse((PERFBENCH / "workloads.py").read_text())))
+
+
+def _package_sources():
+    return {path.name: path.read_text() for path in sorted(SRC.glob("*.py")) if path.name != "__init__.py"}
+
+
+def test_the_check_flags_an_unreferenced_public_definition():
+    sources = {
+        "a.py": (
+            "def used():\n    pass\n"
+            "def dead():\n    return dead()\n"
+            "class Dead:\n    def make(self):\n        return Dead()\n"
+            "class Kept:\n    def read(self):\n        pass\n    def unread(self):\n        pass\n"
+            "def traced():\n    pass\n"
+            "def restriction():\n    pass\n"
+            "def _private():\n    pass\n"
+        ),
+        "b.py": "from .a import dead, used as run, Kept\nrun()\nKept().read()\nx.unread = None\n",
+    }
+    flagged = unreferenced_public_definitions(sources, {"traced"} | set(ENTRY_POINTS))
+    assert flagged == [("a.py", 3, "dead"), ("a.py", 5, "Dead"), ("a.py", 6, "Dead.make"), ("a.py", 11, "Kept.unread")]
+
+
+def test_every_public_definition_is_reached(monkeypatch):
+    allowed = benchmark_pins(monkeypatch) | set(ENTRY_POINTS)
+    assert unreferenced_public_definitions(_package_sources(), allowed) == []
+
+
+def test_every_entry_point_is_needed(monkeypatch):
+    # each entry point is a name the guard would flag without the list: one that the
+    # package or the benchmark reaches, or one that is gone, must leave it
+    flagged = unreferenced_public_definitions(_package_sources(), benchmark_pins(monkeypatch))
+    assert set(ENTRY_POINTS) <= {name for _, _, name in flagged}

@@ -38,6 +38,7 @@ from opbar.operads import (
 
 Q = CoeffField.rationals()
 F2 = CoeffField.prime(2)
+F3 = CoeffField.prime(3)
 
 REPO = Path(__file__).resolve().parent.parent
 DATA = REPO / "data"
@@ -102,6 +103,17 @@ def _scale_the_binary_action_of_as3(data):
                 out["coeff"] = "2"
 
 
+def _scale_a2_o1_a2_of_as3_over_f3(data):
+    """Turn `data` into an As(3) export over F_3 whose a2 o_1 a2 is scaled by 2:
+    a Sigma-module whose composition breaks equivariance."""
+    data.clear()
+    data.update(operad_to_json(associative_operad(F3, 3), 3))
+    for entry in data["compositions"]:
+        if (entry["p"], entry["slot"], entry["q"]) == ("a2_d0_0", 1, "a2_d0_0"):
+            for out in entry["output"]:
+                out["coeff"] = "2"
+
+
 @pytest.mark.parametrize(
     "mutate, message",
     [
@@ -113,8 +125,19 @@ def _scale_the_binary_action_of_as3(data):
         ),
         (lambda d: d["components"][1].update(arity=1), "components[1].arity: arity 1 is given twice"),
         (_scale_the_binary_action_of_as3, "actions: s_1^2 != 1 on 'a2_d0_0' (arity 2)"),
+        (
+            _scale_a2_o1_a2_of_as3_over_f3,
+            "operad laws: equivariance fails at (2, 0, 'a2_d0_0') o_2 (2, 0, 'a2_d0_0')",
+        ),
     ],
-    ids=["component-without-arity", "components-object", "name-in-two-components", "arity-twice", "scaled-action"],
+    ids=[
+        "component-without-arity",
+        "components-object",
+        "name-in-two-components",
+        "arity-twice",
+        "scaled-action",
+        "scaled-composition",
+    ],
 )
 def test_operad_from_json_rejects_bad_shapes(mutate, message):
     data = operad_to_json(commutative_operad(Q, 2), 2)

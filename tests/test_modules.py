@@ -17,25 +17,23 @@ from opbar.dg import DegreeWindow, DgModule, tensor as dg_tensor
 from opbar.errors import AlgebraCheckFailed, InvalidMorphism
 from opbar.fixtures import random_commutative_algebra, random_tensor_algebra
 from opbar.jsonio import algebra_from_json, load_json, operad_from_json, operad_to_json
-from opbar.linalg import CoeffField, combo_add
+from opbar.linalg import CoeffField, combo_add, quotient_data
 from opbar.simplicial import normalized_cochains, simplicial_set_from_json
-from opbar.sigma import compose
+from opbar.sigma import SigmaModule, compose
 from opbar.transfer import transfer_a_infinity
 from opbar.verify import _fixture_algebras
 from opbar.modules import (
     DgAlgebra,
     RightModule,
+    SymOverOperad,
+    SymPresentation,
     TensorRightModule,
     check_algebra,
-    direct_sum_right_modules,
     evaluate_operad_element,
     extension,
-    module_hom_dimension,
     operad_right_module,
     restriction,
     suspend_right_module,
-    sym_apply,
-    sym_over_operad,
 )
 from opbar.operads import (
     alpha_to_com,
@@ -49,6 +47,7 @@ from opbar.operads import (
     stasheff_operad,
     stasheff_sign,
 )
+from test_dg import direct_sum
 from test_operads import spy_full_morphism_checks
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -101,7 +100,8 @@ def test_suspended_module_axioms():
 def test_tensor_right_module_axioms():
     Com = commutative_operad(Q, 3)
     mod = operad_right_module(Com)
-    TensorRightModule([mod, mod], 3).as_right_module().check_module(3)
+    t = TensorRightModule([mod, mod], 3)
+    RightModule(t.field, t.words.as_sigma(), t.operad, t.act_partial).check_module(3)
 
 
 def test_check_algebra_catches_corruption():
@@ -312,8 +312,8 @@ def test_sym_apply_counts():
     x0 = DgModule.ground(Q, "x")
     Com = commutative_operad(Q, 3)
     As = associative_operad(Q, 3)
-    s1 = sym_apply(Com.sigma, x0, [1, 2, 3])
-    s2 = sym_apply(As.sigma, x0, [1, 2, 3])
+    s1 = SymPresentation(Com.sigma, x0, [1, 2, 3])
+    s2 = SymPresentation(As.sigma, x0, [1, 2, 3])
     assert s1.module.dim(0) == 3  # one symmetric power per weight
     assert s2.module.dim(0) == 3  # coinvariants of the regular representation
 
@@ -322,13 +322,13 @@ def test_sym_apply_odd_generator_over_q():
     # Sym(Com, x odd) kills the even-weight powers over Q (x.x ~ -x.x)
     x1 = DgModule.from_data(Q, [("x", 1)])
     Com = commutative_operad(Q, 3)
-    s = sym_apply(Com.sigma, x1, [1, 2, 3])
+    s = SymPresentation(Com.sigma, x1, [1, 2, 3])
     dims = {d: s.module.dim(d) for d in s.module.degrees()}
     assert dims == {1: 1}
     # over F2 nothing dies
     x1f = DgModule.from_data(F2, [("x", 1)])
     ComF = commutative_operad(F2, 3)
-    sf = sym_apply(ComF.sigma, x1f, [1, 2, 3])
+    sf = SymPresentation(ComF.sigma, x1f, [1, 2, 3])
     assert {d: sf.module.dim(d) for d in sf.module.degrees()} == {1: 1, 2: 1, 3: 1}
 
 
@@ -336,13 +336,13 @@ def test_sym_over_operad_identity_functor():
     for field in (F2, Q):
         Com = commutative_operad(field, 3)
         a = trunc_poly(field)
-        so = sym_over_operad(operad_right_module(Com), a, Com, [1, 2, 3])
+        so = SymOverOperad(operad_right_module(Com), a, Com, [1, 2, 3])
         dims = {d: so.module.dim(d) for d in so.module.degrees()}
         expect = {d: a.module.dim(d) for d in a.module.degrees()}
         assert dims == expect
         As = associative_operad(field, 3)
         a2 = DgAlgebra(field, "assoc", a.module, dict(a.ops))
-        so2 = sym_over_operad(operad_right_module(As), a2, As, [1, 2, 3])
+        so2 = SymOverOperad(operad_right_module(As), a2, As, [1, 2, 3])
         assert {d: so2.module.dim(d) for d in so2.module.degrees()} == expect
 
 
@@ -350,13 +350,39 @@ def test_sym_tensor_preservation():
     # Sym_Com(Com (x) Com, A) = A (x) A
     Com = commutative_operad(F2, 4)
     mod = operad_right_module(Com)
-    tensor_mod = TensorRightModule([mod, mod], 4).as_right_module()
+    t = TensorRightModule([mod, mod], 4)
+    tensor_mod = RightModule(t.field, t.words.as_sigma(), t.operad, t.act_partial)
     a = trunc_poly(F2)
-    so = sym_over_operad(tensor_mod, a, Com, [2, 3, 4])
+    so = SymOverOperad(tensor_mod, a, Com, [2, 3, 4])
     expect = dg_tensor(a.module, a.module)
     assert {d: so.module.dim(d) for d in so.module.degrees()} == {
         d: expect.dim(d) for d in expect.degrees()
     }
+
+
+def direct_sum_right_modules(m1, m2):
+    """M (+) N with the slotwise action; labels are tagged L/R."""
+    f = m1.field
+    if m1.operad is not m2.operad:
+        raise ValueError("summands over different operads")
+    components = {
+        n: direct_sum(m1.sigma.component(n), m2.sigma.component(n))
+        for n in sorted(set(m1.sigma.arities()) | set(m2.sigma.arities()))
+    }
+
+    def act(n, s_i, d, label):
+        tag, l = label
+        src = m1 if tag == "L" else m2
+        return {(tag, l2): c for l2, c in src.sigma.act_perm_combo(n, s_i, d, {l: f.one()}).items()}
+
+    sigma = SigmaModule.from_rule(f, components, act)
+
+    def action(m_triple, slot, q_triple):
+        n, d, (tag, label) = m_triple
+        src = m1 if tag == "L" else m2
+        return {(tag, l2): c for l2, c in src.act_partial((n, d, label), slot, q_triple).items()}
+
+    return RightModule(f, sigma, m1.operad, action, name="%s(+)%s" % (m1.name, m2.name))
 
 
 def test_sym_direct_sum_preservation():
@@ -364,8 +390,8 @@ def test_sym_direct_sum_preservation():
     mod = operad_right_module(Com)
     both = direct_sum_right_modules(mod, mod)
     a = exterior(F2)
-    so = sym_over_operad(both, a, Com, [1, 2])
-    single = sym_over_operad(mod, a, Com, [1, 2])
+    so = SymOverOperad(both, a, Com, [1, 2])
+    single = SymOverOperad(mod, a, Com, [1, 2])
     assert {d: so.module.dim(d) for d in so.module.degrees()} == {
         d: 2 * single.module.dim(d) for d in single.module.degrees()
     }
@@ -492,7 +518,7 @@ def test_sym_over_operad_refuses_an_algebra_of_the_wrong_kind(kind, make_operad,
     op = make_operad(Q, 3)
     alg = DgAlgebra(Q, kind, trunc_poly(Q).module, dict(trunc_poly(Q).ops))
     with pytest.raises(AlgebraCheckFailed, match="algebra of kind '%s' cannot be fed to operad '%s'" % (kind, name)):
-        sym_over_operad(operad_right_module(op), alg, op, [1, 2, 3])
+        SymOverOperad(operad_right_module(op), alg, op, [1, 2, 3])
 
 
 @pytest.mark.parametrize(
@@ -508,7 +534,7 @@ def test_sym_over_operad_refuses_an_operad_without_an_action(make_operad):
     before a relation is built, even for a commutative algebra."""
     op = make_operad()
     with pytest.raises(AlgebraCheckFailed, match="algebra of kind 'comm' cannot be fed to operad"):
-        sym_over_operad(operad_right_module(op), trunc_poly(Q), op, [1, 2, 3])
+        SymOverOperad(operad_right_module(op), trunc_poly(Q), op, [1, 2, 3])
 
 
 def test_extension_of_free_module_is_target():
@@ -530,11 +556,13 @@ def test_extension_preserves_tensor():
     Com = commutative_operad(F2, 3)
     alpha = alpha_to_com(As, Com)
     mod = operad_right_module(As)
-    pair = TensorRightModule([mod, mod], 3).as_right_module()
+    t = TensorRightModule([mod, mod], 3)
+    pair = RightModule(t.field, t.words.as_sigma(), t.operad, t.act_partial)
     ext_pair = extension(pair, alpha, 3)
     ext_single = extension(mod, alpha, 3)
     com_mod = operad_right_module(Com)
-    expect = TensorRightModule([com_mod, com_mod], 3).as_right_module()
+    t = TensorRightModule([com_mod, com_mod], 3)
+    expect = RightModule(t.field, t.words.as_sigma(), t.operad, t.act_partial)
     assert ext_pair.sigma.dims() == expect.sigma.dims()
     assert ext_single.sigma.dims() == Com.sigma.dims()
 
@@ -609,6 +637,86 @@ def test_bar_extension_iso_checks_psi_before_building_b_s(monkeypatch):
     assert built == []
 
 
+def module_hom_dimension(m, n, arity_bound=None):
+    """dim of the space of degree-0 right-module chain maps M -> N.
+
+    Unknowns are the matrix entries per (arity, degree); constraints:
+    symmetric-group equivariance, commutation with differentials, and
+    compatibility with the operad action.  Solved by exact elimination.
+    """
+    f = m.field
+    bound = arity_bound or min(m.sigma.arity_bound(), n.sigma.arity_bound())
+    unknowns = []
+    index = {}
+    for a in range(1, bound + 1):
+        mc, nc = m.sigma.component(a), n.sigma.component(a)
+        for d in mc.degrees():
+            for lm in mc.labels(d):
+                for ln in nc.labels(d):
+                    index[(a, d, lm, ln)] = len(unknowns)
+                    unknowns.append((a, d, lm, ln))
+    relations = []
+
+    def add_relation(coeffs):
+        vec = {}
+        for key, c in coeffs.items():
+            if key not in index:
+                return False  # forced term outside the unknown space: inconsistent row
+            vec[index[key]] = c
+        if vec:
+            relations.append(vec)
+        return True
+
+    for a in range(1, bound + 1):
+        mc, nc = m.sigma.component(a), n.sigma.component(a)
+        for d in mc.degrees():
+            for lm in mc.labels(d):
+                # equivariance per generator: f(x.s_i) = f(x).s_i
+                for i in range(1, a):
+                    lhs = m.sigma.act_adjacent(a, i, d, lm)
+                    for ln in nc.labels(d):
+                        coeffs = {}
+                        for lm2, c in lhs.items():
+                            combo_add(f, coeffs, (a, d, lm2, ln), c)
+                        for ln2 in nc.labels(d):
+                            out = n.sigma.act_adjacent(a, i, d, ln2)
+                            c = out.get(ln)
+                            if c is not None:
+                                combo_add(f, coeffs, (a, d, lm, ln2), f.neg(c))
+                        add_relation(coeffs)
+                # chain map: f(dx) = d(f(x))
+                for ln in nc.labels(d - 1):
+                    coeffs = {}
+                    for lm2, c in mc.apply_diff(d, {lm: f.one()}).items():
+                        combo_add(f, coeffs, (a, d - 1, lm2, ln), c)
+                    for ln2 in nc.labels(d):
+                        c = nc.apply_diff(d, {ln2: f.one()}).get(ln)
+                        if c is not None:
+                            combo_add(f, coeffs, (a, d, lm, ln2), f.neg(c))
+                    add_relation(coeffs)
+                # module action: f(x o_i q) = f(x) o_i q
+                for s in m.operad.sigma.arities():
+                    if a + s - 1 > bound:
+                        continue
+                    for q in m.operad.basis_triples(s):
+                        for i in range(1, a + 1):
+                            acted = m.act_partial((a, d, lm), i, q)
+                            a2, d2 = a + s - 1, d + q[1]
+                            for ln in n.sigma.component(a2).labels(d2):
+                                coeffs = {}
+                                for lm2, c in acted.items():
+                                    combo_add(f, coeffs, (a2, d2, lm2, ln), c)
+                                for ln2 in n.sigma.component(a).labels(d):
+                                    c = n.act_partial((a, d, ln2), i, q).get(ln)
+                                    if c is not None:
+                                        combo_add(f, coeffs, (a, d, lm, ln2), f.neg(c))
+                                add_relation(coeffs)
+    if not unknowns:
+        return 0
+    kept, _ = quotient_data(f, len(unknowns), relations)
+    return len(kept)
+
+
 def test_adjunction_dimension_count():
     # Mor_S(psi_! M, N) = Mor_R(M, psi^* N) for psi = alpha: As -> Com,
     # M = As over itself, N = Com over itself
@@ -630,9 +738,9 @@ def test_sym_extension_restriction_identity():
     alpha = alpha_to_com(As, Com)
     M = operad_right_module(As)
     B = trunc_poly(F2)
-    lhs = sym_over_operad(extension(M, alpha, 3).module, B, Com, [1, 2, 3])
+    lhs = SymOverOperad(extension(M, alpha, 3).module, B, Com, [1, 2, 3])
     B_as = DgAlgebra(F2, "assoc", B.module, dict(B.ops))
-    rhs = sym_over_operad(M, B_as, As, [1, 2, 3])
+    rhs = SymOverOperad(M, B_as, As, [1, 2, 3])
     assert {d: lhs.module.dim(d) for d in lhs.module.degrees()} == {
         d: rhs.module.dim(d) for d in rhs.module.degrees()
     }
@@ -853,10 +961,10 @@ def test_each_coequalizer_builds_one_quotient_per_key(monkeypatch):
     Com = commutative_operad(F2, 3)
     a = trunc_poly(F2)
     del quotients[:]
-    sym_apply(Com.sigma, a.module, [1, 2, 3])
+    SymPresentation(Com.sigma, a.module, [1, 2, 3])
     per_key = len(quotients)
     del quotients[:], coequalizers[:]
-    sym_over_operad(operad_right_module(Com), a, Com, [1, 2, 3])
+    SymOverOperad(operad_right_module(Com), a, Com, [1, 2, 3])
     # Sym_R(M, A): one coequalizer, one quotient per degree of the pure labels of Sym(M, A)
     assert coequalizers == ["SymPresentation"]
     assert len(quotients) == per_key
@@ -937,7 +1045,7 @@ def test_coequalizers_and_bar_modules_are_freed_without_the_cycle_collector():
             lambda: bar_module(K, 3),
             lambda: compose(M.sigma, As.sigma, 3),
             lambda: extension(M, eps_to_assoc(K, As), 3),
-            lambda: sym_over_operad(M, alg, K, [1, 2, 3]),
+            lambda: SymOverOperad(M, alg, K, [1, 2, 3]),
         ):
             obj = make()
             ref = weakref.ref(obj)

@@ -10,7 +10,7 @@ from opbar.fixtures import (
     tensor_dims_formula,
 )
 from opbar.linalg import CoeffField
-from opbar.sigma import SigmaModule, WordSpace, compose, routed_compose, sigma_tensor, unit_sigma
+from opbar.sigma import SigmaModule, WordSpace, compose, routed_compose, sigma_tensor
 
 Q = CoeffField.rationals()
 F2 = CoeffField.prime(2)
@@ -99,7 +99,7 @@ def test_factor_swap_involution_and_equivariance():
 
 
 def test_compose_unit_laws():
-    I = unit_sigma(Q)
+    I = SigmaModule(Q, {1: DgModule.ground(Q, "1")})
     for M in (sign_mod(Q), com_like(Q)):
         left = compose(I, M, 3).sigma
         right = compose(M, I, 3).sigma
@@ -117,7 +117,7 @@ def test_compose_com_dims():
 
 def test_tensor_with_unit_is_not_identity():
     # I is the unit for composition, not for the tensor product
-    I = unit_sigma(Q)
+    I = SigmaModule(Q, {1: DgModule.ground(Q, "1")})
     C = com_like(Q, 2)
     t = sigma_tensor(I, C, 3)
     assert t.dims() != C.dims()
@@ -171,11 +171,11 @@ def test_as_compose_as_two_ways():
 
 
 def test_sym_of_unit_module_is_identity():
-    from opbar.modules import sym_apply
+    from opbar.modules import SymPresentation
 
     E = DgModule.from_data(Q, [("a", 0), ("b", 2)], {})
-    I = unit_sigma(Q)
-    s = sym_apply(I, E, [1])
+    I = SigmaModule(Q, {1: DgModule.ground(Q, "1")})
+    s = SymPresentation(I, E, [1])
     assert {d: s.module.dim(d) for d in s.module.degrees()} == {
         d: E.dim(d) for d in E.degrees()
     }

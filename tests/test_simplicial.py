@@ -12,7 +12,6 @@ from opbar.simplicial import (
     normalized_cochains,
     parse_face_expression,
     simplicial_set_from_json,
-    standard_simplex,
 )
 from opbar.transfer import Retract, transfer_a_infinity
 
@@ -20,6 +19,38 @@ Q = CoeffField.rationals()
 F2 = CoeffField.prime(2)
 F3 = CoeffField.prime(3)
 F5 = CoeffField.prime(5)
+
+
+def standard_simplex(n):
+    """Delta^n: the boundary of the n-simplex and its top simplex, whose
+    face d_i is the facet without the i-th vertex."""
+    b = boundary_of_simplex(n)
+
+    def vertices(name):
+        faces = b.faces_of.get(name)
+        return frozenset.union(*(vertices(core) for _, core in faces)) if faces else frozenset([name])
+
+    ordered = b.nondegenerate(0)
+    facet = {vertices(name): name for name in b.nondegenerate(n - 1)}
+    top = [((), facet[frozenset(ordered[:i] + ordered[i + 1 :])]) for i in range(n + 1)]
+    return FiniteSimplicialSet({**b.dim_of, "top": n}, {**b.faces_of, "top": top}, b.basepoint)
+
+
+def simplicial_to_json(space):
+    out = {"simplices": [], "basepoint": space.basepoint}
+    for name in sorted(space.dim_of, key=lambda n: (space.dim_of[n], n)):
+        entry = {"name": name, "dim": space.dim_of[name]}
+        if space.dim_of[name] > 0:
+            entry["faces"] = [_face_expr(w, core) for (w, core) in space.faces_of[name]]
+        out["simplices"].append(entry)
+    return out
+
+
+def _face_expr(word, core):
+    text = core
+    for j in reversed(word):
+        text = "s%d(%s)" % (j, text)
+    return text
 
 
 def test_parse_face_expressions():
@@ -141,8 +172,6 @@ def test_retract_over_q_and_f3():
 
 
 def test_json_round_trip():
-    from opbar.jsonio import simplicial_to_json
-
     x = boundary_of_simplex(3)
     y = simplicial_set_from_json(simplicial_to_json(x))
     assert y.dim_of == x.dim_of

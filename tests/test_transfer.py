@@ -39,6 +39,11 @@ TORUS = {
 }
 
 
+def column(m, j):
+    """Column j of the sparse matrix m, as {row: entry}."""
+    return {i: v for (i, jj), v in m.entries.items() if jj == j}
+
+
 def _recursive_transfer_ops(algebra, max_arity):
     """The tree sums as they were before memoisation: lambda recomputed on
     every sub-interval of every word, every word of every arity projected.
@@ -50,13 +55,13 @@ def _recursive_transfer_ops(algebra, max_arity):
     h_labels = {d: hmod.labels(d) for d in hmod.degrees()}
 
     def include_combo(d, a):
-        return {(d, mod.labels(d)[i]): v for i, v in ret.include[d].column(a).items()}
+        return {(d, mod.labels(d)[i]): v for i, v in column(ret.include[d], a).items()}
 
     def apply_h(combo):
         out = {}
         for (d, l), c in combo.items():
             labels_up = mod.labels(d + 1)
-            for i, v in ret.homotopy[d].column(mod.index(d, l)).items():
+            for i, v in column(ret.homotopy[d], mod.index(d, l)).items():
                 combo_add(f, out, (d + 1, labels_up[i]), f.mul(c, v))
         return out
 
@@ -83,7 +88,7 @@ def _recursive_transfer_ops(algebra, max_arity):
         for word in product(letters, repeat=r):
             projected = {}
             for (d, l), c in lam([include_combo(d, a) for (d, a) in word]).items():
-                for idx, v in ret.project[d].column(mod.index(d, l)).items():
+                for idx, v in column(ret.project[d], mod.index(d, l)).items():
                     combo_add(f, projected, ("h", d, idx), f.mul(c, v))
             if projected:
                 table[tuple(("h", d, a) for (d, a) in word)] = projected
