@@ -300,15 +300,6 @@ class DgMap:
                 col[labels[i]] = v
         return out
 
-    def compose(self, other):
-        """self after other."""
-        if other.target is not self.source and other.target.basis != self.source.basis:
-            raise ValueError("composition source/target mismatch")
-        blocks = {}
-        for d in other.source.degrees():
-            blocks[d] = self.block(d + other.degree).matmul(other.block(d))
-        return DgMap(other.source, self.target, self.degree + other.degree, blocks)
-
     def is_chain_map(self):
         f = self.source.field
         sign = f.sign(self.degree)
@@ -338,14 +329,6 @@ class DgMap:
         if not self.is_iso():
             raise NotAnIsomorphism("%s is not bijective" % what)
         return self
-
-    def __eq__(self, other):
-        if not isinstance(other, DgMap) or self.degree != other.degree:
-            return False
-        for d in set(self.blocks) | set(other.blocks):
-            if not self.block(d).sub(other.block(d)).is_zero():
-                return False
-        return True
 
 
 # tensor products -----------------------------------------------------------

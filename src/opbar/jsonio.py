@@ -287,17 +287,24 @@ def operad_from_json(data):
             raise MalformedInput("%s names %r, which is not in any component" % (_path(where, key), name))
         return name
 
-    def output(entry, where):
-        return {
-            operation(o, "name", oat): _coeff(f, _member(o, "coeff", None, oat))
-            for o, oat in _objects(entry, "output", where)
-        }
+    def output(entry, where, lands):
+        """The output combo of `entry`, whose names must have the (arity, degree) `lands`."""
+        out = {}
+        for o, oat in _objects(entry, "output", where):
+            name = operation(o, "name", oat)
+            if (arity_of[name], degree_of[name]) != lands:
+                raise MalformedInput(
+                    "%s names %r of arity %d and degree %d, not %d and %d"
+                    % (_path(oat, "name"), name, arity_of[name], degree_of[name], *lands)
+                )
+            out[name] = _coeff(f, _member(o, "coeff", None, oat))
+        return out
 
     actions = {}
     for a, at in _objects(data, "actions", "", ()):
         n, i = _member(a, "arity", int, at), _member(a, "transposition", int, at)
         src = operation(a, "source", at)
-        actions.setdefault((n, i), {})[(degree_of[src], src)] = output(a, at)
+        actions.setdefault((n, i), {})[(degree_of[src], src)] = output(a, at, (arity_of[src], degree_of[src]))
     try:
         sigma = SigmaModule(f, comps, actions).check_relations()
     except ValueError as exc:
@@ -305,8 +312,15 @@ def operad_from_json(data):
     table = {}
     for entry, at in _objects(data, "compositions", "", ()):
         p, i, q = operation(entry, "p", at), _member(entry, "slot", int, at), operation(entry, "q", at)
-        table[(arity_of[p], p, i, arity_of[q], q)] = output(entry, at)
+        if not 1 <= i <= arity_of[p]:
+            raise MalformedInput("%s.slot: slot %d is out of range for %r of arity %d" % (at, i, p, arity_of[p]))
+        lands = (arity_of[p] + arity_of[q] - 1, degree_of[p] + degree_of[q])
+        table[(arity_of[p], p, i, arity_of[q], q)] = output(entry, at, lands)
     unit = operation(data, "unit", "")
+    if (arity_of[unit], degree_of[unit]) != (1, 0):
+        raise MalformedInput(
+            "unit names %r of arity %d and degree %d, not 1 and 0" % (unit, arity_of[unit], degree_of[unit])
+        )
     op = TableOperad(f, sigma, unit, table, name=_member(data, "name", str, "", "table"))
     try:
         check_operad(op)

@@ -12,6 +12,10 @@ Sym_R(M, A) is one quotient of the words (m; a_1..a_n) by the symmetric
 group identifications and the image of (d0 - d1) on pure three-level
 words together, and so is M o_R S over the words (m; S-word); one
 enumerator, `_d0_d1_relations`, gives both sets of (d0 - d1) relations.
+It runs d0 - d1 only on the generating R-words (q, u, ..., u), q a
+non-unit basis element of R and u the unit under the identity routing:
+with the Sigma relations, these partial composites m o_1 q span the
+relations of every R-word.
 One elimination gives what quotienting by the symmetric relations R1
 and then by the projected (d0 - d1) relations R2 would: pivots are taken
 at the lowest column, so a quotient keeps exactly the labels that lead
@@ -480,35 +484,57 @@ class SymPresentation(Coequalizer):
         self.module = self.sigma.component(0)
 
 
-def _d0_d1_relations(coeq, right_module, r_sigma, r_bound, evaluate):
-    """d0 - d1 on every pure three-level word (m; R-word; tail), keyed as in `coeq`.
+def _d0_d1_relations(coeq, right_module, r_operad, r_bound, evaluate):
+    """d0 - d1 on the generating pure three-level words (m; R-word; tail), keyed as in `coeq`.
 
     The coequalizer arrows of Sym_R(M, A) and M o_R S: d0 collapses the
     R-word into m by the right action (`RightModule.collapse`), d1 =
     `evaluate(R-word, tail)` evaluates it on the tail (a combo over
-    tails).  The R-words come from one word space per factor count n and
-    the tails from `coeq.tail(b)`.  d0 runs once per (m; R-word) on each
+    tails).  For m in M(n) the R-words are the partial composites
+    m o_1 q: the identity routing on (q, u, ..., u), u the unit and q any
+    other basis element of R with b = arity(q) + n - 1 <= r_bound; the
+    tails come from `coeq.tail(b)`.  d0 runs once per (m; R-word) on each
     right module, memoised there across coequalizers; d1 runs once per
     (R-word; tail), and m enters its terms only as the label.
+
+    Together with the Sigma relations these span what d0 - d1 on every
+    R-word under every routing spans, provided the right action is
+    unital, associative and Sigma-equivariant, the unit u is a basis
+    element of arity 1 and degree 0, and every arity of M that an action
+    lands in, up to r_bound, is a factor count of `coeq`:
+      1. an R-word of units only gives (m.sigma; t) - (m; sigma.t), a
+         Sigma relation already;
+      2. a routing, or the non-unit factor at a position j > 1, moves to
+         the identity routing and position 1 modulo Sigma relations, by
+         equivariance of the action and of the evaluation;
+      3. a word with several non-unit factors telescopes, by associativity
+         of the action, into relations of one non-unit factor each:
+         (m.(q1, q2); t) - (m; (q1, q2)(t)) is (m'.q2'; t) - (m'; q2'(t))
+         plus (m'; q2'(t)) - (m; q1(q2'(t))), m' = m.q1.
+    The quotient depends on the span alone, so it is unchanged.
     """
     f = coeq.field
+    unit = r_operad.unit_triple()
+    generators = [q for a in r_operad.sigma.arities() for q in r_operad.basis_triples(a) if q != unit]
     relations = {}
     for n in coeq.factor_counts:
         m_triples = list(right_module.sigma.basis_triples(n))
-        r_words = WordSpace(f, [r_sigma] * n, r_bound)
-        for b in range(n, r_bound + 1):
+        for q in generators:
+            b = q[0] + n - 1
+            if b > r_bound:
+                continue
             tails = coeq.tail(b)
-            for dr, lr in r_words.component(b).basis_pairs():
-                collapsed = [(m, right_module.collapse(m, lr)) for m in m_triples]
-                for r in coeq.tail_arities:
-                    for dt, t in tails.component(r).basis_pairs():
-                        evaluated = evaluate(lr, t)
-                        for m, d0 in collapsed:
-                            rel = {(m2, t): c for m2, c in d0.items()}
-                            for t2, c in evaluated.items():
-                                combo_add(f, rel, (m, t2), f.neg(c))
-                            if rel:
-                                relations.setdefault((r, m[1] + dr + dt), []).append(rel)
+            lr = (perm.identity(b), (q,) + (unit,) * (n - 1))
+            collapsed = [(m, right_module.collapse(m, lr)) for m in m_triples]
+            for r in coeq.tail_arities:
+                for dt, t in tails.component(r).basis_pairs():
+                    evaluated = evaluate(lr, t)
+                    for m, d0 in collapsed:
+                        rel = {(m2, t): c for m2, c in d0.items()}
+                        for t2, c in evaluated.items():
+                            combo_add(f, rel, (m, t2), f.neg(c))
+                        if rel:
+                            relations.setdefault((r, m[1] + q[1] + dt), []).append(rel)
     return relations
 
 
@@ -534,7 +560,7 @@ class SymOverOperad:
             right_module.sigma,
             algebra.module,
             weights,
-            lambda coeq: _d0_d1_relations(coeq, right_module, operad.sigma, operad.arity_bound(), self._d1),
+            lambda coeq: _d0_d1_relations(coeq, right_module, operad, operad.arity_bound(), self._d1),
         )
         self.module = self.sym.module
 
@@ -584,7 +610,7 @@ class ExtendedModule:
             lambda k: WordSpace(f, [s_op.sigma] * k, arity_bound),
             [k for k in right_module.sigma.arities() if k <= arity_bound],
             range(1, arity_bound + 1),
-            lambda coeq: _d0_d1_relations(coeq, right_module, self.r_op.sigma, arity_bound, self._d1),
+            lambda coeq: _d0_d1_relations(coeq, right_module, self.r_op, arity_bound, self._d1),
         )
         self.sigma = self.coequalizer.sigma
         action = partial(_extended_action, self.coequalizer, s_op)

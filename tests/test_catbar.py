@@ -1,5 +1,6 @@
 import hashlib
 import random
+import re
 import time
 
 import pytest
@@ -133,6 +134,39 @@ def test_simplicial_identity_violation_detected():
     degeneracies = {(n, j): ident for n in range(2) for j in range(n + 1)}
     with pytest.raises(SimplicialIdentityViolation):
         SimplicialDgModule(Q, levels, faces, degeneracies, 2)
+
+
+@pytest.mark.parametrize(
+    "broken, message",
+    [
+        (None, None),
+        (("faces", (2, 0)), "d_0 d_1 at level 2"),
+        (("faces", (3, 1)), "d_0 d_1 at level 3"),
+        (("degeneracies", (1, 1)), "d_0 s_1 at level 1"),
+        (("degeneracies", (0, 0)), "d_0 s_0 at level 0"),
+    ],
+    ids=["valid", "d0-out-of-2", "d1-out-of-3", "s1-out-of-1", "s0-out-of-0"],
+)
+def test_simplicial_identities_on_images_of_several_terms(broken, message):
+    """Every face and degeneracy is the involution a -> a, b -> a - b, whose
+    images have two terms; one map replaced by b -> a + b breaks an identity."""
+    mod = DgModule.from_data(Q, [("a", 0), ("b", 0)])
+
+    def involution(sign):
+        return DgMap.from_rule(mod, mod, 0, lambda d, l: {"a": Q.one()} if l == "a" else {"a": Q.one(), "b": sign})
+
+    p = involution(Q.of_int(-1))
+    levels = {n: mod for n in range(4)}
+    maps = {
+        "faces": {(n, i): p for n in range(1, 4) for i in range(n + 1)},
+        "degeneracies": {(n, j): p for n in range(3) for j in range(n + 1)},
+    }
+    if broken is None:
+        SimplicialDgModule(Q, levels, maps["faces"], maps["degeneracies"], 3)
+        return
+    maps[broken[0]][broken[1]] = involution(Q.one())
+    with pytest.raises(SimplicialIdentityViolation, match=re.escape(message)):
+        SimplicialDgModule(Q, levels, maps["faces"], maps["degeneracies"], 3)
 
 
 def _then(*maps):

@@ -129,6 +129,15 @@ def _scale_a2_o1_a2_of_as3_over_f3(data):
             _scale_a2_o1_a2_of_as3_over_f3,
             "operad laws: equivariance fails at (2, 0, 'a2_d0_0') o_2 (2, 0, 'a2_d0_0')",
         ),
+        (lambda d: d.update(unit="a2_d0_0"), "unit names 'a2_d0_0' of arity 2 and degree 0, not 1 and 0"),
+        (
+            lambda d: d["compositions"][2].update(slot=7),
+            "compositions[2].slot: slot 7 is out of range for 'a2_d0_0' of arity 2",
+        ),
+        (
+            lambda d: d["compositions"][2]["output"][0].update(name="a1_d0_0"),
+            "compositions[2].output[0].name names 'a1_d0_0' of arity 1 and degree 0, not 2 and 0",
+        ),
     ],
     ids=[
         "component-without-arity",
@@ -137,6 +146,9 @@ def _scale_a2_o1_a2_of_as3_over_f3(data):
         "arity-twice",
         "scaled-action",
         "scaled-composition",
+        "unit-of-arity-2",
+        "slot-out-of-range",
+        "output-of-wrong-arity",
     ],
 )
 def test_operad_from_json_rejects_bad_shapes(mutate, message):

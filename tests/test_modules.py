@@ -1018,7 +1018,91 @@ def test_d0_once_per_m_and_r_word_and_d1_once_per_r_word_and_tail(monkeypatch, s
     # over the whole suite: coequalizers on one module share its collapses
     asked = [key for rec in records for key in rec["d0"]]
     assert sum(rec["gamma"] for rec in records) == len(set(asked))
-    assert (len(asked), len(set(asked))) == {"module-functor": (1214, 607), "extension": (900, 900)}[suite]
+    assert (len(asked), len(set(asked))) == {"module-functor": (98, 49), "extension": (77, 77)}[suite]
+    # every R-word asked for is a generator: the identity routing on (q, u, ..., u)
+    for module, _, (w, inner) in asked:
+        q, units = inner[0], inner[1:]
+        unit = module.operad.unit_triple()
+        assert w == tuple(range(1, len(w) + 1)) and q != unit and set(units) <= {unit}
+
+
+def _every_d0_d1_relation(coeq, right_module, r_operad, r_bound, evaluate):
+    """Reference for `_d0_d1_relations`: d0 - d1 on every pure three-level
+    word (m; R-word; tail), the R-words being every basis word of n factors
+    of R under every routing, keyed as in `coeq`."""
+    f = coeq.field
+    relations = {}
+    for n in coeq.factor_counts:
+        m_triples = list(right_module.sigma.basis_triples(n))
+        r_words = opbar.sigma.WordSpace(f, [r_operad.sigma] * n, r_bound)
+        for b in range(n, r_bound + 1):
+            tails = coeq.tail(b)
+            for dr, lr in r_words.component(b).basis_pairs():
+                collapsed = [(m, right_module.collapse(m, lr)) for m in m_triples]
+                for r in coeq.tail_arities:
+                    for dt, t in tails.component(r).basis_pairs():
+                        evaluated = evaluate(lr, t)
+                        for m, d0 in collapsed:
+                            rel = {(m2, t): c for m2, c in d0.items()}
+                            for t2, c in evaluated.items():
+                                combo_add(f, rel, (m, t2), f.neg(c))
+                            if rel:
+                                relations.setdefault((r, m[1] + dr + dt), []).append(rel)
+    return relations
+
+
+def _quotient_images(quotients):
+    """Per key, the kept labels and the projection of every pure label."""
+    out = {}
+    for key, quot in quotients.items():
+        out[key] = (quot.kept, [quot.project({lab: quot.field.one()}) for lab in quot.labels])
+    return out
+
+
+def _assert_same_quotients_as_every_r_word(monkeypatch, build):
+    """`build()` returns the `Coequalizer` of a Sym_R or an M o_R S; its
+    quotients must equal those of the same coequalizer built from d0 - d1
+    on every R-word."""
+    got = _quotient_images(build().quotients)
+    with monkeypatch.context() as patch:
+        patch.setattr(opbar.modules, "_d0_d1_relations", _every_d0_d1_relation)
+        want = _quotient_images(build().quotients)
+    assert got == want
+
+
+def _sym_cases(field, arity):
+    """(name, R, algebras) of the module-functor suite, over `field`."""
+    return (
+        ("Com", commutative_operad(field, arity), _fixture_algebras(field, "comm")),
+        ("As", associative_operad(field, arity), _fixture_algebras(field, "assoc")),
+        ("K", stasheff_operad(field, arity), _fixture_algebras(field, "ainf")),
+    )
+
+
+@pytest.mark.parametrize("field", [Q, F2, F3], ids=repr)
+def test_generating_r_words_give_the_quotients_of_every_r_word(monkeypatch, field):
+    for _, bm, psi, _ in _extension_cases(field):
+        _assert_same_quotients_as_every_r_word(
+            monkeypatch, lambda: extension(bm.right_module, psi, 3).coequalizer)
+    for _, operad, algebras in _sym_cases(field, 3):
+        bm = bar_module(operad, 3)
+        if operad.name != "Com":
+            # a tensor algebra with d != 0
+            algebras = algebras + [random_tensor_algebra(field, 1, length_cap=1)]
+        for alg in algebras:
+            _assert_same_quotients_as_every_r_word(
+                monkeypatch, lambda: SymOverOperad(bm.right_module, alg, operad, [1, 2, 3]).sym)
+
+
+def test_generating_r_words_give_the_quotients_of_every_r_word_at_arity_4(monkeypatch):
+    """Arity 4 reaches R-words with two non-unit factors (step 3 of `_d0_d1_relations`)."""
+    for rname, operad, algebras in _sym_cases(F2, 4):
+        bm = bar_module(operad, 4)
+        for alg in algebras:
+            if rname != "Com" and alg.name == "trunc":
+                continue
+            _assert_same_quotients_as_every_r_word(
+                monkeypatch, lambda: SymOverOperad(bm.right_module, alg, operad, [1, 2, 3, 4]).sym)
 
 
 @pytest.mark.parametrize("field", [F2, Q], ids=repr)
