@@ -87,6 +87,16 @@ def sound_weight_bound(suspended_degrees, window):
     return None
 
 
+def require_sound_weight_bound(suspended_degrees, window):
+    """sound_weight_bound, raising TruncationUnsound where truncation by weight cannot be exact."""
+    bound = sound_weight_bound(suspended_degrees, window)
+    if bound is None:
+        raise TruncationUnsound(
+            "mixed-sign suspended degrees %r need an explicit weight bound" % (sorted(set(suspended_degrees)),)
+        )
+    return bound
+
+
 def desuspension_parity(susp_degs):
     """Parity of (s^{-1})^{(x) r} on letters of the given suspended degrees."""
     r = len(susp_degs)
@@ -108,11 +118,7 @@ class BarComplex:
         susp = [d + 1 for d in algebra.module.degrees()]
         auto = sound_weight_bound(susp, window)
         if weight_bound is None:
-            if auto is None:
-                raise TruncationUnsound(
-                    "mixed-sign suspended degrees %r need an explicit weight bound" % (sorted(set(susp)),)
-                )
-            weight_bound = auto
+            weight_bound = require_sound_weight_bound(susp, window)
         self.weight_bound = weight_bound
         self.exact_in_window = auto is not None and weight_bound >= auto
         self._build()

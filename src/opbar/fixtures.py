@@ -200,104 +200,97 @@ def random_sigma_module(field, seed, arity_bound=4):
 
 
 def compose_dims_oracle(field, m_sigma, n_sigma, arity_bound):
-    """Brute-force dims of (M o N)(r): full-group relations, flat basis.
+    """Brute-force dims of (M o N)(r): generator relations, flat basis.
 
     Enumerates the pure two-level basis directly (tuples of factors
     with a full permutation recording the input routing, no canonical
-    coset choices) and eliminates the identifications for every group
-    element of every symmetric group involved.  Independent of the
-    canonical-representative machinery used by the implementation.
+    coset choices) and eliminates the identifications of the adjacent
+    transpositions of every symmetric group involved.  Those span the
+    identifications of every group element.  With T_sigma the action of
+    sigma on the flat basis, the identifications of sigma are the values
+    of T_sigma - 1, and
+
+        T_{sigma tau} - 1 = T_sigma (T_tau - 1) + (T_sigma - 1).
+
+    By induction on the length of sigma's transposition word, every
+    value of T_sigma - 1 lies in the span S of the adjacent relations, so
+    T_sigma maps S into S; for tau adjacent both terms then lie in S.
+    Independent of the canonical-representative machinery used by the
+    implementation.
     """
     from .linalg import quotient_data
 
     out = {}
     for r in range(1, arity_bound + 1):
+        routings = list(_permutations(range(1, r + 1)))
         by_degree = {}
         for k in m_sigma.arities():
-            mcomp = m_sigma.component(k)
-            splits = _compositions(r, k, [a for a in n_sigma.arities()])
-            for sizes in splits:
-                factor_triples = [[] for _ in range(k)]
-                for j, a in enumerate(sizes):
-                    comp = n_sigma.component(a)
-                    for d in comp.degrees():
-                        for l in comp.labels(d):
-                            factor_triples[j].append((a, d, l))
-                for dm in mcomp.degrees():
-                    for lm in mcomp.labels(dm):
-                        for inners in _product_lists(factor_triples):
-                            for routing in _permutations(range(1, r + 1)):
-                                d = dm + sum(t[1] for t in inners)
-                                by_degree.setdefault(d, []).append(
-                                    ((k, dm, lm), tuple(inners), routing)
-                                )
-        for d, bigs in by_degree.items():
-            index = {b: i for i, b in enumerate(bigs)}
+            for sizes in _compositions(r, k, n_sigma.arities()):
+                factor_triples = [list(n_sigma.basis_triples(a)) for a in sizes]
+                for mt in m_sigma.basis_triples(k):
+                    for inners in _product_lists(factor_triples):
+                        by_degree.setdefault(mt[1] + sum(t[1] for t in inners), []).append((mt, inners))
+        for d, pures in by_degree.items():
+            # the flat basis: every pure label under every input routing
+            index = {}
+            for mt, inners in pures:
+                for routing in routings:
+                    index[(mt, inners, routing)] = len(index)
             relations = []
-            for (mt, inners, routing) in bigs:
-                k = mt[0]
-                sizes = tuple(t[0] for t in inners)
-                # (a) inner input action: routing is a torsor coordinate:
-                #     x . (h_1 x...x h_k embedded) = blockwise action, routing absorbed
-                for j in range(k):
-                    a = sizes[j]
-                    for i in range(1, a):
-                        h = perm.apply_adjacent(perm.identity(a), i)
-                        emb = perm.block_sum(
-                            [perm.identity(sizes[x]) if x != j else h for x in range(k)]
-                        )
-                        acted = n_sigma.act_perm_combo(a, h, inners[j][1], {inners[j][2]: field.one()})
+            for mt, inners in pures:
+                for terms, moved, slot_map, c_moved in _generator_moves(field, m_sigma, n_sigma, mt, inners):
+                    for routing in routings:
                         rel = {}
-                        new_routing = perm.compose(emb, routing)
-                        for l2, c in acted.items():
-                            inn = inners[:j] + ((a, inners[j][1], l2),) + inners[j + 1 :]
-                            key = (mt, inn, routing)
-                            rel[index[key]] = rel.get(index[key], field.zero())
-                            rel[index[key]] = field.add(rel[index[key]], c)
-                        key2 = (mt, inners, new_routing)
-                        rel[index[key2]] = field.add(rel.get(index[key2], field.zero()), field.sign(1))
-                        rel = {a_: b_ for a_, b_ in rel.items() if not field.is_zero(b_)}
+                        for (mt2, inners2), c in terms:
+                            combo_add(field, rel, index[(mt2, inners2, routing)], c)
+                        rerouted = tuple(slot_map[v - 1] for v in routing)
+                        combo_add(field, rel, index[moved + (rerouted,)], c_moved)
                         if rel:
                             relations.append(rel)
-                # (b) outer coinvariants: m.sigma (x) x ~ m (x) sigma.x for all sigma
-                for sig in _permutations(range(1, k + 1)):
-                    if sig == perm.identity(k):
-                        continue
-                    acted_m = m_sigma.act_perm_combo(k, sig, mt[1], {mt[2]: field.one()})
-                    sig_inv = perm.inverse(sig)
-                    # sigma acts on the word by permuting factors with Koszul
-                    # signs and rerouting the inputs
-                    permuted = [inners[sig_inv[j] - 1] for j in range(k)]
-                    kos = perm.koszul_sign_exponent(
-                        [t[1] for t in inners], tuple(sig)
-                    )
-                    # rerouting: factor j's inputs keep their global slots
-                    old_offsets = _offsets(sizes)
-                    new_sizes = tuple(t[0] for t in permuted)
-                    new_offsets = _offsets(new_sizes)
-                    slot_map = {}
-                    for j in range(k):
-                        nj = sig[j] - 1
-                        for a_ in range(sizes[j]):
-                            slot_map[old_offsets[j] + a_ + 1] = new_offsets[nj] + a_ + 1
-                    rerouted = [0] * r
-                    for p_ in range(1, r + 1):
-                        rerouted[p_ - 1] = slot_map[routing[p_ - 1]]
-                    rel = {}
-                    for lm2, cm in acted_m.items():
-                        key = ((k, mt[1], lm2), inners, routing)
-                        rel[index[key]] = field.add(rel.get(index[key], field.zero()), cm)
-                    key2 = (mt, tuple(permuted), tuple(rerouted))
-                    rel[index[key2]] = field.add(
-                        rel.get(index[key2], field.zero()), field.sign(kos + 1)
-                    )
-                    rel = {a_: b_ for a_, b_ in rel.items() if not field.is_zero(b_)}
-                    if rel:
-                        relations.append(rel)
-            kept, _ = quotient_data(field, len(bigs), relations)
+            kept, _ = quotient_data(field, len(index), relations)
             if kept:
                 out.setdefault(r, {})[d] = len(kept)
     return out
+
+
+def _generator_moves(field, m_sigma, n_sigma, mt, inners):
+    """The identifications of the generators at the pure label (mt, inners), for any routing.
+
+    Each is (terms, moved, slot_map, c): the relation sum(c' (x', routing)
+    over terms) + c (moved, routing'), where the routing' of the input
+    routing is slot_map applied to each value.
+      (a) inner input action, s_i on factor j: the factor is acted on,
+          and the routing absorbs the embedded s_i;
+      (b) outer coinvariants, s_i in S_k: m.s_i (x) x ~ m (x) s_i.x, the
+          factors permuted with their Koszul sign and each factor's inputs
+          keeping their global slots.
+    """
+    one = field.one()
+    k = mt[0]
+    sizes = tuple(t[0] for t in inners)
+    moves = []
+    for j, (a, dj, lj) in enumerate(inners):
+        for i in range(1, a):
+            h = perm.apply_adjacent(perm.identity(a), i)
+            emb = perm.block_sum([perm.identity(sizes[x]) if x != j else h for x in range(k)])
+            acted = n_sigma.act_perm_combo(a, h, dj, {lj: one})
+            terms = [((mt, inners[:j] + ((a, dj, l2),) + inners[j + 1 :]), c) for l2, c in acted.items()]
+            moves.append((terms, (mt, inners), emb, field.sign(1)))
+    old_offsets = _offsets(sizes)
+    for i in range(1, k):
+        sig = perm.apply_adjacent(perm.identity(k), i)
+        acted_m = m_sigma.act_perm_combo(k, sig, mt[1], {mt[2]: one})
+        sig_inv = perm.inverse(sig)
+        permuted = tuple(inners[sig_inv[j] - 1] for j in range(k))
+        kos = perm.koszul_sign_exponent([t[1] for t in inners], sig)
+        new_offsets = _offsets(tuple(t[0] for t in permuted))
+        slot_map = [0] * sum(sizes)
+        for j in range(k):
+            for a in range(sizes[j]):
+                slot_map[old_offsets[j] + a] = new_offsets[sig[j] - 1] + a + 1
+        terms = [(((k, mt[1], lm2), inners), cm) for lm2, cm in acted_m.items()]
+        moves.append((terms, (mt, permuted), tuple(slot_map), field.sign(kos + 1)))
+    return moves
 
 
 def _offsets(sizes):

@@ -35,7 +35,7 @@ from itertools import product
 
 from . import perm, trees
 from .dg import DgModule, koszul_diff
-from .errors import AlgebraCheckFailed, InvalidMorphism
+from .errors import AlgebraCheckFailed, ArityBoundExceeded, InvalidMorphism
 from .linalg import combo_add, combo_map
 from .operads import gamma_partial, operad_morphism_check, stasheff_sign
 from .sigma import Coequalizer, WordSpace, routed_compose
@@ -544,7 +544,9 @@ class SymOverOperad:
     `sym` presents it in one quotient per degree: the pure Sym(M, A)
     words modulo the Sigma relations and the images of (d0 - d1) on pure
     three-level words (m; R-word; A-word), eliminated together.
-    `module` is the resulting dg-module.
+    `module` is the resulting dg-module.  Weights that leave out an arity
+    of M between the lowest weight and the operad's arity bound raise
+    ArityBoundExceeded, since the d0 - d1 relations reach it.
     """
 
     def __init__(self, right_module, algebra, operad, weights):
@@ -555,6 +557,14 @@ class SymOverOperad:
         if algebra.kind not in operad.algebra_kinds:
             raise AlgebraCheckFailed(
                 "algebra of kind %r cannot be fed to operad %r" % (algebra.kind, operad.name)
+            )
+        bound = operad.arity_bound()
+        lowest = min(weights, default=bound)
+        missing = [a for a in right_module.sigma.arities() if lowest < a <= bound and a not in weights]
+        if missing:
+            raise ArityBoundExceeded(
+                "weights %s miss arity %d of %s, which the d0 - d1 relations reach within the arity bound %d of %s"
+                % (list(weights), missing[0], right_module.name, bound, operad.name)
             )
         self.sym = SymPresentation(
             right_module.sigma,

@@ -70,6 +70,7 @@ class Operad:
         self.field = field
         self.sigma = sigma
         self.unit_label = unit_label
+        self._eta = None
 
     # shared helpers ---------------------------------------------------------
 
@@ -109,7 +110,16 @@ class Operad:
         raise ValueError("no evaluation rule for operad %r" % (self.name,))
 
     def from_stasheff(self):
-        """The canonical morphism K -> self (only K, As and Com name one)."""
+        """The canonical morphism K -> self (only K, As and Com name one).
+
+        It is built once per operad, so the check it records serves every
+        bar module of this operad.
+        """
+        if self._eta is None:
+            self._eta = self._build_from_stasheff()
+        return self._eta
+
+    def _build_from_stasheff(self):
         raise ValueError("operad %r (%s) has no canonical morphism from K" % (self.name, type(self).__name__))
 
 
@@ -160,7 +170,7 @@ class AssociativeOperad(Operad):
     def stasheff_lift(self, triple):
         return _left_comb(triple[2])
 
-    def from_stasheff(self):
+    def _build_from_stasheff(self):
         return eps_to_assoc(stasheff_operad(self.field, self.arity_bound()), self)
 
 
@@ -180,7 +190,7 @@ class CommutativeOperad(Operad):
     def stasheff_lift(self, triple):
         return _left_comb(range(1, triple[0] + 1))
 
-    def from_stasheff(self):
+    def _build_from_stasheff(self):
         as_op = associative_operad(self.field, self.arity_bound())
         return compose_morphisms(alpha_to_com(as_op, self), as_op.from_stasheff())
 
@@ -294,18 +304,23 @@ def stasheff_sign(s, t, i):
 
 def stasheff_generator_diff(field, r):
     """d(mu_r) as {tree: coeff} over the corolla generators."""
-    return _generator_diff(field, r, stasheff_sign)
-
-
-def _generator_diff(field, r, sign):
-    """d(mu_r) with mu_s o_i mu_t entering at (-1)^{sign(s, t, i)} times its grafting sign."""
-    degs = {("mu", k): k - 2 for k in range(2, r + 1)}
     out = {}
+    for tree, par, (s, t, i) in _generator_diff_terms(r):
+        combo_add(field, out, tree, field.sign(stasheff_sign(s, t, i) + par))
+    return out
+
+
+def _generator_diff_terms(r):
+    """The terms of d(mu_r) apart from their rule signs: (tree, grafting parity, (s, t, i))
+    for each mu_s o_i mu_t, s + t = r + 1.  Under a sign rule the term enters at
+    (-1)^{rule(s, t, i) + parity}."""
+    degs = {("mu", k): k - 2 for k in range(2, r + 1)}
+    out = []
     for s in range(2, r):
         t = r + 1 - s
         for i in range(1, s + 1):
             par, tree = trees.graft(trees.corolla(("mu", s), s), i, trees.corolla(("mu", t), t), degs)
-            combo_add(field, out, tree, field.sign(sign(s, t, i) + par))
+            out.append((tree, par, (s, t, i)))
     return out
 
 
@@ -321,53 +336,77 @@ def stasheff_d_squared_vanishes(field, max_arity):
             "the symbolic d^2 check stops at arity %d: arity bound %d is too large"
             % (MAX_STASHEFF_CHECK_ARITY, max_arity)
         )
-    return _d_squared_vanishes(field, max_arity, stasheff_sign)
+    return _d_squared_vanishes(field, max_arity, [stasheff_sign]) == [True]
 
 
-def _d_squared_vanishes(field, max_arity, sign):
-    """d(d(mu_r)) = 0 for every r <= max_arity, d(mu_r) being `_generator_diff` under `sign`.
+def _d_squared_vanishes(field, max_arity, signs):
+    """For each sign rule of `signs`, whether d(d(mu_r)) = 0 for every r <= max_arity,
+    d(mu_r) entering each mu_s o_i mu_t at (-1)^{rule(s, t, i)} times its grafting sign.
 
     d of the term mu_s o_i mu_t of d(mu_r) is the derivation rule
-    d(mu_s) o_i mu_t + (-1)^{|mu_s|} mu_s o_i d(mu_t).
+    d(mu_s) o_i mu_t + (-1)^{|mu_s|} mu_s o_i d(mu_t).  The trees of
+    d(d(mu_r)) and the parts of their signs that no rule changes are built
+    once per arity (`_d_squared_terms`); each rule still vanishing below r is
+    then evaluated on them.  All coefficients are signs, so the sum on a
+    tree is an integer mapped into the field.
     """
-    degs = {("mu", k): k - 2 for k in range(2, max_arity + 1)}
-    mu = {k: trees.corolla(("mu", k), k) for k in range(2, max_arity + 1)}
-    diff = {k: _generator_diff(field, k, sign) for k in range(2, max_arity)}
-    for r in range(2, max_arity + 1):
-        acc = {}
-        for s in range(2, r):
-            t = r + 1 - s
-            sgn_s = field.sign(s - 2)
-            for i in range(1, s + 1):
-                par0, _ = trees.graft(mu[s], i, mu[t], degs)
-                c0 = field.sign(sign(s, t, i) + par0)
-                for ptree, pc in diff[s].items():
-                    par, tr = trees.graft(ptree, i, mu[t], degs)
-                    combo_add(field, acc, tr, field.mul(c0, field.mul(pc, field.sign(par))))
-                for qtree, qc in diff[t].items():
-                    par, tr = trees.graft(mu[s], i, qtree, degs)
-                    combo_add(field, acc, tr, field.mul(c0, field.mul(field.mul(sgn_s, qc), field.sign(par))))
-        if acc:
-            return False
-    return True
+    alive = list(range(len(signs)))
+    diff_terms = {2: []}
+    for r in range(3, max_arity + 1):
+        diff_terms[r] = _generator_diff_terms(r)
+        n_trees, terms = _d_squared_terms(r, diff_terms)
+        keys = {key for term in terms for key in term[2:]}
+        still = []
+        for k in alive:
+            rule = {key: signs[k](*key) for key in keys}
+            acc = [0] * n_trees
+            for tree, par, outer, inner in terms:
+                acc[tree] += -1 if (par + rule[outer] + rule[inner]) % 2 else 1
+            if all(field.is_zero(field.of_int(c)) for c in acc):
+                still.append(k)
+        alive = still
+    return [k in alive for k in range(len(signs))]
+
+
+def _d_squared_terms(r, diff_terms):
+    """The terms of d(d(mu_r)) apart from their rule signs, from the terms
+    `diff_terms[k]` = `_generator_diff_terms(k)` of every d(mu_k), k <= r.
+
+    Returns (number of trees, terms), a term (tree index, parity, outer,
+    inner): the tree carries (-1)^{parity + rule(outer) + rule(inner)}, outer
+    the (s, t, i) of the term of d(mu_r) and inner that of d(mu_s) or d(mu_t)
+    within it.
+    """
+    degs = {("mu", k): k - 2 for k in range(2, r + 1)}
+    mu = {k: trees.corolla(("mu", k), k) for k in range(2, r + 1)}
+    index = {}
+    terms = []
+    for _, par0, (s, t, i) in diff_terms[r]:
+        for ptree, ppar, pkey in diff_terms[s]:
+            par, tree = trees.graft(ptree, i, mu[t], degs)
+            terms.append((index.setdefault(tree, len(index)), par0 + ppar + par, (s, t, i), pkey))
+        for qtree, qpar, qkey in diff_terms[t]:
+            par, tree = trees.graft(mu[s], i, qtree, degs)
+            terms.append((index.setdefault(tree, len(index)), par0 + s - 2 + qpar + par, (s, t, i), qkey))
+    return len(index), terms
 
 
 def stasheff_unique_sign_convention(field, max_arity=5):
     """All exponent patterns a*i+b*s+c*t+d*it+e*is+f*st+g with d^2 = 0.
 
-    Returns the list of coefficient tuples; exactly two survive through
-    arity 5 (a global-sign pair), one of which is the pinned convention.
+    Returns the list of coefficient tuples, in the order of
+    product([0, 1], repeat=7); exactly two survive through arity 5 (a
+    global-sign pair), one of which is the pinned convention.  The trees of
+    d(d(mu_r)) do not depend on the pattern, so they are grafted once per
+    arity and the 128 patterns are evaluated on them.
     """
-    good = []
-    for coeffs in product([0, 1], repeat=7):
-        a, b, c, d, e, f_, g = coeffs
+    patterns = list(product([0, 1], repeat=7))
 
-        def sign(s, t, i):
-            return (a * i + b * s + c * t + d * i * t + e * i * s + f_ * s * t + g) % 2
+    def rule(a, b, c, d, e, f_, g):
+        return lambda s, t, i: (a * i + b * s + c * t + d * i * t + e * i * s + f_ * s * t + g) % 2
 
-        if _d_squared_vanishes(field, max_arity, sign):
-            good.append(coeffs)
-    return good
+    vanishes = _d_squared_vanishes(field, max_arity, [rule(*coeffs) for coeffs in patterns])
+    return [coeffs for coeffs, ok in zip(patterns, vanishes) if ok]
 
 
 def _binary_word(tree):
@@ -409,7 +448,7 @@ class StasheffOperad(FreeOperad):
     def stasheff_lift(self, triple):
         return triple[2]
 
-    def from_stasheff(self):
+    def _build_from_stasheff(self):
         return identity_morphism(self)
 
 

@@ -38,12 +38,19 @@ class SigmaModule:
     Actions of built-in objects are signed basis permutations; computed
     quotients may carry general invertible matrices.  The relations are
     not checked at construction; call check_relations() for that.
+
+    The image of one basis label under one permutation, and the
+    differential of one basis triple, are computed once and memoised on
+    the module (`_perm_image`, `_diff_image`); the public methods hand
+    out new combos, so no caller can change a memoised one.
     """
 
     def __init__(self, field, components, actions=None):
         self.field = field
         self.components = {n: c for n, c in components.items() if not c.is_zero()}
         self.actions = actions or {}
+        self._perm_images = {}
+        self._diffs = {}
 
     @staticmethod
     def from_rule(field, components, act):
@@ -85,9 +92,17 @@ class SigmaModule:
                 yield (n, d, label)
 
     def differential_combo(self, triple):
-        """d of a basis element (arity, degree, label), as {triple: coeff}."""
-        n, d, label = triple
-        return {(n, d - 1, l2): c for l2, c in self.component(n).apply_diff(d, {label: self.field.one()}).items()}
+        """d of a basis element (arity, degree, label), as a new combo {triple: coeff}."""
+        return dict(self._diff_image(triple))
+
+    def _diff_image(self, triple):
+        """d of a basis triple, memoised: the combo is shared and must not be modified."""
+        out = self._diffs.get(triple)
+        if out is None:
+            n, d, label = triple
+            diff = self.component(n).apply_diff(d, {label: self.field.one()})
+            out = self._diffs[triple] = {(n, d - 1, l2): c for l2, c in diff.items()}
+        return out
 
     def dims(self):
         return {n: {d: c.dim(d) for d in c.degrees()} for n, c in sorted(self.components.items())}
@@ -111,8 +126,21 @@ class SigmaModule:
         return dict(out)
 
     def act_perm_combo(self, n, sigma, d, combo):
-        """combo . sigma by the stored right action."""
-        return self._act_word(n, perm.transposition_word(sigma), d, combo)
+        """combo . sigma by the stored right action, as a new combo.
+
+        Each basis label of `combo` is mapped through `_perm_image`, so the
+        transposition word of sigma is walked once per label and module.
+        """
+        return combo_map(self.field, combo, lambda label: self._perm_image(n, sigma, d, label))
+
+    def _perm_image(self, n, sigma, d, label):
+        """label . sigma, memoised: the combo is shared and must not be modified."""
+        key = (n, sigma, d, label)
+        out = self._perm_images.get(key)
+        if out is None:
+            word = perm.transposition_word(sigma)
+            out = self._perm_images[key] = self._act_word(n, word, d, {label: self.field.one()})
+        return out
 
     def _act_word(self, n, word, d, combo):
         """combo . s_{word[0]} ... s_{word[-1]}, a new combo."""
@@ -191,6 +219,7 @@ class WordSpace:
         self.factors = list(factors)
         self.arity_bound = arity_bound
         self._components = {}
+        self._splits = {}
         self._build()
         self._sigma = None
 
@@ -253,14 +282,23 @@ class WordSpace:
     def diff_combo(self, label):
         """Koszul differential: sum over factors of the internal diffs."""
         w, inner = label
-        terms = koszul_diff(self.field, inner, lambda j, t: (t[1], self.factors[j].differential_combo(t)))
+        terms = koszul_diff(self.field, inner, lambda j, t: (t[1], self.factors[j]._diff_image(t)))
         return {(w, inner2): c for inner2, c in terms.items()}
 
     def right_act(self, r, sigma, label):
         """(x (x) w) . sigma = (x . h) (x) w' where w sigma = h w'."""
         w, inner = label
-        h_parts, w2 = perm.coset_canonicalize(perm.compose(w, sigma), tuple(t[0] for t in inner))
+        h_parts, w2 = self._coset_split(perm.compose(w, sigma), tuple(t[0] for t in inner))
         return _act_blockwise(self.field, self.factors, h_parts, w2, inner)
+
+    def _coset_split(self, sigma, sizes):
+        """perm.coset_canonicalize(sigma, sizes) as (h_parts tuple, w), memoised on this word space."""
+        key = (sigma, sizes)
+        out = self._splits.get(key)
+        if out is None:
+            h_parts, w = perm.coset_canonicalize(sigma, sizes)
+            out = self._splits[key] = (tuple(h_parts), w)
+        return out
 
     def factor_swap(self, j, label):
         """Swap factors j and j+1 (1-based); Koszul sign, coset recomputed.
@@ -336,7 +374,7 @@ class WordSpace:
         sgn = f.sign(p_degree * tail_deg)
         w_new = perm.block_substitution(w, slot, perm.identity(p_arity))
         new_sizes = sizes[:owner] + (sizes[owner] + p_arity - 1,) + sizes[owner + 1 :]
-        h_parts, w_canon = perm.coset_canonicalize(w_new, new_sizes)
+        h_parts, w_canon = self._coset_split(w_new, new_sizes)
         out = {}
         for (d2, l2), c in action_fn(owner, local, inner[owner], (p_arity, p_degree, p_label)).items():
             new_inner = inner[:owner] + ((new_sizes[owner], d2, l2),) + inner[owner + 1 :]
@@ -364,9 +402,7 @@ def _act_blockwise(field, factors, h_parts, w, inner):
     Factor j, the triple inner[j], is acted on by h_parts[j] through the
     Sigma-module factors[j].  Returns {(w, triples): coeff}.
     """
-    expanded = [
-        factors[j].act_perm_combo(a, h_parts[j], d, {l: field.one()}) for j, (a, d, l) in enumerate(inner)
-    ]
+    expanded = [factors[j]._perm_image(a, h_parts[j], d, l) for j, (a, d, l) in enumerate(inner)]
     result = {}
     for choice in product(*(c.items() for c in expanded)):
         c_total = field.one()

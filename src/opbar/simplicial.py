@@ -22,13 +22,13 @@ from __future__ import annotations
 import re
 from itertools import combinations
 
-from .bar import bar, sound_weight_bound
+from .bar import bar, require_sound_weight_bound, sound_weight_bound
 from .dg import DegreeWindow, DgModule
 from .errors import NotCommutative, SimplicialIdentityViolation
 from .jsonio import _member, _objects, _typed
 from .linalg import combo_add
 from .modules import DgAlgebra
-from .transfer import transfer_a_infinity
+from .transfer import Retract, transfer_a_infinity
 
 
 class FiniteSimplicialSet:
@@ -282,8 +282,10 @@ def bar_of_cochains(space, field, iterations, window, weight_bound=None):
     `window` is in cohomological degrees (positive).  For n = 1 the cup
     product suffices (the bar needs only associativity); when the
     suspended degrees are mixed-sign, the algebra is first retracted
-    onto its homology as a Stasheff algebra.  n >= 2 requires a strictly
-    commutative model and is rejected here.
+    onto its homology as a Stasheff algebra.  The window of that model
+    is judged from the retract's homology degrees, so an unsound one
+    raises TruncationUnsound before any tree sum.  n >= 2 requires a
+    strictly commutative model and is rejected here.
 
     Returns (table, info): table maps cohomological degree -> dim,
     info records the weight bound, exactness and whether the retract
@@ -299,7 +301,9 @@ def bar_of_cochains(space, field, iterations, window, weight_bound=None):
     reduced = False
     susp = [d + 1 for d in algebra.module.degrees()]
     if sound_weight_bound(susp, lower) is None and weight_bound is None:
-        algebra = transfer_a_infinity(algebra, window.hi + 1)
+        retract = Retract(algebra.module)
+        require_sound_weight_bound([d + 1 for d, n in retract.h_basis.items() if n], lower)
+        algebra = transfer_a_infinity(algebra, window.hi + 1, retract=retract)
         reduced = True
     b = bar(algebra, lower, weight_bound)
     table = {-d: v for d, v in b.homology().items()}

@@ -135,16 +135,17 @@ class Retract:
         return True
 
 
-def transfer_a_infinity(algebra, max_arity, name=None):
+def transfer_a_infinity(algebra, max_arity, name=None, retract=None):
     """Transferred Stasheff-algebra structure on the homology.
 
     Sign-free tree sums: exact over F_2.  Over a field of another
     characteristic a nonzero mu_r with r >= 3 raises AlgebraCheckFailed;
     otherwise the result is returned only if it passes the structure
-    relations.
+    relations.  `retract`, a Retract of the algebra's module, is built
+    here when not given.
     """
     f = algebra.field
-    ret = Retract(algebra.module)
+    ret = retract if retract is not None else Retract(algebra.module)
     if not ret.verify():
         raise AssertionError("retract construction failed verification")
     ops = _tree_sums(algebra, ret, max_arity)

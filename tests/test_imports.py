@@ -23,6 +23,13 @@ without, or a test oracle that belongs in the test that uses it.  It may
 stay only when the benchmark names it (the tracer's `SPANS` and
 `COUNTS`, or a name `perfbench/workloads.py` reads) or when it sits on
 `ENTRY_POINTS`, the library entry points no command reaches.
+
+A memo lives on the object whose data it reads and dies with it.  A
+`functools.cache` or `lru_cache` decorator, or a name bound to an empty
+`{}`, `[]`, `set()`, `dict()` or `list()` at module or class level, would
+instead keep its entries for the life of the process, from one command
+(or benchmark job) to the next; only the functions on `PROCESS_CACHES`
+may carry one.
 """
 
 import ast
@@ -222,3 +229,81 @@ def test_every_entry_point_is_needed(monkeypatch):
     # package or the benchmark reaches, or one that is gone, must leave it
     flagged = unreferenced_public_definitions(_package_sources(), benchmark_pins(monkeypatch))
     assert set(ENTRY_POINTS) <= {name for _, _, name in flagged}
+
+
+# The one process-wide cache: argparse parsers are cyclic garbage once dropped,
+# so the CLI builds its parser once per process.
+PROCESS_CACHES = {"cli.py": {"build_parser"}}
+_CACHE_DECORATORS = {"cache", "lru_cache"}
+
+
+def _is_empty_container(node):
+    if isinstance(node, ast.Dict):
+        return not node.keys
+    if isinstance(node, (ast.List, ast.Set)):
+        return not node.elts
+    return (
+        isinstance(node, ast.Call)
+        and isinstance(node.func, ast.Name)
+        and node.func.id in ("dict", "set", "list")
+        and not node.args
+        and not node.keywords
+    )
+
+
+def module_level_caches(source):
+    """The caches of `source` that outlive every object: each function or method
+    under a functools `cache` or `lru_cache` decorator (imported under any name),
+    by qualified name, and each name bound to an empty container at module or
+    class level."""
+    tree = ast.parse(source)
+    decorators = set(_CACHE_DECORATORS)
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "functools":
+            decorators.update(a.asname for a in node.names if a.asname and a.name in _CACHE_DECORATORS)
+    found = set()
+
+    def visit(node, prefix):
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                for dec in child.decorator_list:
+                    target = dec.func if isinstance(dec, ast.Call) else dec
+                    name = target.attr if isinstance(target, ast.Attribute) else getattr(target, "id", None)
+                    if name in decorators:
+                        found.add(prefix + child.name)
+                visit(child, prefix + child.name + ".")
+
+    visit(tree, "")
+    for node in _module_statements(tree):
+        if isinstance(node, ast.Assign) and _is_empty_container(node.value):
+            found.update(t.id for t in node.targets if isinstance(t, ast.Name))
+        elif isinstance(node, ast.AnnAssign) and node.value is not None and _is_empty_container(node.value):
+            found.add(node.target.id)
+    return found
+
+
+def _module_statements(tree):
+    """The statements that run at import, in if/try/with/for blocks and class bodies too, but not in a def."""
+    stack = list(tree.body)
+    while stack:
+        node = stack.pop()
+        yield node
+        if not isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            stack.extend(child for child in ast.iter_child_nodes(node) if isinstance(child, ast.stmt))
+
+
+def test_the_check_flags_a_module_level_cache():
+    source = (
+        "import functools\nfrom functools import lru_cache as memo, cached_property\n"
+        "_TABLE = {}\nSEEN: set = set()\nif True:\n    _ROWS = []\nLIMITS = {'a': 1}\nNAMES = ['x']\n"
+        "@functools.cache\ndef a():\n    local = {}\n"
+        "@memo(maxsize=None)\ndef b():\n    pass\n"
+        "class C:\n    shared = {}\n    @functools.lru_cache\n    def c(self):\n        pass\n"
+        "    @cached_property\n    def d(self):\n        return {}\n"
+    )
+    assert module_level_caches(source) == {"_TABLE", "SEEN", "_ROWS", "shared", "a", "b", "C.c"}
+
+
+@pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
+def test_no_module_level_cache_beyond_the_allowlist(path):
+    assert module_level_caches(path.read_text()) == PROCESS_CACHES.get(path.name, set())

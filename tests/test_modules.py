@@ -14,7 +14,7 @@ import opbar.sigma
 from opbar import trees
 from opbar.bar import BarModule, bar, bar_extension_iso, bar_module, shuffle_product, sym_bar_comparison
 from opbar.dg import DegreeWindow, DgModule, tensor as dg_tensor
-from opbar.errors import AlgebraCheckFailed, InvalidMorphism
+from opbar.errors import AlgebraCheckFailed, ArityBoundExceeded, InvalidMorphism
 from opbar.fixtures import random_commutative_algebra, random_tensor_algebra
 from opbar.jsonio import algebra_from_json, load_json, operad_from_json, operad_to_json
 from opbar.linalg import CoeffField, combo_add, quotient_data
@@ -360,6 +360,17 @@ def test_sym_tensor_preservation():
     }
 
 
+def test_sym_over_operad_refuses_weights_that_miss_an_arity_below_the_bound():
+    # the d0 - d1 relations of weight 1 reach B_As(4) within As's arity bound 4,
+    # and those of weight 1 reach B_As(2) when weight 2 is left out
+    As4 = associative_operad(F2, 4)
+    with pytest.raises(ArityBoundExceeded, match=r"weights \[1, 2, 3\] miss arity 4 of B_As, .* arity bound 4 of As"):
+        SymOverOperad(bar_module(As4, 4).right_module, exterior(F2), As4, [1, 2, 3])
+    As3 = associative_operad(F2, 3)
+    with pytest.raises(ArityBoundExceeded, match=r"weights \[1, 3\] miss arity 2 of B_As, .* arity bound 3 of As"):
+        SymOverOperad(bar_module(As3, 3).right_module, exterior(F2), As3, [1, 3])
+
+
 def direct_sum_right_modules(m1, m2):
     """M (+) N with the slotwise action; labels are tagged L/R."""
     f = m1.field
@@ -625,6 +636,19 @@ def test_a_bar_module_checks_only_an_unrecorded_eta(monkeypatch):
     assert checked == []  # eta is the identity of K
     bar_module(associative_operad(Q, 4), 4)
     assert checked == ["eps"]
+
+
+def test_each_canonical_morphism_is_built_and_checked_once_per_operad(monkeypatch):
+    checked = spy_full_morphism_checks(monkeypatch)
+    for op in (stasheff_operad(Q, 3), associative_operad(Q, 3), commutative_operad(Q, 3)):
+        eta = op.from_stasheff()
+        assert op.from_stasheff() is eta and eta.target is op
+        bar_module(op, 3)
+        bar_module(op, 2)
+        assert bar_module(op, 3).eta is eta and eta.checked_through == 3
+    assert checked == ["eps", "alpha.eps"]
+    # another operad object builds, and checks, its own
+    assert associative_operad(Q, 3).from_stasheff() is not associative_operad(Q, 3).from_stasheff()
 
 
 def test_bar_extension_iso_checks_psi_before_building_b_s(monkeypatch):

@@ -1,4 +1,5 @@
 import copy
+from itertools import product
 from math import factorial
 
 import pytest
@@ -114,6 +115,56 @@ def test_sign_convention_unique_up_to_global_sign():
         for (a, b, c, d, e, f, g) in sols
     )
     assert found
+
+
+def _d_squared_by_grafting(field, max_arity, sign):
+    """d(d(mu_r)) = 0 for every r <= max_arity under one sign rule, each term
+    grafted on its own: the reference for the shared terms of `_d_squared_vanishes`."""
+    degs = {("mu", k): k - 2 for k in range(2, max_arity + 1)}
+    mu = {k: trees.corolla(("mu", k), k) for k in range(2, max_arity + 1)}
+
+    def generator_diff(r):
+        out = {}
+        for s in range(2, r):
+            for i in range(1, s + 1):
+                par, tree = trees.graft(mu[s], i, mu[r + 1 - s], degs)
+                out[tree] = field.add(out.get(tree, field.zero()), field.sign(sign(s, r + 1 - s, i) + par))
+        return out
+
+    for r in range(2, max_arity + 1):
+        acc = {}
+        for s in range(2, r):
+            t = r + 1 - s
+            for i in range(1, s + 1):
+                c0 = field.sign(sign(s, t, i) + trees.graft(mu[s], i, mu[t], degs)[0])
+                terms = [(trees.graft(p, i, mu[t], degs), pc) for p, pc in generator_diff(s).items()]
+                terms += [(trees.graft(mu[s], i, q, degs), field.mul(field.sign(s - 2), qc))
+                          for q, qc in generator_diff(t).items()]
+                for (par, tree), c in terms:
+                    acc[tree] = field.add(acc.get(tree, field.zero()), field.mul(c0, field.mul(c, field.sign(par))))
+        if any(not field.is_zero(c) for c in acc.values()):
+            return False
+    return True
+
+
+def test_the_sign_scan_pins_its_patterns_and_matches_grafting_per_pattern():
+    assert stasheff_unique_sign_convention(Q, 5) == [
+        (1, 0, 0, 1, 0, 1, 0),
+        (1, 0, 0, 1, 0, 1, 1),
+        (1, 1, 1, 1, 0, 0, 0),
+        (1, 1, 1, 1, 0, 0, 1),
+    ]
+    def rule(a, b, c, d, e, f, g):
+        return lambda s, t, i: (a * i + b * s + c * t + d * i * t + e * i * s + f * s * t + g) % 2
+
+    patterns = list(product([0, 1], repeat=7))
+    for field, max_arity in ((Q, 5), (F3, 5), (F2, 4)):
+        expect = [p for p in patterns if _d_squared_by_grafting(field, max_arity, rule(*p))]
+        assert stasheff_unique_sign_convention(field, max_arity) == expect
+    assert len(stasheff_unique_sign_convention(F2, 5)) == 128  # every sign is 1 over F_2
+    assert _d_squared_by_grafting(Q, 7, stasheff_sign) and stasheff_d_squared_vanishes(Q, 7)
+    assert not _d_squared_by_grafting(Q, 4, lambda s, t, i: 0)
+    assert opbar.operads._d_squared_vanishes(Q, 4, [lambda s, t, i: 0]) == [False]
 
 
 def test_stasheff_operad_checks():

@@ -3,17 +3,21 @@ import itertools
 import pytest
 
 from opbar import perm
+from opbar.bar import bar_module
 from opbar.dg import DgModule
 from opbar.fixtures import (
+    _compositions,
     compose_dims_oracle,
     random_sigma_module,
     tensor_dims_formula,
 )
-from opbar.linalg import CoeffField
+from opbar.linalg import CoeffField, quotient_data
+from opbar.operads import stasheff_operad
 from opbar.sigma import SigmaModule, WordSpace, compose, routed_compose, sigma_tensor
 
 Q = CoeffField.rationals()
 F2 = CoeffField.prime(2)
+F3 = CoeffField.prime(3)
 
 
 def com_like(field, bound=3):
@@ -235,3 +239,165 @@ def test_routed_compose_recanonicalizes_outer_word():
     args = ((1, 0, "p"), (1, 0, "q"))
     got = routed_compose(Q, word, args, evaluate, lambda lab: ("out", lab), outer=((2, 1), S))
     assert got == {("out", ((1, 2), ((2, 1, "x"),))): Q.of_int(-3)}
+
+
+# the compose oracle: generator relations against every group element ---------------
+
+
+def _compose_oracle_fixtures(seed, count=20):
+    """The (field, M, N) pairs of `verify.suite_compose_oracle(seed, count)`, in its order."""
+    fields = [Q, F2, F3]
+    out = []
+    k = 0
+    while len(out) < count and k < count * 4:
+        field = fields[k % 3]
+        M, _ = random_sigma_module(field, seed + 2 * k, arity_bound=3)
+        N, _ = random_sigma_module(field, seed + 2 * k + 1, arity_bound=3)
+        k += 1
+        if not (M.is_zero() or N.is_zero()):
+            out.append((field, M, N))
+    return out
+
+
+def _full_group_compose_dims(field, m_sigma, n_sigma, arity_bound):
+    """dims of (M o N)(r) with the outer-coinvariant relation of every sigma in S_k.
+
+    The reference for `compose_dims_oracle`, which relates by the adjacent
+    transpositions only.  Actions are read off the stored tables through
+    transposition words, not through the modules' memos.
+    """
+
+    def act(module, n, sigma, d, label):
+        return module._act_word(n, perm.transposition_word(sigma), d, {label: field.one()})
+
+    out = {}
+    for r in range(1, arity_bound + 1):
+        by_degree = {}
+        for k in m_sigma.arities():
+            for sizes in _compositions(r, k, n_sigma.arities()):
+                factor_triples = [list(n_sigma.basis_triples(a)) for a in sizes]
+                for mt in m_sigma.basis_triples(k):
+                    for inners in itertools.product(*factor_triples):
+                        for routing in itertools.permutations(range(1, r + 1)):
+                            d = mt[1] + sum(t[1] for t in inners)
+                            by_degree.setdefault(d, []).append((mt, inners, routing))
+        for d, bigs in by_degree.items():
+            index = {b: i for i, b in enumerate(bigs)}
+            relations = []
+
+            def relate(pairs):
+                rel = {}
+                for key, c in pairs:
+                    rel[index[key]] = field.add(rel.get(index[key], field.zero()), c)
+                rel = {i: c for i, c in rel.items() if not field.is_zero(c)}
+                if rel:
+                    relations.append(rel)
+
+            for mt, inners, routing in bigs:
+                k = mt[0]
+                sizes = tuple(t[0] for t in inners)
+                offsets = [sum(sizes[:j]) for j in range(k)]
+                for j, (a, dj, lj) in enumerate(inners):
+                    for i in range(1, a):
+                        h = perm.apply_adjacent(perm.identity(a), i)
+                        emb = perm.block_sum([perm.identity(sizes[x]) if x != j else h for x in range(k)])
+                        pairs = [
+                            ((mt, inners[:j] + ((a, dj, l2),) + inners[j + 1 :], routing), c)
+                            for l2, c in act(n_sigma, a, h, dj, lj).items()
+                        ]
+                        relate(pairs + [((mt, inners, perm.compose(emb, routing)), field.sign(1))])
+                for sig in itertools.permutations(range(1, k + 1)):
+                    if sig == perm.identity(k):
+                        continue
+                    sig_inv = perm.inverse(sig)
+                    permuted = tuple(inners[sig_inv[j] - 1] for j in range(k))
+                    kos = perm.koszul_sign_exponent([t[1] for t in inners], sig)
+                    new_offsets = [sum(t[0] for t in permuted[:j]) for j in range(k)]
+                    slot_map = {}
+                    for j in range(k):
+                        for a in range(sizes[j]):
+                            slot_map[offsets[j] + a + 1] = new_offsets[sig[j] - 1] + a + 1
+                    rerouted = tuple(slot_map[v] for v in routing)
+                    acted = act(m_sigma, k, sig, mt[1], mt[2])
+                    pairs = [(((k, mt[1], lm2), inners, routing), c) for lm2, c in acted.items()]
+                    relate(pairs + [((mt, permuted, rerouted), field.sign(kos + 1))])
+            kept, _ = quotient_data(field, len(bigs), relations)
+            if kept:
+                out.setdefault(r, {})[d] = len(kept)
+    return out
+
+
+@pytest.mark.parametrize("seed", [11, 5])  # the suite's default seed and a held-out one
+def test_generator_relations_give_the_full_group_dims(seed):
+    fixtures = _compose_oracle_fixtures(seed)
+    assert len(fixtures) == 20
+    for field, M, N in fixtures:
+        assert compose_dims_oracle(field, M, N, 3) == _full_group_compose_dims(field, M, N, 3)
+
+
+# memos: each against the uncached computation ---------------------------------------
+
+
+def standard_rep(field):
+    """The 2-dimensional irreducible of Sigma_3 on a = e1 - e2, b = e2 - e3: images of two terms."""
+    one, minus = field.one(), field.of_int(-1)
+    comps = {3: DgModule(field, {0: ("a", "b")}, {}, check=False)}
+    act = {
+        (3, 1): {(0, "a"): {"a": minus}, (0, "b"): {"a": one, "b": one}},
+        (3, 2): {(0, "a"): {"a": one, "b": one}, (0, "b"): {"b": minus}},
+    }
+    return SigmaModule(field, comps, act).check_relations()
+
+
+def _memo_fixtures():
+    for field in (Q, F2, F3):
+        yield standard_rep(field)
+        for seed in (0, 3, 8):
+            M, _ = random_sigma_module(field, seed, arity_bound=3)
+            N, _ = random_sigma_module(field, seed + 1, arity_bound=3)
+            yield M
+            yield compose(M, N, 3).sigma
+    yield bar_module(stasheff_operad(Q, 3), 3).sigma  # a nonzero differential
+
+
+def test_action_and_differential_memos_match_the_uncached_maps():
+    for module in _memo_fixtures():
+        f = module.field
+        for n in module.arities():
+            for sigma in itertools.permutations(range(1, n + 1)):
+                word = perm.transposition_word(sigma)
+                pairs = [(d, l) for d in module.component(n).degrees() for l in module.component(n).labels(d)]
+                for d, label in pairs:
+                    expect = module._act_word(n, word, d, {label: f.one()})
+                    got = module.act_perm_combo(n, sigma, d, {label: f.one()})
+                    assert got == expect
+                    got[label] = f.of_int(2)  # a caller that writes to its combo
+                    got.clear()
+                    assert module.act_perm_combo(n, sigma, d, {label: f.one()}) == expect
+                for (d, a), (d2, b) in zip(pairs, pairs[1:]):
+                    if d == d2:  # a combo of two labels
+                        combo = {a: f.one(), b: f.of_int(-1)}
+                        assert module.act_perm_combo(n, sigma, d, combo) == module._act_word(n, word, d, combo)
+            for triple in module.basis_triples(n):
+                _, d, label = triple
+                expect = {(n, d - 1, l2): c for l2, c in module.component(n).apply_diff(d, {label: f.one()}).items()}
+                got = module.differential_combo(triple)
+                assert got == expect
+                got.clear()
+                assert module.differential_combo(triple) == expect
+    assert any(module.differential_combo(t) for t in module.basis_triples(3))
+
+
+def test_coset_split_memo_matches_coset_canonicalize():
+    for field in (Q, F2, F3):
+        M, _ = random_sigma_module(field, 0, arity_bound=3)
+        N, _ = random_sigma_module(field, 5, arity_bound=3)
+        ws = WordSpace(field, [M, N], 3)
+        for r in ws.arities():
+            for label in ws.component(r).labels(ws.component(r).degrees()[0]):
+                for sigma in itertools.permutations(range(1, r + 1)):
+                    ws.right_act(r, sigma, label)
+        assert ws._splits
+        for (sigma, sizes), (h_parts, w) in ws._splits.items():
+            expect_h, expect_w = perm.coset_canonicalize(sigma, sizes)
+            assert (list(h_parts), w) == (list(expect_h), expect_w)

@@ -1,5 +1,6 @@
 """Homotopy transfer: the memoised, degree-pruned tree sums against the
-recursive formula they replace, the refusal off F_2, and the S^2 gate."""
+recursive formula they replace, the refusal off F_2, the refusal of an
+unsound window before any tree sum, and the S^2 gate."""
 
 import json
 import time
@@ -8,9 +9,10 @@ from pathlib import Path
 
 import pytest
 
+import opbar.transfer
 from opbar.cli import main
 from opbar.dg import DegreeWindow
-from opbar.errors import AlgebraCheckFailed
+from opbar.errors import AlgebraCheckFailed, TruncationUnsound
 from opbar.fixtures import random_commutative_algebra, random_tensor_algebra
 from opbar.jsonio import load_json
 from opbar.linalg import CoeffField, combo_add
@@ -134,13 +136,25 @@ def test_transfer_refuses_higher_operations_off_f2():
     assert list(mu2_only.ops) == [2]
 
 
-def test_cli_refuses_higher_operations_off_f2(tmp_path, capsys):
+def test_cli_refuses_an_unsound_window_before_any_tree_sum(tmp_path, capsys, monkeypatch):
+    # the torus has classes in degree 1, so its transferred model has suspended
+    # degree 0 and no weight truncation of its bar is sound; the retract's homology
+    # degrees say so before any tree sum (over F_3 and Q the tree sums used to run
+    # and be refused off F_2 first)
+    def no_tree_sums(*args):
+        raise AssertionError("the tree sums ran")
+
+    monkeypatch.setattr(opbar.transfer, "_tree_sums", no_tree_sums)
     path = tmp_path / "torus.json"
     path.write_text(json.dumps(TORUS))
-    for field in ("F3", "Q"):
-        assert main(["cochains", "--input", str(path), "--bar", "--field", field, "--max-degree", "3"]) == 2
+    runs = [(str(path), "F2", 4), (str(path), "F3", 3), (str(path), "Q", 3), (str(DATA / "s1.json"), "F2", 8)]
+    for source, field, max_degree in runs:
+        argv = ["cochains", "--input", source, "--bar", "--field", field, "--max-degree", str(max_degree)]
+        assert main(argv) == 2
         err = capsys.readouterr().err
-        assert "AlgebraCheckFailed" in err and "exact only over F_2" in err
+        assert err.startswith("error: TruncationUnsound: mixed-sign suspended degrees [")
+    with pytest.raises(TruncationUnsound, match=r"\[-1, 0\] need an explicit weight bound"):
+        bar_of_cochains(simplicial_set_from_json(TORUS), F2, 1, DegreeWindow(1, 4))
 
 
 def test_s2_boundary_loop_tables_match_the_minimal_model():
