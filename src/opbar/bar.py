@@ -47,7 +47,7 @@ from functools import cached_property, partial
 
 from . import perm, trees
 from .dg import DegreeWindow, DgMap, DgModule, homology
-from .errors import AlgebraCheckFailed, InvalidMorphism, NotCommutative, TruncationUnsound
+from .errors import AlgebraCheckFailed, InvalidMorphism, NotAnIsomorphism, NotCommutative, TruncationUnsound
 from .linalg import SparseMatrix, combo_add, combo_map
 from .modules import (
     DgAlgebra,
@@ -97,6 +97,12 @@ def require_sound_weight_bound(suspended_degrees, window):
     return bound
 
 
+def full_window(suspended_degrees, weight_bound):
+    """The degrees of the words of 1 to `weight_bound` letters of the given suspended degrees."""
+    lo, hi = min(suspended_degrees), max(suspended_degrees)
+    return DegreeWindow(min(lo, weight_bound * lo), max(hi, weight_bound * hi))
+
+
 def desuspension_parity(susp_degs):
     """Parity of (s^{-1})^{(x) r} on letters of the given suspended degrees."""
     r = len(susp_degs)
@@ -112,13 +118,14 @@ class BarComplex:
         self.window = window
         # an algebra whose record covers every relation its operations enter is not checked again
         if algebra.checked_through < algebra.max_op_arity() + 1:
-            ok, diags = check_algebra(algebra, report=True)
+            ok, diags = check_algebra(algebra)
             if not ok:
                 raise AlgebraCheckFailed("; ".join(diags[:3]))
         susp = [d + 1 for d in algebra.module.degrees()]
-        auto = sound_weight_bound(susp, window)
         if weight_bound is None:
-            weight_bound = require_sound_weight_bound(susp, window)
+            weight_bound = auto = require_sound_weight_bound(susp, window)
+        else:
+            auto = sound_weight_bound(susp, window)
         self.weight_bound = weight_bound
         self.exact_in_window = auto is not None and weight_bound >= auto
         self._build()
@@ -461,21 +468,52 @@ def bar_module(operad, arity_bound):
     return BarModule(operad, operad.from_stasheff(), arity_bound)
 
 
+def _coequalizer_iso(coeq, collapse, targets):
+    """Certify the map out of the coequalizer `coeq` that sends each pure label to collapse(label).
+
+    `targets` maps each tail arity r of `coeq` to (target dg-module,
+    name of the map in arity r), so an arity the quotient kills must
+    have a zero target.  The collapse of each pure label is
+    computed once.  The map descends to the coequalizer when, on every
+    quotient, each pure label maps as its projection onto the kept
+    labels does; then, on the kept labels, it must be a chain map and
+    bijective in every arity.  Either failure raises NotAnIsomorphism
+    naming the map (and, for descent, the label).  Returns {r: the
+    certified DgMap in arity r}.
+    """
+    f = coeq.field
+    one = f.one()
+    images = {}
+
+    def image(label):
+        out = images.get(label)
+        if out is None:
+            out = images[label] = {k: v for k, v in collapse(label).items() if not f.is_zero(v)}
+        return out
+
+    for (r, _), quotient in coeq.quotients.items():
+        for label in quotient.labels:
+            if image(label) != combo_map(f, quotient.project({label: one}), image):
+                raise NotAnIsomorphism("%s does not descend to the coequalizer at %r" % (targets[r][1], label))
+    return {
+        r: DgMap.from_rule(coeq.sigma.component(r), target, 0, lambda d, label: image(label)).require_iso(what)
+        for r, (target, what) in targets.items()
+    }
+
+
 def sym_bar_comparison(bar_mod, algebra, weights):
     """Construct Sym_R(B_R, A) -> B(A) and verify it is a chain iso.
 
-    Returns (sym_object, bar_complex, iso).  Raises AssertionError if
-    the map fails to kill the coequalizer relations, and NotAnIsomorphism
-    if it is not a chain map or not bijective in every degree.
+    Returns (sym_object, bar_complex, iso).  Raises NotAnIsomorphism if
+    the map does not descend to the coequalizer, is not a chain map or
+    is not bijective in every degree.
     """
     f = bar_mod.field
     op = bar_mod.operad
     sym = SymOverOperad(bar_mod.right_module, algebra, op, weights)
     # the Sym side enumerates all words per weight; match its full range
     maxw = max(weights)
-    susp = [d + 1 for d in algebra.module.degrees()]
-    full = DegreeWindow(min(min(susp), maxw * min(susp)), max(max(susp), maxw * max(susp)))
-    target = bar(algebra, full, weight_bound=maxw)
+    target = bar(algebra, full_window([d + 1 for d in algebra.module.degrees()], maxw), weight_bound=maxw)
 
     def evaluate(letter, args):
         """A suspended operad letter, desuspended, evaluated on A."""
@@ -487,24 +525,19 @@ def sym_bar_comparison(bar_mod, algebra, weights):
         (_, _, (_, word_label)), a_word = pure_label
         return routed_compose(f, word_label, a_word, evaluate, lambda word: word)
 
-    # relations die under the map: each pure label maps as its projection does
-    for (_, d), quotient in sym.sym.quotients.items():
-        for lab in quotient.labels:
-            image = {k: v for k, v in collapse(lab).items() if not f.is_zero(v)}
-            if image != combo_map(f, sym.sym.project(0, d, {lab: f.one()}), collapse):
-                raise AssertionError("comparison map does not descend to the coequalizer at %r" % (lab,))
-    iso = DgMap.from_rule(sym.module, target.module, 0, lambda d, label: collapse(label))
-    return sym, target, iso.require_iso("Sym_R(B_R, A) -> B(A)")
+    isos = _coequalizer_iso(sym.sym, collapse, {0: (target.module, "Sym_R(B_R, A) -> B(A)")})
+    return sym, target, isos[0]
 
 
 def bar_extension_iso(bar_mod_r, psi, arity_bound, bar_mod_s=None):
     """The isomorphism B_R o_R S -> B_S induced by psi: R -> S.
 
-    Both sides are computed independently; the collapse map, defined on
-    the kept basis of the coequalizer, is checked to be a chain map and
-    bijective in every arity.  Returns (extended, bar_mod_s, iso_blocks)
-    with iso_blocks[(r, d)] its matrix in arity r and degree d.  Raises
-    InvalidMorphism up front when psi is not an operad morphism.
+    Both sides are computed independently; the collapse map is checked
+    to descend to the coequalizer and, on its kept basis, to be a chain
+    map and bijective in every arity (NotAnIsomorphism otherwise).
+    Returns (extended, bar_mod_s, iso_blocks) with iso_blocks[(r, d)]
+    its matrix in arity r and degree d.  Raises InvalidMorphism up front
+    when psi is not an operad morphism.
     """
     f = bar_mod_r.field
     # extension() checks psi before it builds anything, so before B_S too
@@ -525,11 +558,7 @@ def bar_extension_iso(bar_mod_r, psi, arity_bound, bar_mod_s=None):
             f, word_label, s_inner, evaluate, lambda word: (n, word), outer=(w_s, bar_mod_s.susp_module.sigma)
         )
 
-    iso_blocks = {}
-    for r in ext.sigma.arities():
-        comp = ext.sigma.component(r)
-        iso = DgMap.from_rule(comp, bar_mod_s.component(r), 0, lambda d, lab: collapse(lab))
-        iso.require_iso("B_R o_R S -> B_S in arity %d" % r)
-        for d in comp.degrees():
-            iso_blocks[(r, d)] = iso.block(d)
+    targets = {r: (bar_mod_s.component(r), "B_R o_R S -> B_S in arity %d" % r) for r in ext.coequalizer.tail_arities}
+    isos = _coequalizer_iso(ext.coequalizer, collapse, targets)
+    iso_blocks = {(r, d): iso.block(d) for r, iso in isos.items() for d in iso.source.degrees()}
     return ext, bar_mod_s, iso_blocks

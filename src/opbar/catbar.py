@@ -39,8 +39,8 @@ from __future__ import annotations
 from itertools import combinations, product
 
 from . import perm
-from .bar import bar, shuffle_word_product, sound_weight_bound
-from .dg import DegreeWindow, DgMap, DgModule, koszul_diff, tensor as dg_tensor
+from .bar import bar, full_window, shuffle_word_product, sound_weight_bound
+from .dg import DgMap, DgModule, koszul_diff, tensor as dg_tensor
 from .errors import FieldMismatch, NotCommutative, SimplicialIdentityViolation
 from .linalg import Quotient, combo_add, combo_map
 from .sigma import SigmaModule, compose
@@ -508,7 +508,7 @@ class CategoricalBarModule:
         f = self.field
         self.levels = {}
         for n in range(1, dimension_bound + 1):
-            colors = SigmaModule(f, {1: DgModule(f, {0: tuple(("c", j) for j in range(1, n + 1))}, {}, check=False)})
+            colors = SigmaModule(f, {1: DgModule(f, {0: tuple(("c", j) for j in range(1, n + 1))}, {})})
             self.levels[n] = compose(operad.sigma, colors, arity_bound)
         self.normalized = {}
         for r in range(1, arity_bound + 1):
@@ -581,8 +581,7 @@ def bar_cat_comparison(algebra, window):
     wb = sound_weight_bound(susp, window)
     if wb is None:
         raise NotCommutative("mixed-sign degrees: supply a commutative model")
-    full = DegreeWindow(min(min(susp), wb * min(susp)), max(max(susp), wb * max(susp)))
-    b = bar(algebra, full, weight_bound=wb)
+    b = bar(algebra, full_window(susp, wb), weight_bound=wb)
     cat = CategoricalBar(algebra, wb)
 
     def iso_rule(d, word):

@@ -25,14 +25,12 @@ in, and it codes each letter by its index in the algebra's basis, so
 its words are tuples of small ints until it decodes its basis.  That
 loop is the hot path of every bar table, and a callback per letter
 would only slow it.
-`DgModule.from_rule`, `from_data` and the constructor check d^2 = 0 by
-default, which pins the conventions in practice; `tensor`,
-`suspension` and the word spaces of `sigma.py` build with check=False.
-A module records that its check passed (`d_squared_checked`), so
-d^2 = 0 is checked once per module:
-`homology` checks a module that has no record, and then ranks every
-module by clearing (see `_cleared_ranks`), which needs d^2 = 0.
-Every comparison isomorphism is certified by `DgMap.require_iso`.
+Every DgModule checks d^2 = 0 once, when it is built (the constructor,
+`from_rule` and `from_data` alike, with no way to skip it), which pins
+the conventions in practice.  So d^2 = 0 holds for every module that
+exists, and `homology` ranks its blocks by clearing (see
+`_cleared_ranks`), which needs it.  Every comparison isomorphism is
+certified by `DgMap.require_iso`.
 """
 
 from __future__ import annotations
@@ -75,7 +73,7 @@ class DgModule:
     orders.  Degrees absent from `basis` are zero.
     """
 
-    def __init__(self, field, basis, diff, check=True):
+    def __init__(self, field, basis, diff):
         self.field = field
         self.basis = {d: tuple(labels) for d, labels in basis.items() if labels}
         self.diff = {}
@@ -86,9 +84,7 @@ class DgModule:
         for d, m in self.diff.items():
             if m.cols != self.dim(d) or m.rows != self.dim(d - 1):
                 raise ValueError("differential block at degree %d has wrong shape" % d)
-        self.d_squared_checked = False  # set by a check_differential that passed
-        if check:
-            self.check_differential()
+        self.check_differential()
 
     @cached_property
     def _index(self):
@@ -136,7 +132,6 @@ class DgModule:
             below = self.diff.get(d - 1)
             if below is not None and not below.matmul(self.diff[d]).is_zero():
                 raise CompositionNotZero("d^2 != 0 from degree %d" % d)
-        self.d_squared_checked = True
 
     # element helpers -------------------------------------------------------
 
@@ -168,13 +163,15 @@ class DgModule:
         return DgModule(field, {degree: (label,)}, {})
 
     @staticmethod
-    def from_rule(field, basis, rule, check=True):
+    def from_rule(field, basis, rule):
         """Build from a basis {degree: labels} and rule(d, label) -> {label in degree d-1: coeff}.
 
         A rule that names a label outside the basis of degree d-1 raises
-        ValueError naming it.
+        ValueError naming it.  The blocks are filled into the module built
+        on the basis alone, then checked, so the module keeps one label
+        index.
         """
-        mod = DgModule(field, basis, {}, check=False)
+        mod = DgModule(field, basis, {})
         p = field.p
         for d in mod.degrees():
             below = mod._index.get(d - 1, {})
@@ -191,12 +188,11 @@ class DgModule:
                         m.entries[(i, j)] = c
             if not m.is_zero():
                 mod.diff[d] = m
-        if check:
-            mod.check_differential()
+        mod.check_differential()
         return mod
 
     @staticmethod
-    def from_data(field, elements, diff_map=None, check=True):
+    def from_data(field, elements, diff_map=None):
         """Build from [(label, degree)] and {label: {label2: coeff}}."""
         basis = {}
         degree_of = {}
@@ -209,7 +205,7 @@ class DgModule:
         for src in diff_map:
             if src not in degree_of:
                 raise ValueError("differential given for unknown label %r" % (src,))
-        return DgModule.from_rule(field, basis, lambda d, label: diff_map.get(label, {}), check)
+        return DgModule.from_rule(field, basis, lambda d, label: diff_map.get(label, {}))
 
     def __repr__(self):
         w = self.window()
@@ -353,7 +349,7 @@ def koszul_diff(field, word, letter_diff):
     return out
 
 
-def tensor(a, b, window=None):
+def tensor(a, b):
     """Tensor product with the Koszul differential; labels are pairs."""
     if a.field != b.field:
         raise FieldMismatch("tensor over different fields")
@@ -362,10 +358,7 @@ def tensor(a, b, window=None):
     degree_pairs = {}
     for da in a.degrees():
         for db in b.degrees():
-            d = da + db
-            if window is not None and d not in window:
-                continue
-            degree_pairs.setdefault(d, []).append((da, db))
+            degree_pairs.setdefault(da + db, []).append((da, db))
     split = {}  # tensor degree -> {pair label: its factor degrees (da, db)}
     for d in sorted(degree_pairs):
         basis[d] = tuple((x, y) for da, db in degree_pairs[d] for x in a.labels(da) for y in b.labels(db))
@@ -374,12 +367,10 @@ def tensor(a, b, window=None):
     diffs = [{(dx, x): m.apply_diff(dx, {x: one}) for dx in m.degrees() for x in m.labels(dx)} for m in (a, b)]
 
     def rule(d, label):
-        if window is not None and d - 1 not in window:
-            return {}
         degrees = split[d][label]
         return koszul_diff(field, label, lambda j, x: (degrees[j], diffs[j][(degrees[j], x)]))
 
-    return DgModule.from_rule(field, basis, rule, check=False)
+    return DgModule.from_rule(field, basis, rule)
 
 
 def suspension(a):
@@ -387,7 +378,7 @@ def suspension(a):
     field = a.field
     basis = {d + 1: tuple(("s", l) for l in a.labels(d)) for d in a.degrees()}
     diff = {d + 1: a.diff_block(d).scale(field.sign(1)) for d in a.diff}
-    return DgModule(field, basis, diff, check=False)
+    return DgModule(field, basis, diff)
 
 
 def homology(a, window=None):
@@ -397,15 +388,12 @@ def homology(a, window=None):
     zero outside its basis support, so boundary degrees are exact too.
 
     The blocks are ranked by clearing (`_cleared_ranks`), which needs
-    d^2 = 0; a module without that record (`d_squared_checked`) is
-    checked first, and CompositionNotZero is raised before any rank.
+    d^2 = 0: every DgModule checked it when it was built.
     """
     w = a.window()
     if w is None:
         return {d: 0 for d in window} if window else {}
     degrees = list(window) if window is not None else list(w)
-    if not a.d_squared_checked:
-        a.check_differential()
     ranks = _cleared_ranks(a, degrees[0], degrees[-1])
     return {d: a.dim(d) - ranks[d] - ranks[d + 1] for d in degrees}
 

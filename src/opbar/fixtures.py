@@ -10,11 +10,12 @@ exactly rather than by accident of the random draw.
 from __future__ import annotations
 
 import random
-from itertools import permutations as _permutations
+from itertools import permutations as _permutations, product
+from math import comb, factorial
 
 from . import perm
 from .dg import DgModule, koszul_diff
-from .linalg import combo_add
+from .linalg import combo_add, quotient_data
 from .modules import DgAlgebra
 from .sigma import SigmaModule
 
@@ -179,7 +180,7 @@ def random_sigma_module(field, seed, arity_bound=4):
                     by_degree.setdefault(degree, []).append(("o%d" % idx, w))
             else:
                 by_degree.setdefault(degree, []).append(("o%d" % idx, kind))
-        components[n] = DgModule(field, {d: tuple(ls) for d, ls in by_degree.items()}, {}, check=False)
+        components[n] = DgModule(field, {d: tuple(ls) for d, ls in by_degree.items()}, {})
         for i in range(1, n):
             table = {}
             s_i = perm.apply_adjacent(perm.identity(n), i)
@@ -218,8 +219,6 @@ def compose_dims_oracle(field, m_sigma, n_sigma, arity_bound):
     Independent of the canonical-representative machinery used by the
     implementation.
     """
-    from .linalg import quotient_data
-
     out = {}
     for r in range(1, arity_bound + 1):
         routings = list(_permutations(range(1, r + 1)))
@@ -228,7 +227,7 @@ def compose_dims_oracle(field, m_sigma, n_sigma, arity_bound):
             for sizes in _compositions(r, k, n_sigma.arities()):
                 factor_triples = [list(n_sigma.basis_triples(a)) for a in sizes]
                 for mt in m_sigma.basis_triples(k):
-                    for inners in _product_lists(factor_triples):
+                    for inners in product(*factor_triples):
                         by_degree.setdefault(mt[1] + sum(t[1] for t in inners), []).append((mt, inners))
         for d, pures in by_degree.items():
             # the flat basis: every pure label under every input routing
@@ -319,19 +318,8 @@ def _compositions(r, k, allowed):
     return out
 
 
-def _product_lists(lists):
-    if not lists:
-        yield ()
-        return
-    for head in lists[0]:
-        for tail in _product_lists(lists[1:]):
-            yield (head,) + tail
-
-
 def tensor_dims_formula(m_sigma, n_sigma, arity_bound):
     """dim (M (x) N)(r) = sum_{s+t=r} C(r,s) dim M(s) dim N(t)."""
-    from math import comb
-
     out = {}
     for r in range(1, arity_bound + 1):
         per_degree = {}
@@ -360,23 +348,13 @@ def sigma_free_compose_dims_formula(m_description, n_sigma, arity_bound):
     of regular (x) X is X); arity-1 orbits contribute dim N(r).  The
     word dimension is the multinomial coset count times the factor dims.
     """
-    from math import factorial
-
     out = {}
-    arities = sorted({k for k in m_description})
-    for r in range(1, 100):
+    for r in range(1, arity_bound + 1):
         per_degree = {}
         for k, orbits in m_description.items():
-            allowed = []
-            for kind, dm in orbits:
-                allowed.append(dm)
-            if not allowed:
-                continue
-            sizes_list = _compositions(r, k, [a for a in range(1, r + 1)])
-            for dm in allowed:
+            sizes_list = _compositions(r, k, n_sigma.arities())
+            for _, dm in orbits:
                 for sizes in sizes_list:
-                    if any(s not in [a for a in n_arities(n_sigma)] for s in sizes):
-                        continue
                     cosets = factorial(r)
                     for a in sizes:
                         cosets //= factorial(a)
@@ -393,10 +371,4 @@ def sigma_free_compose_dims_formula(m_description, n_sigma, arity_bound):
         per_degree = {d: c for d, c in per_degree.items() if c}
         if per_degree:
             out[r] = per_degree
-        if r >= arity_bound:
-            break
     return out
-
-
-def n_arities(n_sigma):
-    return n_sigma.arities()

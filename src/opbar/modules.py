@@ -238,14 +238,14 @@ class DgAlgebra:
         return self.kind == "comm"
 
 
-def check_algebra(a, max_arity=None, report=False, partial_range=None):
+def check_algebra(a, max_arity=None, partial_range=None):
     """Verify the structure relations of a DgAlgebra.
 
     For `ainf` input this is the full coherence tower up to max_arity:
     the Hom-differential of mu_r equals the sum of two-vertex
     compositions weighted by the Stasheff signs.  For `assoc` it reduces
     to Leibniz plus associativity; `comm` adds graded commutativity.
-    Returns True/False, or (ok, diagnostics) with report=True.
+    Returns (ok, diagnostics): diagnostics lists the failures found.
 
     `partial_range`, for degree-truncated carriers: relations whose
     inputs or outputs would leave the closed interval (lo, hi) are
@@ -289,7 +289,7 @@ def check_algebra(a, max_arity=None, report=False, partial_range=None):
 
     if misgraded:
         # the relations below apply the differential in the degrees mu_r should land in
-        return (False, diags) if report else False
+        return False, diags
 
     labels_all = mod.basis_pairs()
 
@@ -330,12 +330,11 @@ def check_algebra(a, max_arity=None, report=False, partial_range=None):
             if lhs != rhs:
                 diags.append("structure relation fails at arity %d word %r" % (r, tuple(labs)))
                 if len(diags) > 8:
-                    ok = False
-                    return (ok, diags) if report else ok
+                    return False, diags
     ok = not diags
     if ok and partial_range is None:
         a.checked_through = max(a.checked_through, top)
-    return (ok, diags) if report else ok
+    return ok, diags
 
 
 def _reachable_words(a, labels_all, top):
@@ -453,7 +452,7 @@ class AlgebraWords:
         for w in product(module.basis_pairs(), repeat=n):
             by_degree.setdefault(self.degree(w), []).append(w)
         basis = dict(sorted(by_degree.items()))
-        self._words = DgModule.from_rule(self.field, basis, lambda d, w: self.diff_combo(w), check=False)
+        self._words = DgModule.from_rule(self.field, basis, lambda d, w: self.diff_combo(w))
 
     def component(self, r):
         return self._words if r == 0 else DgModule.zero(self.field)

@@ -144,7 +144,7 @@ class AssociativeOperad(Operad):
 
     def __init__(self, field, arity_bound):
         comps = {
-            n: DgModule(field, {0: tuple(sorted(_permutations(range(1, n + 1))))}, {}, check=False)
+            n: DgModule(field, {0: tuple(sorted(_permutations(range(1, n + 1))))}, {})
             for n in range(1, arity_bound + 1)
         }
 
@@ -610,17 +610,17 @@ def compose_morphisms(g, f):
     return composite
 
 
-def operad_morphism_check(f, arity_bound=None, report=False):
+def operad_morphism_check(f, arity_bound=None):
     """True iff f commutes with units, differentials, actions and o_i.
 
     A pass is recorded on f, and a bound its record covers returns at
-    once.  With report=True returns (ok, list of failure strings).
+    once.
     """
     bound = arity_bound or min(f.source.arity_bound(), f.target.arity_bound())
     failures = [] if f.checked_through >= bound else _morphism_failures(f, bound)
     if not failures:
         f.checked_through = max(f.checked_through, bound)
-    return (not failures, failures) if report else not failures
+    return not failures
 
 
 def _morphism_failures(f, bound):
@@ -676,21 +676,19 @@ def _morphism_failures(f, bound):
 # structural checks -----------------------------------------------------------
 
 
-def check_operad(op, arity_bound=None, deep=False):
+def check_operad(op, arity_bound=None):
     """Unit, associativity, equivariance and derivation checks.
 
     Raises ValueError on the first failure.  The right unit,
     associativity and derivation laws are those of `op` as a right
     module over itself, checked by `RightModule.check_module`; the left
-    unit and equivariance are checked here.  `deep` additionally runs
-    the Sigma-module relation checks.
+    unit and equivariance are checked here.  The Sigma-module relations
+    are `op.sigma.check_relations()`, which the operad import runs.
     """
     from .modules import operad_right_module  # modules imports this module
 
     field = op.field
     bound = arity_bound or op.arity_bound()
-    if deep:
-        op.sigma.check_relations()
     unit = op.unit_triple()
     for n in range(1, bound + 1):
         for p in op.basis_triples(n):

@@ -244,9 +244,7 @@ class WordSpace:
                     for w in cosets:
                         by_degree.setdefault(d_total, []).append((w, inner))
             if by_degree:
-                self._components[r] = DgModule.from_rule(
-                    self.field, by_degree, lambda d, label: self.diff_combo(label), check=False
-                )
+                self._components[r] = DgModule.from_rule(self.field, by_degree, lambda d, label: self.diff_combo(label))
 
     def _arity_splits(self, r):
         k = len(self.factors)

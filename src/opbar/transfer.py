@@ -112,7 +112,7 @@ class Retract:
 
     def homology_module(self):
         basis = {d: tuple(("h", d, a) for a in range(n)) for d, n in self.h_basis.items() if n}
-        return DgModule(self.field, basis, {}, check=False)
+        return DgModule(self.field, basis, {})
 
     def verify(self):
         """dh + hd = 1 - ip and the side conditions, matrixwise."""
@@ -135,7 +135,7 @@ class Retract:
         return True
 
 
-def transfer_a_infinity(algebra, max_arity, name=None, retract=None):
+def transfer_a_infinity(algebra, max_arity, retract=None):
     """Transferred Stasheff-algebra structure on the homology.
 
     Sign-free tree sums: exact over F_2.  Over a field of another
@@ -155,8 +155,8 @@ def transfer_a_infinity(algebra, max_arity, name=None, retract=None):
             "transferred mu_%d is nonzero over %r: the sign-free transfer is exact only over F_2"
             % (higher[0], f)
         )
-    out = DgAlgebra(f, "ainf", ret.homology_module(), ops, name=name or ("H(%s)" % algebra.name))
-    ok, diags = check_algebra(out, max_arity + 1, report=True)
+    out = DgAlgebra(f, "ainf", ret.homology_module(), ops, name="H(%s)" % algebra.name)
+    ok, diags = check_algebra(out, max_arity + 1)
     if not ok:
         raise AlgebraCheckFailed(
             "transferred structure fails the relations (signs are only valid over F_2): %s"

@@ -227,7 +227,7 @@ def suite_shuffle(seed=7, count=10, max_degree=10):
             b = bar(alg, window)
             sh = shuffle_product(b)
             prange = (b.window.lo - 1, b.window.hi + 1)
-            ok1, diags = check_algebra(sh, 3, report=True, partial_range=prange)
+            ok1, diags = check_algebra(sh, 3, partial_range=prange)
             if not ok1:
                 return False, "commutativity/associativity: %s" % diags[:1]
             if not _shuffle_is_derivation(b, sh):
@@ -306,20 +306,14 @@ def suite_commutative_identity(max_degree=10):
     F2 = CoeffField.prime(2)
     Q = CoeffField.rationals()
 
+    exterior, trunc = _fixture_algebras(F2, "comm")
+
     def fixture1():
-        alg = DgAlgebra(F2, "comm", DgModule.from_data(F2, [("x", 1)]), {2: {}}, name="exterior")
-        bar_cat_comparison(alg, DegreeWindow(0, max_degree))
+        bar_cat_comparison(exterior, DegreeWindow(0, max_degree))
         return True, "exterior over F2, window [0,%d]" % max_degree
 
     def fixture2():
-        alg = DgAlgebra(
-            F2,
-            "comm",
-            DgModule.from_data(F2, [("x", 1), ("x2", 2)]),
-            {2: {("x", "x"): {"x2": F2.one()}}},
-            name="trunc",
-        )
-        bar_cat_comparison(alg, DegreeWindow(0, 8))
+        bar_cat_comparison(trunc, DegreeWindow(0, 8))
         return True, "truncated polynomial over F2"
 
     def fixture3():
@@ -471,30 +465,30 @@ def suite_loops(max_degree=8):
     )
 
 
+# name -> (suite, the command-line options it takes)
 SUITES = {
-    "stasheff": suite_stasheff,
-    "bar-module": suite_bar_module,
-    "module-functor": suite_module_functor,
-    "extension": suite_extension,
-    "shuffle": suite_shuffle,
-    "commutative-identity": suite_commutative_identity,
-    "em": suite_em,
-    "compose-oracle": suite_compose_oracle,
-    "loops": suite_loops,
+    "stasheff": (suite_stasheff, ("arity",)),
+    "bar-module": (suite_bar_module, ("arity", "seed", "max_degree")),
+    "module-functor": (suite_module_functor, ("arity",)),
+    "extension": (suite_extension, ("arity",)),
+    "shuffle": (suite_shuffle, ("seed", "max_degree")),
+    "commutative-identity": (suite_commutative_identity, ("max_degree",)),
+    "em": (suite_em, ("seed",)),
+    "compose-oracle": (suite_compose_oracle, ("seed", "arity")),
+    "loops": (suite_loops, ("max_degree",)),
 }
 
 
 def run_suite(name, **kwargs):
+    """Run suite `name` (or every suite, for "all") with the given options
+    it takes; an option a suite does not take, or one set to None, is
+    ignored."""
     if name == "all":
         out = []
         for key in SUITES:
             out.extend(run_suite(key, **kwargs))
         return out
-    fn = SUITES.get(name)
-    if fn is None:
+    if name not in SUITES:
         raise KeyError("unknown suite %r (have %s)" % (name, ", ".join(sorted(SUITES) + ["all"])))
-    import inspect  # kept local: a slow, memory-heavy import that only run_suite needs
-
-    sig = inspect.signature(fn)
-    usable = {k: v for k, v in kwargs.items() if k in sig.parameters and v is not None}
-    return fn(**usable)
+    fn, takes = SUITES[name]
+    return fn(**{k: v for k, v in kwargs.items() if k in takes and v is not None})

@@ -144,11 +144,15 @@ def test_a_failed_or_partial_check_records_nothing():
     bad = DgAlgebra(
         Q, "comm", DgModule.from_data(Q, [("x", 2), ("y", 2), ("z", 4)]), {2: {("x", "y"): {"z": Q.one()}}}
     )
-    assert not check_algebra(bad) and bad.checked_through == 0
+    ok, diags = check_algebra(bad)
+    assert not ok and diags and bad.checked_through == 0
     alg = trunc_f2()
-    assert check_algebra(alg, 4, partial_range=(0, 6)) and alg.checked_through == 0
-    assert check_algebra(alg, 4) and alg.checked_through == 4
-    assert check_algebra(alg, 3) and alg.checked_through == 4
+    ok, diags = check_algebra(alg, 4, partial_range=(0, 6))
+    assert ok and not diags and alg.checked_through == 0
+    ok, diags = check_algebra(alg, 4)
+    assert ok and not diags and alg.checked_through == 4
+    ok, diags = check_algebra(alg, 3)
+    assert ok and not diags and alg.checked_through == 4
 
 
 def test_check_algebra_checks_a_recorded_algebra_again():
@@ -156,12 +160,13 @@ def test_check_algebra_checks_a_recorded_algebra_again():
     b = bar(alg, DegreeWindow(0, 8))
     sh = shuffle_product(b)
     prange = (b.window.lo - 1, b.window.hi + 1)
-    assert sh.checked_through == 3 and check_algebra(sh, 3, partial_range=prange)
+    assert sh.checked_through == 3 and check_algebra(sh, 3, partial_range=prange) == (True, [])
     table = sh.ops[2]
     u, v = next(key for key, out in table.items() if key[0] != key[1] and out)
     w, c = next(iter(table[(u, v)].items()))
     table[(u, v)][w] = Q.mul(Q.of_int(2), c)  # u.v no longer equals +-v.u
-    assert not check_algebra(sh, 3, partial_range=prange)
+    ok, diags = check_algebra(sh, 3, partial_range=prange)
+    assert not ok and diags
 
 
 def test_exterior_tor_pattern():
@@ -539,7 +544,8 @@ def test_shuffle_algebra_checks_on_seeded_fixture(monkeypatch):
 
     monkeypatch.setattr(modules, "product", counted_product)
     monkeypatch.setattr(DgAlgebra, "op_apply", counted_op_apply)
-    assert check_algebra(sh, 3, partial_range=(b.window.lo - 1, b.window.hi + 1))
+    ok, diags = check_algebra(sh, 3, partial_range=(b.window.lo - 1, b.window.hi + 1))
+    assert ok and not diags
     assert 0 < words <= 20_000
     assert op_calls <= 2_000
 

@@ -242,7 +242,7 @@ def test_simplicial_circle_homology():
     field = Q
 
     def circle_level(n):
-        return DgModule(field, {0: tuple(["pt"] + ["e%d" % j for j in range(n)])}, {}, check=False)
+        return DgModule(field, {0: tuple(["pt"] + ["e%d" % j for j in range(n)])}, {})
 
     levels = {n: circle_level(n) for n in range(4)}
 
@@ -437,8 +437,8 @@ def test_images_keep_apply_key_order_on_dense_blocks():
             block = SparseMatrix(field, rows, cols)
             for _ in range(rng.randint(0, 3 * rows * cols)):
                 block.add_to(rng.randrange(rows), rng.randrange(cols), field.of_int(rng.randint(-3, 3)))
-            source = DgModule(field, {0: tuple("s%d" % j for j in range(cols))}, {}, check=False)
-            target = DgModule(field, {0: tuple("t%d" % i for i in range(rows))}, {}, check=False)
+            source = DgModule(field, {0: tuple("s%d" % j for j in range(cols))}, {})
+            target = DgModule(field, {0: tuple("t%d" % i for i in range(rows))}, {})
             _assert_images_equal_apply(DgMap(source, target, 0, {0: block}), 0, field)
 
 

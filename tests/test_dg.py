@@ -196,7 +196,7 @@ def direct_sum(a, b):
         for (i, j), v in b.diff_block(d).entries.items():
             m.add_to(i + off_r, j + off_c, v)
         diff[d] = m
-    return DgModule(a.field, basis, diff, check=False)
+    return DgModule(a.field, basis, diff)
 
 
 def test_direct_sum():
@@ -206,15 +206,16 @@ def test_direct_sum():
     assert homology(s) == {0: 0, 1: 0}
 
 
-def test_homology_rechecks_d_squared_on_unchecked_modules():
-    m = DgModule.from_data(
-        Q,
-        [("a", 2), ("b", 1), ("c", 0)],
-        {"a": {"b": Q.one()}, "b": {"c": Q.one()}},
-        check=False,
-    )
+def test_from_data_refuses_d_squared_nonzero_before_any_rank(monkeypatch):
+    # no module with d^2 != 0 can be built, so homology never clears one
+    calls = _spy_rank(monkeypatch)
     with pytest.raises(CompositionNotZero):
-        homology(m)
+        DgModule.from_data(
+            Q,
+            [("a", 2), ("b", 1), ("c", 0)],
+            {"a": {"b": Q.one()}, "b": {"c": Q.one()}},
+        )
+    assert calls == []
 
 
 def test_homology_ranks_each_nonzero_block_once(monkeypatch):
@@ -311,7 +312,7 @@ def test_clearing_matches_known_homology_on_scrambled_complexes(field, monkeypat
     for seed in range(40):
         basis, blocks, h = _random_complex(field, seed, 0, 5)
         m = DgModule(field, basis, {k: _sparse(field, d) for k, d in blocks.items()})
-        assert m.d_squared_checked
+        m.check_differential()  # clearing needs d^2 = 0
         for window in (DegreeWindow(0, 5), DegreeWindow(1, 4), DegreeWindow(2, 5), DegreeWindow(0, 3)):
             want = {d: h[d] for d in window}
             assert homology(m, window) == want == _per_block_homology(m, window), (seed, window)
@@ -324,7 +325,7 @@ def test_clearing_matches_per_block_ranks_on_seeded_bars(field, monkeypatch):
     for seed in range(6):
         for algebra in (random_tensor_algebra(field, seed, 3, 3), random_commutative_algebra(field, seed, 3, 3)):
             m = bar(algebra, DegreeWindow(0, 9)).module
-            assert m.d_squared_checked
+            m.check_differential()  # clearing needs d^2 = 0
             w = m.window()
             # the module's own window starts at the zero block (rows, upward);
             # one degree past its top, the zero block is at the other end (columns, downward)
@@ -359,17 +360,20 @@ def test_require_iso_names_the_map_it_refuses():
         zero.require_iso("probe")
 
 
-def test_homology_checks_an_unchecked_module_before_it_clears(monkeypatch):
-    # d^2 != 0: the clearing argument fails, and homology must refuse before any rank
-    bad = DgModule.from_data(Q, [("a", 2), ("b", 1), ("c", 0)], {"a": {"b": Q.one()}, "b": {"c": Q.one()}}, check=False)
+def test_every_constructor_refuses_d_squared_nonzero_before_homology_clears(monkeypatch):
+    # d^2 != 0: the clearing argument fails, so no constructor may hand such a module to homology
     calls = _spy_rank(monkeypatch)
+    basis = {2: ("a",), 1: ("b",), 0: ("c",)}
+    one = SparseMatrix.identity(Q, 1)
     with pytest.raises(CompositionNotZero):
-        homology(bad)
-    assert not bad.d_squared_checked and calls == []
-    # an unchecked module with d^2 = 0 gets the record and is cleared
-    good = DgModule.from_data(Q, [("y", 0), ("x", 1)], {"x": {"y": Q.one()}}, check=False)
+        DgModule(Q, basis, {2: one, 1: one})
+    rule = {"a": {"b": Q.one()}, "b": {"c": Q.one()}}
+    with pytest.raises(CompositionNotZero):
+        DgModule.from_rule(Q, basis, lambda d, label: rule.get(label, {}))
+    assert calls == []
+    # a module with d^2 = 0 is cleared
+    good = DgModule.from_data(Q, [("y", 0), ("x", 1)], {"x": {"y": Q.one()}})
     assert homology(good) == {0: 0, 1: 0}
-    assert good.d_squared_checked
     assert calls and all("pivots" in kwargs for _, kwargs in calls)
 
 
@@ -415,7 +419,7 @@ def _entries(mod):
 
 
 def _ref_tensor(a, b):
-    """dg.tensor's rule, without a window."""
+    """dg.tensor's rule."""
     field = a.field
     degree_pairs = {}
     for da in a.degrees():
@@ -438,7 +442,7 @@ def _ref_tensor(a, b):
             out[(x, y2)] = field.mul(sgn, v)
         return out
 
-    return DgModule.from_rule(field, basis, rule, check=False)
+    return DgModule.from_rule(field, basis, rule)
 
 
 def _ref_tensor_diff_terms(field, degrees, labels, module):

@@ -14,8 +14,10 @@ A private function, class or method (one underscore, not a dunder) is
 not part of the API, so one that no module of the package refers to, by
 name or as an attribute, is a dead helper.
 
-A parameter named `check` or `check_*` lets a caller skip a check; only
-the functions on `CHECK_SWITCHES` may take one.
+A parameter named `check` or `check_*` lets a caller skip a check, and a
+parameter with a `True` or `False` default on a function named `check*`
+or `*_check` switches part of that check on or off (or its return form);
+no function may take either.
 
 A public function, class or method that no module of the package reads
 outside its own definition is test-only code: a wrapper the tests can do
@@ -102,17 +104,11 @@ def test_every_private_definition_is_referenced():
     assert unreferenced_private_definitions(sources) == []
 
 
-# A check switch is a parameter that lets a caller skip a check.  The ones left
-# are the dg-module constructors': tensor products, suspensions and word spaces
-# are built from data already checked, and a module records its d^2 check.
-CHECK_SWITCHES = {
-    "dg.py": {"DgModule.__init__", "DgModule.from_rule", "DgModule.from_data"},
-}
-
-
 def check_switches(source):
     """The functions of `source` with a parameter named `check` or `check_*`,
-    by qualified name (Class.method for methods, nested names dotted)."""
+    or, when the function is named `check*` or `*_check`, a parameter with
+    a True or False default; by qualified name (Class.method for methods,
+    nested names dotted)."""
     found = set()
 
     def visit(node, prefix):
@@ -122,7 +118,11 @@ def check_switches(source):
             elif isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef)):
                 args = child.args
                 names = [a.arg for a in args.posonlyargs + args.args + args.kwonlyargs]
-                if any(name == "check" or name.startswith("check_") for name in names):
+                defaults = args.defaults + [d for d in args.kw_defaults if d is not None]
+                is_check = child.name.startswith("check") or child.name.endswith("_check")
+                if any(name == "check" or name.startswith("check_") for name in names) or (
+                    is_check and any(isinstance(d, ast.Constant) and isinstance(d.value, bool) for d in defaults)
+                ):
                     found.add(prefix + child.name)
                 visit(child, prefix + child.name + ".")
 
@@ -136,13 +136,19 @@ def test_the_check_flags_a_check_switch():
         "def build(x, check=True):\n    def inner(check_more=False):\n        pass\n"
         "class M:\n    def __init__(self, data, *, check_eta=True):\n        pass\n"
         "    def apply(self, checked=True, check=None):\n        pass\n"
+        "def check_x(a, deep=False):\n    pass\n"
+        "def y_check(f, report=False):\n    pass\n"
+        "def check_z(a, *, full=True):\n    pass\n"
+        "def check_bound(a, bound=None, name='x'):\n    pass\n"
+        "def rebuild(a, deep=False):\n    pass\n"
     )
-    assert check_switches(source) == {"build", "build.inner", "M.__init__", "M.apply"}
+    assert check_switches(source) == {"build", "build.inner", "M.__init__", "M.apply", "check_x", "y_check", "check_z"}
 
 
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_check_switch_beyond_the_allowlist(path):
-    assert check_switches(path.read_text()) == CHECK_SWITCHES.get(path.name, set())
+    """The allowlist is empty: no module may take a check switch."""
+    assert check_switches(path.read_text()) == set()
 
 
 def _reads(node):

@@ -80,14 +80,16 @@ def test_algebra_round_trip():
     back, _ = algebra_from_json(algebra_to_json(alg))
     assert back.kind == "comm"
     assert back.op_apply(2, ("x", "x")) == {"x2": F2.one()}
-    assert check_algebra(back, 3)
+    ok, diags = check_algebra(back, 3)
+    assert ok and not diags
 
 
 def test_operad_round_trip():
     for op in (commutative_operad(Q, 3), stasheff_operad(Q, 3)):
         data = operad_to_json(op, 3)
         back = operad_from_json(data)
-        check_operad(back, 3, deep=True)
+        back.sigma.check_relations()
+        check_operad(back, 3)
         assert {n: back.component(n).total_dim() for n in back.sigma.arities()} == {
             n: op.component(n).total_dim() for n in op.sigma.arities()
         }
@@ -462,10 +464,19 @@ def test_cli_verify_all_forwards_flags(monkeypatch, capsys, flags, expected):
         seen["b"] = seed
         return [("b.check", True, "")]
 
-    monkeypatch.setattr(verify, "SUITES", {"a": suite_a, "b": suite_b})
+    monkeypatch.setattr(verify, "SUITES", {"a": (suite_a, ("arity", "max_degree")), "b": (suite_b, ("seed",))})
     assert main(["verify", "--suite", "all", *flags]) == 0
     assert seen == expected
     assert "all 2 checks passed" in capsys.readouterr().out
+
+
+def test_each_suite_takes_exactly_the_command_line_options_it_lists():
+    import inspect
+
+    from opbar.verify import SUITES
+
+    for name, (suite, takes) in SUITES.items():
+        assert set(takes) == {"arity", "max_degree", "seed"} & set(inspect.signature(suite).parameters), name
 
 
 def _json_paths(value, path=()):

@@ -14,7 +14,7 @@ import opbar.sigma
 from opbar import trees
 from opbar.bar import BarModule, bar, bar_extension_iso, bar_module, shuffle_product, sym_bar_comparison
 from opbar.dg import DegreeWindow, DgModule, tensor as dg_tensor
-from opbar.errors import AlgebraCheckFailed, ArityBoundExceeded, InvalidMorphism
+from opbar.errors import AlgebraCheckFailed, ArityBoundExceeded, InvalidMorphism, NotAnIsomorphism
 from opbar.fixtures import random_commutative_algebra, random_tensor_algebra
 from opbar.jsonio import algebra_from_json, load_json, operad_from_json, operad_to_json
 from opbar.linalg import CoeffField, combo_add, quotient_data
@@ -111,27 +111,30 @@ def test_check_algebra_catches_corruption():
         DgModule.from_data(Q, [("a", 1), ("b", 2), ("c", 3)]),
         {2: {("a", "a"): {"b": Q.one()}, ("a", "b"): {"c": Q.one()}, ("b", "a"): {"c": Q.of_int(-1)}}},
     )
-    ok, diags = check_algebra(bad, 4, report=True)
+    ok, diags = check_algebra(bad, 4)
     assert not ok and any("arity 3" in d for d in diags)
 
 
 def test_check_algebra_rejects_misgraded_product():
     # mu_2(x, x) should land in degree 2; y sits in degree 3
     bad = DgAlgebra(F2, "assoc", DgModule.from_data(F2, [("x", 1), ("y", 3)]), {2: {("x", "x"): {"y": F2.one()}}})
-    ok, diags = check_algebra(bad, 4, report=True)
+    ok, diags = check_algebra(bad, 4)
     assert not ok and diags == ["mu_2('x', 'x') output degree wrong at 'y'"]
-    assert not check_algebra(bad, 4)
 
 
 def test_check_algebra_kinds():
-    assert check_algebra(exterior(F2), 4)
-    assert check_algebra(trunc_poly(F2), 4)
+    ok, diags = check_algebra(exterior(F2), 4)
+    assert ok and not diags
+    ok, diags = check_algebra(trunc_poly(F2), 4)
+    assert ok and not diags
     # K-algebra via restriction: only mu_2, associativity is the arity-3 relation
     a = DgAlgebra(Q, "ainf", trunc_poly(Q).module, dict(trunc_poly(Q).ops))
-    assert check_algebra(a, 4)
+    ok, diags = check_algebra(a, 4)
+    assert ok and not diags
     # commutativity with Koszul signs: odd generator over Q squares to zero
     odd = DgAlgebra(Q, "comm", DgModule.from_data(Q, [("x", 1), ("y", 2)]), {2: {("x", "x"): {"y": Q.one()}}})
-    assert not check_algebra(odd, 3)
+    ok, diags = check_algebra(odd, 3)
+    assert not ok and diags
 
 
 def test_ainf_with_mu3():
@@ -141,7 +144,8 @@ def test_ainf_with_mu3():
         DgModule.from_data(Q, [("x", 1), ("w", 4)]),
         {3: {("x", "x", "x"): {"w": Q.one()}}},
     )
-    assert check_algebra(a3, 6)
+    ok, diags = check_algebra(a3, 6)
+    assert ok and not diags
 
 
 def massey_algebra(field=F2):
@@ -300,7 +304,8 @@ def test_check_algebra_matches_exhaustive_oracle(monkeypatch):
     for alg, max_arity, prange in _oracle_fixtures():
         assert alg.module.total_dim() <= 20
         expect = _exhaustive_check_algebra(alg, max_arity, prange)
-        assert check_algebra(alg, max_arity, report=True, partial_range=prange) == expect, alg.name
+        got = check_algebra(alg, max_arity, partial_range=prange)
+        assert got == expect, alg.name
         if alg.name == "mutant":
             mutants += 1
             failing += not expect[0]
@@ -491,7 +496,8 @@ def _ainf_fixture(field):
 @pytest.mark.parametrize("field", [F3, Q], ids=repr)
 def test_k_acts_by_its_trees(field):
     alg = _ainf_fixture(field)
-    assert check_algebra(alg, 5)
+    ok, diags = check_algebra(alg, 5)
+    assert ok and not diags
     K = stasheff_operad(field, 4)
     letters = [(1, "x"), (2, "y")]
     corollas = 0
@@ -661,6 +667,53 @@ def test_bar_extension_iso_checks_psi_before_building_b_s(monkeypatch):
     assert built == []
 
 
+def _unkept_label(quotients):
+    """(key, label): the first pure label that a quotient of `quotients` does not keep, and its key."""
+    return next((key, lab) for key, q in quotients.items() for lab in q.labels if lab not in q.kept)
+
+
+def _stray_term_at(monkeypatch, word, args, routing=None):
+    """Make the comparisons' `routed_compose` add a stray term to the collapse of
+    the one pure label whose bar word, arguments and outer routing are these."""
+    bar_py = importlib.import_module("opbar.bar")  # the package's `bar` is the function
+    real = bar_py.routed_compose
+
+    def perturbed(field, word_, args_, evaluate, label, outer=None):
+        out = real(field, word_, args_, evaluate, label, outer=outer)
+        if (word_, args_, outer and outer[0]) == (word, args, routing):
+            out = dict(out, stray=field.one())
+        return out
+
+    monkeypatch.setattr(bar_py, "routed_compose", perturbed)
+
+
+def test_bar_extension_iso_refuses_a_collapse_that_does_not_descend(monkeypatch):
+    # the stray term sits on a label the quotient does not keep, so the map on the
+    # kept basis is still the chain isomorphism: only the descent check sees it
+    K = stasheff_operad(Q, 3)
+    eps = eps_to_assoc(K, associative_operad(Q, 3))
+    bm = bar_module(K, 3)
+    (arity, _), victim = _unkept_label(extension(bm.right_module, eps, 3).coequalizer.quotients)
+    (_, _, (_, word)), (routing, args) = victim
+    _stray_term_at(monkeypatch, word, args, routing)
+    with pytest.raises(NotAnIsomorphism, match="^B_R o_R S -> B_S in arity %d does not descend" % arity) as err:
+        bar_extension_iso(bm, eps, 3)
+    assert str(err.value).endswith("at %r" % (victim,))
+
+
+@pytest.mark.parametrize("rname, field", [("Com", F2), ("K", Q)])
+def test_sym_bar_comparison_refuses_a_collapse_that_does_not_descend(monkeypatch, rname, field):
+    operad = (commutative_operad if rname == "Com" else stasheff_operad)(field, 3)
+    alg = _fixture_algebras(field, "comm" if rname == "Com" else "ainf")[1]
+    bm = bar_module(operad, 3)
+    _, victim = _unkept_label(SymOverOperad(bm.right_module, alg, operad, [1, 2, 3]).sym.quotients)
+    (_, _, (_, word)), args = victim
+    _stray_term_at(monkeypatch, word, args)
+    with pytest.raises(NotAnIsomorphism, match=r"^Sym_R\(B_R, A\) -> B\(A\) does not descend") as err:
+        sym_bar_comparison(bm, alg, [1, 2, 3])
+    assert str(err.value).endswith("at %r" % (victim,))
+
+
 def module_hom_dimension(m, n, arity_bound=None):
     """dim of the space of degree-0 right-module chain maps M -> N.
 
@@ -772,9 +825,12 @@ def test_sym_extension_restriction_identity():
 
 def test_random_fixture_validity():
     for seed in range(4):
-        assert check_algebra(random_tensor_algebra(Q, seed), 4)
-        assert check_algebra(random_commutative_algebra(Q, seed), 4)
-        assert check_algebra(random_commutative_algebra(F2, seed + 10), 4)
+        ok, diags = check_algebra(random_tensor_algebra(Q, seed), 4)
+        assert ok and not diags
+        ok, diags = check_algebra(random_commutative_algebra(Q, seed), 4)
+        assert ok and not diags
+        ok, diags = check_algebra(random_commutative_algebra(F2, seed + 10), 4)
+        assert ok and not diags
 
 
 # the coequalizers, pinned byte for byte -----------------------------------------

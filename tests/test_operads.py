@@ -42,8 +42,9 @@ def test_basic_dims():
 
 
 def test_structural_checks_as_com():
-    check_operad(associative_operad(Q, 4), 4, deep=True)
-    check_operad(commutative_operad(F2, 4), 4, deep=True)
+    for op in (associative_operad(Q, 4), commutative_operad(F2, 4)):
+        op.sigma.check_relations()
+        check_operad(op, 4)
 
 
 def test_com_all_products_hit_generator():
@@ -62,7 +63,8 @@ def test_free_operad_binary_dims():
     # one binary generator: arity 3 has 2 shapes x 6 labelings = 12
     op = free_operad(Q, {2: [("m", 0)]}, 3)
     assert op.component(3).total_dim() == 12
-    check_operad(op, 3, deep=True)
+    op.sigma.check_relations()
+    check_operad(op, 3)
 
 
 def test_grafting_distinct_and_unit():
@@ -169,7 +171,8 @@ def test_the_sign_scan_pins_its_patterns_and_matches_grafting_per_pattern():
 
 def test_stasheff_operad_checks():
     K = stasheff_operad(Q, 4)
-    check_operad(K, 3, deep=True)
+    K.sigma.check_relations()
+    check_operad(K, 3)
     check_operad(K, 4)
     dims = {n: K.component(n).total_dim() for n in K.sigma.arities()}
     assert dims == {1: 1, 2: 2, 3: 18, 4: 264}
@@ -219,7 +222,7 @@ def test_identity_is_recorded_and_never_checked(monkeypatch):
         identity = identity_morphism(op)
         assert identity.checked_through == op.arity_bound()
         assert operad_morphism_check(identity)
-        assert operad_morphism_check(identity, 2, report=True) == (True, [])
+        assert operad_morphism_check(identity, 2) is True
     assert checked == []
 
 
@@ -231,7 +234,7 @@ def test_a_passing_check_is_recorded_and_covers_lower_bounds(monkeypatch):
     checked = spy_full_morphism_checks(monkeypatch)
     assert operad_morphism_check(eps, 3)
     assert eps.checked_through == 3
-    assert operad_morphism_check(eps, 2) and operad_morphism_check(eps, 3, report=True) == (True, [])
+    assert operad_morphism_check(eps, 2) is True and operad_morphism_check(eps, 3) is True
     assert checked == ["eps"]
     # a higher bound than the record is checked again, and recorded
     assert operad_morphism_check(eps)
@@ -264,8 +267,8 @@ def test_a_failed_check_records_nothing():
     assert not operad_morphism_check(bad, 3)
     assert bad.checked_through == 0
     # still refused on a second look: the failure was not turned into a record
-    ok, failures = operad_morphism_check(bad, 3, report=True)
-    assert not ok and failures
+    assert operad_morphism_check(bad, 3) is False
+    assert opbar.operads._morphism_failures(bad, 3)
     assert operad_morphism_check(bad, 2) and bad.checked_through == 2
 
 
@@ -284,8 +287,9 @@ def test_broken_morphism_detected():
         return eps.apply_triple(triple)
 
     bad = OperadMorphism(K, As, broken_rule)
-    ok, failures = operad_morphism_check(bad, 3, report=True)
-    assert not ok and failures
+    assert operad_morphism_check(bad, 3) is False
+    failures = opbar.operads._morphism_failures(bad, 3)
+    assert any(f.startswith("composition fails at ") for f in failures)
 
 
 def test_d_squared_enforced_at_construction():

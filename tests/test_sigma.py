@@ -41,7 +41,7 @@ def test_relations_catch_bad_action():
 
 
 def test_from_rule_stores_no_identity_images():
-    comps = {3: DgModule(Q, {0: ("a", "b", "c")}, {}, check=False)}
+    comps = {3: DgModule(Q, {0: ("a", "b", "c")}, {})}
     seen = []
 
     def act(n, s_i, d, label):
@@ -341,7 +341,7 @@ def test_generator_relations_give_the_full_group_dims(seed):
 def standard_rep(field):
     """The 2-dimensional irreducible of Sigma_3 on a = e1 - e2, b = e2 - e3: images of two terms."""
     one, minus = field.one(), field.of_int(-1)
-    comps = {3: DgModule(field, {0: ("a", "b")}, {}, check=False)}
+    comps = {3: DgModule(field, {0: ("a", "b")}, {})}
     act = {
         (3, 1): {(0, "a"): {"a": minus}, (0, "b"): {"a": one, "b": one}},
         (3, 2): {(0, "a"): {"a": one, "b": one}, (0, "b"): {"b": minus}},
