@@ -628,22 +628,29 @@ def _morphism_failures(f, bound):
     src, dst = f.source, f.target
     field = src.field
     failures = []
+    images = {}  # triple -> f(triple); the relations below share most of their triples
 
-    unit_img = f.apply_triple(src.unit_triple())
+    def apply(triple):
+        image = images.get(triple)
+        if image is None:
+            image = images[triple] = f.apply_triple(triple)
+        return image
+
+    unit_img = apply(src.unit_triple())
     if unit_img != {dst.unit_label: field.one()}:
         failures.append("unit is not preserved")
 
     for n in range(1, bound + 1):
         for triple in src.basis_triples(n):
             d = triple[1]
-            image = f.apply_triple(triple)
-            lhs = combo_map(field, src.sigma.differential_combo(triple), f.apply_triple)
+            image = apply(triple)
+            lhs = combo_map(field, src.sigma.differential_combo(triple), apply)
             if lhs != dst.component(n).apply_diff(d, image):
                 failures.append("differential not preserved at %r" % (triple,))
             for i in range(1, n):
                 s_i = perm.apply_adjacent(perm.identity(n), i)
                 acted = src.sigma.act_perm_combo(n, s_i, d, {triple[2]: field.one()})
-                lhs = combo_map(field, acted, lambda label: f.apply_triple((n, d, label)))
+                lhs = combo_map(field, acted, lambda label: apply((n, d, label)))
                 if lhs != dst.sigma.act_perm_combo(n, s_i, d, image):
                     failures.append("equivariance fails at %r s_%d" % (triple, i))
 
@@ -652,14 +659,14 @@ def _morphism_failures(f, bound):
             if s + t - 1 > bound:
                 continue
             for p in src.basis_triples(s):
-                fp = f.apply_triple(p)
+                fp = apply(p)
                 for q in src.basis_triples(t):
-                    fq = f.apply_triple(q)
+                    fq = apply(q)
                     for i in range(1, s + 1):
                         lhs = combo_map(
                             field,
                             src.compose_partial(p, i, q),
-                            lambda label: f.apply_triple((s + t - 1, p[1] + q[1], label)),
+                            lambda label: apply((s + t - 1, p[1] + q[1], label)),
                         )
                         rhs = combo_map(
                             field,

@@ -174,21 +174,6 @@ def multishuffles(sizes):
     return out
 
 
-def refine_decompose(w, sizes, i, r):
-    """Split a fine canonical coset rep into coarse rep and inner rep.
-
-    The fine blocks are `sizes`; factors i..i+r-1 (1-based) merge into
-    one coarse block.  With H_fine <= H_coarse, the fine representative
-    w factors as w = h . w_coarse where h is supported on the merged
-    value block; rebased there, h is itself a canonical representative u
-    for the sub-block structure.  Returns (u, w_coarse).
-    """
-    coarse_sizes = list(sizes[: i - 1]) + [sum(sizes[i - 1 : i - 1 + r])] + list(sizes[i - 1 + r :])
-    h_parts, w_coarse = coset_canonicalize(w, coarse_sizes)
-    u = h_parts[i - 1]
-    return u, tuple(w_coarse), tuple(coarse_sizes)
-
-
 def koszul_sign_exponent(degrees, sigma):
     """Parity of the Koszul sign moving letter k to position sigma(k).
 

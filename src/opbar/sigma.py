@@ -334,9 +334,13 @@ class WordSpace:
         f = self.field
         w, inner = label
         sizes = tuple(t[0] for t in inner)
-        u, w_coarse, _ = perm.refine_decompose(w, sizes, i, rlen)
+        coarse = sizes[: i - 1] + (sum(sizes[i - 1 : i - 1 + rlen]),) + sizes[i - 1 + rlen :]
+        # w is canonical for the fine blocks, so w = h . w_coarse with h the
+        # identity off the merged block, where it is the inner representative u
+        h_parts, w_coarse = self._coset_split(w, coarse)
+        u = h_parts[i - 1]
         sub = inner[i - 1 : i - 1 + rlen]
-        merged_arity = sum(t[0] for t in sub)
+        merged_arity = coarse[i - 1]
         prefix = sum(t[1] for t in inner[: i - 1])
         sgn = f.sign(op_degree * prefix)
         out = {}

@@ -3,9 +3,29 @@
 Each suite returns a list of (name, passed, details) triples; every
 check names the structural identity it exercises.  Suites are
 deterministic for a fixed seed.
+
+A suite's checks are independent, and `_run` runs them on as many
+processes as the CPUs this process may use: the parent and forked
+children take check indices from one pipe, whichever is free taking the
+next, and the results come back in check order, so every output and
+report is the same as from one process.  There is no option for it.
+
+- Threads would not help: the checks are pure Python and hold the GIL.
+- The workers are forked, not spawned: a spawned worker would import the
+  package again, and the checks are closures it could not be sent.
+  opbar starts no thread, so a fork copies no lock another thread holds.
+- The pool uses only `os` and `marshal`, which the interpreter loads
+  before it runs a line.  This module is imported up front by commands
+  that run no suite, and the standard library's object serialiser or
+  process pools would cost each of them load time and memory.
+- A standard-library process pool takes longer to start than most suites
+  take to run; one fork costs about 3 ms.
 """
 
 from __future__ import annotations
+
+import marshal
+import os
 
 from .bar import (
     bar,
@@ -54,15 +74,96 @@ from .simplicial import boundary_of_simplex, minimal_sphere, normalized_cochains
 from .transfer import transfer_a_infinity
 
 
-def _run(checks):
+# bytes per check index on the queue pipe, and the most the queue may hold:
+# a pipe holds at least one page, so the parent never blocks writing it
+_RECORD = 4
+_QUEUE_BYTES = 4096
+
+
+def _cpus():
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _check(fn):
+    try:
+        ok, details = fn()
+    except Exception as exc:  # a raised invariant is a failure with a reason
+        ok, details = False, "%s: %s" % (type(exc).__name__, exc)
+    return bool(ok), details
+
+
+def _work(checks, queue):
+    """Run the checks whose indices this worker reads from `queue`, until
+    EOF, as (index, name, passed, details) tuples."""
     out = []
-    for name, fn in checks:
-        try:
-            ok, details = fn()
-        except Exception as exc:  # a raised invariant is a failure with a reason
-            ok, details = False, "%s: %s" % (type(exc).__name__, exc)
-        out.append((name, bool(ok), details))
-    return out
+    while True:
+        record = os.read(queue, _RECORD)
+        if not record:
+            return out
+        i = int.from_bytes(record, "little")
+        name, fn = checks[i]
+        out.append((i, name) + _check(fn))
+
+
+def _child(checks, queue, results, inherited):
+    """A forked worker: close the parent's pipe ends in `inherited`, send the
+    results of its share down `results` and leave."""
+    code = 1
+    try:
+        for fd in inherited:
+            os.close(fd)
+        with open(results, "wb") as fh:
+            fh.write(marshal.dumps(_work(checks, queue)))
+        code = 0
+    finally:
+        os._exit(code)  # no atexit handler, and no stdio buffer of the parent flushed twice
+
+
+def _run(checks):
+    """[(name, passed, details)] for the (name, fn) `checks`, in their order,
+    run on min(len(checks), CPUs) processes; an exception a check raises
+    is its failure."""
+    workers = min(len(checks), _cpus())
+    if workers < 2 or not hasattr(os, "fork") or len(checks) * _RECORD > _QUEUE_BYTES:
+        return [(name,) + _check(fn) for name, fn in checks]
+    queue, feed = os.pipe()
+    # every record is written before the first fork, so EOF ends each worker's share
+    os.write(feed, b"".join(i.to_bytes(_RECORD, "little") for i in range(len(checks))))
+    os.close(feed)
+    children = []  # (pid, read end of its results pipe)
+    try:
+        for _ in range(workers - 1):
+            r, w = os.pipe()
+            try:
+                pid = os.fork()
+            except OSError:  # no process to spare: the workers forked so far share the queue
+                os.close(r)
+                os.close(w)
+                break
+            if pid == 0:
+                _child(checks, queue, w, [r] + [earlier for _, earlier in children])
+            os.close(w)  # so the results pipe reaches EOF when the child exits
+            children.append((pid, r))
+        done = {t[0]: t[1:] for t in _work(checks, queue)}
+        for _, r in children:
+            with open(r, "rb", closefd=False) as fh:
+                data = fh.read()
+            try:
+                done.update((t[0], t[1:]) for t in marshal.loads(data))
+            except (EOFError, ValueError):  # the child died before it sent its share
+                pass
+    finally:
+        os.close(queue)
+        for pid, r in children:
+            os.close(r)  # a child still writing gets EPIPE instead of blocking
+            os.waitpid(pid, 0)
+    lost = [name for i, (name, _) in enumerate(checks) if i not in done]
+    if lost:
+        raise RuntimeError("a verify worker exited without the results of %s" % ", ".join(lost))
+    return [done[i] for i in range(len(checks))]
 
 
 def suite_stasheff(arity=7, field=None):

@@ -32,10 +32,18 @@ A memo lives on the object whose data it reads and dies with it.  A
 instead keep its entries for the life of the process, from one command
 (or benchmark job) to the next; only the functions on `PROCESS_CACHES`
 may carry one.
+
+`perfbench` imports `opbar.verify` up front in every workload, so a fresh
+interpreter checks that importing it, after the modules imported with it,
+loads nothing but `opbar.fixtures` and `random` with its helpers: no
+`pickle`, `struct` or `multiprocessing` for the verify pool.
 """
 
 import ast
 import importlib
+import os
+import subprocess
+import sys
 from collections import Counter
 from pathlib import Path
 
@@ -313,3 +321,38 @@ def test_the_check_flags_a_module_level_cache():
 @pytest.mark.parametrize("path", sorted(SRC.glob("*.py")), ids=lambda p: p.name)
 def test_no_module_level_cache_beyond_the_allowlist(path):
     assert module_level_caches(path.read_text()) == PROCESS_CACHES.get(path.name, set())
+
+
+# `perfbench/passrun.py` imports these before it runs any workload's jobs,
+# `opbar.verify` among them, so a module that `opbar.verify` alone loads is
+# charged to the load time and memory of commands that run no suite.
+_LOADED_UP_FRONT = "opbar.cli, opbar.catbar, opbar.simplicial, opbar.transfer"
+
+
+def modules_added_by(statement):
+    """The modules a fresh interpreter without `site` loads on `statement`,
+    after the modules it imports up front.  `site` is left out because the
+    `.pth` files of an installation can load, say, `struct` at start-up and
+    hide an import that a plain interpreter pays for."""
+    code = "import sys\nimport %s\nbefore = set(sys.modules)\n%s\nprint(*sorted(set(sys.modules) - before))\n"
+    env = dict(os.environ, PYTHONPATH=str(SRC.parent))
+    run = subprocess.run(
+        [sys.executable, "-S", "-c", code % (_LOADED_UP_FRONT, statement)],
+        env=env, capture_output=True, text=True, check=True,
+    )
+    return set(run.stdout.split())
+
+
+def _verify_may_load():
+    # the suites' seeded fixtures need `random`, and with it its helper modules
+    return modules_added_by("import random") | {"opbar.verify", "opbar.fixtures"}
+
+
+def test_the_check_flags_a_new_import_in_verify():
+    allowed = _verify_may_load()
+    for extra in ("pickle", "struct", "multiprocessing"):
+        assert not modules_added_by("import opbar.verify, %s" % extra) <= allowed, extra
+
+
+def test_importing_verify_loads_no_new_library():
+    assert modules_added_by("import opbar.verify") <= _verify_may_load()

@@ -1,6 +1,7 @@
 import gc
 import hashlib
 import importlib
+import os
 import random
 import re
 import weakref
@@ -1086,6 +1087,8 @@ def _guard_d0_d1(monkeypatch):
 def test_d0_once_per_m_and_r_word_and_d1_once_per_r_word_and_tail(monkeypatch, suite):
     from opbar.verify import run_suite
 
+    # one CPU: every check runs in this process, where the spies count
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0})
     records = _guard_d0_d1(monkeypatch)
     assert all(ok for _, ok, _ in run_suite(suite))
     assert len(records) == {"module-functor": 6, "extension": 4}[suite]

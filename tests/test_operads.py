@@ -241,6 +241,24 @@ def test_a_passing_check_is_recorded_and_covers_lower_bounds(monkeypatch):
     assert eps.checked_through == 4 and checked == ["eps", "eps"]
 
 
+def test_the_eps_check_maps_each_triple_once(monkeypatch):
+    K = stasheff_operad(Q, 4)
+    As = associative_operad(Q, 4)
+    eps = eps_to_assoc(K, As)
+    asked = []
+    real = opbar.operads.OperadMorphism.apply_triple
+
+    def counting(self, triple):
+        asked.append(triple)
+        return real(self, triple)
+
+    monkeypatch.setattr(opbar.operads.OperadMorphism, "apply_triple", counting)
+    assert operad_morphism_check(eps, 4)
+    # the unit, differential, equivariance and composition relations reach
+    # 285 distinct triples, and each is mapped through eps once
+    assert len(asked) == len(set(asked)) == 285
+
+
 def test_a_composite_of_recorded_morphisms_is_recorded(monkeypatch):
     K = stasheff_operad(Q, 4)
     As = associative_operad(Q, 4)

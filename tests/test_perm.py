@@ -49,14 +49,6 @@ def test_multishuffle_count():
         assert len(ms) == len(set(ms)) == expect
 
 
-def test_refine_decompose_roundtrip():
-    for sizes in [(1, 2, 1), (2, 1, 1), (1, 1, 1, 1), (2, 2, 1)]:
-        for w in perm.multishuffles(sizes):
-            u, wc, cs = perm.refine_decompose(w, sizes, 2, 2)
-            h_full = perm.block_sum([perm.identity(cs[j]) if j != 1 else u for j in range(len(cs))])
-            assert perm.compose(h_full, wc) == w
-
-
 def test_block_substitution_units():
     assert perm.block_substitution((1, 2), 1, (1, 2)) == (1, 2, 3)
     assert perm.block_substitution((1,), 1, (2, 1)) == (2, 1)

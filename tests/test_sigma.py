@@ -388,6 +388,19 @@ def test_action_and_differential_memos_match_the_uncached_maps():
     assert any(module.differential_combo(t) for t in module.basis_triples(3))
 
 
+def test_coset_split_refines_a_fine_representative():
+    # what `WordSpace.apply_at` reads: merging factors 2 and 3 of a fine
+    # canonical w splits it as h . w_coarse, h the identity off the merged block
+    ws = WordSpace(Q, [com_like(Q)], 1)
+    for sizes in [(1, 2, 1), (2, 1, 1), (1, 1, 1, 1), (2, 2, 1)]:
+        cs = (sizes[0], sizes[1] + sizes[2]) + sizes[3:]
+        for w in perm.multishuffles(sizes):
+            h_parts, wc = ws._coset_split(w, cs)
+            u = h_parts[1]
+            h_full = perm.block_sum([perm.identity(cs[j]) if j != 1 else u for j in range(len(cs))])
+            assert perm.compose(h_full, wc) == w
+
+
 def test_coset_split_memo_matches_coset_canonicalize():
     for field in (Q, F2, F3):
         M, _ = random_sigma_module(field, 0, arity_bound=3)
